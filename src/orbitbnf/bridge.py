@@ -232,7 +232,7 @@ def _heat_flow_series(A: FTSeries, hbar_order: int, sign: int) -> FTSeries:
             )
             val = c * float(f) * (sign**tot)
             out[key] = out.get(key, 0.0) + val
-    return FTSeries(A.dim, out, A.max_weight)
+    return FTSeries._trusted(A.dim, out, A.max_weight)
 
 
 def _heat_flow_normal_form(h: NormalForm, hbar_order: int, sign: int) -> NormalForm:
@@ -319,7 +319,7 @@ def weyl_symbol_of_word(w, hbar_order: int, max_weight=math.inf) -> FTSeries:
             term = factors[0]
             for f in factors[1:]:
                 term = moyal_product(term, f, hbar_order - k, max_weight)
-        term = FTSeries(
+        term = FTSeries._trusted(
             dim,
             {
                 (tmu, tnu, tm, tj, tk + k): tc

@@ -1,12 +1,15 @@
 """Classical and semiclassical Birkhoff normal forms via Lie series.
 
 The homological equation {H0, F} = G + G1 with H0 = E + tau + theta.p is
-solved monomial-wise: the ad_{H0} eigenvalue of each monomial is obtained by
-actually applying the requested bracket to that monomial (never transcribed),
-which makes the construction immune to sign-convention drift.  Iterating the
-graded solves and Lie conjugations yields the normal form; with the Moyal
-bracket at a given hbar order, the same engine produces the semiclassical
-normal form whose hbar^0 slice is the classical one.
+solved monomial-wise: ad_{H0} = {H0, .} scales z^mu zbar^nu e^{imt} tau^j
+hbar^k by the closed form i(theta.(mu - nu) - m) (:func:`ad_eigenvalue`).
+H0 is quadratic, so the Moyal bracket acts on monomials exactly like the
+Poisson bracket; a test applies both brackets to a representative monomial
+of every Fourier-shift class and checks that the image is that multiple of
+the monomial.  The graded solves and Lie conjugations are driven by
+:func:`~orbitbnf.graded.birkhoff_sweep`; with the Moyal bracket at a given
+hbar order the same sweep produces the semiclassical normal form, whose
+hbar^0 slice is the classical one.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import NonNilpotentError, ResonanceError
+from .graded import (
+    birkhoff_sweep,
+    check_quadratic_part,
+    is_resonant_key,  # noqa: F401 -- re-exported
+    lie_series,
+    solve_homological,
+    theta_shift,
+)
 from .normalform import NormalForm
 from .series import FTSeries, RotationData, moyal_bracket, poisson_bracket
 
@@ -47,10 +57,9 @@ def h0_series(rot: RotationData, E=0.0, max_weight=math.inf) -> FTSeries:
     return FTSeries(n, terms, max_weight)
 
 
-def is_resonant_key(key) -> bool:
-    """Kernel of ad_{H0}: mu = nu and Fourier mode 0 (any tau/hbar powers)."""
-    mu, nu, m, _j, _k = key
-    return mu == nu and m == 0
+def ad_eigenvalue(theta, key) -> complex:
+    """Eigenvalue i(theta.(mu - nu) - m) of {H0, .} on the monomial of ``key``."""
+    return 1j * (theta_shift(theta, key) - key[2])
 
 
 def validate_quadratic_part(H: FTSeries, rot: RotationData, tol=1e-12) -> float:
@@ -58,68 +67,7 @@ def validate_quadratic_part(H: FTSeries, rot: RotationData, tol=1e-12) -> float:
 
     Returns E.  Raises ValueError describing every offending key otherwise.
     """
-    n = H.dim
-    if n != rot.dim:
-        raise ValueError("Hamiltonian and rotation data dimension mismatch")
-    zero = (0,) * n
-    expected = {(zero, zero, 0, 1, 0): 1.0}
-    for i, th in enumerate(rot.theta):
-        e = tuple(1 if a == i else 0 for a in range(n))
-        expected[(e, e, 0, 0, 0)] = th / 2.0
-    defects = []
-    E = 0.0
-    found = {}
-    for key, c in H.items():
-        w = sum(key[0]) + sum(key[1]) + 2 * key[3] + 2 * key[4]
-        if w > 2:
-            continue
-        if key == (zero, zero, 0, 0, 0):
-            if abs(complex(c).imag) > tol:
-                defects.append(f"energy term not real: {c}")
-            E = complex(c).real
-        elif key in expected:
-            found[key] = c
-        elif abs(c) > tol:
-            defects.append(f"unexpected low-weight key {key} with coefficient {c}")
-    for key, want in expected.items():
-        got = found.get(key, 0.0)
-        if abs(got - want) > tol:
-            defects.append(f"key {key}: expected {want}, found {got}")
-    if defects:
-        raise ValueError(
-            "quadratic part is not in the normalized form E + tau + theta.p: "
-            + "; ".join(defects)
-        )
-    return E
-
-
-class _AdEigenvalues:
-    """Cache of ad_{H0} eigenvalues, obtained by applying the bracket to a
-    representative monomial of each Fourier-shift class (anti-sign-drift)."""
-
-    def __init__(self, rot: RotationData, bracket):
-        self._h0 = h0_series(rot)
-        self._apply = bracket_operation(bracket)
-        self._cache = {}
-        self._dim = rot.dim
-
-    def __call__(self, key) -> complex:
-        mu, nu, m, _j, _k = key
-        shift = tuple(a - b for a, b in zip(mu, nu))
-        token = (shift, m)
-        lam = self._cache.get(token)
-        if lam is None:
-            rep_mu = tuple(max(e, 0) for e in shift)
-            rep_nu = tuple(max(-e, 0) for e in shift)
-            rep_key = (rep_mu, rep_nu, m, 0, 0)
-            mono = FTSeries.monomial(self._dim, rep_mu, rep_nu, m=m)
-            image = self._apply(self._h0, mono)
-            lam = complex(image.coeff(rep_key))
-            leak = image - FTSeries.monomial(self._dim, rep_mu, rep_nu, m=m, coeff=lam)
-            if leak.max_abs_coeff() > 1e-14:
-                raise AssertionError("ad_{H0} did not act diagonally on a monomial")
-            self._cache[token] = lam
-        return lam
+    return check_quadratic_part(H, h0_series(rot), tol)
 
 
 def solve_homological_classical(
@@ -131,7 +79,7 @@ def solve_homological_classical(
     """Solve bracket(H0, F) = G + G1 with G1 = -(resonant part of G).
 
     Returns (F, G1) with F supported on the non-resonant keys of G (each
-    coefficient divided by its computed ad-eigenvalue) and G1 a NormalForm.
+    coefficient divided by its ad-eigenvalue) and G1 a NormalForm.
     H0 is quadratic, so the Moyal bracket acts on monomials exactly like the
     Poisson bracket and both bracket specs give the same F.
 
@@ -141,32 +89,10 @@ def solve_homological_classical(
         If |eigenvalue| < margin_threshold at a non-resonant key, reporting
         the offending Fourier shift (mu - nu, m).
     """
-    if G.dim != rot.dim:
-        raise ValueError("dimension mismatch")
-    needed = max(
-        (sum(abs(a - b) for a, b in zip(key[0], key[1])) for key in G.keys()),
-        default=0,
+    bracket_operation(bracket)  # reject unknown bracket specs
+    return solve_homological(
+        G, rot, ad_eigenvalue, NormalForm.from_resonant_series, margin_threshold
     )
-    rot.require_order(needed)
-    eig = _AdEigenvalues(rot, bracket)
-    f_terms = {}
-    resonant = {}
-    for key, c in G.items():
-        if is_resonant_key(key):
-            resonant[key] = -c
-            continue
-        lam = eig(key)
-        if abs(lam) < margin_threshold:
-            mu, nu, m, _j, _k = key
-            shift = tuple(a - b for a, b in zip(mu, nu))
-            raise ResonanceError(
-                f"small divisor |{lam:.3e}| < {margin_threshold:g} at "
-                f"(mu - nu, m) = ({shift}, {m})"
-            )
-        f_terms[key] = c / lam
-    F = FTSeries(G.dim, f_terms, G.max_weight)
-    G1 = NormalForm.from_resonant_series(FTSeries(G.dim, resonant, G.max_weight))
-    return F, G1
 
 
 def homological_residual(
@@ -185,25 +111,7 @@ def lie_conjugate(H: FTSeries, F: FTSeries, bracket="poisson", max_weight=None) 
     gains at least one weight unit and the series terminates exactly on the
     truncation.
     """
-    cap = H.max_weight if max_weight is None else min(H.max_weight, max_weight)
-    if cap == math.inf:
-        raise ValueError("lie_conjugate needs a finite truncation weight")
-    if F and F.min_weight() < 3:
-        raise NonNilpotentError(
-            f"generator has a term of weight {F.min_weight()} < 3; "
-            "the Lie series would not terminate on the truncation"
-        )
-    apply = bracket_operation(bracket)
-    total = H.truncated(cap)
-    term = total
-    k = 0
-    while term:
-        k += 1
-        if k > cap + 2:  # unreachable given the weight gain; hard stop
-            raise NonNilpotentError("Lie series failed to terminate")
-        term = apply(F, term, cap).scaled(1.0 / k)
-        total = total + term
-    return total
+    return lie_series(H, F, bracket_operation(bracket), max_weight)
 
 
 @dataclass(frozen=True)
@@ -256,27 +164,20 @@ class GeneratorLog:
 
 
 def _birkhoff_sweep(H, rot, order, bracket, work_weight, margin_threshold, route):
-    """Shared classical/semiclassical normal-form iteration."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    work = max(order, work_weight if work_weight is not None else order)
-    validate_quadratic_part(H, rot, tol=1e-12)
-    rot.require_order(order)
-    cur = FTSeries(H.dim, dict(H.items()), work)
-    log = GeneratorLog(bracket=bracket)
-    for w in range(3, order + 1):
-        G = cur.weight_slice(w).filtered(lambda key: not is_resonant_key(key))
-        if not G:
-            continue
-        F, _ = solve_homological_classical(G, rot, bracket, margin_threshold)
-        cur = lie_conjugate(cur, F, bracket, work)
-        log.steps.append(GeneratorStep(w, F))
-    resonant = cur.filtered(
-        lambda key: is_resonant_key(key)
-        and sum(key[0]) + sum(key[1]) + 2 * key[3] + 2 * key[4] <= order
+    """The shared sweep with the classical solver, conjugation and table map."""
+    nf, steps, remainder = birkhoff_sweep(
+        H,
+        rot,
+        order,
+        work_weight,
+        h0_series(rot),
+        solve=lambda G: solve_homological_classical(G, rot, bracket, margin_threshold),
+        conjugate=lambda cur, F, cap: lie_conjugate(cur, F, bracket, cap),
+        to_normal_form=lambda resonant: NormalForm.from_resonant_series(
+            resonant, route=route, imag_tol=1e-9
+        ),
     )
-    nf = NormalForm.from_resonant_series(resonant, route=route, imag_tol=1e-9)
-    remainder = cur - resonant
+    log = GeneratorLog(bracket, [GeneratorStep(w, F) for w, F in steps])
     return nf, log, remainder
 
 

@@ -193,82 +193,54 @@ def _orders(cfg):
 # -- subcommand bodies ----------------------------------------------------------
 
 
-def _cmd_bnf_classical(cfg, tol, run, base_dir):
+def _bnf_orders(cfg, tol):
+    """(target weight, working weight, certified rotation data) of a config."""
     orders = _orders(cfg)
     weight = int(orders.get("weight", 6))
-    work = int(orders.get("work_weight", weight))
-    rot = _rot(cfg, weight, tol)
-    H = _series_hamiltonian(cfg, rot, work)
-    nf, log, remainder = birkhoff_classical(
-        H, rot, weight, work, tol["margin_threshold"]
-    )
+    return weight, int(orders.get("work_weight", weight)), _rot(cfg, weight, tol)
+
+
+def _bnf_outputs(run, what, rot, nf, generators_json, count, remainder, **extra):
+    """Write the table and generators of a normal-form run; (summary, details)."""
     run.write("normal_form.csv", nf.to_csv())
-    run.write("generators.json", log.to_json())
-    extra = {
-        "margin": rot.margin,
-        "remainder_max_coeff": remainder.max_abs_coeff(),
-        "generator_count": len(log.steps),
-    }
+    run.write("generators.json", generators_json)
+    size = remainder.max_abs_coeff()
+    extra.update(margin=rot.margin, remainder_max_coeff=size, generator_count=count)
     summary = (
-        f"classical normal form through weight {weight}: "
-        f"{len(nf.to_records())} entries, {len(log.steps)} generators, "
-        f"remainder max |c| = {remainder.max_abs_coeff():.3e}"
+        f"{what}: {len(nf.to_records())} entries, {count} generators, "
+        f"remainder max |c| = {size:.3e}"
     )
     return summary, extra
 
 
+def _cmd_bnf_classical(cfg, tol, run, base_dir):
+    weight, work, rot = _bnf_orders(cfg, tol)
+    H = _series_hamiltonian(cfg, rot, work)
+    nf, log, remainder = birkhoff_classical(H, rot, weight, work, tol["margin_threshold"])
+    what = f"classical normal form through weight {weight}"
+    return _bnf_outputs(run, what, rot, nf, log.to_json(), len(log.steps), remainder)
+
+
 def _cmd_bnf_semiclassical(cfg, tol, run, base_dir):
-    orders = _orders(cfg)
-    weight = int(orders.get("weight", 6))
-    korder = int(orders.get("hbar", 2))
-    work = int(orders.get("work_weight", weight))
-    rot = _rot(cfg, weight, tol)
+    weight, work, rot = _bnf_orders(cfg, tol)
+    korder = int(_orders(cfg).get("hbar", 2))
     H = _series_hamiltonian(cfg, rot, work)
     nf, log, remainder = birkhoff_semiclassical(
         H, rot, weight, korder, work, tol["margin_threshold"]
     )
-    run.write("normal_form.csv", nf.to_csv())
-    run.write("generators.json", log.to_json())
-    extra = {
-        "margin": rot.margin,
-        "remainder_max_coeff": remainder.max_abs_coeff(),
-        "generator_count": len(log.steps),
-        "hbar_order": korder,
-    }
-    summary = (
-        f"semiclassical normal form through weight {weight}, hbar^{korder}: "
-        f"{len(nf.to_records())} entries, remainder max |c| = "
-        f"{remainder.max_abs_coeff():.3e}"
+    what = f"semiclassical normal form through weight {weight}, hbar^{korder}"
+    return _bnf_outputs(
+        run, what, rot, nf, log.to_json(), len(log.steps), remainder, hbar_order=korder
     )
-    return summary, extra
 
 
 def _cmd_bnf_quantum(cfg, tol, run, base_dir):
-    orders = _orders(cfg)
-    weight = int(orders.get("weight", 6))
-    work = int(orders.get("work_weight", weight))
-    rot = _rot(cfg, weight, tol)
+    weight, work, rot = _bnf_orders(cfg, tol)
     H = _word_hamiltonian(cfg, rot, work)
-    h, generators, remainder = birkhoff_quantum(
-        H, rot, weight, work, tol["margin_threshold"]
-    )
-    run.write("normal_form.csv", h.to_csv())
-    run.write(
-        "generators.json",
-        json.dumps([F.to_records() for F in generators], separators=(",", ":"))
-        + "\n",
-    )
-    extra = {
-        "margin": rot.margin,
-        "remainder_max_coeff": remainder.max_abs_coeff(),
-        "generator_count": len(generators),
-    }
-    summary = (
-        f"quantum normal form through grade {weight}: "
-        f"{len(h.to_records())} entries, {len(generators)} generators, "
-        f"remainder max |c| = {remainder.max_abs_coeff():.3e}"
-    )
-    return summary, extra
+    h, gens, remainder = birkhoff_quantum(H, rot, weight, work, tol["margin_threshold"])
+    records = json.dumps([F.to_records() for F in gens], separators=(",", ":")) + "\n"
+    what = f"quantum normal form through grade {weight}"
+    return _bnf_outputs(run, what, rot, h, records, len(gens), remainder)
 
 
 def _cmd_weyl_of_h(cfg, tol, run, base_dir):
@@ -416,14 +388,6 @@ def main(argv=None):
         help="output directory (default: orbitbnf_out)",
     )
     common.add_argument(
-        "--threads",
-        metavar="N",
-        type=int,
-        default=1,
-        help="thread budget, recorded in the manifest; reductions stay "
-        "serialized so results do not depend on it",
-    )
-    common.add_argument(
         "--tolerance-overrides",
         metavar="PATH",
         help="JSON object overriding named tolerances "
@@ -480,7 +444,6 @@ def main(argv=None):
             "version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "threads": args.threads,
             "tolerances": tol,
             "outputs": run.outputs,
             "timings_seconds": run.timings,

@@ -120,27 +120,3 @@ def conj_c(c):
     if isinstance(c, QComplex):
         return c.conjugate()
     return c.conjugate() if isinstance(c, complex) else complex(c).conjugate()
-
-
-def ipow(k: int, like):
-    """i**k as a coefficient of the same family as ``like``."""
-    k %= 4
-    if isinstance(like, QComplex):
-        return (
-            QComplex.of(1),
-            QComplex(Fraction(0), Fraction(1)),
-            QComplex.of(-1),
-            QComplex(Fraction(0), Fraction(-1)),
-        )[k]
-    return (1 + 0j, 1j, -1 + 0j, -1j)[k]
-
-
-def as_scalar(x, like):
-    """Coerce a Python number onto the coefficient family of ``like``."""
-    if isinstance(like, QComplex):
-        if isinstance(x, QComplex):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QComplex.of(x)
-        raise TypeError(f"cannot coerce {x!r} to QComplex exactly")
-    return complex(x)

@@ -32,12 +32,6 @@ def entry_weight(entry) -> int:
     return 2 * (sum(r) + s + k)
 
 
-def entry_degree(entry) -> int:
-    """Total degree |r| + s + k (p, tau, hbar each count 1)."""
-    r, s, k = entry
-    return sum(r) + s + k
-
-
 class NormalForm:
     """Real coefficient table c[(r, s, k)] of sum c p^r tau^s hbar^k.
 
@@ -137,11 +131,6 @@ class NormalForm:
             self.dim, {e: c * scalar for e, c in self._coeffs.items()}, route=self.route
         )
 
-    def with_route(self, route) -> "NormalForm":
-        nf = NormalForm(self.dim, route=route)
-        nf._coeffs.update(self._coeffs)
-        return nf
-
     def filtered(self, pred) -> "NormalForm":
         nf = NormalForm(self.dim, route=self.route)
         nf._coeffs.update({e: c for e, c in self._coeffs.items() if pred(e)})
@@ -149,9 +138,6 @@ class NormalForm:
 
     def hbar_truncated(self, kmax) -> "NormalForm":
         return self.filtered(lambda e: e[2] <= kmax)
-
-    def weight_truncated(self, max_weight) -> "NormalForm":
-        return self.filtered(lambda e: entry_weight(e) <= max_weight)
 
     def chop(self, tol) -> "NormalForm":
         return NormalForm(

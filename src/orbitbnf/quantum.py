@@ -8,15 +8,19 @@ is conjugated by exp(i F / hbar) grade by grade until every off-diagonal
 word of grade <= L is removed.  The surviving diagonal words are converted
 exactly to a polynomial h(p, tau, hbar) via (a^+)^kappa a^kappa =
 prod_i prod_{l < kappa_i} (p_i - (l + 1/2) hbar).  Homological denominators
-are obtained by applying [H0, .]/(i hbar) to representative words, never by
-transcribing a formula.
+are the closed form -i(theta.(mu - nu) + m) of [H0, .]/(i hbar) on the word
+e^{imt} (a^+)^mu a^nu D_t^j (:func:`ad_eigenvalue`; the word mu counts a^+,
+whose symbol is zbar); a test applies the commutator to a representative
+word of every Fourier-shift class and checks that the image is that
+multiple of the word.  The sweep itself is
+:func:`~orbitbnf.graded.birkhoff_sweep`, shared with the series routes.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NonNilpotentError, ResonanceError
+from .graded import birkhoff_sweep, lie_series, solve_homological, theta_shift
 from .normalform import NormalForm
 from .series import RotationData
 from .words import (
@@ -24,7 +28,6 @@ from .words import (
     commutator_over_ihbar,
     diagonal_to_normal_form,
     normal_form_to_word,
-    wlg_grade,
 )
 
 
@@ -44,129 +47,24 @@ def h0_word(rot: RotationData, E=0.0, max_grade=math.inf) -> WordPoly:
     return WordPoly(n, terms, max_grade)
 
 
-def is_diagonal_key(key) -> bool:
-    """Words commuting with every a_i^+ a_i and with D_t."""
-    mu, nu, m, _j, _k = key
-    return mu == nu and m == 0
-
-
-def validate_quadratic_word(H: WordPoly, rot: RotationData, tol=1e-12) -> float:
-    """Check symmetry of H and that its grade <= 2 slice is exactly H0.
-
-    The hbar constant must equal sum(theta)/2 (the half-quantum of every
-    transverse mode); a missing or wrong value indicates an operator whose
-    quadratic part is not the normalized one.  Returns E.
-    """
-    n = H.dim
-    if n != rot.dim:
-        raise ValueError("Hamiltonian and rotation data dimension mismatch")
-    scale = 1.0 + H.max_abs_coeff()
-    defect = H.adjoint_defect()
-    if defect > tol * scale:
-        raise ValueError(
-            f"Hamiltonian is not symmetric: adjoint defect {defect:.3e} "
-            f"exceeds {tol:g} * scale"
-        )
-    zero = (0,) * n
-    expected = {
-        (zero, zero, 0, 1, 0): 1.0,
-        (zero, zero, 0, 0, 1): sum(rot.theta) / 2.0,
-    }
-    for i, th in enumerate(rot.theta):
-        e = tuple(1 if a == i else 0 for a in range(n))
-        expected[(e, e, 0, 0, 0)] = th
-    defects = []
-    E = 0.0
-    found = {}
-    for key, c in H.items():
-        g = sum(key[0]) + sum(key[1]) + 2 * key[3] + 2 * key[4]
-        if g > 2:
-            continue
-        if key == (zero, zero, 0, 0, 0):
-            if abs(complex(c).imag) > tol:
-                defects.append(f"energy term not real: {c}")
-            E = complex(c).real
-        elif key in expected:
-            found[key] = c
-        elif abs(c) > tol:
-            defects.append(f"unexpected low-grade key {key} with coefficient {c}")
-    for key, want in expected.items():
-        got = found.get(key, 0.0)
-        if abs(got - want) > tol:
-            defects.append(f"key {key}: expected {want}, found {got}")
-    if defects:
-        raise ValueError(
-            "grade <= 2 slice is not the normalized oscillator part: "
-            + "; ".join(defects)
-        )
-    return E
-
-
-class _WordAdEigenvalues:
-    """Cache of [H0, .]/(i hbar) eigenvalues computed on representative words."""
-
-    def __init__(self, rot: RotationData):
-        self._h0 = h0_word(rot)
-        self._cache = {}
-        self._dim = rot.dim
-
-    def __call__(self, key) -> complex:
-        mu, nu, m, _j, _k = key
-        shift = tuple(a - b for a, b in zip(mu, nu))
-        token = (shift, m)
-        lam = self._cache.get(token)
-        if lam is None:
-            rep_mu = tuple(max(e, 0) for e in shift)
-            rep_nu = tuple(max(-e, 0) for e in shift)
-            rep_key = (rep_mu, rep_nu, m, 0, 0)
-            rep = WordPoly.word(self._dim, rep_mu, rep_nu, m=m)
-            image = commutator_over_ihbar(self._h0, rep)
-            lam = complex(image.coeff(rep_key))
-            leak = image - WordPoly.word(self._dim, rep_mu, rep_nu, m=m, coeff=lam)
-            if leak.max_abs_coeff() > 1e-14:
-                raise AssertionError("[H0, .]/(i hbar) did not act diagonally on a word")
-            self._cache[token] = lam
-        return lam
+def ad_eigenvalue(theta, key) -> complex:
+    """Eigenvalue -i(theta.(mu - nu) + m) of [H0, .]/(i hbar) on the word of ``key``."""
+    return -1j * (theta_shift(theta, key) + key[2])
 
 
 def solve_homological_quantum(G: WordPoly, rot: RotationData, margin_threshold=1e-9):
     """Solve [H0, F]/(i hbar) = G + G1 with G1 = -(diagonal part of G).
 
     Returns (F, G1) where F carries the off-diagonal words of G divided by
-    their computed eigenvalues and G1 is the NormalForm of minus the diagonal
-    part.  Symmetric G yields symmetric F.
+    their eigenvalues and G1 is the NormalForm of minus the diagonal part.
+    Symmetric G yields symmetric F.
 
     Raises
     ------
     ResonanceError
         If an off-diagonal eigenvalue falls below margin_threshold.
     """
-    if G.dim != rot.dim:
-        raise ValueError("dimension mismatch")
-    needed = max(
-        (sum(abs(a - b) for a, b in zip(key[0], key[1])) for key in G.keys()),
-        default=0,
-    )
-    rot.require_order(needed)
-    eig = _WordAdEigenvalues(rot)
-    f_terms = {}
-    diag = {}
-    for key, c in G.items():
-        if is_diagonal_key(key):
-            diag[key] = -c
-            continue
-        lam = eig(key)
-        if abs(lam) < margin_threshold:
-            mu, nu, m, _j, _k = key
-            shift = tuple(a - b for a, b in zip(mu, nu))
-            raise ResonanceError(
-                f"small divisor |{lam:.3e}| < {margin_threshold:g} at "
-                f"(mu - nu, m) = ({shift}, {m})"
-            )
-        f_terms[key] = c / lam
-    F = WordPoly(G.dim, f_terms, G.max_grade)
-    G1 = diagonal_to_normal_form(WordPoly(G.dim, diag, G.max_grade))
-    return F, G1
+    return solve_homological(G, rot, ad_eigenvalue, diagonal_to_normal_form, margin_threshold)
 
 
 def quantum_homological_residual(
@@ -186,24 +84,7 @@ def exp_conjugate(H: WordPoly, F: WordPoly, max_grade=None) -> WordPoly:
     weighted grade of F (hbar counting 2) to be >= 3 so each commutator
     gains at least one grade unit and the series terminates.
     """
-    cap = H.max_grade if max_grade is None else min(H.max_grade, max_grade)
-    if cap == math.inf:
-        raise ValueError("exp_conjugate needs a finite truncation grade")
-    if F and wlg_grade(F) < 3:
-        raise NonNilpotentError(
-            f"generator has weighted grade {wlg_grade(F)} < 3; "
-            "the conjugation series would not terminate on the truncation"
-        )
-    total = H.truncated(cap)
-    term = total
-    k = 0
-    while term:
-        k += 1
-        if k > cap + 2:
-            raise NonNilpotentError("conjugation series failed to terminate")
-        term = commutator_over_ihbar(F, term, max_grade=cap).scaled(1.0 / k)
-        total = total + term
-    return total
+    return lie_series(H, F, commutator_over_ihbar, max_grade)
 
 
 def birkhoff_quantum(
@@ -218,33 +99,26 @@ def birkhoff_quantum(
     Returns (h, generators, remainder) with h the NormalForm polynomial of
     the surviving diagonal words of grade <= order, generators the list of
     word generators in sweep order (grades 3, 4, ...), and remainder the
-    exact difference between the fully conjugated Hamiltonian and the word
-    expansion of h -- supported on grades > order up to the working
-    truncation, plus sub-tolerance conjugation noise.
+    fully conjugated Hamiltonian minus those diagonal words -- supported on
+    grades > order up to the working truncation, plus sub-tolerance
+    conjugation noise.
+
+    Raises ValueError unless H is symmetric and its grade <= 2 slice is
+    exactly H0 (the hbar constant must be the half-quantum sum(theta)/2).
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    work = max(order, work_grade if work_grade is not None else order)
-    validate_quadratic_word(H, rot, tol=1e-12)
-    rot.require_order(order)
-    cur = WordPoly(H.dim, dict(H.items()), work)
-    generators = []
-    for g in range(3, order + 1):
-        G = cur.grade_slice(g).off_diagonal_part()
-        if not G:
-            continue
-        F, _ = solve_homological_quantum(G, rot, margin_threshold)
-        cur = exp_conjugate(cur, F, work)
-        generators.append(F)
-    diag = cur.diagonal_part().truncated(order)
-    h = diagonal_to_normal_form(diag, route="quantum")
-    remainder = cur - normal_form_to_word(h, work)
-    return h, generators, remainder
-
-
-def replay_generators(H: WordPoly, generators, max_grade) -> WordPoly:
-    """Re-apply a list of word generators to H (the birkhoff_quantum sweep)."""
-    cur = H
-    for F in generators:
-        cur = exp_conjugate(cur, F, max_grade)
-    return cur
+    defect = H.adjoint_defect()
+    if defect > 1e-12 * (1.0 + H.max_abs_coeff()):
+        raise ValueError(
+            f"Hamiltonian is not symmetric: adjoint defect {defect:.3e} exceeds 1e-12 * scale"
+        )
+    h, steps, remainder = birkhoff_sweep(
+        H,
+        rot,
+        order,
+        work_grade,
+        h0_word(rot),
+        solve=lambda G: solve_homological_quantum(G, rot, margin_threshold),
+        conjugate=exp_conjugate,
+        to_normal_form=lambda diag: diagonal_to_normal_form(diag, route="quantum"),
+    )
+    return h, [F for _g, F in steps], remainder

@@ -39,7 +39,6 @@ This is the sign for which the hbar^1 term of the Moyal product equals
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,17 +46,11 @@ from itertools import product as _iproduct
 
 from .errors import ResonanceError
 from .exactnum import QComplex, conj_c, div_i, times_i
+from .graded import INFINITE, GradedPoly, _add_idx, _check_dims
+from .graded import key_grade as key_weight
 
 #: Sign of the (t, tau) block of the bracket; see module docstring.
 BRACKET_SIGN = +1
-
-INFINITE = math.inf
-
-
-def key_weight(key) -> int:
-    """Joint grading |mu|+|nu|+2j+2k of a term key (hbar counts 2)."""
-    mu, nu, _m, j, k = key
-    return sum(mu) + sum(nu) + 2 * j + 2 * k
 
 
 def key_vanishing(key) -> int:
@@ -72,30 +65,11 @@ def key_conjugate(key):
     return (nu, mu, -m, j, k)
 
 
-def _sort_token(key):
-    mu, nu, m, j, k = key
-    return (key_weight(key), k, j, m, mu, nu)
-
-
-def _add_idx(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _sub_unit(a, i):
     return a[:i] + (a[i] - 1,) + a[i + 1 :]
 
 
-def _validate_key(key, dim):
-    mu, nu, m, j, k = key
-    if len(mu) != dim or len(nu) != dim:
-        raise ValueError(f"multi-index length != dim={dim} in key {key}")
-    if any(e < 0 for e in mu) or any(e < 0 for e in nu) or j < 0 or k < 0:
-        raise ValueError(f"negative exponent in key {key}")
-    if not isinstance(m, int):
-        raise ValueError(f"Fourier mode must be int in key {key}")
-
-
-class FTSeries:
+class FTSeries(GradedPoly):
     """Immutable sparse series; see module docstring for the key convention.
 
     Parameters
@@ -110,152 +84,44 @@ class FTSeries:
         Truncation bound on ``key_weight``.
     """
 
-    __slots__ = ("dim", "max_weight", "_terms")
+    __slots__ = ()
+    _GRADING = "weight"
 
     def __init__(self, dim, terms=None, max_weight=INFINITE):
-        if dim < 0:
-            raise ValueError("dim must be >= 0")
-        self.dim = int(dim)
-        self.max_weight = max_weight
-        store = {}
-        if terms:
-            for key, c in terms.items():
-                key = (tuple(key[0]), tuple(key[1]), int(key[2]), int(key[3]), int(key[4]))
-                _validate_key(key, self.dim)
-                if not c:
-                    continue
-                if key_weight(key) > max_weight:
-                    continue
-                store[key] = store[key] + c if key in store else c
-                if not store[key]:
-                    del store[key]
-        self._terms = store
+        super().__init__(dim, terms, max_weight)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(dim, max_weight=INFINITE) -> "FTSeries":
-        return FTSeries(dim, {}, max_weight)
-
-    @staticmethod
-    def constant(dim, c, max_weight=INFINITE) -> "FTSeries":
-        z = (0,) * dim
-        return FTSeries(dim, {(z, z, 0, 0, 0): c}, max_weight)
+    @property
+    def max_weight(self):
+        return self._cap
 
     @staticmethod
     def monomial(dim, mu, nu, m=0, j=0, k=0, coeff=1.0 + 0j, max_weight=INFINITE) -> "FTSeries":
         return FTSeries(dim, {(tuple(mu), tuple(nu), m, j, k): coeff}, max_weight)
 
-    # -- accessors ---------------------------------------------------------
-
-    def items(self):
-        return self._terms.items()
-
-    def keys(self):
-        return self._terms.keys()
-
-    def coeff(self, key):
-        """Stored coefficient of ``key`` (0 if absent)."""
-        key = (tuple(key[0]), tuple(key[1]), int(key[2]), int(key[3]), int(key[4]))
-        return self._terms.get(key, 0)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FTSeries)
-            and self.dim == other.dim
-            and self._terms == other._terms
-        )
-
-    def __repr__(self):
-        return f"FTSeries(dim={self.dim}, terms={len(self._terms)}, max_weight={self.max_weight})"
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, FTSeries):
-            return NotImplemented
-        _check_dims(self, other)
-        cap = min(self.max_weight, other.max_weight)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out[key] + c if key in out else c
-        return FTSeries(self.dim, out, cap)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FTSeries(self.dim, {key: -c for key, c in self._terms.items()}, self.max_weight)
-
-    def scaled(self, scalar) -> "FTSeries":
-        """Series multiplied by a scalar coefficient."""
-        return FTSeries(
-            self.dim, {key: c * scalar for key, c in self._terms.items()}, self.max_weight
-        )
-
     def __mul__(self, other):
-        if isinstance(other, FTSeries):
+        if isinstance(other, GradedPoly):
             return pointwise_product(self, other)
         return self.scaled(other)
 
-    def __rmul__(self, scalar):
-        return self.scaled(scalar)
-
-    # -- grading and slicing -------------------------------------------------
-
-    def min_weight(self):
-        """Smallest stored key weight (math.inf for the zero series)."""
-        return min((key_weight(key) for key in self._terms), default=INFINITE)
-
-    def max_stored_weight(self):
-        return max((key_weight(key) for key in self._terms), default=0)
+    min_weight = GradedPoly.min_grade
+    weight_slice = GradedPoly.grade_slice
 
     def vanishing_order(self):
         """Order of vanishing at p=tau=0 (hbar weight 0; inf for zero)."""
         return min((key_vanishing(key) for key in self._terms), default=INFINITE)
 
-    def weight_slice(self, w) -> "FTSeries":
-        """Sub-series of keys with ``key_weight == w``."""
-        return FTSeries(
-            self.dim,
-            {key: c for key, c in self._terms.items() if key_weight(key) == w},
-            self.max_weight,
-        )
-
-    def filtered(self, pred) -> "FTSeries":
-        return FTSeries(
-            self.dim, {key: c for key, c in self._terms.items() if pred(key)}, self.max_weight
-        )
-
-    def truncated(self, max_weight) -> "FTSeries":
-        return FTSeries(self.dim, self._terms, max_weight)
-
     def hbar_truncated(self, kmax) -> "FTSeries":
         """Drop terms with hbar-power k > kmax."""
         return self.filtered(lambda key: key[4] <= kmax)
-
-    def chop(self, tol=0.0) -> "FTSeries":
-        """Drop coefficients with |c| <= tol (numerical cleanup for reports)."""
-        return FTSeries(
-            self.dim,
-            {key: c for key, c in self._terms.items() if abs(c) > tol},
-            self.max_weight,
-        )
 
     # -- reality -------------------------------------------------------------
 
     def conjugate_symbol(self) -> "FTSeries":
         """The series representing the complex conjugate symbol."""
-        return FTSeries(
+        return FTSeries._trusted(
             self.dim,
             {key_conjugate(key): conj_c(c) for key, c in self._terms.items()},
-            self.max_weight,
+            self._cap,
         )
 
     def real_symbol_defect(self) -> float:
@@ -294,101 +160,14 @@ class FTSeries:
             total += val
         return total
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
-
-    def allclose(self, other, tol=1e-12) -> bool:
-        return max_coeff_difference(self, other) <= tol
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_records(self):
-        """Sorted list of plain-dict records (bit-exact round trip)."""
-        recs = []
-        for key in sorted(self._terms, key=_sort_token):
-            mu, nu, m, j, k = key
-            c = complex(self._terms[key])
-            recs.append(
-                {
-                    "mu": list(mu),
-                    "nu": list(nu),
-                    "m": m,
-                    "j": j,
-                    "k": k,
-                    "re": c.real,
-                    "im": c.imag,
-                }
-            )
-        return recs
-
     @staticmethod
-    def from_records(dim, records, max_weight=INFINITE) -> "FTSeries":
-        terms = {}
-        for r in records:
-            key = (
-                tuple(r["mu"]),
-                tuple(r["nu"]),
-                int(r.get("m", 0)),
-                int(r.get("j", 0)),
-                int(r.get("k", 0)),
-            )
-            c = complex(r["re"], r.get("im", 0.0))
-            terms[key] = terms.get(key, 0) + c
-        return FTSeries(dim, terms, max_weight)
-
-    def to_json(self) -> str:
-        cap = None if self.max_weight == INFINITE else self.max_weight
-        return json.dumps(
-            {"dim": self.dim, "max_weight": cap, "terms": self.to_records()},
-            separators=(",", ":"),
+    def _letters(key):
+        mu, nu, m, j, k = key
+        return (
+            [(f"z{i + 1}", e) for i, e in enumerate(mu)]
+            + [(f"zb{i + 1}", e) for i, e in enumerate(nu)]
+            + [(f"e^[{m}it]", 1 if m else 0), ("tau", j), ("hbar", k)]
         )
-
-    @staticmethod
-    def from_json(text) -> "FTSeries":
-        blob = json.loads(text)
-        cap = blob.get("max_weight")
-        return FTSeries.from_records(
-            blob["dim"], blob["terms"], INFINITE if cap is None else cap
-        )
-
-    def pretty(self, tol=0.0) -> str:
-        """Human-readable normal form, sorted by weight."""
-        pieces = []
-        for key in sorted(self._terms, key=_sort_token):
-            c = self._terms[key]
-            if abs(c) <= tol:
-                continue
-            mu, nu, m, j, k = key
-            factors = []
-            for i, e in enumerate(mu):
-                if e:
-                    factors.append(f"z{i + 1}" + (f"^{e}" if e > 1 else ""))
-            for i, e in enumerate(nu):
-                if e:
-                    factors.append(f"zb{i + 1}" + (f"^{e}" if e > 1 else ""))
-            if m:
-                factors.append(f"e^[{m}it]")
-            if j:
-                factors.append("tau" + (f"^{j}" if j > 1 else ""))
-            if k:
-                factors.append("hbar" + (f"^{k}" if k > 1 else ""))
-            body = "*".join(factors) if factors else "1"
-            pieces.append(f"({complex(c)})*{body}")
-        return " + ".join(pieces) if pieces else "0"
-
-
-def _check_dims(a, b):
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-
-
-def max_coeff_difference(a: FTSeries, b: FTSeries) -> float:
-    """max over all keys of |a[key] - b[key]|."""
-    _check_dims(a, b)
-    worst = 0.0
-    for key in set(a.keys()) | set(b.keys()):
-        worst = max(worst, abs(a._terms.get(key, 0) - b._terms.get(key, 0)))
-    return worst
 
 
 def vanishing_order(a: FTSeries):
@@ -412,7 +191,7 @@ def pointwise_product(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
             key = (_add_idx(mu1, mu2), _add_idx(nu1, nu2), m1 + m2, j1 + j2, k1 + k2)
             c = c1 * c2
             out[key] = out[key] + c if key in out else c
-    return FTSeries(a.dim, out, cap)
+    return FTSeries._trusted(a.dim, out, cap)
 
 
 def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
@@ -454,7 +233,7 @@ def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
                 key = (_add_idx(mu1, mu2), _add_idx(nu1, nu2), m1 + m2, j1 + j2 - 1, k1 + k2)
                 c = times_i(base * f)
                 out[key] = out[key] + c if key in out else c
-    return FTSeries(dim, out, cap)
+    return FTSeries._trusted(dim, out, cap)
 
 
 def _scale_frac(c, frac: Fraction):
@@ -507,45 +286,7 @@ def moyal_product(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) ->
     (i/2){a, b}.  Total weight is exactly additive, and the total hbar
     power of each retained term is capped at ``hbar_order``.
     """
-    _check_dims(a, b)
-    if hbar_order < 0:
-        raise ValueError("hbar_order must be >= 0")
-    if max_weight is not None:
-        cap = max_weight
-    else:
-        cap = min(a.max_weight, b.max_weight)
-    out = {}
-    for t1, c1 in a._terms.items():
-        (mu1, nu1, m1, j1, k1) = t1
-        w1 = key_weight(t1)
-        for t2, c2 in b._terms.items():
-            (mu2, nu2, m2, j2, k2) = t2
-            if w1 + key_weight(t2) > cap:
-                continue
-            base = c1 * c2
-            x_ranges, y_ranges, u_range, v_range = _moyal_term_ranges(t1, t2)
-            for x in _iproduct(*x_ranges):
-                for y in _iproduct(*y_ranges):
-                    for u in u_range:
-                        for v in v_range:
-                            q = sum(x) + sum(y) + u + v
-                            if k1 + k2 + q > hbar_order:
-                                continue
-                            frac = _moyal_factor(t1, t2, x, y, u, v)
-                            if not frac:
-                                continue
-                            if (sum(x) + u) % 2:
-                                frac = -frac
-                            key = (
-                                _add_idx(tuple(p - yy for p, yy in zip(mu1, y)), tuple(p - xx for p, xx in zip(mu2, x))),
-                                _add_idx(tuple(p - xx for p, xx in zip(nu1, x)), tuple(p - yy for p, yy in zip(nu2, y))),
-                                m1 + m2,
-                                j1 + j2 - u - v,
-                                k1 + k2 + q,
-                            )
-                            c = _scale_frac(base, frac)
-                            out[key] = out[key] + c if key in out else c
-    return FTSeries(a.dim, out, cap)
+    return _moyal_sum(a, b, hbar_order, max_weight, antisymmetric=False)
 
 
 def moyal_bracket(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) -> FTSeries:
@@ -557,6 +298,11 @@ def moyal_bracket(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) ->
     hbar power.  The hbar^0 slice coincides with :func:`poisson_bracket`;
     every term drops total weight by exactly 2.
     """
+    return _moyal_sum(a, b, hbar_order, max_weight, antisymmetric=True)
+
+
+def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric):
+    """The bidifferential sum a # b, or (a # b - b # a)/(i hbar) if antisymmetric."""
     _check_dims(a, b)
     if hbar_order < 0:
         raise ValueError("hbar_order must be >= 0")
@@ -564,13 +310,14 @@ def moyal_bracket(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) ->
         cap = max_weight
     else:
         cap = min(a.max_weight, b.max_weight)
+    shift = 1 if antisymmetric else 0  # the division by i hbar lowers k by one
     out = {}
     for t1, c1 in a._terms.items():
         (mu1, nu1, m1, j1, k1) = t1
         w1 = key_weight(t1)
         for t2, c2 in b._terms.items():
             (mu2, nu2, m2, j2, k2) = t2
-            if w1 + key_weight(t2) - 2 > cap:
+            if w1 + key_weight(t2) - 2 * shift > cap:
                 continue
             base = c1 * c2
             x_ranges, y_ranges, u_range, v_range = _moyal_term_ranges(t1, t2)
@@ -579,28 +326,29 @@ def moyal_bracket(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) ->
                     for u in u_range:
                         for v in v_range:
                             q = sum(x) + sum(y) + u + v
-                            if q % 2 == 0:
+                            if antisymmetric and q % 2 == 0:
                                 continue  # cancels in the commutator
-                            if k1 + k2 + q - 1 > hbar_order:
+                            if k1 + k2 + q - shift > hbar_order:
                                 continue
                             frac = _moyal_factor(t1, t2, x, y, u, v)
                             if not frac:
                                 continue
-                            # (-1)^{|x|+u} from a#b minus (-1)^{|y|+v} from b#a
-                            if (sum(x) + u) % 2:
-                                frac = -2 * frac
-                            else:
-                                frac = 2 * frac
+                            # a # b carries (-1)^{|x|+u}; at odd q, b # a carries
+                            # the opposite sign, so the commutator doubles it
+                            sign = -1 if (sum(x) + u) % 2 else 1
                             key = (
                                 _add_idx(tuple(p - yy for p, yy in zip(mu1, y)), tuple(p - xx for p, xx in zip(mu2, x))),
                                 _add_idx(tuple(p - xx for p, xx in zip(nu1, x)), tuple(p - yy for p, yy in zip(nu2, y))),
                                 m1 + m2,
                                 j1 + j2 - u - v,
-                                k1 + k2 + q - 1,
+                                k1 + k2 + q - shift,
                             )
-                            c = div_i(_scale_frac(base, frac))
+                            if antisymmetric:
+                                c = div_i(_scale_frac(base, 2 * sign * frac))
+                            else:
+                                c = _scale_frac(base, -frac if sign < 0 else frac)
                             out[key] = out[key] + c if key in out else c
-    return FTSeries(a.dim, out, cap)
+    return FTSeries._trusted(a.dim, out, cap)
 
 
 # -- rotation data -------------------------------------------------------------

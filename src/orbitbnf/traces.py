@@ -130,10 +130,6 @@ class TestFunctionJet:
     def depth(self) -> int:
         return len(self.derivs) - 1
 
-    @property
-    def base_point(self) -> float:
-        return 2.0 * math.pi * self.l
-
     def deriv(self, k: int) -> complex:
         if k > self.depth:
             raise JetDepthError(

@@ -20,37 +20,22 @@ On the Hermite (x) Fourier basis state ``|mu, nu>``:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
 
 from .errors import OrderingError
 from .exactnum import conj_c, div_i
+from .graded import (
+    GradedPoly,
+    _add_idx,
+    _check_dims,
+    _sub_idx,
+    is_resonant_key,
+    max_coeff_difference,
+)
+from .graded import key_grade  # noqa: F401 -- re-exported
 from .normalform import NormalForm
-
-
-def key_grade(key) -> int:
-    mu, nu, _m, j, k = key
-    return sum(mu) + sum(nu) + 2 * j + 2 * k
-
-
-def _add_idx(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _sub_idx(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _validate_key(key, dim):
-    mu, nu, m, j, k = key
-    if len(mu) != dim or len(nu) != dim:
-        raise ValueError(f"multi-index length != dim={dim} in key {key}")
-    if any(e < 0 for e in mu) or any(e < 0 for e in nu) or j < 0 or k < 0:
-        raise ValueError(f"negative exponent in key {key}")
-    if not isinstance(m, int):
-        raise ValueError(f"Fourier mode must be int in key {key}")
 
 
 @dataclass(frozen=True)
@@ -66,40 +51,20 @@ class BasisState:
             raise ValueError("Hermite indices must be >= 0")
 
 
-class WordPoly:
+class WordPoly(GradedPoly):
     """Immutable normal-ordered operator polynomial (see module docstring)."""
 
-    __slots__ = ("dim", "max_grade", "_terms")
+    __slots__ = ()
+    _GRADING = "grade"
 
     def __init__(self, dim, terms=None, max_grade=math.inf):
-        if dim < 0:
-            raise ValueError("dim must be >= 0")
-        self.dim = int(dim)
-        self.max_grade = max_grade
-        store = {}
-        if terms:
-            for key, c in terms.items():
-                key = (tuple(key[0]), tuple(key[1]), int(key[2]), int(key[3]), int(key[4]))
-                _validate_key(key, self.dim)
-                if not c:
-                    continue
-                if key_grade(key) > max_grade:
-                    continue
-                store[key] = store[key] + c if key in store else c
-                if not store[key]:
-                    del store[key]
-        self._terms = store
+        super().__init__(dim, terms, max_grade)
+
+    @property
+    def max_grade(self):
+        return self._cap
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(dim, max_grade=math.inf) -> "WordPoly":
-        return WordPoly(dim, {}, max_grade)
-
-    @staticmethod
-    def constant(dim, c, max_grade=math.inf) -> "WordPoly":
-        z = (0,) * dim
-        return WordPoly(dim, {(z, z, 0, 0, 0): c}, max_grade)
 
     @staticmethod
     def word(dim, mu=None, nu=None, m=0, j=0, k=0, coeff=1.0 + 0j, max_grade=math.inf) -> "WordPoly":
@@ -117,193 +82,31 @@ class WordPoly:
         e = tuple(1 if a == i else 0 for a in range(dim))
         return WordPoly.word(dim, nu=e, max_grade=max_grade)
 
-    # -- accessors ---------------------------------------------------------
-
-    def items(self):
-        return self._terms.items()
-
-    def keys(self):
-        return self._terms.keys()
-
-    def coeff(self, key):
-        key = (tuple(key[0]), tuple(key[1]), int(key[2]), int(key[3]), int(key[4]))
-        return self._terms.get(key, 0)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WordPoly)
-            and self.dim == other.dim
-            and self._terms == other._terms
-        )
-
-    def __repr__(self):
-        return f"WordPoly(dim={self.dim}, terms={len(self._terms)}, max_grade={self.max_grade})"
-
-    # -- linear structure ------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, WordPoly):
-            return NotImplemented
-        _check_dims(self, other)
-        cap = min(self.max_grade, other.max_grade)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out[key] + c if key in out else c
-        return WordPoly(self.dim, out, cap)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WordPoly(self.dim, {key: -c for key, c in self._terms.items()}, self.max_grade)
-
-    def scaled(self, scalar) -> "WordPoly":
-        return WordPoly(
-            self.dim, {key: c * scalar for key, c in self._terms.items()}, self.max_grade
-        )
-
     def __mul__(self, other):
-        if isinstance(other, WordPoly):
+        if isinstance(other, GradedPoly):
             return normal_order_product(self, other)
         return self.scaled(other)
 
-    def __rmul__(self, scalar):
-        return self.scaled(scalar)
-
-    # -- grading ----------------------------------------------------------------
-
-    def min_grade(self):
-        return min((key_grade(key) for key in self._terms), default=math.inf)
-
-    def max_stored_grade(self):
-        return max((key_grade(key) for key in self._terms), default=0)
-
-    def grade_slice(self, g) -> "WordPoly":
-        return self.filtered(lambda key: key_grade(key) == g)
-
-    def filtered(self, pred) -> "WordPoly":
-        return WordPoly(
-            self.dim, {key: c for key, c in self._terms.items() if pred(key)}, self.max_grade
-        )
-
-    def truncated(self, max_grade) -> "WordPoly":
-        return WordPoly(self.dim, self._terms, max_grade)
-
     def diagonal_part(self) -> "WordPoly":
         """Terms commuting with the harmonic part: mu = nu and m = 0."""
-        return self.filtered(lambda key: key[0] == key[1] and key[2] == 0)
+        return self.filtered(is_resonant_key)
 
     def off_diagonal_part(self) -> "WordPoly":
-        return self.filtered(lambda key: key[0] != key[1] or key[2] != 0)
-
-    def chop(self, tol=0.0) -> "WordPoly":
-        return WordPoly(
-            self.dim,
-            {key: c for key, c in self._terms.items() if abs(c) > tol},
-            self.max_grade,
-        )
-
-    # -- symmetry -----------------------------------------------------------------
+        return self.filtered(lambda key: not is_resonant_key(key))
 
     def adjoint_defect(self) -> float:
         """max coefficient difference between self and adjoint(self)."""
         return max_coeff_difference(self, adjoint(self))
 
-    def is_adjoint_symmetric(self, tol=0.0) -> bool:
-        return self.adjoint_defect() <= tol
-
-    # -- comparison / io ------------------------------------------------------------
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
-
-    def allclose(self, other, tol=1e-12) -> bool:
-        return max_coeff_difference(self, other) <= tol
-
-    def to_records(self):
-        recs = []
-        for key in sorted(self._terms, key=_sort_token):
-            mu, nu, m, j, k = key
-            c = complex(self._terms[key])
-            recs.append(
-                {"mu": list(mu), "nu": list(nu), "m": m, "j": j, "k": k, "re": c.real, "im": c.imag}
-            )
-        return recs
-
     @staticmethod
-    def from_records(dim, records, max_grade=math.inf) -> "WordPoly":
-        terms = {}
-        for r in records:
-            key = (
-                tuple(r["mu"]),
-                tuple(r["nu"]),
-                int(r.get("m", 0)),
-                int(r.get("j", 0)),
-                int(r.get("k", 0)),
-            )
-            terms[key] = terms.get(key, 0) + complex(r["re"], r.get("im", 0.0))
-        return WordPoly(dim, terms, max_grade)
-
-    def to_json(self) -> str:
-        cap = None if self.max_grade == math.inf else self.max_grade
-        return json.dumps(
-            {"dim": self.dim, "max_grade": cap, "terms": self.to_records()},
-            separators=(",", ":"),
+    def _letters(key):
+        mu, nu, m, j, k = key
+        return (
+            [("hbar", k), (f"e^[{m}it]", 1 if m else 0)]
+            + [(f"(a{i + 1}+)", e) for i, e in enumerate(mu)]
+            + [(f"a{i + 1}", e) for i, e in enumerate(nu)]
+            + [("Dt", j)]
         )
-
-    @staticmethod
-    def from_json(text) -> "WordPoly":
-        blob = json.loads(text)
-        cap = blob.get("max_grade")
-        return WordPoly.from_records(blob["dim"], blob["terms"], math.inf if cap is None else cap)
-
-    def pretty(self, tol=0.0) -> str:
-        pieces = []
-        for key in sorted(self._terms, key=_sort_token):
-            c = self._terms[key]
-            if abs(c) <= tol:
-                continue
-            mu, nu, m, j, k = key
-            factors = []
-            if k:
-                factors.append("hbar" + (f"^{k}" if k > 1 else ""))
-            if m:
-                factors.append(f"e^[{m}it]")
-            for i, e in enumerate(mu):
-                if e:
-                    factors.append(f"(a{i + 1}+)" + (f"^{e}" if e > 1 else ""))
-            for i, e in enumerate(nu):
-                if e:
-                    factors.append(f"a{i + 1}" + (f"^{e}" if e > 1 else ""))
-            if j:
-                factors.append("Dt" + (f"^{j}" if j > 1 else ""))
-            body = "*".join(factors) if factors else "1"
-            pieces.append(f"({complex(c)})*{body}")
-        return " + ".join(pieces) if pieces else "0"
-
-
-def _sort_token(key):
-    mu, nu, m, j, k = key
-    return (key_grade(key), k, j, m, mu, nu)
-
-
-def _check_dims(a, b):
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-
-
-def max_coeff_difference(a: WordPoly, b: WordPoly) -> float:
-    _check_dims(a, b)
-    worst = 0.0
-    for key in set(a.keys()) | set(b.keys()):
-        worst = max(worst, abs(a._terms.get(key, 0) - b._terms.get(key, 0)))
-    return worst
 
 
 def wlg_grade(a: WordPoly):
@@ -358,7 +161,7 @@ def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
                     )
                     c = base * (f_d * f_l)
                     out[key] = out[key] + c if key in out else c
-    return WordPoly(a.dim, out, cap)
+    return WordPoly._trusted(a.dim, out, cap)
 
 
 def adjoint(a: WordPoly) -> WordPoly:
@@ -379,7 +182,7 @@ def adjoint(a: WordPoly) -> WordPoly:
             key = (nu, mu, -m, d, k + j - d)
             v = cc * f
             out[key] = out[key] + v if key in out else v
-    return WordPoly(a.dim, out, a.max_grade)
+    return WordPoly._trusted(a.dim, out, a.max_grade)
 
 
 def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
@@ -415,7 +218,7 @@ def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
                 f"commutator term {(mu, nu, m, j, k)} lacks an hbar factor"
             )
         out[(mu, nu, m, j, k - 1)] = div_i(c)
-    return WordPoly(a.dim, out, cap)
+    return WordPoly._trusted(a.dim, out, cap)
 
 
 def apply_to_basis(a: WordPoly, s: BasisState, hbar: float) -> dict:

@@ -105,6 +105,15 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
                  "--tolerance-overrides", str(overrides)]) == 2
     err = capsys.readouterr().err
     assert "unknown tolerance" in err
+    negative = write_config(tmp_path, "neg.json", {
+        "theta": [SQRT2M1], "E": 1.0, "orders": {"weight": 4},
+        "hamiltonian": {"word_terms": [
+            {"mu": [-1], "nu": [0], "m": 0, "j": 0, "k": 0, "re": 1.0, "im": 0.0},
+        ]},
+    })
+    assert main(["bnf-quantum", "--config", negative,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "negative exponent" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_resonant_theta(tmp_path, capsys):
