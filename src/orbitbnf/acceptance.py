@@ -120,19 +120,14 @@ def _random_graded_key(rng, dim, weight):
 
 def _nf_entry_gap(a, b, max_weight=None, k_cap=None):
     """Largest coefficient gap between two normal forms, optionally windowed."""
-    keys = {tuple(e) for e in _nf_entries(a)} | {tuple(e) for e in _nf_entries(b)}
-    worst = 0.0
-    for r, s, k in keys:
+
+    def keep(e):
+        r, s, k = e
         if max_weight is not None and 2 * (sum(r) + s + k) > max_weight:
-            continue
-        if k_cap is not None and k > k_cap:
-            continue
-        worst = max(worst, abs(a.coeff(r, s, k) - b.coeff(r, s, k)))
-    return worst
+            return False
+        return k_cap is None or k <= k_cap
 
-
-def _nf_entries(nf):
-    return [(tuple(rec["r"]), rec["s"], rec["k"]) for rec in nf.to_records()]
+    return a.filtered(keep).difference(b.filtered(keep))
 
 
 # -- criterion 1 ----------------------------------------------------------------
@@ -242,10 +237,6 @@ def _p_series(dim, i):
     return FTSeries.monomial(dim, e, e, coeff=0.5)
 
 
-def _nf_as_series(nf):
-    return nf.as_series()
-
-
 @_check(3, "Weyl functional calculus")
 def check_weyl_functional_calculus():
     """p -> p and p^2 -> p^2 - hbar^2/4 exactly; random polynomials vs oracle.
@@ -297,7 +288,7 @@ def check_weyl_functional_calculus():
                     if r[i]:
                         term = moyal_product(term, star_powers[i][r[i]], 4)
                 oracle = oracle + term
-            gap = (_nf_as_series(image) - oracle).max_abs_coeff()
+            gap = (image.as_series() - oracle).max_abs_coeff()
             worst = max(worst, gap)
     _require(worst <= 1e-10, f"random-polynomial gap {worst:.3e} exceeds 1e-10")
     elapsed = time.perf_counter() - started
@@ -334,13 +325,11 @@ def check_route_equivalence():
     H, rot = _benchmark_hamiltonian(cap=8, eps=0.1, E=1.0)
     Hs = weyl_symbol_of_word(H, hbar_order=2, max_weight=8)
     h_quantum, _g, _r = birkhoff_quantum(H, rot, 6, 8)
-    from .classical import birkhoff_semiclassical
-
     h_series, _log, _rem = birkhoff_semiclassical(Hs, rot, 6, 2, 8)
     related = relate_normal_forms(h_quantum, 2)
     gap = _nf_entry_gap(related, h_series, max_weight=6, k_cap=2)
     _require(gap <= 1e-10, f"route gap {gap:.3e} exceeds 1e-10")
-    for r, s, k in set(_nf_entries(h_series)) | set(_nf_entries(h_quantum)):
+    for r, s, k in {e for e, _ in h_series.items()} | {e for e, _ in h_quantum.items()}:
         if 2 * (sum(r) + s + k) > 6 or k > 2:
             continue
         diff = h_series.coeff(r, s, k) - h_quantum.coeff(r, s, k)

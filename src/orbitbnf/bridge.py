@@ -7,13 +7,12 @@ Three conversions live here:
   polynomial truncations and inverted by the sign-reversed series;
 
 * the Weyl symbol of the functional calculus h(P_1, ..., P_n, D_t):
-  for one mode, sigma^{we}(e^{isP}) = sec(s hbar / 2) exp(2i tan(s hbar/2) p / hbar),
-  so p^k quantizes to the polynomial w_k(p, hbar) = (-i)^k k! [s^k] of that
-  kernel's exponential-generating series.  The tan/log-sec coefficients are
-  exact rationals from the tangent recurrence q u_q = [q=1] + sum u_a u_b,
-  and the resulting w_k are real with even hbar powers only.  The kernel
-  normalization is pinned by the Moyal oracle (w_1 = p, w_2 = p^2 - hbar^2/4),
-  not transcribed;
+  for one mode, p^k quantizes to the polynomial w_k(p, hbar), the Weyl
+  symbol of P^k.  The action p is quadratic, so its Moyal product with a
+  radial symbol stops at second order, p # f = p f - (hbar^2/4)(p f'' + f'),
+  and w_{k+1} = p # w_k is an exact rational two-term recurrence from
+  w_0 = 1 (w_1 = p, w_2 = p^2 - hbar^2/4); the w_k are real with even hbar
+  powers only;
 
 * the Weyl symbol of a normal-ordered word, assembled from Moyal products
   of the elementary symbols (a_i -> z_i / sqrt 2, D_t -> tau, e^{imt} itself).
@@ -29,57 +28,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import QComplex
 from .normalform import NormalForm
 from .series import FTSeries, moyal_product
 
-# A NormalForm read as the phase-space function sum c * p^r tau^s hbar^k.
-RadialSymbol = NormalForm
-
-
-# -- exact tangent / log-secant coefficients ------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _tan_coefficients(nmax: int):
-    """u_0..u_nmax with tan(x) = sum u_q x^q, via q u_q = [q=1] + sum_{a+b=q-1} u_a u_b."""
-    u = [Fraction(0)] * (nmax + 1)
-    if nmax >= 1:
-        u[1] = Fraction(1)
-    for q in range(2, nmax + 1):
-        acc = Fraction(0)
-        for a in range(q):
-            acc += u[a] * u[q - 1 - a]
-        u[q] = acc / q
-    return tuple(u)
-
-
-@lru_cache(maxsize=None)
-def _lnsec_coefficients(lmax: int):
-    """a_1..a_lmax with ln sec(x) = sum_l a_l x^{2l} (from (ln sec)' = tan)."""
-    u = _tan_coefficients(max(2 * lmax - 1, 1))
-    return tuple(u[2 * l - 1] / (2 * l) for l in range(1, lmax + 1))
-
 
 # -- one-mode fluctuation polynomials w_k(p, hbar) ------------------------------
-
-
-def _poly_mul(a, b, smax):
-    """Multiply s-series whose coefficients are {(p_pow, hbar_pow): QComplex}."""
-    out = [dict() for _ in range(smax + 1)]
-    for i, ai in enumerate(a):
-        if i > smax or not ai:
-            continue
-        for jj, bj in enumerate(b):
-            if i + jj > smax or not bj:
-                continue
-            dst = out[i + jj]
-            for (r1, e1), c1 in ai.items():
-                for (r2, e2), c2 in bj.items():
-                    key = (r1 + r2, e1 + e2)
-                    v = c1 * c2
-                    dst[key] = dst[key] + v if key in dst else v
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -87,64 +40,23 @@ def weyl_fluctuation_poly(k: int):
     """w_k as a tuple of ((p_power, hbar_power), Fraction) with hbar_power even.
 
     w_k is the exact Weyl symbol of P^k for one transverse mode P with
-    symbol p: the k-th s-derivative at 0 of
-    sec(s hbar/2) exp(2i tan(s hbar/2) p / hbar) times (-i)^k k!.
-    Writing q = hbar^2/4, the log of the kernel is
-    L(s) = sum_l a_l q^l s^{2l} + i p sum_l u_{2l-1} q^{l-1} s^{2l-1}.
+    symbol p.  Since p is quadratic in (x, xi), the Moyal product with it
+    stops at second order; on a radial symbol f(p) it reads
+    p # f = p f - (hbar^2/4)(p f'' + f'), so w_0 = 1 and
+    w_{k+1} = p w_k - (hbar^2/4)(p w_k'' + w_k'), which sends each term
+    c p^r hbar^e to c p^{r+1} hbar^e - (r^2 c/4) p^{r-1} hbar^{e+2}.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    one = QComplex(Fraction(1), Fraction(0))
-    if k == 0:
-        return (((0, 0), Fraction(1)),)
-    u = _tan_coefficients(k)
-    a = _lnsec_coefficients(k // 2) if k >= 2 else ()
-    # L as s-series with {(p_pow, hbar_pow): QComplex} coefficients
-    L = [dict() for _ in range(k + 1)]
-    for l in range(1, k // 2 + 1):
-        #  a_l q^l s^{2l},  q = hbar^2/4
-        L[2 * l][(0, 2 * l)] = QComplex(a[l - 1] / 4**l, Fraction(0))
-    for l in range(1, (k + 1) // 2 + 1):
-        deg = 2 * l - 1
-        if deg > k:
-            break
-        # i p u_{2l-1} q^{l-1} s^{2l-1}
-        L[deg][(1, 2 * (l - 1))] = QComplex(Fraction(0), u[deg] / 4 ** (l - 1))
-    # exp(L) = sum L^n / n!
-    E = [dict() for _ in range(k + 1)]
-    E[0][(0, 0)] = one
-    power = [dict() for _ in range(k + 1)]
-    power[0][(0, 0)] = one
-    fact = 1
-    for n in range(1, k + 1):
-        power = _poly_mul(power, L, k)
-        fact *= n
-        inv = QComplex(Fraction(1, fact), Fraction(0))
-        for s_pow, coeffs in enumerate(power):
-            for key, c in coeffs.items():
-                v = c * inv
-                dst = E[s_pow]
-                dst[key] = dst[key] + v if key in dst else v
-    # w_k = (-i)^k k! [s^k] E  -- real with even hbar powers
-    kfact = math.factorial(k)
-    quarter = k % 4  # (-i)^k cycles with period 4, applied exactly
-    out = []
-    for (r, e), c in sorted(E[k].items()):
-        cc = c
-        if quarter == 0:
-            val = cc
-        elif quarter == 2:
-            val = QComplex(-cc.re, -cc.im)
-        elif quarter == 1:  # multiply by -i
-            val = QComplex(cc.im, -cc.re)
-        else:  # multiply by +i
-            val = QComplex(-cc.im, cc.re)
-        val = val * QComplex(Fraction(kfact), Fraction(0))
-        assert val.im == 0, "w_k acquired an imaginary part"
-        assert e % 2 == 0, "w_k acquired an odd hbar power"
-        if val.re:
-            out.append(((r, e), val.re))
-    return tuple(out)
+    terms = {(0, 0): Fraction(1)}
+    for _ in range(k):
+        nxt = {}
+        for (r, e), c in terms.items():
+            nxt[(r + 1, e)] = nxt.get((r + 1, e), 0) + c
+            if r:
+                nxt[(r - 1, e + 2)] = nxt.get((r - 1, e + 2), 0) - Fraction(r * r, 4) * c
+        terms = nxt
+    return tuple(sorted((key, c) for key, c in terms.items() if c))
 
 
 # -- functional calculus on normal forms -----------------------------------------
@@ -259,27 +171,27 @@ def _heat_flow_normal_form(h: NormalForm, hbar_order: int, sign: int) -> NormalF
     return NormalForm(h.dim, out, route=h.route)
 
 
+def _heat_flow(sym, hbar_order: int, sign: int):
+    if isinstance(sym, FTSeries):
+        return _heat_flow_series(sym, hbar_order, sign)
+    if isinstance(sym, NormalForm):
+        return _heat_flow_normal_form(sym, hbar_order, sign)
+    raise TypeError("expected FTSeries or NormalForm")
+
+
 def wick_from_weyl(sym, hbar_order: int):
     """Wick (normal-ordered) symbol from the Weyl symbol.
 
-    Accepts an FTSeries or a NormalForm/RadialSymbol and returns the same
-    kind.  On series this is exp(+hbar sum d_z d_zbar); on radial symbols
-    the corresponding derivation in p.  Example: p -> p + hbar/2.
+    Accepts an FTSeries or a NormalForm and returns the same kind.  On
+    series this is exp(+hbar sum d_z d_zbar); on radial symbols the
+    corresponding derivation in p.  Example: p -> p + hbar/2.
     """
-    if isinstance(sym, FTSeries):
-        return _heat_flow_series(sym, hbar_order, +1)
-    if isinstance(sym, NormalForm):
-        return _heat_flow_normal_form(sym, hbar_order, +1)
-    raise TypeError("expected FTSeries or NormalForm")
+    return _heat_flow(sym, hbar_order, +1)
 
 
 def weyl_from_wick(sym, hbar_order: int):
     """Inverse of wick_from_weyl (the sign-reversed heat flow)."""
-    if isinstance(sym, FTSeries):
-        return _heat_flow_series(sym, hbar_order, -1)
-    if isinstance(sym, NormalForm):
-        return _heat_flow_normal_form(sym, hbar_order, -1)
-    raise TypeError("expected FTSeries or NormalForm")
+    return _heat_flow(sym, hbar_order, -1)
 
 
 # -- Weyl symbols of words --------------------------------------------------------

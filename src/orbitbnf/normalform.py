@@ -156,9 +156,6 @@ class NormalForm:
             worst = max(worst, abs(self._coeffs.get(e, 0.0) - other._coeffs.get(e, 0.0)))
         return worst
 
-    def allclose(self, other, tol=1e-10) -> bool:
-        return self.difference(other) <= tol
-
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, p, tau=0.0, hbar=0.0) -> float:

@@ -18,6 +18,7 @@ by re-solving with the Hermite cut doubled and rejecting on drift.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,12 +63,9 @@ class BasisWindow:
 
     def states(self, dim: int) -> list:
         """Basis states, Fourier-major then lexicographic in mu."""
-        grids = [range(self.hermite_cut + 1)] * dim
+        mus = list(itertools.product(range(self.hermite_cut + 1), repeat=dim))
         out = []
         for nu in range(-self.fourier_cut, self.fourier_cut + 1):
-            mus = [()]
-            for g in grids:
-                mus = [m + (i,) for m in mus for i in g]
             out.extend(BasisState(mu, nu) for mu in mus)
         return out
 
@@ -305,14 +303,11 @@ def model_trace(
         raise ValueError("plateau must satisfy 0 < p1 < p2")
     dim = nf.dim
     mu_max = int(math.ceil(p2 / hbar)) + 1
-    mus = [()]
-    for _ in range(dim):
-        mus = [m + (i,) for m in mus for i in range(mu_max + 1)]
     # Fourier range: x = (lambda - E)/hbar must sweep past the bump tails.
     tail_x = 14.0 / getattr(bump, "width", 0.7)
     spectrum = []
     wts = []
-    for mu in mus:
+    for mu in itertools.product(range(mu_max + 1), repeat=dim):
         ps = tuple((m + 0.5) * hbar for m in mu)
         rho = 1.0
         for p in ps:
@@ -467,12 +462,8 @@ def wick_symbol_numeric(a: WordPoly, w: BasisWindow, x, xi) -> complex:
         raise ValueError("wick_symbol_numeric needs a t-independent word")
     alphas = [(xv + 1j * xiv) / math.sqrt(2.0) for xv, xiv in zip(xs, xis)]
     per_mode = [_coherent_coefficients(al, w) for al in alphas]
-    hc = w.hermite_cut
-    mus = [()]
-    for _ in range(a.dim):
-        mus = [m + (i,) for m in mus for i in range(hc + 1)]
     coeff = {}
-    for mu in mus:
+    for mu in itertools.product(range(w.hermite_cut + 1), repeat=a.dim):
         amp = 1.0 + 0.0j
         for i, m in enumerate(mu):
             amp *= per_mode[i][m]

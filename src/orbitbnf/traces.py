@@ -287,6 +287,26 @@ def _phi_jet_poly(jet: TestFunctionJet, dim, tcap, rcap):
 _I_POWERS = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 
 
+def _jet_derivative(exponent, R, S, phase, jet, rot, threshold):
+    """phase * d_t^S d_theta^R [t^exponent phi_hat G] at (2 pi l, theta), R a tuple."""
+    if len(R) != rot.dim:
+        raise ValueError(f"multi-index {R} has wrong dimension")
+    if jet.depth < S:
+        raise JetDepthError(
+            f"d_t^{S} needs jet depth {S}, but the jet at l={jet.l} has depth {jet.depth}"
+        )
+    tcap, rcap = S, sum(R)
+    G = _g_poly(jet.l, rot, tcap, rcap, threshold)
+    phi = _phi_jet_poly(jet, rot.dim, tcap, rcap)
+    tp = _tpow_jet(rot.dim, exponent, jet.l, tcap, rcap)
+    f = G * phi * tp
+    c = f.coeff(S, R)
+    scale = math.factorial(S)
+    for ri in R:
+        scale *= math.factorial(ri)
+    return phase * scale * c
+
+
 def psi_kernel(K, R, S, jet: TestFunctionJet, rot: RotationData, threshold=1e-9):
     """Psi_l(K, R, S): the assembled derivative of t^{K-|R|} phi_hat G at 2 pi l.
 
@@ -295,23 +315,8 @@ def psi_kernel(K, R, S, jet: TestFunctionJet, rot: RotationData, threshold=1e-9)
     are polynomial jets with nonnegative valuation in delta t).
     """
     R = tuple(R)
-    if len(R) != rot.dim:
-        raise ValueError("R has wrong dimension")
-    if jet.depth < S:
-        raise JetDepthError(
-            f"Psi needs d_t^{S} but jet at l={jet.l} has depth {jet.depth}"
-        )
-    tcap, rcap = S, sum(R)
-    G = _g_poly(jet.l, rot, tcap, rcap, threshold)
-    phi = _phi_jet_poly(jet, rot.dim, tcap, rcap)
-    tp = _tpow_jet(rot.dim, K - sum(R), jet.l, tcap, rcap)
-    f = G * phi * tp
-    c = f.coeff(S, R)
-    scale = math.factorial(S)
-    for ri in R:
-        scale *= math.factorial(ri)
     phase = _I_POWERS[(K + S) % 4] * _I_POWERS[(-sum(R)) % 4]
-    return phase * scale * c
+    return _jet_derivative(K - sum(R), R, S, phase, jet, rot, threshold)
 
 
 def g_function(r, s, jet: TestFunctionJet, rot: RotationData, threshold=1e-9):
@@ -323,23 +328,9 @@ def g_function(r, s, jet: TestFunctionJet, rot: RotationData, threshold=1e-9):
     of the t-power (both conventions are linear in the jet).
     """
     r = tuple(r)
-    if len(r) != rot.dim:
-        raise ValueError("r has wrong dimension")
-    if jet.depth < s:
-        raise JetDepthError(
-            f"g_function needs d_t^{s} but jet at l={jet.l} has depth {jet.depth}"
-        )
-    tcap, rcap = s, sum(r)
-    G = _g_poly(jet.l, rot, tcap, rcap, threshold)
-    phi = _phi_jet_poly(jet, rot.dim, tcap, rcap)
-    tp = _tpow_jet(rot.dim, 1, jet.l, tcap, rcap)
-    f = G * phi * tp
-    c = f.coeff(s, r)
-    scale = math.factorial(s)
-    for ri in r:
-        scale *= math.factorial(ri)
+    phase = _I_POWERS[(-(sum(r) + s)) % 4]
     base = 2.0 * math.pi * jet.l
-    return _I_POWERS[(-(sum(r) + s)) % 4] * scale * c * base ** (-sum(r))
+    return _jet_derivative(1, r, s, phase, jet, rot, threshold) * base ** (-sum(r))
 
 
 # -- forward expansion -------------------------------------------------------------
@@ -422,6 +413,25 @@ def _multisets(entries, m):
     yield from rec(0, m, [])
 
 
+def _multiset_sum(entries, m, jet, rot, threshold):
+    """sum over multisets with sum q_a m_a = m of prod_a (c_a^q_a / q_a!) Psi_l(K, R, S)."""
+    acc = 0.0 + 0.0j
+    for multiset in _multisets(entries, m):
+        K = 0
+        S = 0
+        R = [0] * rot.dim
+        factor = 1.0
+        for idx, q in multiset:
+            r, s, k, c, m_a = entries[idx]
+            K += q
+            S += q * s
+            for i, ri in enumerate(r):
+                R[i] += q * ri
+            factor *= c**q / math.factorial(q)
+        acc += factor * psi_kernel(K, tuple(R), S, jet, rot, threshold)
+    return acc
+
+
 def forward_trace_expansion(
     nf: NormalForm, jets, M: int, threshold=1e-9
 ) -> TraceExpansion:
@@ -440,21 +450,7 @@ def forward_trace_expansion(
         l = jet.l
         table[(l, 0)] = psi_kernel(0, (0,) * nf.dim, 0, jet, rot, threshold)
         for m in range(1, M):
-            acc = 0.0 + 0.0j
-            for multiset in _multisets(entries, m):
-                K = 0
-                S = 0
-                R = [0] * nf.dim
-                factor = 1.0
-                for idx, q in multiset:
-                    r, s, k, c, m_a = entries[idx]
-                    K += q
-                    S += q * s
-                    for i, ri in enumerate(r):
-                        R[i] += q * ri
-                    factor *= c**q / math.factorial(q)
-                acc += factor * psi_kernel(K, tuple(R), S, jet, rot, threshold)
-            table[(l, m)] = acc
+            table[(l, m)] = _multiset_sum(entries, m, jet, rot, threshold)
     return TraceExpansion(rot, table, {jet.l: jet for jet in jets}, M)
 
 
@@ -514,12 +510,11 @@ def invert_trace_expansion(
     report = {"condition_numbers": {}, "residuals": {}, "unknown_counts": {}}
     for m in range(1, M):
         unknowns = []
-        for total in range(m + 1, m + 2):
-            for k in range(0, min(k_max, total - 0) + 1):
-                deg = total - k
-                for s in range(deg + 1):
-                    for r in _compositions(deg - s, dim):
-                        unknowns.append((r, s, k))
+        for k in range(min(k_max, m + 1) + 1):
+            deg = m + 1 - k
+            for s in range(deg + 1):
+                for r in _compositions(deg - s, dim):
+                    unknowns.append((r, s, k))
         # keys sorted for determinism
         unknowns.sort(key=lambda e: (e[2], e[1], e[0]))
         nu = len(unknowns)
@@ -534,22 +529,7 @@ def invert_trace_expansion(
         b = np.zeros(2 * len(ls))
         for li, l in enumerate(ls):
             jet = tr.jets[l]
-            known = 0.0 + 0.0j
-            for multiset in _multisets(recovered, m):
-                K = 0
-                S = 0
-                R = [0] * dim
-                factor = 1.0
-                for idx, q in multiset:
-                    r, s, k, c, m_a = recovered[idx]
-                    K += q
-                    S += q * s
-                    for i, ri in enumerate(r):
-                        R[i] += q * ri
-                    factor *= c**q / math.factorial(q)
-                if K == 0:
-                    continue
-                known += factor * psi_kernel(K, tuple(R), S, jet, rot, threshold)
+            known = _multiset_sum(recovered, m, jet, rot, threshold)
             rhs = tr.d(l, m) - known
             b[li] = rhs.real
             b[len(ls) + li] = rhs.imag

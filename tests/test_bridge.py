@@ -62,6 +62,13 @@ def test_functional_calculus_matches_star_powers():
                         acc = moyal_product(acc, p_series[i], 4)
                 oracle = oracle + acc
             assert (image.as_series() - oracle).max_abs_coeff() < 1e-12
+    # One mode, p^r for r = 1..8 at hbar^8: every w_r against its star power.
+    p = FTSeries.monomial(1, (1,), (1,), coeff=0.5)
+    acc = FTSeries.constant(1, 1.0)
+    for r in range(1, 9):
+        acc = moyal_product(acc, p, 8)
+        image = weyl_of_functional_calculus(NormalForm(1, {((r,), 0, 0): 1.0}), 8)
+        assert (image.as_series() - acc).max_abs_coeff() < 1e-12
 
 
 def test_functional_calculus_images_have_even_hbar_powers():
