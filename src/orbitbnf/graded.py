@@ -10,6 +10,12 @@ cap ``max_weight``) and :class:`~orbitbnf.words.WordPoly` (normal-ordered
 words, cap ``max_grade``) add their products, letter names and named
 constructors.
 
+Both noncommutative products draw their integer structure constants from one
+cached table, :func:`_contractions`: the word product contracts ``a^nu``
+against ``(a^+)^mu`` with ``l! C(mu, l) C(nu, l)``, and the Moyal sum's
+transverse factor ``perm(n, x) perm(m, x) / x!`` is the same integer
+``x! C(n, x) C(m, x)``.
+
 The second half is the normal-form engine.  A route supplies its bracket,
 the closed-form ad_{H0} eigenvalue of a key and the map from resonant terms
 to a :class:`~orbitbnf.normalform.NormalForm`; :func:`birkhoff_sweep` does
@@ -20,6 +26,8 @@ the same in both algebras (:func:`is_resonant_key`).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import operator
@@ -47,11 +55,38 @@ def theta_shift(theta, key) -> float:
 
 
 def _add_idx(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _sub_idx(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
+
+
+_SHARED_IDX = {}
+
+
+@functools.lru_cache(maxsize=None)
+def _contractions(nu1, mu2):
+    """Contraction table of a^{nu1} against (a^+)^{mu2}, shared by both products.
+
+    One entry ``(|l|, f_l, mu2 - l, nu1 - l)`` per ``0 <= l <= min(nu1, mu2)``
+    in ``itertools.product`` order, with the integer
+    ``f_l = prod_i l_i! C(mu2_i, l_i) C(nu1_i, l_i)``.  The word product reads
+    it for the pair (nu1, mu2) of its operands.  The Moyal sum reads it twice,
+    for (nu1, mu2) and (mu1, nu2), because its transverse factor
+    ``perm(n, x) perm(m, x) / x!`` equals ``x! C(n, x) C(m, x)``.  Keyed on
+    exponents only, which the grade cap bounds; the residual multi-indices are
+    shared between entries.
+    """
+    share = _SHARED_IDX.setdefault
+    table = []
+    for l in itertools.product(*(range(min(a, b) + 1) for a, b in zip(nu1, mu2))):
+        f_l = 1
+        for li, a, b in zip(l, nu1, mu2):
+            f_l *= math.factorial(li) * math.comb(b, li) * math.comb(a, li)
+        mu_rest, nu_rest = _sub_idx(mu2, l), _sub_idx(nu1, l)
+        table.append((sum(l), f_l, share(mu_rest, mu_rest), share(nu_rest, nu_rest)))
+    return tuple(table)
 
 
 def _sort_token(key):

@@ -46,7 +46,7 @@ from itertools import product as _iproduct
 
 from .errors import ResonanceError
 from .exactnum import QComplex, conj_c, div_i, times_i
-from .graded import INFINITE, GradedPoly, _add_idx, _check_dims
+from .graded import INFINITE, GradedPoly, _add_idx, _check_dims, _contractions
 from .graded import key_grade as key_weight
 
 #: Sign of the (t, tau) block of the bracket; see module docstring.
@@ -182,11 +182,12 @@ def pointwise_product(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
         cap = max_weight
     else:
         cap = min(a.max_weight, b.max_weight)
+    b_terms = [(key, c, key_weight(key)) for key, c in b._terms.items()]
     out = {}
     for (mu1, nu1, m1, j1, k1), c1 in a._terms.items():
         w1 = sum(mu1) + sum(nu1) + 2 * j1 + 2 * k1
-        for (mu2, nu2, m2, j2, k2), c2 in b._terms.items():
-            if w1 + sum(mu2) + sum(nu2) + 2 * j2 + 2 * k2 > cap:
+        for (mu2, nu2, m2, j2, k2), c2, w2 in b_terms:
+            if w1 + w2 > cap:
                 continue
             key = (_add_idx(mu1, mu2), _add_idx(nu1, nu2), m1 + m2, j1 + j2, k1 + k2)
             c = c1 * c2
@@ -206,11 +207,11 @@ def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
     else:
         cap = min(a.max_weight, b.max_weight)
     dim = a.dim
+    b_terms = [(key, c, key_weight(key)) for key, c in b._terms.items()]
     out = {}
     for (mu1, nu1, m1, j1, k1), c1 in a._terms.items():
         w1 = sum(mu1) + sum(nu1) + 2 * j1 + 2 * k1
-        for (mu2, nu2, m2, j2, k2), c2 in b._terms.items():
-            w2 = sum(mu2) + sum(nu2) + 2 * j2 + 2 * k2
+        for (mu2, nu2, m2, j2, k2), c2, w2 in b_terms:
             if w1 + w2 - 2 > cap:
                 continue
             base = c1 * c2
@@ -236,49 +237,6 @@ def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
     return FTSeries._trusted(dim, out, cap)
 
 
-def _scale_frac(c, frac: Fraction):
-    if isinstance(c, QComplex):
-        return c * frac
-    return c * float(frac)
-
-
-def _moyal_term_ranges(t1, t2):
-    """Iterate the bidifferential exponents (x, y, u, v) for a term pair."""
-    (mu1, nu1, m1, j1, _k1) = t1
-    (mu2, nu2, m2, j2, _k2) = t2
-    x_ranges = [range(min(nu1[i], mu2[i]) + 1) for i in range(len(mu1))]
-    y_ranges = [range(min(mu1[i], nu2[i]) + 1) for i in range(len(mu1))]
-    u_range = range((j2 if m1 != 0 else 0) + 1)
-    v_range = range((j1 if m2 != 0 else 0) + 1)
-    return x_ranges, y_ranges, u_range, v_range
-
-
-def _moyal_factor(t1, t2, x, y, u, v) -> Fraction:
-    """|structure constant| of one bidifferential term (sign handled by caller).
-
-    Left-derivative/right-derivative factors, all real rational:
-      X_i = (d/dzbar_i <- , -> d/dz_i) with scalar -hbar,
-      Y_i = (d/dz_i <- , -> d/dzbar_i) with scalar +hbar,
-      U   = (d/dt <- , -> d/dtau) with scalar i hbar/2,
-      V   = (d/dtau <- , -> d/dt) with scalar -i hbar/2,
-    each to its exponent over its factorial.
-    """
-    (mu1, nu1, m1, j1, _), (mu2, nu2, m2, j2, _) = t1, t2
-    num = 1
-    den = 1
-    for i, xi in enumerate(x):
-        num *= math.perm(nu1[i], xi) * math.perm(mu2[i], xi)
-        den *= math.factorial(xi)
-    for i, yi in enumerate(y):
-        num *= math.perm(mu1[i], yi) * math.perm(nu2[i], yi)
-        den *= math.factorial(yi)
-    num *= (m1**u) * math.perm(j2, u)
-    den *= (2**u) * math.factorial(u)
-    num *= (m2**v) * math.perm(j1, v)
-    den *= (2**v) * math.factorial(v)
-    return Fraction(num, den)
-
-
 def moyal_product(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) -> FTSeries:
     """Weyl-composition symbol a # b expanded through hbar^hbar_order.
 
@@ -301,8 +259,39 @@ def moyal_bracket(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) ->
     return _moyal_sum(a, b, hbar_order, max_weight, antisymmetric=True)
 
 
+def _t_block(m1, j1, m2, j2):
+    """(u, v, numerator, denominator) of the Moyal (t, tau) block, u outer."""
+    if not (m1 or m2):
+        return ((0, 0, 1, 1),)
+    return [
+        (
+            u,
+            v,
+            m1**u * math.perm(j2, u) * m2**v * math.perm(j1, v),
+            2 ** (u + v) * math.factorial(u) * math.factorial(v),
+        )
+        for u in range((j2 if m1 else 0) + 1)
+        for v in range((j1 if m2 else 0) + 1)
+    ]
+
+
 def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric):
-    """The bidifferential sum a # b, or (a # b - b # a)/(i hbar) if antisymmetric."""
+    """The bidifferential sum a # b, or (a # b - b # a)/(i hbar) if antisymmetric.
+
+    A term pair expands over exponents (x, y, u, v) of the left/right
+    derivative pairs
+      X_i = (d/dzbar_i <- , -> d/dz_i) with scalar -hbar,
+      Y_i = (d/dz_i <- , -> d/dzbar_i) with scalar +hbar,
+      U   = (d/dt <- , -> d/dtau) with scalar i hbar/2,
+      V   = (d/dtau <- , -> d/dt) with scalar -i hbar/2,
+    each to its exponent over its factorial.  The X block's factor
+    perm(nu1, x) perm(mu2, x) / x! is the integer x! C(nu1, x) C(mu2, x), so X
+    and Y read the word product's contraction tables
+    :func:`~orbitbnf.graded._contractions` for (nu1, mu2) and (mu1, nu2); only
+    the (t, tau) block keeps the denominator 2^(u+v) u! v!.  The factor is
+    applied as num / den (correctly rounded, equal to float(Fraction(num, den)))
+    on complex coefficients and as Fraction(num, den) on QComplex ones.
+    """
     _check_dims(a, b)
     if hbar_order < 0:
         raise ValueError("hbar_order must be >= 0")
@@ -311,43 +300,39 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric):
     else:
         cap = min(a.max_weight, b.max_weight)
     shift = 1 if antisymmetric else 0  # the division by i hbar lowers k by one
+    b_terms = [(key, c, key_weight(key)) for key, c in b._terms.items()]
     out = {}
     for t1, c1 in a._terms.items():
         (mu1, nu1, m1, j1, k1) = t1
         w1 = key_weight(t1)
-        for t2, c2 in b._terms.items():
-            (mu2, nu2, m2, j2, k2) = t2
-            if w1 + key_weight(t2) - 2 * shift > cap:
+        for (mu2, nu2, m2, j2, k2), c2, w2 in b_terms:
+            if w1 + w2 - 2 * shift > cap:
                 continue
             base = c1 * c2
-            x_ranges, y_ranges, u_range, v_range = _moyal_term_ranges(t1, t2)
-            for x in _iproduct(*x_ranges):
-                for y in _iproduct(*y_ranges):
-                    for u in u_range:
-                        for v in v_range:
-                            q = sum(x) + sum(y) + u + v
-                            if antisymmetric and q % 2 == 0:
-                                continue  # cancels in the commutator
-                            if k1 + k2 + q - shift > hbar_order:
-                                continue
-                            frac = _moyal_factor(t1, t2, x, y, u, v)
-                            if not frac:
-                                continue
-                            # a # b carries (-1)^{|x|+u}; at odd q, b # a carries
-                            # the opposite sign, so the commutator doubles it
-                            sign = -1 if (sum(x) + u) % 2 else 1
-                            key = (
-                                _add_idx(tuple(p - yy for p, yy in zip(mu1, y)), tuple(p - xx for p, xx in zip(mu2, x))),
-                                _add_idx(tuple(p - xx for p, xx in zip(nu1, x)), tuple(p - yy for p, yy in zip(nu2, y))),
-                                m1 + m2,
-                                j1 + j2 - u - v,
-                                k1 + k2 + q - shift,
-                            )
-                            if antisymmetric:
-                                c = div_i(_scale_frac(base, 2 * sign * frac))
-                            else:
-                                c = _scale_frac(base, -frac if sign < 0 else frac)
-                            out[key] = out[key] + c if key in out else c
+            exact = isinstance(base, QComplex)
+            k0 = k1 + k2 - shift
+            tt = _t_block(m1, j1, m2, j2)
+            y_table = _contractions(mu1, nu2)
+            for sx, fx, mu2_x, nu1_x in _contractions(nu1, mu2):
+                for sy, fy, nu2_y, mu1_y in y_table:
+                    if k0 + sx + sy > hbar_order:
+                        continue
+                    mu = _add_idx(mu1_y, mu2_x)
+                    nu = _add_idx(nu1_x, nu2_y)
+                    for u, v, t_num, den in tt:
+                        q = sx + sy + u + v
+                        if antisymmetric and q % 2 == 0:
+                            continue  # cancels in the commutator
+                        if k0 + q > hbar_order:
+                            continue
+                        # a # b carries (-1)^{|x|+u}; at odd q, b # a carries
+                        # the opposite sign, so the commutator doubles it
+                        sign = -1 if (sx + u) % 2 else 1
+                        num = (1 + shift) * sign * fx * fy * t_num
+                        c = base * (Fraction(num, den) if exact else num / den)
+                        key = (mu, nu, m1 + m2, j1 + j2 - u - v, k0 + q)
+                        c = div_i(c) if antisymmetric else c
+                        out[key] = out[key] + c if key in out else c
     return FTSeries._trusted(a.dim, out, cap)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iproduct
 
 from .errors import OrderingError
 from .exactnum import conj_c, div_i
@@ -30,11 +29,12 @@ from .graded import (
     GradedPoly,
     _add_idx,
     _check_dims,
+    _contractions,
     _sub_idx,
     is_resonant_key,
+    key_grade,
     max_coeff_difference,
 )
-from .graded import key_grade  # noqa: F401 -- re-exported
 from .normalform import NormalForm
 
 
@@ -118,10 +118,11 @@ def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
     """Product A*B re-expressed in canonical order; exact on the truncation.
 
     Uses [a_i, a_j^+] = hbar delta_ij (per-mode contraction identity
-    a^nu (a^+)^mu = sum_l l! C(mu,l) C(nu,l) hbar^|l| (a^+)^{mu-l} a^{nu-l})
-    and D_t^j e^{imt} = e^{imt} (D_t + m hbar)^j.  The grade of every
-    generated term equals grade(A-term) + grade(B-term), so the truncation
-    check is a single comparison per term pair.
+    a^nu (a^+)^mu = sum_l l! C(mu,l) C(nu,l) hbar^|l| (a^+)^{mu-l} a^{nu-l},
+    read from the cached table :func:`~orbitbnf.graded._contractions` that
+    the Moyal sum shares) and D_t^j e^{imt} = e^{imt} (D_t + m hbar)^j.  The
+    grade of every generated term equals grade(A-term) + grade(B-term), so
+    the truncation check is a single comparison per term pair.
 
     An explicit max_grade overrides the operands' caps (the caller asserts
     the operands are complete far enough for that to be meaningful); by
@@ -132,13 +133,15 @@ def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
         cap = max_grade
     else:
         cap = min(a.max_grade, b.max_grade)
+    b_terms = [(key, c, key_grade(key)) for key, c in b._terms.items()]
     out = {}
     for (mu1, nu1, m1, j1, k1), c1 in a._terms.items():
         g1 = sum(mu1) + sum(nu1) + 2 * j1 + 2 * k1
-        for (mu2, nu2, m2, j2, k2), c2 in b._terms.items():
-            if g1 + sum(mu2) + sum(nu2) + 2 * j2 + 2 * k2 > cap:
+        for (mu2, nu2, m2, j2, k2), c2, g2 in b_terms:
+            if g1 + g2 > cap:
                 continue
             base = c1 * c2
+            table = _contractions(nu1, mu2)
             # move D_t^{j1} through e^{i m2 t}: (D_t + m2 hbar)^{j1}
             for d in range(j1, -1, -1):
                 if m2 == 0 and d != j1:
@@ -146,18 +149,13 @@ def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
                 f_d = math.comb(j1, d) * (m2 ** (j1 - d))
                 if not f_d:
                     continue
-                # contract a^{nu1} against (a^+)^{mu2}
-                l_ranges = [range(min(nu1[i], mu2[i]) + 1) for i in range(a.dim)]
-                for l in _iproduct(*l_ranges):
-                    f_l = 1
-                    for i, li in enumerate(l):
-                        f_l *= math.factorial(li) * math.comb(mu2[i], li) * math.comb(nu1[i], li)
+                for s, f_l, mu2_l, nu1_l in table:
                     key = (
-                        _add_idx(mu1, _sub_idx(mu2, l)),
-                        _add_idx(_sub_idx(nu1, l), nu2),
+                        _add_idx(mu1, mu2_l),
+                        _add_idx(nu1_l, nu2),
                         m1 + m2,
                         d + j2,
-                        k1 + k2 + (j1 - d) + sum(l),
+                        k1 + k2 + (j1 - d) + s,
                     )
                     c = base * (f_d * f_l)
                     out[key] = out[key] + c if key in out else c
