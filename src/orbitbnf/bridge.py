@@ -231,11 +231,12 @@ def weyl_symbol_of_word(w, hbar_order: int, max_weight=math.inf) -> FTSeries:
             term = factors[0]
             for f in factors[1:]:
                 term = moyal_product(term, f, hbar_order - k, max_weight)
+        # the hbar^k shift raises the weight by 2k
         term = FTSeries._trusted(
             dim,
             {
                 (tmu, tnu, tm, tj, tk + k): tc
-                for (tmu, tnu, tm, tj, tk), tc in term.items()
+                for (tmu, tnu, tm, tj, tk), tc in term.truncated(max_weight - 2 * k).items()
             },
             max_weight,
         )

@@ -70,18 +70,14 @@ def validate_quadratic_part(H: FTSeries, rot: RotationData, tol=1e-12) -> float:
     return check_quadratic_part(H, h0_series(rot), tol)
 
 
-def solve_homological_classical(
-    G: FTSeries,
-    rot: RotationData,
-    bracket="poisson",
-    margin_threshold=1e-9,
-):
-    """Solve bracket(H0, F) = G + G1 with G1 = -(resonant part of G).
+def solve_homological_classical(G: FTSeries, rot: RotationData, margin_threshold=1e-9):
+    """Solve {H0, F} = G + G1 with G1 = -(resonant part of G).
 
     Returns (F, G1) with F supported on the non-resonant keys of G (each
     coefficient divided by its ad-eigenvalue) and G1 a NormalForm.
     H0 is quadratic, so the Moyal bracket acts on monomials exactly like the
-    Poisson bracket and both bracket specs give the same F.
+    Poisson bracket: the same F solves the semiclassical equation at every
+    hbar order.
 
     Raises
     ------
@@ -89,7 +85,6 @@ def solve_homological_classical(
         If |eigenvalue| < margin_threshold at a non-resonant key, reporting
         the offending Fourier shift (mu - nu, m).
     """
-    bracket_operation(bracket)  # reject unknown bracket specs
     return solve_homological(
         G, rot, ad_eigenvalue, NormalForm.from_resonant_series, margin_threshold
     )
@@ -171,7 +166,7 @@ def _birkhoff_sweep(H, rot, order, bracket, work_weight, margin_threshold, route
         order,
         work_weight,
         h0_series(rot),
-        solve=lambda G: solve_homological_classical(G, rot, bracket, margin_threshold),
+        solve=lambda G: solve_homological_classical(G, rot, margin_threshold),
         conjugate=lambda cur, F, cap: lie_conjugate(cur, F, bracket, cap),
         to_normal_form=lambda resonant: NormalForm.from_resonant_series(
             resonant, route=route, imag_tol=1e-9

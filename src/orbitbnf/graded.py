@@ -7,8 +7,7 @@ cap.  :class:`GradedPoly` holds that storage and everything that does not
 depend on the product: construction, linear structure, caps, slices,
 records and JSON.  :class:`~orbitbnf.series.FTSeries` (commutative symbols,
 cap ``max_weight``) and :class:`~orbitbnf.words.WordPoly` (normal-ordered
-words, cap ``max_grade``) add their products, letter names and named
-constructors.
+words, cap ``max_grade``) add their products and named constructors.
 
 Both noncommutative products draw their integer structure constants from one
 cached table, :func:`_contractions`: the word product contracts ``a^nu``
@@ -109,6 +108,13 @@ def _validate_key(key, dim):
     return mu, nu, m, j, k
 
 
+def _within(terms, cap):
+    """The terms of grade <= cap (all of them when the cap is infinite)."""
+    if cap == INFINITE:
+        return terms
+    return {key: c for key, c in terms.items() if key_grade(key) <= cap}
+
+
 def _check_dims(a, b):
     if type(a) is not type(b):
         raise TypeError(f"cannot combine {type(a).__name__} with {type(b).__name__}")
@@ -128,11 +134,10 @@ def max_coeff_difference(a, b) -> float:
 class GradedPoly:
     """Immutable sparse graded polynomial: key (mu, nu, m, j, k) -> coefficient.
 
-    Coefficients may be complex numbers or, for exact regression work,
-    :class:`~orbitbnf.exactnum.QComplex`.  Exact zeros and keys above the cap
-    are never stored.  A subclass names its grading (``_GRADING``), exposes
-    the cap as ``max_<grading>`` and supplies ``__mul__`` and ``_letters``.
-    Polynomials of different subclasses never compare equal or combine.
+    Coefficients are Python complex (or real) numbers.  Exact zeros and
+    keys above the cap are never stored.  A subclass names its grading (``_GRADING``), exposes the
+    cap as ``max_<grading>`` and supplies ``__mul__``.  Polynomials of
+    different subclasses never compare equal or combine.
     """
 
     __slots__ = ("dim", "_cap", "_terms")
@@ -155,18 +160,18 @@ class GradedPoly:
 
     @classmethod
     def _trusted(cls, dim, terms, cap):
-        """Build from canonical keys without re-validating them (library use).
+        """Build from canonical keys of grade <= ``cap`` (library use).
 
-        Exact zeros and keys above ``cap`` are still dropped: Lie series stop
-        on an empty term and term counts depend on it.
+        Keys are not re-validated and their grades not checked: the kernels
+        skip every term pair above the cap, and the other library operations
+        preserve grade.  Exact zeros are still dropped: Lie series stop on an
+        empty term and term counts depend on it.  A caller that can raise a
+        grade filters with :func:`_within` first.
         """
         self = object.__new__(cls)
         self.dim = dim
         self._cap = cap
-        if cap == INFINITE:
-            self._terms = {key: c for key, c in terms.items() if c}
-        else:
-            self._terms = {key: c for key, c in terms.items() if c and key_grade(key) <= cap}
+        self._terms = {key: c for key, c in terms.items() if c}
         return self
 
     # -- constructors; ``cap`` is passed on as the subclass constructor takes it
@@ -217,7 +222,10 @@ class GradedPoly:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out[key] + c if key in out else c
-        return self._trusted(self.dim, out, min(self._cap, other._cap))
+        cap = min(self._cap, other._cap)
+        if self._cap != other._cap:
+            out = _within(out, cap)
+        return self._trusted(self.dim, out, cap)
 
     def __sub__(self, other):
         return self + (-other)
@@ -240,29 +248,16 @@ class GradedPoly:
         """Smallest stored key grade (math.inf for the zero polynomial)."""
         return min(map(key_grade, self._terms), default=INFINITE)
 
-    def grade_slice(self, g):
-        """Terms of grade exactly ``g``."""
-        return self.filtered(lambda key: key_grade(key) == g)
-
     def filtered(self, pred):
         return self._trusted(
             self.dim, {key: c for key, c in self._terms.items() if pred(key)}, self._cap
         )
 
     def truncated(self, cap):
-        return self._trusted(self.dim, self._terms, cap)
-
-    def chop(self, tol=0.0):
-        """Drop coefficients with |c| <= tol (numerical cleanup for reports)."""
-        return self._trusted(
-            self.dim, {key: c for key, c in self._terms.items() if abs(c) > tol}, self._cap
-        )
+        return self._trusted(self.dim, _within(self._terms, cap), cap)
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self._terms.values()), default=0.0)
-
-    def allclose(self, other, tol=1e-12) -> bool:
-        return max_coeff_difference(self, other) <= tol
 
     # -- serialization ---------------------------------------------------------
 
@@ -298,17 +293,6 @@ class GradedPoly:
         blob = json.loads(text)
         cap = blob.get(f"max_{cls._GRADING}")
         return cls.from_records(blob["dim"], blob["terms"], INFINITE if cap is None else cap)
-
-    def pretty(self, tol=0.0) -> str:
-        """Human-readable sum, sorted by grade."""
-        pieces = []
-        for key in sorted(self._terms, key=_sort_token):
-            c = self._terms[key]
-            if abs(c) <= tol:
-                continue
-            factors = [name + (f"^{e}" if e > 1 else "") for name, e in self._letters(key) if e]
-            pieces.append(f"({complex(c)})*{'*'.join(factors) or '1'}")
-        return " + ".join(pieces) or "0"
 
 
 # -- the graded normal-form engine ---------------------------------------------

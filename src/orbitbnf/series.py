@@ -41,11 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as _iproduct
 
 from .errors import ResonanceError
-from .exactnum import QComplex, conj_c, div_i, times_i
 from .graded import INFINITE, GradedPoly, _add_idx, _check_dims, _contractions
 from .graded import key_grade as key_weight
 
@@ -77,9 +75,8 @@ class FTSeries(GradedPoly):
     dim : int
         Number of transverse degrees of freedom n.
     terms : mapping key -> coefficient, optional
-        Coefficients may be complex numbers or, for exact regression work,
-        :class:`~orbitbnf.exactnum.QComplex`.  Exact zeros are dropped;
-        keys above ``max_weight`` are truncated away.
+        Complex (or real) coefficients.  Exact zeros are dropped; keys above
+        ``max_weight`` are truncated away.
     max_weight : int or math.inf
         Truncation bound on ``key_weight``.
     """
@@ -103,9 +100,6 @@ class FTSeries(GradedPoly):
             return pointwise_product(self, other)
         return self.scaled(other)
 
-    min_weight = GradedPoly.min_grade
-    weight_slice = GradedPoly.grade_slice
-
     def vanishing_order(self):
         """Order of vanishing at p=tau=0 (hbar weight 0; inf for zero)."""
         return min((key_vanishing(key) for key in self._terms), default=INFINITE)
@@ -120,7 +114,7 @@ class FTSeries(GradedPoly):
         """The series representing the complex conjugate symbol."""
         return FTSeries._trusted(
             self.dim,
-            {key_conjugate(key): conj_c(c) for key, c in self._terms.items()},
+            {key_conjugate(key): complex(c).conjugate() for key, c in self._terms.items()},
             self._cap,
         )
 
@@ -129,7 +123,7 @@ class FTSeries(GradedPoly):
         worst = 0.0
         for key, c in self._terms.items():
             other = self._terms.get(key_conjugate(key), 0)
-            worst = max(worst, abs(c - conj_c(other)))
+            worst = max(worst, abs(c - complex(other).conjugate()))
         return worst
 
     def is_real_symbol(self, tol=0.0) -> bool:
@@ -159,15 +153,6 @@ class FTSeries(GradedPoly):
                 val *= hbar**k
             total += val
         return total
-
-    @staticmethod
-    def _letters(key):
-        mu, nu, m, j, k = key
-        return (
-            [(f"z{i + 1}", e) for i, e in enumerate(mu)]
-            + [(f"zb{i + 1}", e) for i, e in enumerate(nu)]
-            + [(f"e^[{m}it]", 1 if m else 0), ("tau", j), ("hbar", k)]
-        )
 
 
 def vanishing_order(a: FTSeries):
@@ -226,13 +211,13 @@ def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
                         j1 + j2,
                         k1 + k2,
                     )
-                    c = times_i(base * (2 * f))
+                    c = 1j * (base * (2 * f))
                     out[key] = out[key] + c if key in out else c
             # (t, tau) block: dA/dt dB/dtau - dA/dtau dB/dt
             f = m1 * j2 - j1 * m2
             if f:
                 key = (_add_idx(mu1, mu2), _add_idx(nu1, nu2), m1 + m2, j1 + j2 - 1, k1 + k2)
-                c = times_i(base * f)
+                c = 1j * (base * f)
                 out[key] = out[key] + c if key in out else c
     return FTSeries._trusted(dim, out, cap)
 
@@ -289,8 +274,7 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric):
     and Y read the word product's contraction tables
     :func:`~orbitbnf.graded._contractions` for (nu1, mu2) and (mu1, nu2); only
     the (t, tau) block keeps the denominator 2^(u+v) u! v!.  The factor is
-    applied as num / den (correctly rounded, equal to float(Fraction(num, den)))
-    on complex coefficients and as Fraction(num, den) on QComplex ones.
+    applied as the correctly rounded float num / den.
     """
     _check_dims(a, b)
     if hbar_order < 0:
@@ -309,7 +293,6 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric):
             if w1 + w2 - 2 * shift > cap:
                 continue
             base = c1 * c2
-            exact = isinstance(base, QComplex)
             k0 = k1 + k2 - shift
             tt = _t_block(m1, j1, m2, j2)
             y_table = _contractions(mu1, nu2)
@@ -329,9 +312,9 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric):
                         # the opposite sign, so the commutator doubles it
                         sign = -1 if (sx + u) % 2 else 1
                         num = (1 + shift) * sign * fx * fy * t_num
-                        c = base * (Fraction(num, den) if exact else num / den)
+                        c = base * (num / den)
                         key = (mu, nu, m1 + m2, j1 + j2 - u - v, k0 + q)
-                        c = div_i(c) if antisymmetric else c
+                        c = -1j * c if antisymmetric else c
                         out[key] = out[key] + c if key in out else c
     return FTSeries._trusted(a.dim, out, cap)
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import OrderingError
-from .exactnum import conj_c, div_i
 from .graded import (
     GradedPoly,
     _add_idx,
@@ -98,16 +97,6 @@ class WordPoly(GradedPoly):
         """max coefficient difference between self and adjoint(self)."""
         return max_coeff_difference(self, adjoint(self))
 
-    @staticmethod
-    def _letters(key):
-        mu, nu, m, j, k = key
-        return (
-            [("hbar", k), (f"e^[{m}it]", 1 if m else 0)]
-            + [(f"(a{i + 1}+)", e) for i, e in enumerate(mu)]
-            + [(f"a{i + 1}", e) for i, e in enumerate(nu)]
-            + [("Dt", j)]
-        )
-
 
 def wlg_grade(a: WordPoly):
     """Minimal letter count over stored terms (math.inf for the zero word)."""
@@ -170,7 +159,7 @@ def adjoint(a: WordPoly) -> WordPoly:
     """
     out = {}
     for (mu, nu, m, j, k), c in a._terms.items():
-        cc = conj_c(c)
+        cc = complex(c).conjugate()
         for d in range(j, -1, -1):
             if m == 0 and d != j:
                 break
@@ -215,7 +204,7 @@ def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
             raise OrderingError(
                 f"commutator term {(mu, nu, m, j, k)} lacks an hbar factor"
             )
-        out[(mu, nu, m, j, k - 1)] = div_i(c)
+        out[(mu, nu, m, j, k - 1)] = -1j * c
     return WordPoly._trusted(a.dim, out, cap)
 
 

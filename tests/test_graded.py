@@ -5,8 +5,10 @@ from itertools import product
 
 import pytest
 
+from orbitbnf.bridge import weyl_symbol_of_word
 from orbitbnf.classical import ad_eigenvalue as series_eigenvalue
 from orbitbnf.classical import bracket_operation, h0_series
+from orbitbnf.graded import key_grade
 from orbitbnf.quantum import ad_eigenvalue as word_eigenvalue
 from orbitbnf.quantum import h0_word
 from orbitbnf.series import FTSeries, RotationData
@@ -84,3 +86,25 @@ def test_cap_keywords_and_json_keep_their_names():
     assert '"max_weight":4' in s.to_json() and '"max_grade":3' in w.to_json()
     assert FTSeries.from_json(s.to_json()).max_weight == 4
     assert WordPoly.from_json(w.to_json()) == w
+
+
+@pytest.mark.parametrize("cls", [FTSeries, WordPoly])
+def test_sum_of_two_caps_keeps_only_the_smaller_cap(cls):
+    """a + b is truncated at min(cap_a, cap_b); terms of b above it are dropped."""
+    terms = {((g - 2 * k,), (0,), 0, 0, k): 1.0 + g for g in range(7) for k in (0, 1) if g >= 2 * k}
+    a, b = cls(1, terms, 4), cls(1, terms, 6)
+    assert max(map(key_grade, b.keys())) == 6
+    for total in (a + b, b + a):
+        assert all(key_grade(key) <= 4 for key in total.keys())
+        assert total == a.scaled(2.0) and total._cap == 4
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_weyl_symbol_of_a_word_with_hbar_stays_within_the_weight(k):
+    """The hbar^k of a word raises its symbol's weight by 2k; the result keeps
+    only the terms of weight <= max_weight."""
+    word = WordPoly(1, {((2,), (2,), 0, 0, k): 1.0, ((1,), (1,), 0, 0, k): 0.5})
+    for w in range(2 * k, 9):
+        symbol = weyl_symbol_of_word(word, hbar_order=4, max_weight=w)
+        assert all(key_grade(key) <= w for key in symbol.keys())
+        assert symbol == weyl_symbol_of_word(word, 4).truncated(w)

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from orbitbnf.classical import h0_series
 from orbitbnf.errors import ResonanceError
 from orbitbnf.series import (
     FTSeries,
+    RotationData,
     key_weight,
     moyal_bracket,
     moyal_product,
@@ -88,6 +90,18 @@ def test_conjugate_symbol_is_an_involution_and_detects_reality():
     assert (a.conjugate_symbol().conjugate_symbol() - a).max_abs_coeff() == 0
     real = a + a.conjugate_symbol()
     assert real.is_real_symbol(tol=1e-15)
+    # real int/float coefficients (h0_series stores theta_i / 2 as a float)
+    # conjugate to complex numbers with a negative zero imaginary part
+    h0 = h0_series(RotationData((SQRT2M1, 0.25), resonance_order=4, margin=0.0))
+    assert h0.conjugate_symbol() == h0 and h0.is_real_symbol()
+    s = FTSeries(1, {((2,), (0,), 1, 0, 0): 3, ((0,), (1,), 0, 1, 0): 0.5})
+    for series in (h0, s):
+        conj = series.conjugate_symbol()
+        assert all(type(c) is complex and math.copysign(1.0, c.imag) < 0 for _, c in conj.items())
+    assert [(key, repr(c)) for key, c in s.conjugate_symbol().items()] == [
+        (((0,), (2,), -1, 0, 0), "(3-0j)"),
+        (((1,), (0,), 0, 1, 0), "(0.5-0j)"),
+    ]
 
 
 def test_evaluate_matches_hand_sum():

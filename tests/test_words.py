@@ -100,6 +100,14 @@ def test_adjoint_is_an_antihomomorphic_involution():
     lhs = adjoint(normal_order_product(A, B))
     rhs = normal_order_product(adjoint(B), adjoint(A))
     assert (lhs - rhs).max_abs_coeff() == 0.0
+    # real int/float coefficients come back as complex numbers
+    W = WordPoly(1, {((1,), (0,), 1, 1, 0): 2, ((0,), (0,), 0, 0, 1): 0.5})
+    assert [(key, repr(c)) for key, c in adjoint(W).items()] == [
+        (((0,), (1,), -1, 1, 0), "(2+0j)"),
+        (((0,), (1,), -1, 0, 1), "(-2+0j)"),
+        (((0,), (0,), 0, 0, 1), "(0.5+0j)"),
+    ]
+    assert adjoint(adjoint(W)) == W
 
 
 def test_commutator_over_ihbar_of_number_operator_counts_letters():
