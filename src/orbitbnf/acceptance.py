@@ -30,13 +30,18 @@ from .bridge import (
 )
 from .classical import (
     birkhoff_semiclassical,
-    h0_series,
+    homological_residual,
     solve_homological_classical,
 )
 from .normalform import NormalForm
 from .oracle import BasisWindow, quasi_eigenvalues, numeric_trace, smooth_plateau
-from .quantum import birkhoff_quantum, h0_word, solve_homological_quantum
-from .series import FTSeries, moyal_product, nonresonance_margin, poisson_bracket
+from .quantum import (
+    birkhoff_quantum,
+    h0_word,
+    quantum_homological_residual,
+    solve_homological_quantum,
+)
+from .series import FTSeries, moyal_product, nonresonance_margin
 from .traces import GaussianBump, forward_trace_expansion, invert_trace_expansion
 from .words import (
     WordPoly,
@@ -45,7 +50,6 @@ from .words import (
     BasisState,
     commutator_over_ihbar,
     key_grade,
-    normal_form_to_word,
     normal_order_product,
     wlg_grade,
 )
@@ -162,12 +166,9 @@ def check_homological_residuals():
             w = WordPoly.word(dim, mu=mu, nu=nu, m=m, j=j, k=k, coeff=c)
             Gq = Gq + w + adjoint(w)
         F, G1 = solve_homological_classical(G, rot)
-        res = poisson_bracket(h0_series(rot), F) - G - G1.as_series()
-        worst_c = max(worst_c, res.max_abs_coeff())
+        worst_c = max(worst_c, homological_residual(F, G, G1, rot))
         Fq, G1q = solve_homological_quantum(Gq, rot)
-        lhs = commutator_over_ihbar(h0_word(rot), Fq)
-        resq = lhs - Gq - normal_form_to_word(G1q)
-        worst_q = max(worst_q, resq.max_abs_coeff())
+        worst_q = max(worst_q, quantum_homological_residual(Fq, Gq, G1q, rot))
     _require(
         worst_c <= 1e-12,
         f"classical residual {worst_c:.3e} exceeds 1e-12",

@@ -121,7 +121,7 @@ def _heat_flow_series(A: FTSeries, hbar_order: int, sign: int) -> FTSeries:
     out = {}
     for (mu, nu, m, j, k), c in A.items():
         ranges = [range(min(a, b) + 1) for a, b in zip(mu, nu)]
-        stack = [(tuple(), 0, 1)]
+        stack = [(tuple(), 0, 1)] if k <= hbar_order else []
         for i, rng in enumerate(ranges):
             nxt = []
             for (x, tot, f) in stack:
@@ -147,44 +147,21 @@ def _heat_flow_series(A: FTSeries, hbar_order: int, sign: int) -> FTSeries:
     return FTSeries._trusted(A.dim, out, A.max_weight)
 
 
-def _heat_flow_normal_form(h: NormalForm, hbar_order: int, sign: int) -> NormalForm:
-    """Same flow on radial symbols: the derivation sends p^r to r^2 p^{r-1}/2."""
-    out = {}
-    for (r, s, k), c in h.items():
-        stack = [(r, k, 1.0)]
-        seen = 0
-        while stack:
-            nxt = []
-            for (rv, kk, f) in stack:
-                key = (rv, s, kk)
-                out[key] = out.get(key, 0.0) + c * f
-            seen += 1
-            for (rv, kk, f) in stack:
-                if kk + 1 > hbar_order:
-                    continue
-                for i, ri in enumerate(rv):
-                    if ri == 0:
-                        continue
-                    rv2 = tuple(v - 1 if a == i else v for a, v in enumerate(rv))
-                    nxt.append((rv2, kk + 1, f * sign * ri * ri / (2.0 * seen)))
-            stack = nxt
-    return NormalForm(h.dim, out, route=h.route)
-
-
 def _heat_flow(sym, hbar_order: int, sign: int):
     if isinstance(sym, FTSeries):
         return _heat_flow_series(sym, hbar_order, sign)
     if isinstance(sym, NormalForm):
-        return _heat_flow_normal_form(sym, hbar_order, sign)
+        flowed = _heat_flow_series(sym.as_series(), hbar_order, sign)
+        return NormalForm.from_resonant_series(flowed, route=sym.route)
     raise TypeError("expected FTSeries or NormalForm")
 
 
 def wick_from_weyl(sym, hbar_order: int):
     """Wick (normal-ordered) symbol from the Weyl symbol.
 
-    Accepts an FTSeries or a NormalForm and returns the same kind.  On
-    series this is exp(+hbar sum d_z d_zbar); on radial symbols the
-    corresponding derivation in p.  Example: p -> p + hbar/2.
+    Accepts an FTSeries or a NormalForm and returns the same kind through
+    hbar^hbar_order: exp(+hbar sum d_z d_zbar), on a table via its
+    ``as_series`` and ``from_resonant_series`` (route kept).  Example: p -> p + hbar/2.
     """
     return _heat_flow(sym, hbar_order, +1)
 

@@ -324,13 +324,14 @@ def _cmd_oracle_spectrum(cfg, tol, run, base_dir):
         raise ValueError(
             "config needs an 'oracle' block (hermite_cut, fourier_cut, hbar, window)"
         )
+    if "drift_tol" in block:
+        raise ValueError("set drift_tol with --tolerance-overrides, not in the 'oracle' block")
     hbar = float(block["hbar"])
     w = BasisWindow(int(block["hermite_cut"]), int(block["fourier_cut"]), hbar)
     lo, hi = (float(v) for v in block["window"])
     rot = _rot(cfg, int(_orders(cfg).get("weight", 6)), tol)
     H = _word_hamiltonian(cfg, rot, float("inf"))
-    drift = float(block.get("drift_tol", tol["drift_tol"]))
-    evs = quasi_eigenvalues(H, w, (lo, hi), drift_tol=drift)
+    evs = quasi_eigenvalues(H, w, (lo, hi), drift_tol=tol["drift_tol"])
     lines = ["index,eigenvalue"]
     lines += [f"{i},{v!r}" for i, v in enumerate(evs)]
     run.write("spectrum.csv", "\n".join(lines) + "\n")

@@ -381,8 +381,6 @@ def lie_series(H, F, bracket, max_grade=None):
     k = 0
     while term:
         k += 1
-        if k > cap + 2:  # unreachable given the grade gain; hard stop
-            raise NonNilpotentError("Lie series failed to terminate")
         term = bracket(F, term, cap).scaled(1.0 / k)
         total = total + term
     return total

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
+
+from .graded import is_resonant_key
 
 
 def _entry_key(r, s, k):
@@ -113,24 +114,6 @@ class NormalForm:
 
     # -- algebra on tables -----------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self._coeffs)
-        for entry, c in other._coeffs.items():
-            out[entry] = out.get(entry, 0.0) + c
-        return NormalForm(self.dim, {e: c for e, c in out.items() if c}, route=self.route)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
-
-    def scaled(self, scalar) -> "NormalForm":
-        return NormalForm(
-            self.dim, {e: c * scalar for e, c in self._coeffs.items()}, route=self.route
-        )
-
     def filtered(self, pred) -> "NormalForm":
         nf = NormalForm(self.dim, route=self.route)
         nf._coeffs.update({e: c for e, c in self._coeffs.items() if pred(e)})
@@ -145,9 +128,6 @@ class NormalForm:
             {e: c for e, c in self._coeffs.items() if abs(c) > tol},
             route=self.route,
         )
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self._coeffs.values()), default=0.0)
 
     def difference(self, other) -> float:
         """max over entries of |self[e] - other[e]|."""
@@ -187,20 +167,17 @@ class NormalForm:
         return FTSeries(self.dim, terms, max_weight)
 
     @staticmethod
-    def from_resonant_series(series, route=None, imag_tol=1e-9, atol=0.0) -> "NormalForm":
+    def from_resonant_series(series, route=None, imag_tol=1e-9) -> "NormalForm":
         """Convert a resonant FTSeries (keys mu=nu, m=0) to a table.
 
-        z^mu zbar^mu = (2p)^mu, so the p^mu coefficient is 2^{|mu|} times the
-        stored one.  Non-resonant keys with |coefficient| > atol raise.
+        Inverse of :meth:`as_series`: z^mu zbar^mu = (2p)^mu, so the p^mu
+        coefficient is 2^{|mu|} times the stored one.  Any non-resonant key raises.
         """
         coeffs = {}
-        for (mu, nu, m, j, k), c in series.items():
-            if mu != nu or m != 0:
-                if abs(c) > atol:
-                    raise ValueError(
-                        f"series is not resonant: key {(mu, nu, m, j, k)} has coefficient {c}"
-                    )
-                continue
+        for key, c in series.items():
+            if not is_resonant_key(key):
+                raise ValueError(f"series is not resonant: key {key} has coefficient {c}")
+            mu, _nu, _m, j, k = key
             coeffs[(mu, j, k)] = coeffs.get((mu, j, k), 0.0) + c * 2.0 ** sum(mu)
         return NormalForm(series.dim, coeffs, route=route, imag_tol=imag_tol)
 
@@ -220,17 +197,6 @@ class NormalForm:
             entry = (tuple(rec["r"]), int(rec["s"]), int(rec["k"]))
             coeffs[entry] = coeffs.get(entry, 0.0) + float(rec["c"])
         return NormalForm(dim, coeffs, route=route)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"dim": self.dim, "route": self.route, "coeffs": self.to_records()},
-            separators=(",", ":"),
-        )
-
-    @staticmethod
-    def from_json(text) -> "NormalForm":
-        blob = json.loads(text)
-        return NormalForm.from_records(blob["dim"], blob["coeffs"], route=blob.get("route"))
 
     def to_csv(self) -> str:
         """Table with columns route, r (space-separated), s, k, coeff."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CoverageError, UnsafeWindowError
 from .normalform import NormalForm
-from .words import BasisState, WordPoly, apply_to_basis
+from .words import BasisState, WordPoly, apply_to_basis, normal_form_to_word
 
 __all__ = [
     "BasisWindow",
@@ -69,9 +69,6 @@ class BasisWindow:
             out.extend(BasisState(mu, nu) for mu in mus)
         return out
 
-    def hermite_doubled(self) -> "BasisWindow":
-        return BasisWindow(2 * self.hermite_cut, self.fourier_cut, self.hbar)
-
     def doubled(self, couple_fourier: bool) -> "BasisWindow":
         fc = 2 * self.fourier_cut if couple_fourier else self.fourier_cut
         return BasisWindow(2 * self.hermite_cut, fc, self.hbar)
@@ -84,26 +81,16 @@ def _couples_fourier(a: WordPoly) -> bool:
 def assemble_matrix(a, w: BasisWindow) -> np.ndarray:
     """Dense matrix of a WordPoly or NormalForm on the window basis.
 
-    WordPoly columns are exact images of basis states (amplitudes that land
-    outside the window are dropped; that is the truncation).  A NormalForm
-    acts as the exact diagonal h((mu + 1/2) hbar, nu hbar, hbar).  The result
-    is Hermitian iff the input is adjoint-symmetric.
+    Columns are exact images of basis states (amplitudes that land outside
+    the window are dropped; that is the truncation).  A NormalForm is
+    assembled as its ``normal_form_to_word``, the exact diagonal
+    h((mu + 1/2) hbar, nu hbar, hbar).  The result is Hermitian iff the input
+    is adjoint-symmetric.
 
     Raises ValueError if the matrix dimension exceeds MATRIX_BUDGET.
     """
     if isinstance(a, NormalForm):
-        n = w.dimension(a.dim)
-        if n > MATRIX_BUDGET:
-            raise ValueError(
-                f"matrix dimension {n} exceeds budget {MATRIX_BUDGET}"
-            )
-        diag = [
-            a.evaluate(
-                tuple((m + 0.5) * w.hbar for m in s.mu), s.nu * w.hbar, w.hbar
-            )
-            for s in w.states(a.dim)
-        ]
-        return np.diag(np.asarray(diag, dtype=complex))
+        a = normal_form_to_word(a)
     if not isinstance(a, WordPoly):
         raise TypeError(f"cannot assemble a {type(a).__name__}")
     n = w.dimension(a.dim)

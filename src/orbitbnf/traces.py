@@ -130,13 +130,6 @@ class TestFunctionJet:
     def depth(self) -> int:
         return len(self.derivs) - 1
 
-    def deriv(self, k: int) -> complex:
-        if k > self.depth:
-            raise JetDepthError(
-                f"jet at l={self.l} has depth {self.depth}, derivative {k} requested"
-            )
-        return self.derivs[k]
-
 
 # -- truncated jets in (t, theta) --------------------------------------------------
 

@@ -136,8 +136,6 @@ def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
                 if m2 == 0 and d != j1:
                     break
                 f_d = math.comb(j1, d) * (m2 ** (j1 - d))
-                if not f_d:
-                    continue
                 for s, f_l, mu2_l, nu1_l in table:
                     key = (
                         _add_idx(mu1, mu2_l),
@@ -164,8 +162,6 @@ def adjoint(a: WordPoly) -> WordPoly:
             if m == 0 and d != j:
                 break
             f = math.comb(j, d) * ((-m) ** (j - d))
-            if not f:
-                continue
             key = (nu, mu, -m, d, k + j - d)
             v = cc * f
             out[key] = out[key] + v if key in out else v
@@ -252,9 +248,10 @@ def diagonal_to_normal_form(a: WordPoly, route=None, imag_tol=1e-9) -> NormalFor
     """
     coeffs = {}
     zero_r = (0,) * a.dim
-    for (mu, nu, m, j, k), c in a._terms.items():
-        if mu != nu or m != 0:
+    for key, c in a._terms.items():
+        if not is_resonant_key(key):
             continue
+        mu, _nu, _m, j, k = key
         # expand prod_i prod_{l<mu_i} (p_i - (l+1/2) hbar) as {(r, dk): coeff}
         poly = {(zero_r, 0): 1.0}
         for i, kap in enumerate(mu):

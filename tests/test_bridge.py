@@ -93,6 +93,26 @@ def test_wick_weyl_golden_shifts():
     assert abs(sym.coeff(((0,), (0,), 0, 0, 1)) + 0.5) < 1e-15
 
 
+def test_wick_weyl_on_tables_shifts_actions_and_truncates():
+    """On a table the flow is p -> p + hbar/2 and p^2 -> p^2 + 2 hbar p + hbar^2/2."""
+    p = NormalForm(1, {((1,), 0, 0): 1.0}, route="weyl")
+    wick = wick_from_weyl(p, 4)
+    assert wick.route == "weyl"
+    assert dict(wick.items()) == {((1,), 0, 0): 1.0, ((0,), 0, 1): 0.5}
+    p2 = NormalForm(2, {((0, 2), 1, 0): 1.0})
+    assert dict(wick_from_weyl(p2, 4).items()) == {
+        ((0, 2), 1, 0): 1.0, ((0, 1), 1, 1): 2.0, ((0, 0), 1, 2): 0.5,
+    }
+    mixed = NormalForm(1, {((1,), 0, 3): 1.0, ((2,), 0, 0): 1.0, ((1,), 1, 0): -0.5})
+    for order in (0, 1, 2, 5):
+        there = wick_from_weyl(mixed, order)
+        assert all(k <= order for (_r, _s, k), _c in there.items())
+        back = weyl_from_wick(there, order)
+        assert back.difference(mixed.hbar_truncated(order)) < 1e-15
+    no_modes = NormalForm(0, {((), 0, 3): 1.0, ((), 1, 0): 2.0})
+    assert dict(wick_from_weyl(no_modes, 2).items()) == {((), 1, 0): 2.0}
+
+
 def test_wick_weyl_round_trips_are_exact():
     rng = random.Random(26021)
     for dim in (1, 2):

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from orbitbnf import cli
 from orbitbnf.cli import main
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
@@ -69,6 +70,30 @@ def test_bnf_classical_cubic_golden(tmp_path):
     assert rows[((0,), 0, 0)] == 1.0
     gens = json.loads((out / "generators.json").read_text())
     assert len(gens["steps"]) > 0
+
+
+def test_bnf_semiclassical_cubic_matches_classical_at_hbar_zero(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "theta": [SQRT2M1], "E": 1.0, "resonance_order": 8,
+        "orders": {"weight": 4, "work_weight": 8, "hbar": 2},
+        "hamiltonian": {"series_terms": cubic_series_terms(1e-3)},
+    })
+    outs = {}
+    for name, command in (("c", "bnf-classical"), ("s1", "bnf-semiclassical"),
+                          ("s2", "bnf-semiclassical")):
+        outs[name] = tmp_path / name
+        assert main([command, "--config", cfg, "--out", str(outs[name])]) == 0
+    classical = read_nf_rows(outs["c"] / "normal_form.csv")
+    semi = read_nf_rows(outs["s1"] / "normal_form.csv")
+    assert any(k > 0 for (_r, _s, k) in semi)
+    slice0 = {e: c for e, c in semi.items() if e[2] == 0}
+    assert set(slice0) == set(classical)
+    for e, c in classical.items():
+        assert abs(slice0[e] - c) <= 1e-12
+    manifest = json.loads((outs["s1"] / "manifest.json").read_text())
+    assert manifest["details"]["hbar_order"] == 2
+    for fname in ("normal_form.csv", "generators.json"):
+        assert (outs["s1"] / fname).read_bytes() == (outs["s2"] / fname).read_bytes()
 
 
 def test_reruns_write_byte_identical_tables(tmp_path):
@@ -188,3 +213,46 @@ def test_weyl_of_h_table(tmp_path):
     assert main(["weyl-of-h", "--config", cfg, "--out", str(out)]) == 0
     rows = read_nf_rows(out / "weyl_symbol.csv")
     assert rows == {((2,), 0, 0): 1.0, ((0,), 0, 2): -0.25}
+
+
+def _oracle_config(tmp_path, **extra):
+    hbar = 0.1
+    return write_config(tmp_path, "cfg.json", {
+        "theta": [SQRT2M1], "E": 0.7, "resonance_order": 8,
+        "oracle": {"hermite_cut": 32, "fourier_cut": 0, "hbar": hbar,
+                   "window": [0.7, 0.7 + SQRT2M1 * hbar * 6.0], **extra},
+    })
+
+
+def test_oracle_spectrum_drift_tol_comes_from_the_overrides(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_quasi_eigenvalues(a, w, window, drift_tol):
+        seen.append(drift_tol)
+        return [0.75]
+
+    monkeypatch.setattr(cli, "quasi_eigenvalues", fake_quasi_eigenvalues)
+    overrides = tmp_path / "tol.json"
+    overrides.write_text(json.dumps({"drift_tol": 3e-7}))
+    out = tmp_path / "out"
+    assert main(["oracle-spectrum", "--config", _oracle_config(tmp_path), "--out", str(out),
+                 "--tolerance-overrides", str(overrides)]) == 0
+    assert seen == [3e-7]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tolerances"]["drift_tol"] == 3e-7
+
+
+def test_oracle_block_rejects_drift_tol(tmp_path, capsys):
+    cfg = _oracle_config(tmp_path, drift_tol=1e-6)
+    assert main(["oracle-spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "--tolerance-overrides" in capsys.readouterr().err
+
+
+def test_verify_reports_the_failing_checks(tmp_path):
+    out = tmp_path / "out"
+    assert main(["verify", "--out", str(out)]) == 1
+    lines = (out / "acceptance.txt").read_text().splitlines()
+    assert len(lines) == 7
+    assert sum(line.startswith("FAIL") for line in lines) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["details"]["failures"] == 2

@@ -104,6 +104,9 @@ def test_from_resonant_series_collapses_action_monomials():
     nf = NormalForm.from_resonant_series(s)
     assert abs(nf.coeff((2,), 0, 0) - 1.0) < 1e-15
     assert abs(nf.coeff((0,), 1, 0) - 3.0) < 1e-15
+    off = FTSeries.monomial(1, (1,), (0,), coeff=1e-300)
+    with pytest.raises(ValueError, match="not resonant"):
+        NormalForm.from_resonant_series(s + off)
 
 
 def _tables_differ(a, b, tol=0.0):

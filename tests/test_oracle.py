@@ -41,7 +41,6 @@ def test_basis_window_dimension_and_state_order():
     assert [(s.mu, s.nu) for s in states[:4]] == [
         ((0,), -1), ((1,), -1), ((2,), -1), ((0,), 0),
     ]
-    assert w.hermite_doubled() == BasisWindow(4, 1, 0.1)
     assert w.doubled(True) == BasisWindow(4, 2, 0.1)
     assert w.doubled(False) == BasisWindow(4, 1, 0.1)
 
@@ -63,6 +62,23 @@ def test_assemble_ladder_amplitudes():
     for m in range(5):
         assert abs(am[m, m + 1] - math.sqrt((m + 1) * hbar)) < 1e-15
     assert np.count_nonzero(am) == 5
+
+
+def test_assemble_table_is_the_diagonal_of_its_values():
+    """A NormalForm assembles as h((mu + 1/2) hbar, nu hbar, hbar) on the diagonal."""
+    tables = (
+        NormalForm(1, {((0,), 0, 0): 0.7, ((1,), 0, 0): SQRT2M1, ((0,), 1, 0): 1.0,
+                       ((2,), 1, 0): -0.3, ((3,), 0, 1): 0.05, ((0,), 0, 2): 0.2}),
+        NormalForm(2, {((1, 0), 0, 0): SQRT2M1, ((0, 1), 0, 0): 0.73, ((0, 0), 1, 0): 1.0,
+                       ((1, 2), 0, 0): -0.4, ((2, 0), 2, 1): 0.15}),
+    )
+    for h in tables:
+        w = BasisWindow(4, 2, 0.3)
+        mat = assemble_matrix(h, w)
+        diag = [h.evaluate(tuple((m + 0.5) * w.hbar for m in s.mu), s.nu * w.hbar, w.hbar)
+                for s in w.states(h.dim)]
+        scale = np.max(np.abs(diag))
+        assert np.max(np.abs(mat - np.diag(diag))) <= 1e-14 * scale
 
 
 def test_assemble_rejects_oversized_windows():

@@ -160,6 +160,26 @@ def test_forward_invert_round_trip_with_hbar_entries():
     assert report["unknown_counts"] == {1: 6, 2: 9, 3: 12}
 
 
+def test_forward_invert_round_trip_two_modes():
+    """Two modes: every (r, s) with |r| + s = 2 is recovered at M = 2."""
+    rng = np.random.default_rng(2718)
+    entries = {((0, 0), 0, 0): 0.7, ((1, 0), 0, 0): SQRT2M1, ((0, 1), 0, 0): SQRT3M1,
+               ((0, 0), 1, 0): 1.0}
+    unknowns = [((2, 0), 0), ((1, 1), 0), ((0, 2), 0), ((1, 0), 1), ((0, 1), 1), ((0, 0), 2)]
+    for r, s in unknowns:
+        entries[(r, s, 0)] = rng.uniform(-0.3, 0.3)
+    nf = NormalForm(2, entries)
+    jets = [GaussianBump(l, 0.7).jet(12) for l in range(1, 7)]
+    tr = forward_trace_expansion(nf, jets, 2)
+    rot = nonresonance_margin((SQRT2M1, SQRT3M1), 8)
+    rec, report = invert_trace_expansion(tr, rot, 2, k_max=0)
+    assert report["unknown_counts"] == {1: 6}
+    assert report["condition_numbers"][1] < 1e5
+    for r, s in unknowns:
+        c = entries[(r, s, 0)]
+        assert abs(rec.coeff(r, s, 0) - c) < 1e-11 * abs(c)
+
+
 def test_inversion_rejects_rigid_test_family():
     """One Gaussian width for every l makes the hbar columns dependent."""
     entries = base_entries()
