@@ -28,6 +28,7 @@ from .words import (
     commutator_over_ihbar,
     diagonal_to_normal_form,
     normal_form_to_word,
+    require_symmetric,
 )
 
 
@@ -106,11 +107,7 @@ def birkhoff_quantum(
     Raises ValueError unless H is symmetric and its grade <= 2 slice is
     exactly H0 (the hbar constant must be the half-quantum sum(theta)/2).
     """
-    defect = H.adjoint_defect()
-    if defect > 1e-12 * (1.0 + H.max_abs_coeff()):
-        raise ValueError(
-            f"Hamiltonian is not symmetric: adjoint defect {defect:.3e} exceeds 1e-12 * scale"
-        )
+    require_symmetric(H, "Hamiltonian")
     h, steps, remainder = birkhoff_sweep(
         H,
         rot,

@@ -168,6 +168,15 @@ def adjoint(a: WordPoly) -> WordPoly:
     return WordPoly._trusted(a.dim, out, a.max_grade)
 
 
+def require_symmetric(a: WordPoly, what: str):
+    """Raise ValueError unless a equals its adjoint to 1e-12 of its scale."""
+    defect = a.adjoint_defect()
+    if defect > 1e-12 * (1.0 + a.max_abs_coeff()):
+        raise ValueError(
+            f"{what} is not symmetric: adjoint defect {defect:.3e} exceeds 1e-12 * scale"
+        )
+
+
 def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
     """(AB - BA)/(i hbar).
 

@@ -248,6 +248,19 @@ def test_oracle_block_rejects_drift_tol(tmp_path, capsys):
     assert "--tolerance-overrides" in capsys.readouterr().err
 
 
+def test_oracle_spectrum_rejects_a_word_that_is_not_symmetric(tmp_path, capsys):
+    """(a+)^21 reaches only the doubled cut; it is bad input, not an unsafe window."""
+    hbar = 0.1
+    cfg = write_config(tmp_path, "cfg.json", {
+        "theta": [SQRT2M1], "E": 0.7, "resonance_order": 8,
+        "hamiltonian": {"word_terms": [{"mu": [21], "nu": [0], "re": 1e-6}]},
+        "oracle": {"hermite_cut": 20, "fourier_cut": 0, "hbar": hbar,
+                   "window": [0.69, 0.7 + SQRT2M1 * hbar * 5.9]},
+    })
+    assert main(["oracle-spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "not symmetric" in capsys.readouterr().err
+
+
 def test_verify_reports_the_failing_checks(tmp_path):
     out = tmp_path / "out"
     assert main(["verify", "--out", str(out)]) == 1

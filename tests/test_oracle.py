@@ -1,10 +1,13 @@
 """Truncated-basis matrix oracle: assembly, safe spectra, numeric traces."""
 
+import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from orbitbnf import oracle
 from orbitbnf.bridge import weyl_symbol_of_word, wick_from_weyl
 from orbitbnf.errors import CoverageError, UnsafeWindowError
 from orbitbnf.normalform import NormalForm
@@ -104,6 +107,49 @@ def test_spectrum_invariant_under_conjugation():
     assert np.max(np.abs(np.array(e1) - np.array(e2))) < 1e-10
 
 
+@pytest.mark.parametrize("c", [1e-9, 1e-6])
+def test_quasi_eigenvalues_rejects_a_word_that_is_not_symmetric(c):
+    """(a+)^21 has no entry at cut 20 and enters only the doubled matrix, so
+    a matrix test at the working cut misses it; the word test does not."""
+    rot = nonresonance_margin((SQRT2M1,), 8)
+    hbar = 0.1
+    H = h0_word(rot, 0.7, 40) + WordPoly.word(1, mu=(21,), nu=(0,), coeff=c)
+    w = BasisWindow(20, 0, hbar)
+    assert not np.any(assemble_matrix(H, w) - assemble_matrix(h0_word(rot, 0.7, 40), w))
+    with pytest.raises(ValueError, match="not symmetric"):
+        quasi_eigenvalues(H, w, (0.69, 0.7 + 5.9 * SQRT2M1 * hbar))
+
+
+def test_real_and_complex_solves_agree(monkeypatch):
+    """h0 + eps (a + a+)^3 and h0 + eps (i(a+ - a))^3 are unitarily equivalent
+    by e^{i pi N / 2}; the first is solved in real, the second in complex
+    arithmetic."""
+    rot = nonresonance_margin((SQRT2M1,), 8)
+    hbar = 0.05
+    s = (WordPoly.creation(1, 0) - WordPoly.annihilation(1, 0)) * 1j
+    H_r = h0_word(rot, 0.7, 10) + cubic_word(10, 0.01)
+    H_c = h0_word(rot, 0.7, 10) + normal_order_product(
+        normal_order_product(s, s, 10), s, 10) * 0.01
+    solved = []
+
+    def spy(solve):
+        def call(mat):
+            solved.append(mat.dtype)
+            return solve(mat)
+        return call
+
+    monkeypatch.setattr(oracle.np.linalg, "eigh", spy(np.linalg.eigh))
+    monkeypatch.setattr(oracle.np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+    w = BasisWindow(64, 0, hbar)
+    win = (0.7 + SQRT2M1 * hbar * 0.2, 0.7 + SQRT2M1 * hbar * 8.8)
+    e_r = quasi_eigenvalues(H_r, w, win)
+    assert solved == [np.float64, np.float64]
+    e_c = quasi_eigenvalues(H_c, w, win)
+    assert solved[2:] == [np.complex128, np.complex128]
+    assert len(e_r) == len(e_c) == 9
+    assert np.max(np.abs(np.array(e_r) - np.array(e_c))) < 1e-12
+
+
 def test_quasi_eigenvalues_rejects_shallow_window():
     rot = nonresonance_margin((SQRT2M1,), 8)
     hbar = 0.1
@@ -118,6 +164,32 @@ def test_numeric_trace_single_state_is_phi_at_zero():
     got = numeric_trace([0.7], 0.7, 0.1, bump, weights=[2.0])
     expected = 2.0 * bump.phi(0.0)
     assert abs(got - expected) < 1e-12
+
+
+@dataclass(frozen=True)
+class ShiftedBump:
+    """phi_hat_a(t) = e^{-i a t} phi_hat(t), so phi_a(x) = phi(x - a)."""
+
+    bump: GaussianBump
+    a: float
+
+    def phi_hat(self, t):
+        return cmath.exp(-1j * self.a * t) * self.bump.phi_hat(t)
+
+    def quadrature_window(self, points_per_width=64):
+        return self.bump.quadrature_window(points_per_width)
+
+
+def test_numeric_trace_with_a_complex_phi_hat_shifts_the_energy():
+    bump = GaussianBump(1, 0.7)
+    hbar, a = 0.1, 0.3
+    rng = np.random.default_rng(3)
+    spectrum = 0.7 + hbar * rng.uniform(-4.0, 4.0, 40)
+    weights = rng.uniform(0.5, 1.5, 40)
+    shifted = numeric_trace(spectrum, 0.7, hbar, ShiftedBump(bump, a), weights)
+    moved = numeric_trace(spectrum, 0.7 + a * hbar, hbar, bump, weights)
+    assert abs(moved) > 0.1
+    assert abs(shifted - moved) < 1e-12
 
 
 def test_numeric_trace_coverage_guard():
