@@ -80,21 +80,28 @@ def _couples_fourier(a: WordPoly) -> bool:
     return any(key[2] != 0 for key in a.keys())
 
 
+def _as_word(a) -> WordPoly:
+    """A WordPoly as is, a NormalForm as its ``normal_form_to_word``."""
+    if isinstance(a, NormalForm):
+        a = normal_form_to_word(a)
+    if not isinstance(a, WordPoly):
+        raise TypeError(f"expected a WordPoly or NormalForm, not a {type(a).__name__}")
+    return a
+
+
 def assemble_matrix(a, w: BasisWindow) -> np.ndarray:
     """Dense matrix of a WordPoly or NormalForm on the window basis.
 
     Columns are exact images of basis states (amplitudes that land outside
     the window are dropped; that is the truncation).  A NormalForm is
     assembled as its ``normal_form_to_word``, the exact diagonal
-    h((mu + 1/2) hbar, nu hbar, hbar).  The result is Hermitian iff the input
-    is adjoint-symmetric.
+    h((mu + 1/2) hbar, nu hbar, hbar).  The result is Hermitian if the input
+    is adjoint-symmetric (truncation can hide an asymmetry, so
+    quasi_eigenvalues checks the word).
 
     Raises ValueError if the matrix dimension exceeds MATRIX_BUDGET.
     """
-    if isinstance(a, NormalForm):
-        a = normal_form_to_word(a)
-    if not isinstance(a, WordPoly):
-        raise TypeError(f"cannot assemble a {type(a).__name__}")
+    a = _as_word(a)
     n = w.dimension(a.dim)
     if n > MATRIX_BUDGET:
         raise ValueError(f"matrix dimension {n} exceeds budget {MATRIX_BUDGET}")
@@ -109,13 +116,14 @@ def assemble_matrix(a, w: BasisWindow) -> np.ndarray:
     return mat
 
 
-def _real_if_exact(mat: np.ndarray) -> np.ndarray:
-    """The real part when the imaginary part is exactly zero, else mat.
+def _real_if_exact(arr: np.ndarray) -> np.ndarray:
+    """The real part when the imaginary part is exactly zero, else arr.
 
     A Hermitian matrix with no imaginary part is real symmetric, and LAPACK's
-    real driver solves it about four times faster than the complex one.
+    real driver solves it about four times faster than the complex one; real
+    quadrature weights likewise keep the trace products real.
     """
-    return mat if mat.imag.any() else mat.real
+    return arr if arr.imag.any() else arr.real
 
 
 def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
@@ -141,10 +149,7 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be an interval (lo, hi) with lo < hi")
-    if isinstance(a, NormalForm):
-        a = normal_form_to_word(a)
-    if not isinstance(a, WordPoly):
-        raise TypeError(f"cannot solve a {type(a).__name__}")
+    a = _as_word(a)
     require_symmetric(a, "quasi_eigenvalues: the operator")
     dim = a.dim
     couple = _couples_fourier(a)
@@ -227,19 +232,14 @@ def _phi_quadrature(bump, xs: np.ndarray, points_per_width: int) -> np.ndarray:
     wts = np.array([bump.phi_hat(t) for t in ts], dtype=complex)
     wts *= (ts[1] - ts[0]) / (2.0 * math.pi)
     wts[[0, -1]] *= 0.5
-    real = not wts.imag.any()
-    if real:
-        wts = wts.real
+    # e^{i t x} = cos + i sin: for a real phi_hat two real products instead
+    # of a complex exp and a complex product; complex weights work unchanged
+    wts = _real_if_exact(wts)
     out = np.empty(len(xs), dtype=complex)
     chunk = 2048
     for i in range(0, len(xs), chunk):
         arg = np.outer(xs[i : i + chunk], ts)
-        if real:
-            # e^{i t x} = cos + i sin on real weights: two real products
-            # instead of a complex exp and a complex product
-            out[i : i + chunk] = np.cos(arg) @ wts + 1j * (np.sin(arg) @ wts)
-        else:
-            out[i : i + chunk] = np.exp(1j * arg) @ wts
+        out[i : i + chunk] = np.cos(arg) @ wts + 1j * (np.sin(arg) @ wts)
     return out
 
 
