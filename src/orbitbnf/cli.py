@@ -144,7 +144,14 @@ def _series_hamiltonian(cfg, rot, cap):
     terms = cfg.get("hamiltonian", {}).get("series_terms", [])
     _check_terms(terms, rot.dim, "series")
     H = h0_series(rot, float(cfg.get("E", 0.0)), cap)
-    return H + FTSeries.from_records(rot.dim, terms, cap)
+    H = H + FTSeries.from_records(rot.dim, terms, cap)
+    defect = H.real_symbol_defect()
+    if defect > 1e-12 * (1.0 + H.max_abs_coeff()):
+        raise ValueError(
+            f"the series Hamiltonian is not a real symbol: conjugation defect "
+            f"{defect:.3e} exceeds 1e-12 * scale; list the conjugate of every term"
+        )
+    return H
 
 
 def _word_hamiltonian(cfg, rot, cap):

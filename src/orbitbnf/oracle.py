@@ -5,11 +5,11 @@ indices mu_i <= hermite_cut and Fourier index |nu| <= fourier_cut; the ladder
 amplitudes carry the hbar normalization [a, a+] = hbar, so the harmonic part
 has eigenvalues (mu + 1/2) hbar exactly.  Everything here is independent of
 the series machinery: eigenvalues come from dense solves (LAPACK's real
-symmetric driver whenever the assembled matrix has no imaginary part, as for
-every real-coefficient Hamiltonian, the complex Hermitian one otherwise),
-traces from explicit weighted sums, and the coherent-state identities from
-finite basis expansions.  The point is to have something slow and obviously
-correct to hold the symbolic results against.
+symmetric driver whenever every coefficient of the operator is real, the
+complex Hermitian one otherwise), traces from explicit weighted sums, and the
+coherent-state identities from finite basis expansions.  The point is to
+have something slow and obviously correct to hold the symbolic results
+against.
 
 Truncation policy: quantities are only trusted for states well inside the
 window (all mu_i <= hermite_cut/2, and |nu| <= fourier_cut/2 when the
@@ -97,7 +97,9 @@ def assemble_matrix(a, w: BasisWindow) -> np.ndarray:
     assembled as its ``normal_form_to_word``, the exact diagonal
     h((mu + 1/2) hbar, nu hbar, hbar).  The result is Hermitian if the input
     is adjoint-symmetric (truncation can hide an asymmetry, so
-    quasi_eigenvalues checks the word).
+    quasi_eigenvalues checks the word).  It is float64 when every
+    coefficient is real, since each amplitude is then a real coefficient
+    times real ladder factors, and complex otherwise.
 
     Raises ValueError if the matrix dimension exceeds MATRIX_BUDGET.
     """
@@ -105,25 +107,35 @@ def assemble_matrix(a, w: BasisWindow) -> np.ndarray:
     n = w.dimension(a.dim)
     if n > MATRIX_BUDGET:
         raise ValueError(f"matrix dimension {n} exceeds budget {MATRIX_BUDGET}")
+    real = not any(complex(c).imag for _key, c in a.items())
     states = w.states(a.dim)
     index = {s: i for i, s in enumerate(states)}
-    mat = np.zeros((n, n), dtype=complex)
+    mat = np.zeros((n, n), dtype=float if real else complex)
     for col, s in enumerate(states):
         for target, amp in apply_to_basis(a, s, w.hbar).items():
             row = index.get(target)
             if row is not None:
-                mat[row, col] = amp
+                mat[row, col] = amp.real if real else amp
     return mat
 
 
 def _real_if_exact(arr: np.ndarray) -> np.ndarray:
     """The real part when the imaginary part is exactly zero, else arr.
 
-    A Hermitian matrix with no imaginary part is real symmetric, and LAPACK's
-    real driver solves it about four times faster than the complex one; real
-    quadrature weights likewise keep the trace products real.
+    Real quadrature weights keep the trace products real.
     """
     return arr if arr.imag.any() else arr.real
+
+
+def _block_index(w: BasisWindow, wide: BasisWindow, dim: int) -> np.ndarray:
+    """Positions of w's states, in w's order, in the basis of the wider window.
+
+    Entries between two states of w are the same apply_to_basis amplitudes
+    in either window, so ``assemble_matrix(a, wide)[np.ix_(idx, idx)]`` is
+    exactly ``assemble_matrix(a, w)``.
+    """
+    position = {s: i for i, s in enumerate(wide.states(dim))}
+    return np.array([position[s] for s in w.states(dim)])
 
 
 def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
@@ -135,7 +147,9 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     whole list must reproduce under doubling the Hermite cut (both cuts for
     Fourier-coupled operators) to within drift_tol.  For t-independent
     operators the Fourier index is exactly conserved, so the Fourier cut
-    selects sectors rather than approximating them and is left alone.
+    selects sectors rather than approximating them and is left alone.  The
+    matrix is assembled once, at the doubled cuts; the working matrix is its
+    block on the working states, which holds the same amplitudes.
 
     The operator must be adjoint-symmetric as a word (a NormalForm is
     checked as its ``normal_form_to_word``).  That is tested once, on the
@@ -143,8 +157,9 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     the doubled cut reaches, and the eigen-solvers read one triangle only.
 
     Raises ValueError if the word is not adjoint-symmetric to 1e-12 of its
-    largest coefficient, and UnsafeWindowError on boundary mass, on a count
-    mismatch between the two solves, or on drift above drift_tol.
+    largest coefficient or the doubled window exceeds MATRIX_BUDGET, and
+    UnsafeWindowError on boundary mass, on a count mismatch between the two
+    solves, or on drift above drift_tol.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -153,8 +168,11 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     require_symmetric(a, "quasi_eigenvalues: the operator")
     dim = a.dim
     couple = _couples_fourier(a)
-    mat = assemble_matrix(a, w)
-    vals, vecs = np.linalg.eigh(_real_if_exact(mat))
+    wide = w.doubled(couple)
+    big = assemble_matrix(a, wide)
+    idx = _block_index(w, wide, dim)
+    mat = big[np.ix_(idx, idx)]
+    vals, vecs = np.linalg.eigh(mat)
     keep = [i for i, v in enumerate(vals) if lo <= v <= hi]
 
     states = w.states(dim)
@@ -174,9 +192,8 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
             )
 
     mine = np.array([vals[i] for i in keep])
-    del mat, vecs  # free the working cut before the doubled one is built
-    big = assemble_matrix(a, w.doubled(couple))
-    bvals = np.linalg.eigvalsh(_real_if_exact(big))
+    del mat, vecs  # free the working cut before the doubled solve
+    bvals = np.linalg.eigvalsh(big)
     bkeep = bvals[(bvals >= lo) & (bvals <= hi)]
     if len(bkeep) != len(mine):
         raise UnsafeWindowError(
@@ -218,6 +235,9 @@ def smooth_plateau(p: float, p1: float, p2: float) -> float:
     return g(1.0 - u) / (g(u) + g(1.0 - u))
 
 
+_SPLIT = 32  # fine nodes per coarse node in the split-angle trapezoid rule
+
+
 def _phi_quadrature(bump, xs: np.ndarray, points_per_width: int) -> np.ndarray:
     """phi(x) = (1/2 pi) integral phi_hat(t) e^{i t x} dt by the trapezoid rule.
 
@@ -225,21 +245,36 @@ def _phi_quadrature(bump, xs: np.ndarray, points_per_width: int) -> np.ndarray:
     that vanishes at both ends the rule is spectrally accurate, and the
     aliasing images sit at |x| ~ 2 pi / step, far outside any state that
     passes the coverage check.
+
+    The nodes are uniform, so with j = B q + r the phase splits as
+    e^{i t_j x} = e^{i t_{Bq} x} e^{i r dt x}: per x, B fine and ceil(n/B)
+    coarse phases replace n full ones.  The fine phases are contracted with
+    the weights, zero-padded to a (ceil(n/B), B) table, in one product, and
+    the coarse phases finish the sum.
     """
     t0, t1, n = bump.quadrature_window(points_per_width)
     ts = np.linspace(t0, t1, n)
+    dt = ts[1] - ts[0]
     # trapezoid weights times phi_hat, with the 1/2 pi of the inverse transform
     wts = np.array([bump.phi_hat(t) for t in ts], dtype=complex)
-    wts *= (ts[1] - ts[0]) / (2.0 * math.pi)
+    wts *= dt / (2.0 * math.pi)
     wts[[0, -1]] *= 0.5
-    # e^{i t x} = cos + i sin: for a real phi_hat two real products instead
+    # e^{i r dt x} = cos + i sin: for a real phi_hat two real products instead
     # of a complex exp and a complex product; complex weights work unchanged
     wts = _real_if_exact(wts)
+    rows = -(-n // _SPLIT)
+    table = np.zeros(rows * _SPLIT, dtype=wts.dtype)
+    table[:n] = wts
+    table = table.reshape(rows, _SPLIT).T
+    coarse = ts[::_SPLIT]
+    fine = dt * np.arange(_SPLIT)
     out = np.empty(len(xs), dtype=complex)
     chunk = 2048
     for i in range(0, len(xs), chunk):
-        arg = np.outer(xs[i : i + chunk], ts)
-        out[i : i + chunk] = np.cos(arg) @ wts + 1j * (np.sin(arg) @ wts)
+        x = xs[i : i + chunk]
+        arg = np.outer(x, fine)
+        inner = np.cos(arg) @ table + 1j * (np.sin(arg) @ table)
+        out[i : i + chunk] = np.einsum("ij,ij->i", np.exp(1j * np.outer(x, coarse)), inner)
     return out
 
 

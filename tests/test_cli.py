@@ -139,6 +139,29 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     assert main(["bnf-quantum", "--config", negative,
                  "--out", str(tmp_path / "o")]) == 2
     assert "negative exponent" in capsys.readouterr().err
+    z_cubed_only = write_config(tmp_path, "zcubed.json", {
+        "theta": [SQRT2M1], "E": 1.0, "orders": {"weight": 4},
+        "hamiltonian": {"series_terms": [
+            {"mu": [3], "nu": [0], "m": 0, "j": 0, "k": 0, "re": 3.5e-4, "im": 0.0},
+        ]},
+    })
+    for command in ("bnf-classical", "bnf-semiclassical"):
+        assert main([command, "--config", z_cubed_only,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "not a real symbol" in capsys.readouterr().err
+
+
+def test_readme_example_config_runs_oracle_spectrum(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("### Config schema by example", 1)[1]
+    block = block.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = write_config(tmp_path, "readme.json", json.loads(block))
+    assert main(["oracle-spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "spectrum.csv") as fh:
+        rows = fh.read().splitlines()[1:]
+    assert len(rows) >= 1
 
 
 def test_exit_code_3_on_resonant_theta(tmp_path, capsys):

@@ -84,6 +84,50 @@ def test_assemble_table_is_the_diagonal_of_its_values():
         assert np.max(np.abs(mat - np.diag(diag))) <= 1e-14 * scale
 
 
+def fourier_coupled_word(cap):
+    """h0 + 0.01 (a + a+)^2 + 0.05 (a + a+)(e^{it} + e^{-it}): symmetric, m = +-1."""
+    rot = nonresonance_margin((SQRT2M1,), 8)
+    s = WordPoly.annihilation(1, 0) + WordPoly.creation(1, 0)
+    hop = WordPoly.zero(1)
+    for m in (1, -1):
+        hop = hop + WordPoly.word(1, nu=(1,), m=m) + WordPoly.word(1, mu=(1,), m=m)
+    return h0_word(rot, 0.7, cap) + normal_order_product(s, s, cap) * 0.01 + hop * 0.05
+
+
+def two_mode_quartic(cap):
+    rot = nonresonance_margin((SQRT2M1, math.sqrt(3.0) - 1.0), cap)
+    s = (WordPoly.annihilation(2, 0) + WordPoly.creation(2, 0)
+         + WordPoly.annihilation(2, 1) + WordPoly.creation(2, 1))
+    s2 = normal_order_product(s, s, cap)
+    return h0_word(rot, 1.0, cap) + normal_order_product(s2, s2, cap) * 0.003
+
+
+@pytest.mark.parametrize("make, w, couple", [
+    (lambda: cubic_word(10, 0.01) + h0_word(nonresonance_margin((SQRT2M1,), 8), 0.7, 10),
+     BasisWindow(12, 2, 0.05), False),
+    (lambda: two_mode_quartic(8), BasisWindow(5, 0, 0.1), False),
+    (lambda: fourier_coupled_word(8), BasisWindow(6, 3, 0.1), True),
+], ids=["one-mode-cubic", "two-mode-quartic", "fourier-coupled"])
+def test_working_block_of_the_doubled_assembly_is_the_working_matrix(make, w, couple):
+    a = make()
+    assert oracle._couples_fourier(a) is couple
+    wide = w.doubled(couple)
+    idx = oracle._block_index(w, wide, a.dim)
+    assert np.array_equal(assemble_matrix(a, wide)[np.ix_(idx, idx)], assemble_matrix(a, w))
+
+
+def test_assemble_is_real_exactly_when_every_coefficient_is():
+    w = BasisWindow(6, 1, 0.1)
+    real_cases = (cubic_word(8, 0.01), fourier_coupled_word(8),
+                  WordPoly.word(1, mu=(2,), nu=(1,), coeff=1.0 + 0j),
+                  NormalForm(1, {((1,), 0, 0): SQRT2M1, ((0,), 1, 0): 1.0}))
+    for a in real_cases:
+        assert assemble_matrix(a, w).dtype == np.float64
+    s = (WordPoly.creation(1, 0) - WordPoly.annihilation(1, 0)) * 1j
+    for a in (s, cubic_word(8, 0.01) + WordPoly.word(1, mu=(1,), nu=(1,), coeff=1e-300j)):
+        assert assemble_matrix(a, w).dtype == np.complex128
+
+
 def test_assemble_rejects_oversized_windows():
     w = BasisWindow(80, 30, 0.1)
     assert w.dimension(1) > MATRIX_BUDGET
@@ -190,6 +234,32 @@ def test_numeric_trace_with_a_complex_phi_hat_shifts_the_energy():
     moved = numeric_trace(spectrum, 0.7 + a * hbar, hbar, bump, weights)
     assert abs(moved) > 0.1
     assert abs(shifted - moved) < 1e-12
+
+
+def straight_loop_phi(bump, xs, points_per_width):
+    """The trapezoid rule with one cos/sin pair per (x, node), and sum |w|."""
+    t0, t1, n = bump.quadrature_window(points_per_width)
+    ts = np.linspace(t0, t1, n)
+    wts = np.array([bump.phi_hat(t) for t in ts], dtype=complex)
+    wts *= (ts[1] - ts[0]) / (2.0 * math.pi)
+    wts[[0, -1]] *= 0.5
+    arg = np.outer(xs, ts)
+    return np.cos(arg) @ wts + 1j * (np.sin(arg) @ wts), float(np.sum(np.abs(wts)))
+
+
+@pytest.mark.parametrize("points_per_width", [64, 13])
+@pytest.mark.parametrize("bump", [GaussianBump(1, 0.7), ShiftedBump(GaussianBump(1, 0.7), 0.3)],
+                         ids=["real", "complex"])
+def test_split_angle_quadrature_matches_the_straight_loop(bump, points_per_width):
+    """Both rules round the phase x t to ulp(x t), so the comparison covers
+    the bump's support |x| <= 20; 2500 points cross the 2048-point chunk, and
+    neither node count (1025, 209) is a multiple of the split."""
+    *_, n = bump.quadrature_window(points_per_width)
+    assert n % oracle._SPLIT != 0
+    xs = np.linspace(-20.0, 20.0, 2500)
+    ref, weight_sum = straight_loop_phi(bump, xs, points_per_width)
+    got = oracle._phi_quadrature(bump, xs, points_per_width)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * weight_sum
 
 
 def test_numeric_trace_coverage_guard():
