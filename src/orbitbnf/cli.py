@@ -95,11 +95,28 @@ def _load_config(path):
     try:
         with open(path) as fh:
             text = fh.read()
-        return json.loads(text), text
+        cfg = json.loads(text)
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+    return _json_object(cfg, f"config {path}"), text
+
+
+def _json_object(value, what):
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _block(cfg, name, missing=None):
+    """The object under cfg[name]: {} when absent, or ValueError(missing) if given."""
+    block = cfg.get(name)
+    if block is None:
+        if missing:
+            raise ValueError(missing)
+        return {}
+    return _json_object(block, f"config block {name!r}")
 
 
 def _load_tolerances(path):
@@ -107,7 +124,7 @@ def _load_tolerances(path):
     if path is None:
         return tol
     with open(path) as fh:
-        overrides = json.load(fh)
+        overrides = _json_object(json.load(fh), f"tolerance overrides {path}")
     for key, value in overrides.items():
         if key not in tol:
             raise ValueError(
@@ -141,7 +158,7 @@ def _check_terms(records, dim, what):
 
 
 def _series_hamiltonian(cfg, rot, cap):
-    terms = cfg.get("hamiltonian", {}).get("series_terms", [])
+    terms = _block(cfg, "hamiltonian").get("series_terms", [])
     _check_terms(terms, rot.dim, "series")
     H = h0_series(rot, float(cfg.get("E", 0.0)), cap)
     H = H + FTSeries.from_records(rot.dim, terms, cap)
@@ -155,16 +172,14 @@ def _series_hamiltonian(cfg, rot, cap):
 
 
 def _word_hamiltonian(cfg, rot, cap):
-    terms = cfg.get("hamiltonian", {}).get("word_terms", [])
+    terms = _block(cfg, "hamiltonian").get("word_terms", [])
     _check_terms(terms, rot.dim, "word")
     H = h0_word(rot, float(cfg.get("E", 0.0)), cap)
     return H + WordPoly.from_records(rot.dim, terms, cap)
 
 
 def _normal_form_arg(cfg, base_dir):
-    block = cfg.get("normal_form")
-    if block is None:
-        raise ValueError("config needs a 'normal_form' block")
+    block = _block(cfg, "normal_form", "config needs a 'normal_form' block")
     if "csv" in block:
         path = os.path.join(base_dir, block["csv"])
         with open(path) as fh:
@@ -176,9 +191,7 @@ def _normal_form_arg(cfg, base_dir):
 
 def _jets(cfg):
     """Build {l: jet} plus the bump table from the config's jets block."""
-    block = cfg.get("jets")
-    if block is None:
-        raise ValueError("config needs a 'jets' block (ls, width[s], depth)")
+    block = _block(cfg, "jets", "config needs a 'jets' block (ls, width[s], depth)")
     ls = [int(l) for l in block.get("ls", [])]
     if not ls:
         raise ValueError("jets block needs a non-empty 'ls' list")
@@ -193,16 +206,12 @@ def _jets(cfg):
     return {l: bumps[l].jet(depth) for l in ls}, bumps
 
 
-def _orders(cfg):
-    return cfg.get("orders", {})
-
-
 # -- subcommand bodies ----------------------------------------------------------
 
 
 def _bnf_orders(cfg, tol):
     """(target weight, working weight, certified rotation data) of a config."""
-    orders = _orders(cfg)
+    orders = _block(cfg, "orders")
     weight = int(orders.get("weight", 6))
     return weight, int(orders.get("work_weight", weight)), _rot(cfg, weight, tol)
 
@@ -230,7 +239,7 @@ def _cmd_bnf_classical(cfg, tol, run, base_dir):
 
 def _cmd_bnf_semiclassical(cfg, tol, run, base_dir):
     weight, work, rot = _bnf_orders(cfg, tol)
-    korder = int(_orders(cfg).get("hbar", 2))
+    korder = int(_block(cfg, "orders").get("hbar", 2))
     H = _series_hamiltonian(cfg, rot, work)
     nf, log, remainder = birkhoff_semiclassical(
         H, rot, weight, korder, work, tol["margin_threshold"]
@@ -251,7 +260,7 @@ def _cmd_bnf_quantum(cfg, tol, run, base_dir):
 
 
 def _cmd_weyl_of_h(cfg, tol, run, base_dir):
-    korder = int(_orders(cfg).get("hbar", 2))
+    korder = int(_block(cfg, "orders").get("hbar", 2))
     h = _normal_form_arg(cfg, base_dir)
     out = weyl_of_functional_calculus(h, korder)
     run.write("weyl_symbol.csv", out.to_csv())
@@ -263,7 +272,7 @@ def _cmd_weyl_of_h(cfg, tol, run, base_dir):
 
 
 def _cmd_trace_forward(cfg, tol, run, base_dir):
-    M = int(_orders(cfg).get("M", 4))
+    M = int(_block(cfg, "orders").get("M", 4))
     nf = _normal_form_arg(cfg, base_dir)
     jets, bumps = _jets(cfg)
     tr = forward_trace_expansion(
@@ -280,8 +289,8 @@ def _cmd_trace_forward(cfg, tol, run, base_dir):
 
 
 def _cmd_trace_invert(cfg, tol, run, base_dir):
-    M = int(_orders(cfg).get("M", 4))
-    k_max = int(cfg.get("trace", {}).get("k_max", 0))
+    M = int(_block(cfg, "orders").get("M", 4))
+    k_max = int(_block(cfg, "trace").get("k_max", 0))
     path = cfg.get("trace_csv")
     if path is None:
         raise ValueError("config needs 'trace_csv' (path to a d_l^m table)")
@@ -326,17 +335,15 @@ def _cmd_trace_invert(cfg, tol, run, base_dir):
 
 
 def _cmd_oracle_spectrum(cfg, tol, run, base_dir):
-    block = cfg.get("oracle")
-    if block is None:
-        raise ValueError(
-            "config needs an 'oracle' block (hermite_cut, fourier_cut, hbar, window)"
-        )
+    block = _block(
+        cfg, "oracle", "config needs an 'oracle' block (hermite_cut, fourier_cut, hbar, window)"
+    )
     if "drift_tol" in block:
         raise ValueError("set drift_tol with --tolerance-overrides, not in the 'oracle' block")
     hbar = float(block["hbar"])
     w = BasisWindow(int(block["hermite_cut"]), int(block["fourier_cut"]), hbar)
     lo, hi = (float(v) for v in block["window"])
-    rot = _rot(cfg, int(_orders(cfg).get("weight", 6)), tol)
+    rot = _rot(cfg, int(_block(cfg, "orders").get("weight", 6)), tol)
     H = _word_hamiltonian(cfg, rot, float("inf"))
     evs = quasi_eigenvalues(H, w, (lo, hi), drift_tol=tol["drift_tol"])
     lines = ["index,eigenvalue"]

@@ -14,9 +14,14 @@ Poisson summation in nu and geometric summation in mu give, per l,
                      d_t^S d_theta^R [ t^{K - |R|} phi_hat(t) G(t, theta) ] at t = 2 pi l,
 
 with K = sum q_a, R = sum q_a r_a, S = sum q_a s_a, and m_a = |r_a| + s_a + k_a - 1
-the hbar-order at which an entry first contributes.  Everything here is exact
-symbolic differentiation of truncated jets; the only analytic input is the
-jet of phi_hat at 2 pi l.
+the hbar-order at which an entry first contributes.
+
+G factorizes per mode, G = prod_i h(t theta_i) with h(u) = i / (2 sin(u/2)),
+so d_theta_i^r acts as t^r h^(r)(t theta_i) and the t-powers combine into t^K.
+Every kernel derivative is therefore S! times the t^S coefficient of a
+product of one-variable jets in t - 2 pi l: t^K, phi_hat, and
+h^(R_i)(t theta_i) per mode.  The only analytic input is the jet of phi_hat
+at 2 pi l.
 
 The inverse direction recovers the nonlinear c_{r,s,k} order by order in m:
 at each m the unknowns enter d_l^m linearly through the K = 1 columns
@@ -30,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -131,185 +135,71 @@ class TestFunctionJet:
         return len(self.derivs) - 1
 
 
-# -- truncated jets in (t, theta) --------------------------------------------------
+# -- one-variable jets in t ---------------------------------------------------------
 
 
-class TaylorPoly:
-    """Jet at (t, theta) = (2 pi l, theta0): dict (t_pow, theta_pows) -> complex."""
+def _inv_sin_jet(u0, n):
+    """Taylor coefficients of 1 / sin((u0 + e) / 2) in e, orders 0..n.
 
-    __slots__ = ("dim", "tcap", "rcap", "terms")
-
-    def __init__(self, dim, tcap, rcap, terms=None):
-        self.dim = dim
-        self.tcap = tcap
-        self.rcap = rcap
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if key[0] <= tcap and sum(key[1]) <= rcap and c != 0:
-                    self.terms[key] = complex(c)
-
-    @staticmethod
-    def constant(dim, tcap, rcap, value):
-        return TaylorPoly(dim, tcap, rcap, {(0, (0,) * dim): value})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return TaylorPoly(self.dim, self.tcap, self.rcap, out)
-
-    def scaled(self, v):
-        return TaylorPoly(
-            self.dim, self.tcap, self.rcap, {k: c * v for k, c in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        out = {}
-        for (a1, r1), c1 in self.terms.items():
-            for (a2, r2), c2 in other.terms.items():
-                a = a1 + a2
-                if a > self.tcap:
-                    continue
-                r = tuple(x + y for x, y in zip(r1, r2))
-                if sum(r) > self.rcap:
-                    continue
-                key = (a, r)
-                v = c1 * c2
-                out[key] = out.get(key, 0.0) + v
-        return TaylorPoly(self.dim, self.tcap, self.rcap, out)
-
-    def exp(self):
-        """exp of a jet with zero constant term (finite on the truncation)."""
-        zero = (0, (0,) * self.dim)
-        if zero in self.terms:
-            raise ValueError("exp expects a jet with zero constant term")
-        total = TaylorPoly.constant(self.dim, self.tcap, self.rcap, 1.0)
-        power = TaylorPoly.constant(self.dim, self.tcap, self.rcap, 1.0)
-        fact = 1.0
-        for n in range(1, self.tcap + self.rcap + 1):
-            power = power * self
-            if not power.terms:
-                break
-            fact *= n
-            total = total + power.scaled(1.0 / fact)
-        return total
-
-    def coeff(self, t_pow, theta_pows):
-        return self.terms.get((t_pow, tuple(theta_pows)), 0.0)
-
-
-def _tpow_jet(dim, exponent, l, tcap, rcap):
-    """Jet of t^exponent around t = 2 pi l (generalized binomial, any integer)."""
-    base = 2.0 * math.pi * l
-    terms = {}
-    zero = (0,) * dim
-    for j in range(tcap + 1):
-        if exponent >= 0 and j > exponent:
-            break
-        c = 1.0
-        for step in range(j):
-            c *= (exponent - step)
-        c /= math.factorial(j)
-        terms[(j, zero)] = c * base ** (exponent - j)
-    return TaylorPoly(dim, tcap, rcap, terms)
-
-
-@lru_cache(maxsize=None)
-def _g_poly(l, rot: RotationData, tcap, rcap, threshold=1e-9):
-    """Jet of G(t, theta) = e^{i t thetabar} / prod (1 - e^{i t theta_i}).
-
-    Built factor by factor: the exponential of a linear jet, and geometric
-    inverses of 1 - g0 e^X with X the zero-constant jet of i t theta_i.
+    sin((u0 + e)/2) has coefficients sin(u0/2 + k pi/2) / (2^k k!); the
+    reciprocal series follows from b_0 = 1/s_0, s_0 b_k = -sum_{j>=1} s_j b_{k-j}.
     """
-    dim = rot.dim
-    base = 2.0 * math.pi * l
-    zero = (0,) * dim
-
-    def linear_jet(coef_t, coef_theta_index):
-        # jet of i * t * theta_j minus its value at the base point
-        th = rot.theta[coef_theta_index]
-        e_j = tuple(1 if i == coef_theta_index else 0 for i in range(dim))
-        return TaylorPoly(
-            dim,
-            tcap,
-            rcap,
-            {
-                (1, zero): 1j * th * coef_t,
-                (0, e_j): 1j * base,
-                (1, e_j): 1j,
-            },
-        )
-
-    # e^{i t thetabar} = prod_i e^{i t theta_i / 2}
-    total = TaylorPoly.constant(dim, tcap, rcap, 1.0)
-    for i in range(dim):
-        X = linear_jet(1.0, i).scaled(0.5)
-        const = cmath.exp(1j * base * rot.theta[i] / 2.0)
-        total = total * X.exp().scaled(const)
-    # 1 / (1 - e^{i t theta_i})
-    for i in range(dim):
-        g0 = cmath.exp(1j * base * rot.theta[i])
-        if abs(1.0 - g0) < threshold:
-            raise ResonanceError(
-                f"1 - e^(2 pi i l theta_{i+1}) = {1.0 - g0:.3e} at l={l}: "
-                "the periodic denominator degenerates"
-            )
-        X = linear_jet(1.0, i)
-        expm1 = X.exp() + TaylorPoly.constant(dim, tcap, rcap, -1.0)
-        Y = expm1.scaled(g0 / (1.0 - g0))
-        geom = TaylorPoly.constant(dim, tcap, rcap, 1.0)
-        power = TaylorPoly.constant(dim, tcap, rcap, 1.0)
-        for _ in range(tcap + rcap):
-            power = power * Y
-            if not power.terms:
-                break
-            geom = geom + power
-        total = total * geom.scaled(1.0 / (1.0 - g0))
-    return total
-
-
-def _phi_jet_poly(jet: TestFunctionJet, dim, tcap, rcap):
-    zero = (0,) * dim
-    terms = {}
-    for kk in range(min(jet.depth, tcap) + 1):
-        terms[(kk, zero)] = jet.derivs[kk] / math.factorial(kk)
-    return TaylorPoly(dim, tcap, rcap, terms)
+    half = u0 / 2.0
+    cycle = (math.sin(half), math.cos(half), -math.sin(half), -math.cos(half))
+    s = np.array([cycle[k % 4] / (2.0**k * math.factorial(k)) for k in range(n + 1)])
+    b = np.empty(n + 1)
+    b[0] = 1.0 / s[0]
+    for k in range(1, n + 1):
+        b[k] = -(s[1 : k + 1] @ b[k - 1 :: -1]) / s[0]
+    return b
 
 
 _I_POWERS = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 
 
-def _jet_derivative(exponent, R, S, phase, jet, rot, threshold):
-    """phase * d_t^S d_theta^R [t^exponent phi_hat G] at (2 pi l, theta), R a tuple."""
+def _kernel_derivative(K, R, S, jet, rot, threshold):
+    """d_t^S [t^K phi_hat(t) prod_i h^(R_i)(t theta_i)] at t = 2 pi l, K >= 0.
+
+    h(u) = i / (2 sin(u/2)) is one factor of G, so this equals
+    d_t^S d_theta^R [t^{K-|R|} phi_hat G]: each d_theta_i pulls out one t.
+    Every factor is a one-variable jet in t - 2 pi l truncated at order S.
+    """
     if len(R) != rot.dim:
         raise ValueError(f"multi-index {R} has wrong dimension")
     if jet.depth < S:
         raise JetDepthError(
             f"d_t^{S} needs jet depth {S}, but the jet at l={jet.l} has depth {jet.depth}"
         )
-    tcap, rcap = S, sum(R)
-    G = _g_poly(jet.l, rot, tcap, rcap, threshold)
-    phi = _phi_jet_poly(jet, rot.dim, tcap, rcap)
-    tp = _tpow_jet(rot.dim, exponent, jet.l, tcap, rcap)
-    f = G * phi * tp
-    c = f.coeff(S, R)
-    scale = math.factorial(S)
-    for ri in R:
-        scale *= math.factorial(ri)
-    return phase * scale * c
+    base = 2.0 * math.pi * jet.l
+    facts = [math.factorial(j) for j in range(S + max(R, default=0) + 1)]
+    f = np.array([jet.derivs[j] / facts[j] for j in range(S + 1)])
+    t_jet = [math.comb(K, j) * base ** (K - j) for j in range(min(K, S) + 1)]
+    f = np.convolve(f, t_jet)[: S + 1]
+    for i, (theta, r) in enumerate(zip(rot.theta, R)):
+        g0 = cmath.exp(1j * base * theta)
+        if abs(1.0 - g0) < threshold:
+            raise ResonanceError(
+                f"1 - e^(2 pi i l theta_{i+1}) = {1.0 - g0:.3e} at l={jet.l}: "
+                "the periodic denominator degenerates"
+            )
+        # d_t^j h^(r)(t theta) = theta^j h^(r+j)(t theta), h^(n) = n! [e^n] h, and
+        # h = (i/2) / sin(u/2): the (i/2)^dim is applied once at the end
+        b = _inv_sin_jet(base * theta, r + S)
+        h_jet = [facts[r + j] / facts[j] * b[r + j] * theta**j for j in range(S + 1)]
+        f = np.convolve(f, h_jet)[: S + 1]
+    return complex(f[S]) * facts[S] * _I_POWERS[rot.dim % 4] * 0.5**rot.dim
 
 
 def psi_kernel(K, R, S, jet: TestFunctionJet, rot: RotationData, threshold=1e-9):
     """Psi_l(K, R, S): the assembled derivative of t^{K-|R|} phi_hat G at 2 pi l.
 
     Linear in the jet.  Requires jet depth >= S (deeper derivatives of
-    phi_hat never enter the (S, R) coefficient because the other factors
-    are polynomial jets with nonnegative valuation in delta t).
+    phi_hat never enter the t^S coefficient because the other factors
+    are jets with nonnegative valuation in delta t).
     """
     R = tuple(R)
     phase = _I_POWERS[(K + S) % 4] * _I_POWERS[(-sum(R)) % 4]
-    return _jet_derivative(K - sum(R), R, S, phase, jet, rot, threshold)
+    return phase * _kernel_derivative(K, R, S, jet, rot, threshold)
 
 
 def g_function(r, s, jet: TestFunctionJet, rot: RotationData, threshold=1e-9):
@@ -323,7 +213,7 @@ def g_function(r, s, jet: TestFunctionJet, rot: RotationData, threshold=1e-9):
     r = tuple(r)
     phase = _I_POWERS[(-(sum(r) + s)) % 4]
     base = 2.0 * math.pi * jet.l
-    return _jet_derivative(1, r, s, phase, jet, rot, threshold) * base ** (-sum(r))
+    return phase * _kernel_derivative(1 + sum(r), r, s, jet, rot, threshold) * base ** (-sum(r))
 
 
 # -- forward expansion -------------------------------------------------------------

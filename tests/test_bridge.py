@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from orbitbnf.acceptance import _benchmark_hamiltonian
 from orbitbnf.bridge import (
     compare_normal_forms,
     diagonal_values_check,
@@ -170,6 +171,20 @@ def test_route_equivalence_on_cubic_benchmark():
         if 2 * (sum(r) + s_ + k) > 4 or k > 2:
             continue
         assert abs(related.coeff(r, s_, k) - h_semi.coeff(r, s_, k)) < 1e-12
+
+
+def test_route_equivalence_at_full_order_on_the_check_4_hamiltonian():
+    """Whole tables at weight 6 and hbar^3, with no weight or hbar window.
+
+    The operator sweep mapped through the functional calculus must give the
+    semiclassical sweep of the exact Weyl symbol, and the semiclassical
+    table has no odd hbar power.
+    """
+    H, rot = _benchmark_hamiltonian(8, 0.1, 1.0)
+    h_q, _, _ = birkhoff_quantum(H, rot, 6, 8)
+    h_s, _, _ = birkhoff_semiclassical(weyl_symbol_of_word(H, 3, 8), rot, 6, 3, 8)
+    assert relate_normal_forms(h_q, 3).difference(h_s) < 1e-10
+    assert [e for e, _c in h_s.items() if e[2] % 2] == []
 
 
 def test_diagonal_values_check_evaluates_the_ladder():

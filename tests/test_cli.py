@@ -149,6 +149,22 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
         assert main([command, "--config", z_cubed_only,
                      "--out", str(tmp_path / "o")]) == 2
         assert "not a real symbol" in capsys.readouterr().err
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    assert main(["bnf-classical", "--config", str(not_object),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert main(["bnf-classical", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--tolerance-overrides", str(not_object)]) == 2
+    assert "tolerance overrides" in capsys.readouterr().err
+    for command, block in (("bnf-classical", "orders"), ("bnf-quantum", "hamiltonian"),
+                           ("weyl-of-h", "normal_form"), ("trace-forward", "jets"),
+                           ("trace-invert", "trace"), ("oracle-spectrum", "oracle")):
+        listed = write_config(tmp_path, "listed.json", {
+            "theta": [SQRT2M1], "normal_form": {"dim": 1, "records": []}, block: [6],
+        })
+        assert main([command, "--config", listed, "--out", str(tmp_path / "o")]) == 2
+        assert f"config block '{block}' must be a JSON object" in capsys.readouterr().err
 
 
 def test_readme_example_config_runs_oracle_spectrum(tmp_path):
@@ -169,6 +185,22 @@ def test_exit_code_3_on_resonant_theta(tmp_path, capsys):
     assert main(["bnf-classical", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_exit_code_3_on_degenerate_periodic_denominator(tmp_path, capsys):
+    """theta = 1/3 makes 1 - e^(2 pi i l theta) vanish at l = 3."""
+    cfg = write_config(tmp_path, "cfg.json", {
+        "theta": [1.0 / 3.0],
+        "normal_form": {"dim": 1, "records": [
+            {"r": [0], "s": 0, "k": 0, "c": 0.7},
+            {"r": [1], "s": 0, "k": 0, "c": 1.0 / 3.0},
+            {"r": [0], "s": 1, "k": 0, "c": 1.0},
+            {"r": [2], "s": 0, "k": 0, "c": -0.2},
+        ]},
+        "jets": {"ls": [1, 2, 3], "width": 0.7, "depth": 8}, "orders": {"M": 3},
+    })
+    assert main(["trace-forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "periodic denominator" in capsys.readouterr().err
 
 
 def test_trace_forward_then_invert_round_trip(tmp_path):

@@ -10,6 +10,7 @@ from orbitbnf.errors import (
     IllConditionedError,
     InconsistentDataError,
     JetDepthError,
+    ResonanceError,
 )
 from orbitbnf.normalform import NormalForm
 from orbitbnf.series import nonresonance_margin
@@ -67,6 +68,12 @@ def test_psi_kernel_matches_contour_oracle_one_mode():
         got = psi_kernel(K, R, S, jet, rot)
         oracle = cauchy_psi(K, R, S, 1, 0.7, (SQRT2M1,), 0.5, 0.1)
         assert abs(got - oracle) < 1e-10 * (1.0 + abs(oracle))
+    # deep derivatives, at l = 1 and at l = 6 where t theta is far from 0
+    # (at l = 6 a theta radius of 0.1 would reach the pole t theta = 4 pi)
+    for K, R, S, l, rho_th in [(4, (3,), 6, 1, 0.1), (6, (2,), 6, 6, 0.04)]:
+        got = psi_kernel(K, R, S, GaussianBump(l, 0.7).jet(8), rot)
+        oracle = cauchy_psi(K, R, S, l, 0.7, (SQRT2M1,), 0.8, rho_th)
+        assert abs(got - oracle) < 3e-13 * (1.0 + abs(oracle))
 
 
 def test_psi_kernel_matches_contour_oracle_two_modes():
@@ -78,6 +85,15 @@ def test_psi_kernel_matches_contour_oracle_two_modes():
         assert abs(got - oracle) < 1e-10 * (1.0 + abs(oracle))
 
 
+def test_psi_kernel_matches_contour_oracle_three_modes():
+    theta = (SQRT2M1, SQRT3M1, math.sqrt(5.0) - 2.0)
+    rot = nonresonance_margin(theta, 8)
+    got = psi_kernel(2, (1, 0, 1), 1, GaussianBump(1, 0.7).jet(8), rot)
+    # N = 32: the oracle grid has N^4 complex points
+    oracle = cauchy_psi(2, (1, 0, 1), 1, 1, 0.7, theta, 0.5, 0.06, N=32)
+    assert abs(got - oracle) < 1e-15 * (1.0 + abs(oracle))
+
+
 def test_g_function_phase_relation_to_psi_kernel():
     """g^l_{r,s} and Psi_l(|r|+1, r, s) differ by i-phases and (2 pi l)^{-|r|}."""
     rot = nonresonance_margin((SQRT2M1,), 8)
@@ -87,6 +103,8 @@ def test_g_function_phase_relation_to_psi_kernel():
         psi = psi_kernel(sum(r) + 1, r, s, jet, rot)
         pred = (2.0 * math.pi) ** (-sum(r)) * (-1j) ** ((sum(r) + 2 * s + 1) % 4) * psi
         assert abs(g - pred) < 1e-14 * (1.0 + abs(g))
+        # built-in complex, not a numpy scalar that would print as np.float64(...)
+        assert type(g) is complex and type(psi) is complex
 
 
 def test_forward_leading_amplitude_closed_form():
@@ -222,6 +240,16 @@ def test_trace_expansion_csv_round_trip():
     assert set(back.entries) == set(tr.entries)
     for key, val in tr.entries.items():
         assert abs(back.entries[key] - val) < 1e-15 * (1.0 + abs(val))
+
+
+def test_periodic_denominator_resonance_guard():
+    """theta = 1/3: the kernel is finite at l = 1, 2 and degenerates at l = 3."""
+    nf = NormalForm(1, {((0,), 0, 0): 0.7, ((1,), 0, 0): 1.0 / 3.0,
+                        ((0,), 1, 0): 1.0, ((2,), 0, 0): -0.2})
+    tr = forward_trace_expansion(nf, [GaussianBump(l, 0.7).jet(8) for l in (1, 2)], 3)
+    assert all(math.isfinite(abs(v)) for v in tr.entries.values())
+    with pytest.raises(ResonanceError, match="periodic denominator"):
+        forward_trace_expansion(nf, [GaussianBump(l, 0.7).jet(8) for l in (1, 2, 3)], 3)
 
 
 def test_jet_depth_guard():
