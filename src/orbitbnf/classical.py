@@ -14,34 +14,18 @@ hbar^0 slice is the classical one.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 
-from .graded import (
-    birkhoff_sweep,
-    check_quadratic_part,
-    is_resonant_key,  # noqa: F401 -- re-exported
-    lie_series,
-    solve_homological,
-    theta_shift,
-)
+from .graded import birkhoff_sweep, lie_series, solve_homological, theta_shift
 from .normalform import NormalForm
 from .series import FTSeries, RotationData, moyal_bracket, poisson_bracket
 
 
-def bracket_operation(bracket):
-    """Resolve a bracket spec: "poisson" or ("moyal", hbar_order)."""
-    if bracket == "poisson":
+def _bracket(hbar_order):
+    """The Poisson bracket (hbar_order None) or the Moyal bracket through hbar^hbar_order."""
+    if hbar_order is None:
         return lambda a, b, cap=None: poisson_bracket(a, b, max_weight=cap)
-    if (
-        isinstance(bracket, (tuple, list))
-        and len(bracket) == 2
-        and bracket[0] == "moyal"
-    ):
-        order = int(bracket[1])
-        return lambda a, b, cap=None: moyal_bracket(a, b, order, max_weight=cap)
-    raise ValueError(f"unknown bracket spec {bracket!r}; use 'poisson' or ('moyal', order)")
+    return lambda a, b, cap=None: moyal_bracket(a, b, hbar_order, max_weight=cap)
 
 
 def h0_series(rot: RotationData, E=0.0, max_weight=math.inf) -> FTSeries:
@@ -60,14 +44,6 @@ def h0_series(rot: RotationData, E=0.0, max_weight=math.inf) -> FTSeries:
 def ad_eigenvalue(theta, key) -> complex:
     """Eigenvalue i(theta.(mu - nu) - m) of {H0, .} on the monomial of ``key``."""
     return 1j * (theta_shift(theta, key) - key[2])
-
-
-def validate_quadratic_part(H: FTSeries, rot: RotationData, tol=1e-12) -> float:
-    """Check that the weight <= 2 slice of H is exactly E + tau + theta.p.
-
-    Returns E.  Raises ValueError describing every offending key otherwise.
-    """
-    return check_quadratic_part(H, h0_series(rot), tol)
 
 
 def solve_homological_classical(G: FTSeries, rot: RotationData, margin_threshold=1e-9):
@@ -91,89 +67,42 @@ def solve_homological_classical(G: FTSeries, rot: RotationData, margin_threshold
 
 
 def homological_residual(
-    F: FTSeries, G: FTSeries, G1: NormalForm, rot: RotationData, bracket="poisson"
+    F: FTSeries, G: FTSeries, G1: NormalForm, rot: RotationData, hbar_order=None
 ) -> float:
-    """max |coefficient| of bracket(H0, F) - G - G1 (the solve contract)."""
-    apply = bracket_operation(bracket)
-    res = apply(h0_series(rot), F) - G - G1.as_series()
+    """max |coefficient| of {H0, F} - G - G1 (the solve contract).
+
+    The bracket is Poisson when ``hbar_order`` is None and Moyal through
+    hbar^hbar_order otherwise.
+    """
+    res = _bracket(hbar_order)(h0_series(rot), F) - G - G1.as_series()
     return res.max_abs_coeff()
 
 
-def lie_conjugate(H: FTSeries, F: FTSeries, bracket="poisson", max_weight=None) -> FTSeries:
-    """sum_k (1/k!) ad_F^k H with ad_F = bracket(F, .), truncated at max_weight.
+def lie_conjugate(H: FTSeries, F: FTSeries, hbar_order=None, max_weight=None) -> FTSeries:
+    """sum_k (1/k!) ad_F^k H with ad_F = {F, .}, truncated at max_weight.
 
-    Requires min stored weight of F >= 3 so that each application of ad_F
-    gains at least one weight unit and the series terminates exactly on the
-    truncation.
+    The bracket is Poisson when ``hbar_order`` is None and Moyal through
+    hbar^hbar_order otherwise.  Requires min stored weight of F >= 3 so that
+    each application of ad_F gains at least one weight unit and the series
+    terminates exactly on the truncation.
     """
-    return lie_series(H, F, bracket_operation(bracket), max_weight)
+    return lie_series(H, F, _bracket(hbar_order), max_weight)
 
 
-@dataclass(frozen=True)
-class GeneratorStep:
-    """One normal-form sweep: the generating series for its weight grading."""
-
-    grading: int
-    F: FTSeries
-
-
-@dataclass
-class GeneratorLog:
-    """Ordered record of the conjugations performed by a BNF run."""
-
-    bracket: object = "poisson"
-    steps: list = field(default_factory=list)
-
-    def replay(self, H: FTSeries, max_weight=None) -> FTSeries:
-        """Re-apply every logged conjugation to H."""
-        cur = H
-        for step in self.steps:
-            cur = lie_conjugate(cur, step.F, self.bracket, max_weight)
-        return cur
-
-    def to_json(self) -> str:
-        bracket = self.bracket if isinstance(self.bracket, str) else list(self.bracket)
-        return json.dumps(
-            {
-                "bracket": bracket,
-                "steps": [
-                    {"grading": s.grading, "dim": s.F.dim, "series": s.F.to_records()}
-                    for s in self.steps
-                ],
-            },
-            separators=(",", ":"),
-        )
-
-    @staticmethod
-    def from_json(text) -> "GeneratorLog":
-        blob = json.loads(text)
-        bracket = blob["bracket"]
-        if isinstance(bracket, list):
-            bracket = (bracket[0], bracket[1])
-        log = GeneratorLog(bracket=bracket)
-        for s in blob["steps"]:
-            log.steps.append(
-                GeneratorStep(s["grading"], FTSeries.from_records(s["dim"], s["series"]))
-            )
-        return log
-
-
-def _birkhoff_sweep(H, rot, order, bracket, work_weight, margin_threshold, route):
+def _birkhoff_sweep(H, rot, order, hbar_order, work_weight, margin_threshold, route):
     """The shared sweep with the classical solver, conjugation and table map."""
-    nf, steps, remainder = birkhoff_sweep(
+    return birkhoff_sweep(
         H,
         rot,
         order,
         work_weight,
         h0_series(rot),
         solve=lambda G: solve_homological_classical(G, rot, margin_threshold),
-        conjugate=lambda cur, F, cap: lie_conjugate(cur, F, bracket, cap),
+        conjugate=lambda cur, F, cap: lie_conjugate(cur, F, hbar_order, cap),
         to_normal_form=lambda resonant: NormalForm.from_resonant_series(
             resonant, route=route, imag_tol=1e-9
         ),
     )
-    log = GeneratorLog(bracket, [GeneratorStep(w, F) for w, F in steps])
-    return nf, log, remainder
 
 
 def birkhoff_classical(
@@ -185,15 +114,15 @@ def birkhoff_classical(
 ):
     """Classical Birkhoff normal form through the given weight.
 
-    Returns (NormalForm, GeneratorLog, remainder).  Resonant content
-    (including any higher tau-powers of the input) passes through to the
-    normal form; the remainder carries everything of weight > order kept by
-    the working truncation (max(order, work_weight)) plus sub-tolerance
-    conjugation residue.
+    Returns (NormalForm, generators, remainder).  The generators are the
+    series F in sweep order; F.min_grade() is the weight it normalized, and
+    ``lie_conjugate(., F, None, cap)`` over the list replays the sweep.
+    Resonant content (including any higher tau-powers of the input) passes
+    through to the normal form; the remainder carries everything of weight >
+    order kept by the working truncation (max(order, work_weight)) plus
+    sub-tolerance conjugation residue.
     """
-    return _birkhoff_sweep(
-        H, rot, order, "poisson", work_weight, margin_threshold, "classical"
-    )
+    return _birkhoff_sweep(H, rot, order, None, work_weight, margin_threshold, "classical")
 
 
 def birkhoff_semiclassical(
@@ -206,18 +135,21 @@ def birkhoff_semiclassical(
 ):
     """Semiclassical normal form: same sweep with the Moyal bracket.
 
-    The output table carries explicit hbar powers k <= hbar_order; its
-    hbar^0 slice coincides with birkhoff_classical's output.
+    Returns (NormalForm, generators, remainder) as :func:`birkhoff_classical`
+    does; the sweep conjugates H.hbar_truncated(hbar_order) with
+    ``lie_conjugate(., F, hbar_order, cap)``.  The output table carries
+    explicit hbar powers k <= hbar_order; its hbar^0 slice coincides with
+    birkhoff_classical's output.
     """
     if hbar_order < 0:
         raise ValueError("hbar_order must be >= 0")
-    nf, log, remainder = _birkhoff_sweep(
+    nf, generators, remainder = _birkhoff_sweep(
         H.hbar_truncated(hbar_order),
         rot,
         order,
-        ("moyal", hbar_order),
+        hbar_order,
         work_weight,
         margin_threshold,
         "semiclassical",
     )
-    return nf.hbar_truncated(hbar_order), log, remainder
+    return nf.hbar_truncated(hbar_order), generators, remainder

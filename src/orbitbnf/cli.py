@@ -148,7 +148,10 @@ def _rot(cfg, need, tol):
 
 
 def _check_terms(records, dim, what):
+    if not isinstance(records, list):
+        raise ValueError(f"{what}_terms must be a list of JSON objects")
     for rec in records:
+        _json_object(rec, f"{what} term {rec!r}")
         if len(rec.get("mu", ())) != dim or len(rec.get("nu", ())) != dim:
             raise ValueError(
                 f"{what} term {rec} has mu/nu of wrong length (dim = {dim})"
@@ -216,10 +219,12 @@ def _bnf_orders(cfg, tol):
     return weight, int(orders.get("work_weight", weight)), _rot(cfg, weight, tol)
 
 
-def _bnf_outputs(run, what, rot, nf, generators_json, count, remainder, **extra):
-    """Write the table and generators of a normal-form run; (summary, details)."""
+def _bnf_outputs(run, what, rot, nf, generators, remainder, **extra):
+    """Write the table and generator records of a normal-form run; (summary, details)."""
     run.write("normal_form.csv", nf.to_csv())
-    run.write("generators.json", generators_json)
+    records = [F.to_records() for F in generators]
+    run.write("generators.json", json.dumps(records, separators=(",", ":")) + "\n")
+    count = len(generators)
     size = remainder.max_abs_coeff()
     extra.update(margin=rot.margin, remainder_max_coeff=size, generator_count=count)
     summary = (
@@ -232,31 +237,28 @@ def _bnf_outputs(run, what, rot, nf, generators_json, count, remainder, **extra)
 def _cmd_bnf_classical(cfg, tol, run, base_dir):
     weight, work, rot = _bnf_orders(cfg, tol)
     H = _series_hamiltonian(cfg, rot, work)
-    nf, log, remainder = birkhoff_classical(H, rot, weight, work, tol["margin_threshold"])
+    nf, gens, remainder = birkhoff_classical(H, rot, weight, work, tol["margin_threshold"])
     what = f"classical normal form through weight {weight}"
-    return _bnf_outputs(run, what, rot, nf, log.to_json(), len(log.steps), remainder)
+    return _bnf_outputs(run, what, rot, nf, gens, remainder)
 
 
 def _cmd_bnf_semiclassical(cfg, tol, run, base_dir):
     weight, work, rot = _bnf_orders(cfg, tol)
     korder = int(_block(cfg, "orders").get("hbar", 2))
     H = _series_hamiltonian(cfg, rot, work)
-    nf, log, remainder = birkhoff_semiclassical(
+    nf, gens, remainder = birkhoff_semiclassical(
         H, rot, weight, korder, work, tol["margin_threshold"]
     )
     what = f"semiclassical normal form through weight {weight}, hbar^{korder}"
-    return _bnf_outputs(
-        run, what, rot, nf, log.to_json(), len(log.steps), remainder, hbar_order=korder
-    )
+    return _bnf_outputs(run, what, rot, nf, gens, remainder, hbar_order=korder)
 
 
 def _cmd_bnf_quantum(cfg, tol, run, base_dir):
     weight, work, rot = _bnf_orders(cfg, tol)
     H = _word_hamiltonian(cfg, rot, work)
     h, gens, remainder = birkhoff_quantum(H, rot, weight, work, tol["margin_threshold"])
-    records = json.dumps([F.to_records() for F in gens], separators=(",", ":")) + "\n"
     what = f"quantum normal form through grade {weight}"
-    return _bnf_outputs(run, what, rot, h, records, len(gens), remainder)
+    return _bnf_outputs(run, what, rot, h, gens, remainder)
 
 
 def _cmd_weyl_of_h(cfg, tol, run, base_dir):
@@ -275,6 +277,12 @@ def _cmd_trace_forward(cfg, tol, run, base_dir):
     M = int(_block(cfg, "orders").get("M", 4))
     nf = _normal_form_arg(cfg, base_dir)
     jets, bumps = _jets(cfg)
+    theta = _theta(cfg) if "theta" in cfg else nf.theta()
+    if len(theta) != nf.dim or any(abs(a - b) > 1e-9 for a, b in zip(theta, nf.theta())):
+        raise ValueError(
+            f"config theta {list(theta)} does not match the normal form's "
+            f"linear part {list(nf.theta())}"
+        )
     tr = forward_trace_expansion(
         nf, [jets[l] for l in sorted(jets)], M, tol["term_threshold"]
     )

@@ -392,9 +392,10 @@ def birkhoff_sweep(H, rot, order, work_grade, h0, solve, conjugate, to_normal_fo
     For g = 3..order the non-resonant grade-g terms of the current
     Hamiltonian are removed by one solve ``solve(G) -> (F, G1)`` and one
     conjugation ``conjugate(cur, F, work) -> cur``, with the working cap
-    ``work = max(order, work_grade)``.  Returns ``(nf, steps, remainder)``:
-    ``to_normal_form`` of the resonant terms of grade <= order, the
-    ``(g, F)`` pairs in sweep order, and the conjugated Hamiltonian minus
+    ``work = max(order, work_grade)``.  Returns ``(nf, generators,
+    remainder)``: ``to_normal_form`` of the resonant terms of grade <= order,
+    the generators F in sweep order (each on one grade slice, so
+    ``F.min_grade()`` is its grade g), and the conjugated Hamiltonian minus
     those resonant terms (grades > order plus sub-tolerance residue).
     """
     if order < 2:
@@ -403,13 +404,13 @@ def birkhoff_sweep(H, rot, order, work_grade, h0, solve, conjugate, to_normal_fo
     check_quadratic_part(H, h0)
     rot.require_order(order)
     cur = H.truncated(work)
-    steps = []
+    generators = []
     for g in range(3, order + 1):
         G = cur.filtered(lambda key: key_grade(key) == g and not is_resonant_key(key))
         if not G:
             continue
         F, _ = solve(G)
         cur = conjugate(cur, F, work)
-        steps.append((g, F))
+        generators.append(F)
     resonant = cur.filtered(lambda key: is_resonant_key(key) and key_grade(key) <= order)
-    return to_normal_form(resonant), steps, cur - resonant
+    return to_normal_form(resonant), generators, cur - resonant

@@ -108,7 +108,7 @@ def birkhoff_quantum(
     exactly H0 (the hbar constant must be the half-quantum sum(theta)/2).
     """
     require_symmetric(H, "Hamiltonian")
-    h, steps, remainder = birkhoff_sweep(
+    return birkhoff_sweep(
         H,
         rot,
         order,
@@ -118,4 +118,3 @@ def birkhoff_quantum(
         conjugate=exp_conjugate,
         to_normal_form=lambda diag: diagonal_to_normal_form(diag, route="quantum"),
     )
-    return h, [F for _g, F in steps], remainder

@@ -5,17 +5,18 @@ import random
 
 import pytest
 
+from orbitbnf.acceptance import _benchmark_hamiltonian
+from orbitbnf.bridge import weyl_symbol_of_word
 from orbitbnf.classical import (
     birkhoff_classical,
     birkhoff_semiclassical,
-    GeneratorLog,
     h0_series,
     homological_residual,
     lie_conjugate,
     solve_homological_classical,
-    validate_quadratic_part,
 )
 from orbitbnf.errors import ResonanceError
+from orbitbnf.graded import check_quadratic_part, is_resonant_key
 from orbitbnf.series import (
     FTSeries,
     nonresonance_margin,
@@ -51,10 +52,10 @@ def test_h0_series_structure():
 
 def test_validate_quadratic_part_accepts_h0_and_rejects_mismatch():
     rot = rot1()
-    assert validate_quadratic_part(h0_series(rot, 1.0), rot) == 1.0
+    assert check_quadratic_part(h0_series(rot, 1.0), h0_series(rot)) == 1.0
     wrong = h0_series(rot, 1.0) + FTSeries.monomial(1, (1,), (1,), coeff=0.1)
     with pytest.raises(ValueError):
-        validate_quadratic_part(wrong, rot, tol=1e-12)
+        check_quadratic_part(wrong, h0_series(rot), tol=1e-12)
 
 
 def test_homological_solve_contract_on_random_data():
@@ -108,11 +109,11 @@ def test_birkhoff_classical_golden_p2_coefficient():
 def test_birkhoff_classical_kills_nonresonant_content_through_order():
     rot = rot1()
     H = h0_series(rot, 0.0, 8) + cubic_symbol(8, 0.01)
-    nf, log, remainder = birkhoff_classical(H, rot, 6, 8)
-    replayed = log.replay(H, 8)
+    nf, gens, remainder = birkhoff_classical(H, rot, 6, 8)
+    replayed = H
+    for F in gens:
+        replayed = lie_conjugate(replayed, F, None, 8)
     # everything of weight <= 6 in the replayed series is resonant
-    from orbitbnf.classical import is_resonant_key
-
     for key in replayed.truncated(6).keys():
         if abs(replayed.coeff(key)) > 1e-12:
             assert is_resonant_key(key)
@@ -136,27 +137,24 @@ def test_tau_powers_pass_through_as_resonant_content():
     assert abs(nf.coeff((0,), 2, 0) - 0.3) < 1e-14
 
 
-def test_generator_log_replay_matches_conjugation():
-    rng = random.Random(21)
-    rot = rot1()
-    H = h0_series(rot, 0.0, 6) + cubic_symbol(6, 0.02)
-    nf, log, remainder = birkhoff_classical(H, rot, 4, 6)
-    replayed = log.replay(H, 6)
-    direct = H
-    for step in log.steps:
-        direct = lie_conjugate(direct, step.F, "poisson", 6)
-    assert (replayed - direct).max_abs_coeff() == 0.0
-
-
-def test_generator_log_json_roundtrip():
-    rot = rot1()
-    H = h0_series(rot, 0.0, 6) + cubic_symbol(6, 0.02)
-    _, log, _ = birkhoff_classical(H, rot, 4, 6)
-    back = GeneratorLog.from_json(log.to_json())
-    assert len(back.steps) == len(log.steps)
-    for s1, s2 in zip(log.steps, back.steps):
-        assert s1.grading == s2.grading
-        assert (s1.F - s2.F).max_abs_coeff() == 0.0
+@pytest.mark.parametrize("route", ["classical", "semiclassical"])
+def test_generators_replay_the_sweep(route):
+    """Conjugating H by the returned generators gives nf + remainder, and
+    each generator lies on the grade it normalized."""
+    H, rot = _benchmark_hamiltonian(8, 0.1, 1.0)
+    Hs = weyl_symbol_of_word(H, 2, 8)
+    if route == "classical":
+        hbar_order = None
+        nf, gens, remainder = birkhoff_classical(Hs, rot, 6, 8)
+    else:
+        hbar_order = 2
+        nf, gens, remainder = birkhoff_semiclassical(Hs, rot, 6, hbar_order, 8)
+        Hs = Hs.hbar_truncated(hbar_order)
+    replayed = Hs
+    for F in gens:
+        replayed = lie_conjugate(replayed, F, hbar_order, 8)
+    assert (replayed - nf.as_series() - remainder).max_abs_coeff() <= 1e-15
+    assert [F.min_grade() for F in gens] == [3, 4, 5, 6]
 
 
 def test_semiclassical_sweep_golden_hbar2_constant():

@@ -7,7 +7,11 @@ import os
 import pytest
 
 from orbitbnf import cli
+from orbitbnf.classical import birkhoff_classical, h0_series
 from orbitbnf.cli import main
+from orbitbnf.quantum import birkhoff_quantum, h0_word
+from orbitbnf.series import FTSeries, nonresonance_margin
+from orbitbnf.words import WordPoly
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 C3 = 2.0 ** (-1.5)
@@ -69,7 +73,36 @@ def test_bnf_classical_cubic_golden(tmp_path):
     assert abs(rows[((2,), 0, 0)] - expected) < 1e-9 * abs(expected)
     assert rows[((0,), 0, 0)] == 1.0
     gens = json.loads((out / "generators.json").read_text())
-    assert len(gens["steps"]) > 0
+    assert len(gens) > 0 and all(isinstance(records, list) for records in gens)
+
+
+def test_generators_json_rebuilds_the_generators(tmp_path):
+    """Both series and word runs write one to_records() list per generator."""
+    eps = 1e-2
+    word_terms = [
+        {"mu": [mu], "nu": [nu], "k": k, "re": eps * mult}
+        for mu, nu, k, mult in ((3, 0, 0, 1.0), (2, 1, 0, 3.0), (1, 2, 0, 3.0),
+                                (0, 3, 0, 1.0), (1, 0, 1, 3.0), (0, 1, 1, 3.0))
+    ]
+    cfg = write_config(tmp_path, "cfg.json", {
+        "theta": [SQRT2M1], "E": 1.0, "resonance_order": 8,
+        "orders": {"weight": 6, "work_weight": 8},
+        "hamiltonian": {"series_terms": cubic_series_terms(eps), "word_terms": word_terms},
+    })
+    rot = nonresonance_margin((SQRT2M1,), 8)
+    H_series = h0_series(rot, 1.0, 8) + FTSeries.from_records(1, cubic_series_terms(eps), 8)
+    H_word = h0_word(rot, 1.0, 8) + WordPoly.from_records(1, word_terms, 8)
+    for command, cls, gens in (
+        ("bnf-classical", FTSeries, birkhoff_classical(H_series, rot, 6, 8)[1]),
+        ("bnf-quantum", WordPoly, birkhoff_quantum(H_word, rot, 6, 8)[1]),
+    ):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        records = json.loads((out / "generators.json").read_text())
+        rebuilt = [cls.from_records(1, recs) for recs in records]
+        assert len(gens) == 4
+        assert rebuilt == gens
+        assert [F.min_grade() for F in rebuilt] == [3, 4, 5, 6]
 
 
 def test_bnf_semiclassical_cubic_matches_classical_at_hbar_zero(tmp_path):
@@ -149,6 +182,16 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
         assert main([command, "--config", z_cubed_only,
                      "--out", str(tmp_path / "o")]) == 2
         assert "not a real symbol" in capsys.readouterr().err
+    for command, field in (("bnf-quantum", "word_terms"), ("bnf-classical", "series_terms")):
+        for terms in ([[1, 2]], ["x"], {"a": 1}):
+            not_records = write_config(tmp_path, "terms.json", {
+                "theta": [SQRT2M1], "E": 1.0, "orders": {"weight": 4},
+                "hamiltonian": {field: terms},
+            })
+            assert main([command, "--config", not_records,
+                         "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert "must be a JSON object" in err or "must be a list" in err
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")
     assert main(["bnf-classical", "--config", str(not_object),
@@ -201,6 +244,25 @@ def test_exit_code_3_on_degenerate_periodic_denominator(tmp_path, capsys):
     })
     assert main(["trace-forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "periodic denominator" in capsys.readouterr().err
+
+
+def test_trace_forward_checks_the_config_theta(tmp_path, capsys):
+    """A config theta must match the normal form's linear part; it may be left out."""
+    nf = {"dim": 1, "records": [
+        {"r": [1], "s": 0, "k": 0, "c": SQRT2M1},
+        {"r": [0], "s": 1, "k": 0, "c": 1.0},
+        {"r": [2], "s": 0, "k": 0, "c": -0.2},
+    ]}
+    base = {"normal_form": nf, "jets": {"ls": [1, 2], "width": 0.7, "depth": 8},
+            "orders": {"M": 2}}
+    mismatch = write_config(tmp_path, "mismatch.json", {"theta": [0.3], **base})
+    assert main(["trace-forward", "--config", mismatch, "--out", str(tmp_path / "o")]) == 2
+    assert "does not match the normal form" in capsys.readouterr().err
+    for name, extra in (("match.json", {"theta": [SQRT2M1]}), ("none.json", {})):
+        cfg = write_config(tmp_path, name, {**extra, **base})
+        out = tmp_path / ("out_" + name)
+        assert main(["trace-forward", "--config", cfg, "--out", str(out)]) == 0
+        assert len((out / "trace.csv").read_text().splitlines()) == 1 + 2 * 2
 
 
 def test_trace_forward_then_invert_round_trip(tmp_path):

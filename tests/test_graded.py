@@ -7,11 +7,11 @@ import pytest
 
 from orbitbnf.bridge import weyl_symbol_of_word
 from orbitbnf.classical import ad_eigenvalue as series_eigenvalue
-from orbitbnf.classical import bracket_operation, h0_series
+from orbitbnf.classical import h0_series
 from orbitbnf.graded import key_grade
 from orbitbnf.quantum import ad_eigenvalue as word_eigenvalue
 from orbitbnf.quantum import h0_word
-from orbitbnf.series import FTSeries, RotationData
+from orbitbnf.series import FTSeries, RotationData, moyal_bracket, poisson_bracket
 from orbitbnf.words import WordPoly, commutator_over_ihbar
 
 THETAS = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0, math.sqrt(5.0) - 2.0)
@@ -35,7 +35,7 @@ def test_closed_form_eigenvalues_match_the_brackets(dim):
     word commutator."""
     rot = RotationData(THETAS[:dim], resonance_order=8, margin=0.0)
     h0s, h0w = h0_series(rot), h0_word(rot)
-    brackets = [bracket_operation("poisson"), bracket_operation(("moyal", 2))]
+    brackets = [poisson_bracket, lambda a, b: moyal_bracket(a, b, 2)]
     worst = 0.0
     for mu, nu, m in _shift_classes(dim):
         key = (mu, nu, m, 0, 0)
