@@ -34,13 +34,9 @@ from .normalform import NormalForm
 from .oracle import (
     BasisWindow,
     assemble_matrix,
-    coherent_state_checks,
-    model_trace,
     numeric_trace,
     quasi_eigenvalues,
-    render_check_report,
     smooth_plateau,
-    wick_symbol_numeric,
 )
 from .quantum import (
     birkhoff_quantum,
@@ -73,7 +69,6 @@ from .words import (
     BasisState,
     commutator_over_ihbar,
     diagonal_to_normal_form,
-    matrix_element,
     normal_form_to_word,
     normal_order_product,
     wlg_grade,
@@ -105,7 +100,6 @@ __all__ = [
     "birkhoff_classical",
     "birkhoff_quantum",
     "birkhoff_semiclassical",
-    "coherent_state_checks",
     "commutator_over_ihbar",
     "diagonal_to_normal_form",
     "exp_conjugate",
@@ -116,8 +110,6 @@ __all__ = [
     "homological_residual",
     "invert_trace_expansion",
     "lie_conjugate",
-    "matrix_element",
-    "model_trace",
     "moyal_bracket",
     "moyal_product",
     "nonresonance_margin",
@@ -128,7 +120,6 @@ __all__ = [
     "psi_kernel",
     "quantum_homological_residual",
     "quasi_eigenvalues",
-    "render_check_report",
     "relate_normal_forms",
     "smooth_plateau",
     "solve_homological_classical",
@@ -138,6 +129,5 @@ __all__ = [
     "weyl_of_functional_calculus",
     "weyl_symbol_of_word",
     "wick_from_weyl",
-    "wick_symbol_numeric",
     "wlg_grade",
 ]

@@ -9,10 +9,18 @@ records and JSON.  :class:`~orbitbnf.series.FTSeries` (commutative symbols,
 cap ``max_weight``) and :class:`~orbitbnf.words.WordPoly` (normal-ordered
 words, cap ``max_grade``) add their products and named constructors.
 
-Both noncommutative products draw their integer structure constants from one
-cached table, :func:`_contractions`: the word product contracts ``a^nu``
-against ``(a^+)^mu`` with ``l! C(mu, l) C(nu, l)``, and the Moyal sum's
-transverse factor ``perm(n, x) perm(m, x) / x!`` is the same integer
+The product kernels (word product, Moyal sum, Poisson bracket, pointwise
+product) work on packed keys: for the duration of one call each key is a
+single int with fixed-width fields (:func:`_packed_operands`), so the key
+of a generated term is one integer add of the operand keys and an offset.
+The width is chosen per call from the operands' grade and ``|m|`` bounds, so
+no field overflows, and the kernels unpack once, on return, in the order the
+terms were first generated; storage, ``items()``, records and every map
+stay tuple-keyed.  Both noncommutative products draw their integer structure
+constants and their packed key offsets from one cached table,
+:func:`_contractions`: the word product contracts ``a^nu`` against
+``(a^+)^mu`` with ``l! C(mu, l) C(nu, l)``, and the Moyal sum's transverse
+factor ``perm(n, x) perm(m, x) / x!`` is the same integer
 ``x! C(n, x) C(m, x)``.
 
 The second half is the normal-form engine.  A route supplies its bracket,
@@ -61,30 +69,110 @@ def _sub_idx(a, b):
     return tuple(map(operator.sub, a, b))
 
 
-_SHARED_IDX = {}
+# -- packed keys of the product kernels ------------------------------------------
+#
+# Inside a kernel a key (mu, nu, m, j, k) is one int with fixed-width fields,
+# lowest first: mu_0..mu_{n-1}, nu_0..nu_{n-1}, m + bias, j, k.  Packing is
+# linear, so the key of a product term is the sum of the packed operand keys
+# and packed offsets, and no tuple is built per generated term.  The left
+# operand's keys carry the bias of m, the right operand's do not, so a sum
+# carries it once.
+
+_MIN_WIDTH = 8
+
+
+def _pack(key, width, bias):
+    """The packed int of a key; ``bias`` is added to its Fourier mode m."""
+    mu, nu, m, j, k = key
+    p = 0
+    for v in (k, j, m + bias, *reversed(nu), *reversed(mu)):
+        p = (p << width) + v
+    return p
+
+
+def _packed_operands(a, b, cap, drop=0):
+    """``(width, a-terms, partners)`` of one product kernel call.
+
+    A term list holds ``(key, c, grade, packed key)`` per stored term, in
+    storage order; the a-terms carry the bias of m.  ``partners[g]`` lists,
+    in storage order, the b-terms that can meet an a-term of grade g under
+    the cap, for a product that lowers the grade sum of a term pair by
+    ``drop`` (2 for a bracket).  A kernel loops over these lists instead of
+    testing every term pair against the cap: in the Lie series most pairs
+    lie above it.
+
+    Every product in the package keeps the total grade additive up to that
+    drop, so an output field (mu_i, nu_i, j, k) never exceeds
+    ``min(cap, ga + gb)``, with ``ga`` and ``gb`` the operands' largest
+    grades, and an output ``|m|`` never exceeds the sum of their largest
+    ``|m|``.  The field width in bits covers both, with one more bit for the
+    sign of m, so no field can overflow, also under an infinite cap.  The
+    floor :data:`_MIN_WIDTH` keeps one width, and so one contraction table
+    per exponent pair, for all ordinary grades.
+    """
+    a_terms = [(key, c, key_grade(key)) for key, c in a._terms.items()]
+    b_terms = [(key, c, key_grade(key)) for key, c in b._terms.items()]
+    width = _MIN_WIDTH
+    if a_terms and b_terms:
+        bound = max(t[2] for t in a_terms) + max(t[2] for t in b_terms)
+        if cap != INFINITE:
+            bound = max(0, min(int(cap), bound))
+        ms = max(abs(key[2]) for key in a._terms) + max(abs(key[2]) for key in b._terms)
+        width = max(width, bound.bit_length(), ms.bit_length() + 1)
+    bias = 1 << (width - 1)
+    b_terms = [(key, c, g, _pack(key, width, 0)) for key, c, g in b_terms]
+    partners = {
+        g: [t for t in b_terms if t[2] <= cap + drop - g] for g in {t[2] for t in a_terms}
+    }
+    return width, [(key, c, g, _pack(key, width, bias)) for key, c, g in a_terms], partners
+
+
+def _field_units(dim, width):
+    """The packed units of the fields: (mu units, nu units, m, j, k)."""
+    units = [1 << (f * width) for f in range(2 * dim + 3)]
+    return units[:dim], units[dim : 2 * dim], units[2 * dim], units[2 * dim + 1], units[2 * dim + 2]
+
+
+def _unpacked(out, dim, width):
+    """Tuple-keyed copy of a packed-key dict, in its insertion order.
+
+    The keys are sums with the bias of m counted once (see :func:`_pack`).
+    """
+    mask = (1 << width) - 1
+    bias = 1 << (width - 1)
+    n = 2 * dim
+    shifts = range(0, (n + 3) * width, width)
+    terms = {}
+    for p, c in out.items():
+        f = [(p >> s) & mask for s in shifts]
+        terms[(tuple(f[:dim]), tuple(f[dim:n]), f[n] - bias, f[n + 1], f[n + 2])] = c
+    return terms
 
 
 @functools.lru_cache(maxsize=None)
-def _contractions(nu1, mu2):
+def _contractions(nu1, mu2, width):
     """Contraction table of a^{nu1} against (a^+)^{mu2}, shared by both products.
 
-    One entry ``(|l|, f_l, mu2 - l, nu1 - l)`` per ``0 <= l <= min(nu1, mu2)``
-    in ``itertools.product`` order, with the integer
-    ``f_l = prod_i l_i! C(mu2_i, l_i) C(nu1_i, l_i)``.  The word product reads
-    it for the pair (nu1, mu2) of its operands.  The Moyal sum reads it twice,
-    for (nu1, mu2) and (mu1, nu2), because its transverse factor
-    ``perm(n, x) perm(m, x) / x!`` equals ``x! C(n, x) C(m, x)``.  Keyed on
-    exponents only, which the grade cap bounds; the residual multi-indices are
-    shared between entries.
+    One entry ``(|l|, f_l, delta_l)`` per ``0 <= l <= min(nu1, mu2)`` in
+    ``itertools.product`` order, with the integer
+    ``f_l = prod_i l_i! C(mu2_i, l_i) C(nu1_i, l_i)`` and the packed key offset
+    ``delta_l`` (fields of ``width`` bits) that lowers every mu_i and nu_i by
+    l_i and raises k by |l|.  The word product reads it for the pair
+    (nu1, mu2) of its operands.  The Moyal sum reads it twice, for (nu1, mu2)
+    and (mu1, nu2), because its transverse factor ``perm(n, x) perm(m, x) /
+    x!`` equals ``x! C(n, x) C(m, x)``, and both of its contractions lower mu
+    and nu alike.  Keyed on exponents and width only, which the grade cap
+    bounds.
     """
-    share = _SHARED_IDX.setdefault
+    mu_units, nu_units, _m, _j, k_unit = _field_units(len(nu1), width)
     table = []
     for l in itertools.product(*(range(min(a, b) + 1) for a, b in zip(nu1, mu2))):
-        f_l = 1
-        for li, a, b in zip(l, nu1, mu2):
+        s = sum(l)
+        f_l, delta = 1, s * k_unit
+        for li, a, b, mu_unit, nu_unit in zip(l, nu1, mu2, mu_units, nu_units):
             f_l *= math.factorial(li) * math.comb(b, li) * math.comb(a, li)
-        mu_rest, nu_rest = _sub_idx(mu2, l), _sub_idx(nu1, l)
-        table.append((sum(l), f_l, share(mu_rest, mu_rest), share(nu_rest, nu_rest)))
+            delta -= li * (mu_unit + nu_unit)
+        table.append((s, f_l, delta))
     return tuple(table)
 
 

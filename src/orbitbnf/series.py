@@ -44,7 +44,15 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 
 from .errors import ResonanceError
-from .graded import INFINITE, GradedPoly, _add_idx, _check_dims, _contractions
+from .graded import (
+    INFINITE,
+    GradedPoly,
+    _check_dims,
+    _contractions,
+    _field_units,
+    _packed_operands,
+    _unpacked,
+)
 from .graded import key_grade as key_weight
 
 #: Sign of the (t, tau) block of the bracket; see module docstring.
@@ -61,10 +69,6 @@ def key_conjugate(key):
     """Key of the complex-conjugate monomial."""
     mu, nu, m, j, k = key
     return (nu, mu, -m, j, k)
-
-
-def _sub_unit(a, i):
-    return a[:i] + (a[i] - 1,) + a[i + 1 :]
 
 
 class FTSeries(GradedPoly):
@@ -163,63 +167,53 @@ def vanishing_order(a: FTSeries):
 def pointwise_product(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
     """Commutative product, truncated at min(max_weight bounds)."""
     _check_dims(a, b)
-    if max_weight is not None:
-        cap = max_weight
-    else:
-        cap = min(a.max_weight, b.max_weight)
-    b_terms = [(key, c, key_weight(key)) for key, c in b._terms.items()]
+    cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
+    width, a_terms, partners = _packed_operands(a, b, cap)
     out = {}
-    for (mu1, nu1, m1, j1, k1), c1 in a._terms.items():
-        w1 = sum(mu1) + sum(nu1) + 2 * j1 + 2 * k1
-        for (mu2, nu2, m2, j2, k2), c2, w2 in b_terms:
-            if w1 + w2 > cap:
-                continue
-            key = (_add_idx(mu1, mu2), _add_idx(nu1, nu2), m1 + m2, j1 + j2, k1 + k2)
+    get = out.get
+    for _t1, c1, w1, p1 in a_terms:
+        for _t2, c2, _w2, p2 in partners[w1]:
+            key = p1 + p2
             c = c1 * c2
-            out[key] = out[key] + c if key in out else c
-    return FTSeries._trusted(a.dim, out, cap)
+            prev = get(key)
+            out[key] = c if prev is None else prev + c
+    return FTSeries._trusted(a.dim, _unpacked(out, a.dim, width), cap)
 
 
 def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
     """Extended Poisson bracket {a, b}; sign convention in module docstring.
 
     Every term of the bracket of weight-homogeneous series of weights
-    (w1, w2) has weight w1 + w2 - 2.
+    (w1, w2) has weight w1 + w2 - 2.  Keys are packed as in
+    :func:`_moyal_sum`.
     """
     _check_dims(a, b)
-    if max_weight is not None:
-        cap = max_weight
-    else:
-        cap = min(a.max_weight, b.max_weight)
-    dim = a.dim
-    b_terms = [(key, c, key_weight(key)) for key, c in b._terms.items()]
+    cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
+    width, a_terms, partners = _packed_operands(a, b, cap, 2)
+    mu_units, nu_units, _m, j_unit, _k = _field_units(a.dim, width)
+    drops = [mu_u + nu_u for mu_u, nu_u in zip(mu_units, nu_units)]
     out = {}
-    for (mu1, nu1, m1, j1, k1), c1 in a._terms.items():
-        w1 = sum(mu1) + sum(nu1) + 2 * j1 + 2 * k1
-        for (mu2, nu2, m2, j2, k2), c2, w2 in b_terms:
-            if w1 + w2 - 2 > cap:
-                continue
+    get = out.get
+    for (mu1, nu1, m1, j1, _k1), c1, w1, p1 in a_terms:
+        for (mu2, nu2, m2, j2, _k2), c2, _w2, p2 in partners[w1]:
             base = c1 * c2
+            p = p1 + p2
             # transverse block: 2i (dA/dzbar dB/dz - dA/dz dB/dzbar) per mode
-            for i in range(dim):
-                f = nu1[i] * mu2[i] - mu1[i] * nu2[i]
+            for x1, y1, x2, y2, drop in zip(nu1, mu1, mu2, nu2, drops):
+                f = x1 * x2 - y1 * y2
                 if f:
-                    key = (
-                        _sub_unit(_add_idx(mu1, mu2), i),
-                        _sub_unit(_add_idx(nu1, nu2), i),
-                        m1 + m2,
-                        j1 + j2,
-                        k1 + k2,
-                    )
+                    key = p - drop
                     c = 1j * (base * (2 * f))
-                    out[key] = out[key] + c if key in out else c
+                    prev = get(key)
+                    out[key] = c if prev is None else prev + c
             # (t, tau) block: dA/dt dB/dtau - dA/dtau dB/dt
             f = m1 * j2 - j1 * m2
             if f:
-                key = (_add_idx(mu1, mu2), _add_idx(nu1, nu2), m1 + m2, j1 + j2 - 1, k1 + k2)
+                key = p - j_unit
                 c = 1j * (base * f)
-                out[key] = out[key] + c if key in out else c
-    return FTSeries._trusted(dim, out, cap)
+                prev = get(key)
+                out[key] = c if prev is None else prev + c
+    return FTSeries._trusted(a.dim, _unpacked(out, a.dim, width), cap)
 
 
 def moyal_product(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) -> FTSeries:
@@ -246,7 +240,7 @@ def moyal_bracket(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) ->
 
 def _t_block(m1, j1, m2, j2):
     """(u, v, numerator, denominator) of the Moyal (t, tau) block, u outer."""
-    if not (m1 or m2):
+    if not (m1 and j2 or m2 and j1):  # only u = v = 0
         return ((0, 0, 1, 1),)
     return [
         (
@@ -275,33 +269,40 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric):
     :func:`~orbitbnf.graded._contractions` for (nu1, mu2) and (mu1, nu2); only
     the (t, tau) block keeps the denominator 2^(u+v) u! v!.  The factor is
     applied as the correctly rounded float num / den.
+
+    Keys are packed into ints for the duration of the call (see
+    :func:`~orbitbnf.graded._pack`).  Both contractions lower mu and nu alike
+    and raise the hbar power by their order, so one packed offset per table
+    entry serves X and Y, and a generated key is the sum of the operand keys,
+    the X and Y offsets and the (t, tau) offset.  The terms are unpacked once,
+    on return, in the order they were first generated.
     """
     _check_dims(a, b)
     if hbar_order < 0:
         raise ValueError("hbar_order must be >= 0")
-    if max_weight is not None:
-        cap = max_weight
-    else:
-        cap = min(a.max_weight, b.max_weight)
+    cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
     shift = 1 if antisymmetric else 0  # the division by i hbar lowers k by one
-    b_terms = [(key, c, key_weight(key)) for key, c in b._terms.items()]
+    width, a_terms, partners = _packed_operands(a, b, cap, 2 * shift)
+    _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim, width)
+    t_shift = k_unit - j_unit  # each (t, tau) derivative: one j less, one hbar more
     out = {}
-    for t1, c1 in a._terms.items():
-        (mu1, nu1, m1, j1, k1) = t1
-        w1 = key_weight(t1)
-        for (mu2, nu2, m2, j2, k2), c2, w2 in b_terms:
-            if w1 + w2 - 2 * shift > cap:
-                continue
+    get = out.get
+    for (mu1, nu1, m1, j1, k1), c1, w1, p1 in a_terms:
+        for (mu2, nu2, m2, j2, k2), c2, _w2, p2 in partners[w1]:
             base = c1 * c2
             k0 = k1 + k2 - shift
+            p0 = p1 + p2 - shift * k_unit
             tt = _t_block(m1, j1, m2, j2)
-            y_table = _contractions(mu1, nu2)
-            for sx, fx, mu2_x, nu1_x in _contractions(nu1, mu2):
-                for sy, fy, nu2_y, mu1_y in y_table:
-                    if k0 + sx + sy > hbar_order:
+            y_table = _contractions(mu1, nu2, width)
+            for sx, fx, dx in _contractions(nu1, mu2, width):
+                room = hbar_order - k0 - sx  # hbar powers left for Y, U and V
+                if room < 0:
+                    continue
+                px = p0 + dx
+                for sy, fy, dy in y_table:
+                    if sy > room:
                         continue
-                    mu = _add_idx(mu1_y, mu2_x)
-                    nu = _add_idx(nu1_x, nu2_y)
+                    p = px + dy
                     for u, v, t_num, den in tt:
                         q = sx + sy + u + v
                         if antisymmetric and q % 2 == 0:
@@ -313,10 +314,11 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric):
                         sign = -1 if (sx + u) % 2 else 1
                         num = (1 + shift) * sign * fx * fy * t_num
                         c = base * (num / den)
-                        key = (mu, nu, m1 + m2, j1 + j2 - u - v, k0 + q)
+                        key = p + (u + v) * t_shift
                         c = -1j * c if antisymmetric else c
-                        out[key] = out[key] + c if key in out else c
-    return FTSeries._trusted(a.dim, out, cap)
+                        prev = get(key)
+                        out[key] = c if prev is None else prev + c
+    return FTSeries._trusted(a.dim, _unpacked(out, a.dim, width), cap)
 
 
 # -- rotation data -------------------------------------------------------------

@@ -29,7 +29,10 @@ from .graded import (
     _add_idx,
     _check_dims,
     _contractions,
+    _field_units,
+    _packed_operands,
     _sub_idx,
+    _unpacked,
     is_resonant_key,
     key_grade,
     max_coeff_difference,
@@ -107,11 +110,18 @@ def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
     """Product A*B re-expressed in canonical order; exact on the truncation.
 
     Uses [a_i, a_j^+] = hbar delta_ij (per-mode contraction identity
-    a^nu (a^+)^mu = sum_l l! C(mu,l) C(nu,l) hbar^|l| (a^+)^{mu-l} a^{nu-l},
-    read from the cached table :func:`~orbitbnf.graded._contractions` that
-    the Moyal sum shares) and D_t^j e^{imt} = e^{imt} (D_t + m hbar)^j.  The
-    grade of every generated term equals grade(A-term) + grade(B-term), so
-    the truncation check is a single comparison per term pair.
+    a^nu (a^+)^mu = sum_l l! C(mu,l) C(nu,l) hbar^|l| (a^+)^{mu-l} a^{nu-l})
+    and D_t^j e^{imt} = e^{imt} (D_t + m hbar)^j.  The grade of every
+    generated term equals grade(A-term) + grade(B-term), so the truncation
+    is decided per term pair: each A-term meets only the B-terms that fit
+    under the cap with it.
+
+    Keys are packed into ints for the duration of the call (see
+    :func:`~orbitbnf.graded._pack`): a generated key is the sum of the two
+    operand keys, the ``(D_t + m hbar)^j`` offset and the contraction offset
+    read from the one cached table :func:`~orbitbnf.graded._contractions`
+    that the Moyal sum shares.  The terms are unpacked once, on return, in
+    the order they were first generated.
 
     An explicit max_grade overrides the operands' caps (the caller asserts
     the operands are complete far enough for that to be meaningful); by
@@ -122,31 +132,33 @@ def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
         cap = max_grade
     else:
         cap = min(a.max_grade, b.max_grade)
-    b_terms = [(key, c, key_grade(key)) for key, c in b._terms.items()]
+    width, a_terms, partners = _packed_operands(a, b, cap)
+    _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim, width)
+    dt_shift = k_unit - j_unit  # D_t -> m hbar: one j less, one k more
     out = {}
-    for (mu1, nu1, m1, j1, k1), c1 in a._terms.items():
-        g1 = sum(mu1) + sum(nu1) + 2 * j1 + 2 * k1
-        for (mu2, nu2, m2, j2, k2), c2, g2 in b_terms:
-            if g1 + g2 > cap:
-                continue
+    get = out.get
+    for (_mu1, nu1, _m1, j1, _k1), c1, g1, p1 in a_terms:
+        for (mu2, _nu2, m2, _j2, _k2), c2, _g2, p2 in partners[g1]:
             base = c1 * c2
-            table = _contractions(nu1, mu2)
+            table = _contractions(nu1, mu2, width)
+            p = p1 + p2
+            if not (j1 and m2):  # D_t^{j1} passes e^{i m2 t} unchanged: f_d = 1
+                for _s, f_l, delta in table:
+                    key = p + delta
+                    c = base * f_l
+                    prev = get(key)
+                    out[key] = c if prev is None else prev + c
+                continue
             # move D_t^{j1} through e^{i m2 t}: (D_t + m2 hbar)^{j1}
             for d in range(j1, -1, -1):
-                if m2 == 0 and d != j1:
-                    break
                 f_d = math.comb(j1, d) * (m2 ** (j1 - d))
-                for s, f_l, mu2_l, nu1_l in table:
-                    key = (
-                        _add_idx(mu1, mu2_l),
-                        _add_idx(nu1_l, nu2),
-                        m1 + m2,
-                        d + j2,
-                        k1 + k2 + (j1 - d) + s,
-                    )
+                p_d = p + (j1 - d) * dt_shift
+                for _s, f_l, delta in table:
+                    key = p_d + delta
                     c = base * (f_d * f_l)
-                    out[key] = out[key] + c if key in out else c
-    return WordPoly._trusted(a.dim, out, cap)
+                    prev = get(key)
+                    out[key] = c if prev is None else prev + c
+    return WordPoly._trusted(a.dim, _unpacked(out, a.dim, width), cap)
 
 
 def adjoint(a: WordPoly) -> WordPoly:
@@ -240,11 +252,6 @@ def apply_to_basis(a: WordPoly, s: BasisState, hbar: float) -> dict:
         if not out[target]:
             del out[target]
     return out
-
-
-def matrix_element(a: WordPoly, bra: BasisState, ket: BasisState, hbar: float) -> complex:
-    """<bra| A |ket> on the Hermite (x) Fourier basis."""
-    return apply_to_basis(a, ket, hbar).get(bra, 0j)
 
 
 def diagonal_to_normal_form(a: WordPoly, route=None, imag_tol=1e-9) -> NormalForm:

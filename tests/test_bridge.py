@@ -188,11 +188,11 @@ def test_route_equivalence_at_full_order_on_the_check_4_hamiltonian():
 
 
 def _coupled_cubic(dim, cos_t=False):
-    """h0 + 0.05 (sum_i c_i (a_i + a_i^+))^3, c = (1.0, 0.7); with ``cos_t``
+    """h0 + 0.05 (sum_i c_i (a_i + a_i^+))^3, c = (1.0, 0.7, 0.5); with ``cos_t``
     the cube is added once more times cos t = (e^{it} + e^{-it}) / 2."""
-    rot = nonresonance_margin((SQRT2M1, math.sqrt(3.0) - 1.0)[:dim], 8)
+    rot = nonresonance_margin((SQRT2M1, math.sqrt(3.0) - 1.0, math.sqrt(5.0) - 2.0)[:dim], 8)
     x = WordPoly.zero(dim, 8)
-    for i, c in enumerate((1.0, 0.7)[:dim]):
+    for i, c in enumerate((1.0, 0.7, 0.5)[:dim]):
         x = x + (WordPoly.annihilation(dim, i, 8) + WordPoly.creation(dim, i, 8)).scaled(c)
     cube = normal_order_product(normal_order_product(x, x, 8), x, 8).scaled(0.05)
     H = h0_word(rot, 1.0, 8) + cube
@@ -202,14 +202,21 @@ def _coupled_cubic(dim, cos_t=False):
     return H, rot
 
 
-@pytest.mark.parametrize("dim, cos_t", [(1, True), (2, False)], ids=["dim1-cos_t", "dim2"])
-def test_route_equivalence_at_full_order_on_coupled_cubics(dim, cos_t):
-    """Whole tables at weight 8 and hbar^4: the operator sweep mapped through
-    the functional calculus gives the semiclassical sweep of the Weyl symbol."""
+@pytest.mark.parametrize(
+    "dim, cos_t, order",
+    [(1, True, 8), (2, False, 8), (3, False, 6)],
+    ids=["dim1-cos_t", "dim2", "dim3"],
+)
+def test_route_equivalence_at_full_order_on_coupled_cubics(dim, cos_t, order):
+    """Whole tables at weight ``order`` and hbar^{order/2}: the operator sweep
+    mapped through the functional calculus gives the semiclassical sweep of
+    the Weyl symbol."""
     H, rot = _coupled_cubic(dim, cos_t)
-    h_q, _, _ = birkhoff_quantum(H, rot, 8, 8)
-    h_s, _, _ = birkhoff_semiclassical(weyl_symbol_of_word(H, 4, 8), rot, 8, 4, 8)
-    assert relate_normal_forms(h_q, 4).difference(h_s) < 1e-10
+    hbar_order = order // 2
+    h_q, _, _ = birkhoff_quantum(H, rot, order, order)
+    symbol = weyl_symbol_of_word(H, hbar_order, order)
+    h_s, _, _ = birkhoff_semiclassical(symbol, rot, order, hbar_order, order)
+    assert relate_normal_forms(h_q, hbar_order).difference(h_s) < 1e-10
 
 
 def test_diagonal_values_check_evaluates_the_ladder():

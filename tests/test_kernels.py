@@ -1,10 +1,12 @@
 """The product kernels against their straight-loop reference versions.
 
 ``normal_order_product`` and the Moyal sum read their structure constants
-from the shared contraction table ``graded._contractions``.  The reference
-functions below recompute every factor per term pair, in the same loop order
-and with the same arithmetic, so the library must agree with them exactly
-(``==`` of the stored terms, no tolerance).
+from the shared contraction table ``graded._contractions``, and every kernel
+(those two, ``poisson_bracket`` and ``pointwise_product``) builds its keys as
+packed ints.  The reference functions below build tuple keys and recompute
+every factor per term pair, in the same loop order and with the same
+arithmetic, so the library must agree with them exactly (``==`` of the
+stored terms, no tolerance) and store the terms in the same order.
 """
 
 import math
@@ -14,7 +16,14 @@ from itertools import product as iproduct
 
 import pytest
 
-from orbitbnf.series import FTSeries, moyal_bracket, moyal_product
+from orbitbnf import graded
+from orbitbnf.series import (
+    FTSeries,
+    moyal_bracket,
+    moyal_product,
+    pointwise_product,
+    poisson_bracket,
+)
 from orbitbnf.words import WordPoly, normal_order_product
 
 INF = math.inf
@@ -116,6 +125,53 @@ def _ref_moyal_sum(a, b, hbar_order, cap, antisymmetric):
     return {key: c for key, c in out.items() if c and _grade(key) <= cap}
 
 
+def _unit(dim, i):
+    return tuple(1 if a == i else 0 for a in range(dim))
+
+
+def _ref_poisson_bracket(a, b, cap):
+    """{a, b} with every derivative factor taken per term pair."""
+    out = {}
+    for t1, c1 in a._terms.items():
+        mu1, nu1, m1, j1, k1 = t1
+        for t2, c2 in b._terms.items():
+            mu2, nu2, m2, j2, k2 = t2
+            if _grade(t1) + _grade(t2) - 2 > cap:
+                continue
+            base = c1 * c2
+            for i in range(a.dim):
+                f = nu1[i] * mu2[i] - mu1[i] * nu2[i]
+                if f:
+                    e = _unit(a.dim, i)
+                    key = (
+                        _sub(_add(mu1, mu2), e),
+                        _sub(_add(nu1, nu2), e),
+                        m1 + m2,
+                        j1 + j2,
+                        k1 + k2,
+                    )
+                    c = 1j * (base * (2 * f))
+                    out[key] = out[key] + c if key in out else c
+            f = m1 * j2 - j1 * m2
+            if f:
+                key = (_add(mu1, mu2), _add(nu1, nu2), m1 + m2, j1 + j2 - 1, k1 + k2)
+                c = 1j * (base * f)
+                out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c and _grade(key) <= cap}
+
+
+def _ref_pointwise_product(a, b, cap):
+    out = {}
+    for (mu1, nu1, m1, j1, k1), c1 in a._terms.items():
+        for (mu2, nu2, m2, j2, k2), c2 in b._terms.items():
+            key = (_add(mu1, mu2), _add(nu1, nu2), m1 + m2, j1 + j2, k1 + k2)
+            if _grade(key) > cap:
+                continue
+            c = c1 * c2
+            out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
 def _coeff(rng):
     return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
@@ -158,3 +214,87 @@ def test_moyal_sum_matches_reference_loop(dim, cap, seed):
             a, b, hbar_order, cap, True
         )
     assert moyal_bracket(b, a, 3, 8)._terms == _ref_moyal_sum(b, a, 3, 8, True)
+
+
+@pytest.mark.parametrize("dim,cap,seed", CASES)
+def test_poisson_bracket_and_pointwise_product_match_reference_loops(dim, cap, seed):
+    rng = random.Random(3000 * dim + seed)
+    a, b = _operand(FTSeries, rng, dim, cap), _operand(FTSeries, rng, dim, cap)
+    assert poisson_bracket(a, b)._terms == _ref_poisson_bracket(a, b, cap)
+    assert poisson_bracket(b, a, 7)._terms == _ref_poisson_bracket(b, a, 7)
+    assert pointwise_product(a, b)._terms == _ref_pointwise_product(a, b, cap)
+    assert pointwise_product(b, a, 7)._terms == _ref_pointwise_product(b, a, 7)
+
+
+def _assert_kernels_match(keys_a, keys_b, dim, cap, hbar_order=3):
+    """Every kernel on the operands with these term keys, against its
+    reference loop: same terms, same values, same insertion order."""
+    rng = random.Random(len(keys_a) + 10 * len(keys_b))
+    coeffs_a = {key: _coeff(rng) for key in keys_a}
+    coeffs_b = {key: _coeff(rng) for key in keys_b}
+    wa, wb = WordPoly(dim, coeffs_a, cap), WordPoly(dim, coeffs_b, cap)
+    sa, sb = FTSeries(dim, coeffs_a, cap), FTSeries(dim, coeffs_b, cap)
+    pairs = [
+        (normal_order_product(wa, wb), _ref_word_product(wa, wb, cap)),
+        (moyal_product(sa, sb, hbar_order), _ref_moyal_sum(sa, sb, hbar_order, cap, False)),
+        (moyal_bracket(sa, sb, hbar_order), _ref_moyal_sum(sa, sb, hbar_order, cap, True)),
+        (poisson_bracket(sa, sb), _ref_poisson_bracket(sa, sb, cap)),
+        (pointwise_product(sa, sb), _ref_pointwise_product(sa, sb, cap)),
+    ]
+    for got, ref in pairs:
+        assert list(got._terms.items()) == list(ref.items())
+    return pairs
+
+
+def test_kernels_on_dim_0_operands():
+    keys_a = [((), (), 0, 0, 0), ((), (), 2, 1, 0), ((), (), -1, 2, 1)]
+    keys_b = [((), (), 1, 2, 0), ((), (), 0, 1, 1), ((), (), -3, 0, 2)]
+    for cap in (INF, 6):
+        pairs = _assert_kernels_match(keys_a, keys_b, 0, cap)
+        assert all(got for got, _ref in pairs[:3])
+
+
+def test_kernels_on_mixed_sign_fourier_modes_beyond_100():
+    keys_a = [((1,), (0,), 150, 1, 0), ((0,), (2,), -120, 2, 0), ((2,), (1,), 101, 0, 1)]
+    keys_b = [((0,), (1,), -150, 2, 0), ((1,), (1,), 130, 1, 0), ((1,), (2,), -100, 0, 0)]
+    a = WordPoly(1, dict.fromkeys(keys_a, 1.0))
+    b = WordPoly(1, dict.fromkeys(keys_b, 1.0))
+    assert graded._packed_operands(a, b, INF)[0] > graded._MIN_WIDTH
+    for cap in (INF, 9):
+        pairs = _assert_kernels_match(keys_a, keys_b, 1, cap)
+        modes = {key[2] for got, _ref in pairs for key in got.keys()}
+        assert 0 in modes and 280 in modes and -270 in modes
+
+
+@pytest.mark.parametrize("n", [40, 70])
+def test_kernels_on_high_powers_under_an_infinite_cap(n):
+    """(a^+)^n a^n times itself: every contraction 0..n, and at n = 70 the
+    output grade 280 needs fields wider than the default width."""
+    keys = [((n,), (n,), 0, 0, 0)]
+    a = WordPoly(1, dict.fromkeys(keys, 1.0))
+    assert (graded._packed_operands(a, a, INF)[0] > graded._MIN_WIDTH) == (n == 70)
+    pairs = _assert_kernels_match(keys, keys, 1, INF, hbar_order=n + 1)
+    word = pairs[0][0]
+    assert len(word) == n + 1
+    assert {key[4] for key in word.keys()} == set(range(n + 1))
+
+
+def test_word_product_moves_d_t_squared_through_fourier_modes():
+    """D_t^2 against e^{imt} runs the (D_t + m hbar)^2 expansion."""
+    keys_a = [((0, 0), (0, 0), 0, 2, 0), ((1, 0), (0, 1), 1, 2, 0), ((0, 1), (1, 1), -2, 2, 1)]
+    keys_b = [((0, 0), (0, 0), 3, 0, 0), ((0, 1), (1, 0), -2, 1, 0), ((1, 1), (0, 0), 1, 0, 0)]
+    for cap in (INF, 8):
+        word = _assert_kernels_match(keys_a, keys_b, 2, cap)[0][0]
+        # D_t^2 e^{3it} = e^{3it} (D_t^2 + 6 hbar D_t + 9 hbar^2)
+        got = {key[3:]: c for key, c in word.items() if key[:3] == ((0, 0), (0, 0), 3)}
+        assert set(got) == {(2, 0), (1, 1), (0, 2)}
+
+
+def test_kernel_insertion_order_follows_the_reference_loop():
+    """Kernel outputs keep the order in which the reference loop first
+    generates each key, which is what keeps written tables byte-stable."""
+    rng = random.Random(7)
+    for dim in (1, 2, 3):
+        a = _operand(FTSeries, rng, dim, INF, terms=8)
+        b = _operand(FTSeries, rng, dim, INF, terms=8)
+        _assert_kernels_match(list(a.keys()), list(b.keys()), dim, 10)

@@ -14,19 +14,16 @@ from orbitbnf.normalform import NormalForm
 from orbitbnf.oracle import (
     assemble_matrix,
     BasisWindow,
-    coherent_state_checks,
     MATRIX_BUDGET,
-    model_trace,
     numeric_trace,
     quasi_eigenvalues,
-    render_check_report,
     smooth_plateau,
-    wick_symbol_numeric,
 )
 from orbitbnf.quantum import exp_conjugate, h0_word
 from orbitbnf.series import nonresonance_margin
 from orbitbnf.traces import GaussianBump
 from orbitbnf.words import adjoint, normal_order_product, WordPoly
+from oracle_helpers import coherent_state_checks, model_trace, render_check_report, wick_symbol_numeric
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 

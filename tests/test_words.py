@@ -13,11 +13,11 @@ from orbitbnf.words import (
     commutator_over_ihbar,
     diagonal_to_normal_form,
     key_grade,
-    matrix_element,
     normal_form_to_word,
     normal_order_product,
     WordPoly,
 )
+from oracle_helpers import matrix_element
 
 
 def random_word_poly(rng, dim, terms=3, max_letters=2):
