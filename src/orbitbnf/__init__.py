@@ -52,7 +52,6 @@ from .series import (
     moyal_product,
     nonresonance_margin,
     poisson_bracket,
-    vanishing_order,
 )
 from .traces import (
     forward_trace_expansion,
@@ -71,7 +70,6 @@ from .words import (
     diagonal_to_normal_form,
     normal_form_to_word,
     normal_order_product,
-    wlg_grade,
     WordPoly,
 )
 
@@ -124,10 +122,8 @@ __all__ = [
     "smooth_plateau",
     "solve_homological_classical",
     "solve_homological_quantum",
-    "vanishing_order",
     "weyl_from_wick",
     "weyl_of_functional_calculus",
     "weyl_symbol_of_word",
     "wick_from_weyl",
-    "wlg_grade",
 ]

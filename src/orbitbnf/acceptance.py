@@ -51,7 +51,6 @@ from .words import (
     commutator_over_ihbar,
     key_grade,
     normal_order_product,
-    wlg_grade,
 )
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
@@ -561,7 +560,7 @@ def check_algebra_invariants():
     for dim, A in words:
         if not A.keys():
             continue
-        g = wlg_grade(A)
+        g = A.min_grade()
         g_max = max(key_grade(key) for key in A.keys())
         C_A = sum(abs(c) * 2.0 ** (key_grade(key) / 2.0) for key, c in A.items())
         mu = (12,) if dim == 1 else (8, 5)

@@ -14,8 +14,10 @@ Three conversions live here:
   w_0 = 1 (w_1 = p, w_2 = p^2 - hbar^2/4); the w_k are real with even hbar
   powers only;
 
-* the Weyl symbol of a normal-ordered word, assembled from Moyal products
-  of the elementary symbols (a_i -> z_i / sqrt 2, D_t -> tau, e^{imt} itself).
+* the Weyl symbol of a normal-ordered word: the heat flow
+  exp(-hbar sum d_z d_zbar) of its Wick symbol (a_i -> z_i / sqrt 2,
+  a_i^+ -> zbar_i / sqrt 2), with the loop variable shifted as
+  e^{imt} D_t^j -> e^{imt} (tau - m hbar/2)^j.
 
 ``relate_normal_forms`` applies the functional-calculus conversion to a
 quantum normal form h and returns the predicted semiclassical table H';
@@ -28,8 +30,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .graded import _contraction_terms, _sub_idx, key_grade
 from .normalform import NormalForm
-from .series import FTSeries, moyal_product
+from .series import FTSeries
 
 
 # -- one-mode fluctuation polynomials w_k(p, hbar) ------------------------------
@@ -99,59 +102,35 @@ def relate_normal_forms(h_quantum: NormalForm, hbar_order: int) -> NormalForm:
     return weyl_of_functional_calculus(h_quantum, hbar_order)
 
 
-def diagonal_values_check(h: NormalForm, hbar: float, kmax: int) -> list:
-    """[h((k+1/2) hbar) for k = 0..kmax] for one transverse mode (tau = 0).
-
-    These are exactly the diagonal matrix elements of h(P) on the Hermite
-    basis, which is what makes the functional-calculus route checkable
-    against the matrix oracle.
-    """
-    if h.dim != 1:
-        raise ValueError("diagonal_values_check is defined for one transverse mode")
-    if hbar <= 0:
-        raise ValueError("hbar must be > 0")
-    return [h.evaluate(((k + 0.5) * hbar,), 0.0, hbar) for k in range(kmax + 1)]
-
-
 # -- Wick <-> Weyl heat flow ------------------------------------------------------
 
 
-def _heat_flow_series(A: FTSeries, hbar_order: int, sign: int) -> FTSeries:
-    """exp(sign * hbar * sum_i d_{z_i} d_{zbar_i}) on a series truncation."""
+def _heat_flow_terms(terms, hbar_order: int, step) -> dict:
+    """exp(step * hbar * sum_i d_{z_i} d_{zbar_i}) on ``(key, c)`` pairs, as a dict.
+
+    z^mu zbar^nu goes to the sum over 0 <= x <= min(mu, nu) of
+    step^|x| x! C(mu, x) C(nu, x) hbar^|x| z^{mu-x} zbar^{nu-x}, with the
+    integers from :func:`~orbitbnf.graded._contraction_terms`; terms above
+    hbar^hbar_order are dropped.
+    """
     out = {}
-    for (mu, nu, m, j, k), c in A.items():
-        ranges = [range(min(a, b) + 1) for a, b in zip(mu, nu)]
-        stack = [(tuple(), 0, 1)] if k <= hbar_order else []
-        for i, rng in enumerate(ranges):
-            nxt = []
-            for (x, tot, f) in stack:
-                for xi in rng:
-                    if tot + xi + k > hbar_order:
-                        break
-                    fi = f
-                    for step in range(xi):
-                        fi *= (mu[i] - step) * (nu[i] - step)
-                    fi = Fraction(fi, math.factorial(xi))
-                    nxt.append((x + (xi,), tot + xi, fi))
-            stack = nxt
-        for (x, tot, f) in stack:
-            key = (
-                tuple(a - b for a, b in zip(mu, x)),
-                tuple(a - b for a, b in zip(nu, x)),
-                m,
-                j,
-                k + tot,
-            )
-            val = c * float(f) * (sign**tot)
+    for (mu, nu, m, j, k), c in terms:
+        for x, s, f in _contraction_terms(mu, nu):
+            if k + s > hbar_order:
+                continue
+            key = (_sub_idx(mu, x), _sub_idx(nu, x), m, j, k + s)
+            val = c * f * step**s
             out[key] = out.get(key, 0.0) + val
-    return FTSeries._trusted(A.dim, out, A.max_weight)
+    return out
 
 
 def _heat_flow(sym, hbar_order: int, sign: int):
     if isinstance(sym, FTSeries):
-        return _heat_flow_series(sym, hbar_order, sign)
+        return FTSeries._trusted(
+            sym.dim, _heat_flow_terms(sym.items(), hbar_order, sign), sym.max_weight
+        )
     if isinstance(sym, NormalForm):
-        flowed = _heat_flow_series(sym.as_series(), hbar_order, sign)
+        flowed = _heat_flow(sym.as_series(), hbar_order, sign)
         return NormalForm.from_resonant_series(flowed, route=sym.route)
     raise TypeError("expected FTSeries or NormalForm")
 
@@ -175,69 +154,39 @@ def weyl_from_wick(sym, hbar_order: int):
 
 
 def weyl_symbol_of_word(w, hbar_order: int, max_weight=math.inf) -> FTSeries:
-    """Weyl symbol of a normal-ordered word polynomial.
+    """Weyl symbol of a normal-ordered word polynomial, in one pass over its terms.
 
-    Per term c hbar^k e^{imt} (a^+)^mu a^nu D_t^j the factors quantize to
-    e^{imt}, (zbar/sqrt2)^mu, (z/sqrt2)^nu, tau^j and are recombined with
-    Moyal products in operator order, so Op(symbol) = word exactly through
-    the hbar truncation.
+    A term c hbar^k e^{imt} (a^+)^mu a^nu D_t^j has the Wick symbol
+    c hbar^k e^{imt} (zbar/sqrt2)^mu (z/sqrt2)^nu tau^j.  Its Weyl symbol is
+    the heat flow exp(-hbar sum d_z d_zbar) of the transverse part times
+    e^{imt} # tau^j = e^{imt} (tau - m hbar/2)^j, so the term adds
+    c (-1/2)^|x| x! C(mu, x) C(nu, x) C(j, i) (-m/2)^i into the key
+    (mu', nu', ...) = (nu - x, mu - x, m, j - i, k + |x| + i), and
+    Op(symbol) = word exactly through the hbar truncation.  The factor
+    2^{-(|mu| + |nu|)/2} of the Wick symbol is 2^{-|x|} (the 1/2 of the flow
+    step) times 2^{-(|mu'| + |nu'|)/2}; that irrational part is applied once
+    per output key, after the sum, so a key whose contributions cancel
+    exactly on dyadic coefficients is an exact zero and is not stored.  The
+    grade is kept: terms above ``max_weight`` are skipped.
     """
     from .words import WordPoly  # local import to keep the module DAG acyclic
 
     if not isinstance(w, WordPoly):
         raise TypeError("expected WordPoly")
-    dim = w.dim
-    zero = (0,) * dim
-    total = FTSeries.zero(dim, max_weight)
-    for (mu, nu, m, j, k), c in w.items():
-        if k > hbar_order:
-            continue
-        scale = c * 2.0 ** (-(sum(mu) + sum(nu)) / 2.0)
-        factors = []
-        if m:
-            factors.append(FTSeries.monomial(dim, zero, zero, m=m))
-        if any(mu):
-            factors.append(FTSeries.monomial(dim, zero, mu))
-        if any(nu):
-            factors.append(FTSeries.monomial(dim, nu, zero))
-        if j:
-            factors.append(FTSeries.monomial(dim, zero, zero, j=j))
-        if not factors:
-            term = FTSeries.constant(dim, 1.0)
-        else:
-            term = factors[0]
-            for f in factors[1:]:
-                term = moyal_product(term, f, hbar_order - k, max_weight)
-        # the hbar^k shift raises the weight by 2k
-        term = FTSeries._trusted(
-            dim,
-            {
-                (tmu, tnu, tm, tj, tk + k): tc
-                for (tmu, tnu, tm, tj, tk), tc in term.truncated(max_weight - 2 * k).items()
-            },
-            max_weight,
-        )
-        total = total + term.scaled(scale)
-    return total
 
+    def shifted_terms():  # the Wick symbol without 2^{-(|mu| + |nu|)/2}, t shifted
+        for key, c in w.items():
+            mu, nu, m, j, k = key
+            if key_grade(key) > max_weight:
+                continue
+            for i in range(j + 1 if m else 1):
+                if k + i > hbar_order:
+                    break
+                yield (nu, mu, m, j - i, k + i), c * (math.comb(j, i) * (-m) ** i / 2**i)
 
-# -- comparison report ------------------------------------------------------------
-
-
-def compare_normal_forms(label_a: str, a: NormalForm, label_b: str, b: NormalForm) -> str:
-    """Structured text report: both tables, difference by hbar power, max gap."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    lines = [f"{label_a}:", "  " + a.pretty().replace("\n", "\n  ")]
-    lines += [f"{label_b}:", "  " + b.pretty().replace("\n", "\n  ")]
-    keys = set(k for k, _ in a.items()) | set(k for k, _ in b.items())
-    by_k = {}
-    for key in keys:
-        gap = abs(a.coeff(*key) - b.coeff(*key))
-        kk = key[2]
-        by_k[kk] = max(by_k.get(kk, 0.0), gap)
-    lines.append("difference by hbar power:")
-    for kk in sorted(by_k):
-        lines.append(f"  hbar^{kk}: max |delta c| = {by_k[kk]:.3e}")
-    lines.append(f"max coefficient discrepancy: {max(by_k.values(), default=0.0):.3e}")
-    return "\n".join(lines)
+    flowed = _heat_flow_terms(shifted_terms(), hbar_order, -0.5)
+    return FTSeries._trusted(
+        w.dim,
+        {key: c * 2.0 ** (-(sum(key[0]) + sum(key[1])) / 2.0) for key, c in flowed.items()},
+        max_weight,
+    )

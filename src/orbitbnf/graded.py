@@ -21,7 +21,9 @@ constants and their packed key offsets from one cached table,
 :func:`_contractions`: the word product contracts ``a^nu`` against
 ``(a^+)^mu`` with ``l! C(mu, l) C(nu, l)``, and the Moyal sum's transverse
 factor ``perm(n, x) perm(m, x) / x!`` is the same integer
-``x! C(n, x) C(m, x)``.
+``x! C(n, x) C(m, x)``.  The table is built from
+:func:`_contraction_terms`, which the Wick/Weyl heat flow of
+:mod:`~orbitbnf.bridge` reads as well.
 
 The second half is the normal-form engine.  A route supplies its bracket,
 the closed-form ad_{H0} eigenvalue of a key and the map from resonant terms
@@ -133,10 +135,11 @@ def _field_units(dim, width):
     return units[:dim], units[dim : 2 * dim], units[2 * dim], units[2 * dim + 1], units[2 * dim + 2]
 
 
-def _unpacked(out, dim, width):
-    """Tuple-keyed copy of a packed-key dict, in its insertion order.
+def _from_packed(cls, dim, out, width, cap):
+    """The ``cls`` polynomial of a kernel's packed-key dict, built in one pass.
 
-    The keys are sums with the bias of m counted once (see :func:`_pack`).
+    Each key is unpacked (a sum with the bias of m counted once, see
+    :func:`_pack`), exact zeros are dropped and insertion order is kept.
     """
     mask = (1 << width) - 1
     bias = 1 << (width - 1)
@@ -144,18 +147,33 @@ def _unpacked(out, dim, width):
     shifts = range(0, (n + 3) * width, width)
     terms = {}
     for p, c in out.items():
-        f = [(p >> s) & mask for s in shifts]
-        terms[(tuple(f[:dim]), tuple(f[dim:n]), f[n] - bias, f[n + 1], f[n + 2])] = c
-    return terms
+        if c:
+            f = [(p >> s) & mask for s in shifts]
+            terms[(tuple(f[:dim]), tuple(f[dim:n]), f[n] - bias, f[n + 1], f[n + 2])] = c
+    return cls._wrap(dim, terms, cap)
+
+
+def _contraction_terms(a, b):
+    """``(l, |l|, prod_i l_i! C(a_i, l_i) C(b_i, l_i))`` for ``0 <= l <= min(a, b)``.
+
+    In ``itertools.product`` order.  The one source of these integers: the
+    word product, the Moyal sum (through :func:`_contractions`) and the
+    Wick/Weyl heat flow of :mod:`~orbitbnf.bridge` all read them.
+    """
+    for l in itertools.product(*(range(min(x, y) + 1) for x, y in zip(a, b))):
+        f_l = 1
+        for li, x, y in zip(l, a, b):
+            f_l *= math.factorial(li) * math.comb(x, li) * math.comb(y, li)
+        yield l, sum(l), f_l
 
 
 @functools.lru_cache(maxsize=None)
 def _contractions(nu1, mu2, width):
     """Contraction table of a^{nu1} against (a^+)^{mu2}, shared by both products.
 
-    One entry ``(|l|, f_l, delta_l)`` per ``0 <= l <= min(nu1, mu2)`` in
-    ``itertools.product`` order, with the integer
-    ``f_l = prod_i l_i! C(mu2_i, l_i) C(nu1_i, l_i)`` and the packed key offset
+    One entry ``(|l|, f_l, delta_l)`` per term of
+    ``_contraction_terms(nu1, mu2)``, in its order, with the integer
+    ``f_l = prod_i l_i! C(nu1_i, l_i) C(mu2_i, l_i)`` and the packed key offset
     ``delta_l`` (fields of ``width`` bits) that lowers every mu_i and nu_i by
     l_i and raises k by |l|.  The word product reads it for the pair
     (nu1, mu2) of its operands.  The Moyal sum reads it twice, for (nu1, mu2)
@@ -165,15 +183,11 @@ def _contractions(nu1, mu2, width):
     bounds.
     """
     mu_units, nu_units, _m, _j, k_unit = _field_units(len(nu1), width)
-    table = []
-    for l in itertools.product(*(range(min(a, b) + 1) for a, b in zip(nu1, mu2))):
-        s = sum(l)
-        f_l, delta = 1, s * k_unit
-        for li, a, b, mu_unit, nu_unit in zip(l, nu1, mu2, mu_units, nu_units):
-            f_l *= math.factorial(li) * math.comb(b, li) * math.comb(a, li)
-            delta -= li * (mu_unit + nu_unit)
-        table.append((s, f_l, delta))
-    return tuple(table)
+    pair_units = list(map(operator.add, mu_units, nu_units))
+    return tuple(
+        (s, f_l, s * k_unit - sum(map(operator.mul, l, pair_units)))
+        for l, s, f_l in _contraction_terms(nu1, mu2)
+    )
 
 
 def _sort_token(key):
@@ -256,10 +270,15 @@ class GradedPoly:
         empty term and term counts depend on it.  A caller that can raise a
         grade filters with :func:`_within` first.
         """
+        return cls._wrap(dim, {key: c for key, c in terms.items() if c}, cap)
+
+    @classmethod
+    def _wrap(cls, dim, store, cap):
+        """Instance owning ``store`` as is: canonical keys of grade <= cap, no exact zeros."""
         self = object.__new__(cls)
         self.dim = dim
         self._cap = cap
-        self._terms = {key: c for key, c in terms.items() if c}
+        self._terms = store
         return self
 
     # -- constructors; ``cap`` is passed on as the subclass constructor takes it

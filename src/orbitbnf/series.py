@@ -50,8 +50,8 @@ from .graded import (
     _check_dims,
     _contractions,
     _field_units,
+    _from_packed,
     _packed_operands,
-    _unpacked,
 )
 from .graded import key_grade as key_weight
 
@@ -159,11 +159,6 @@ class FTSeries(GradedPoly):
         return total
 
 
-def vanishing_order(a: FTSeries):
-    """Order of vanishing at p=tau=0 (hbar counts 0); math.inf for zero."""
-    return a.vanishing_order()
-
-
 def pointwise_product(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
     """Commutative product, truncated at min(max_weight bounds)."""
     _check_dims(a, b)
@@ -177,7 +172,7 @@ def pointwise_product(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
             c = c1 * c2
             prev = get(key)
             out[key] = c if prev is None else prev + c
-    return FTSeries._trusted(a.dim, _unpacked(out, a.dim, width), cap)
+    return _from_packed(FTSeries, a.dim, out, width, cap)
 
 
 def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
@@ -213,7 +208,7 @@ def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
                 c = 1j * (base * f)
                 prev = get(key)
                 out[key] = c if prev is None else prev + c
-    return FTSeries._trusted(a.dim, _unpacked(out, a.dim, width), cap)
+    return _from_packed(FTSeries, a.dim, out, width, cap)
 
 
 def moyal_product(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) -> FTSeries:
@@ -318,7 +313,7 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric):
                         c = -1j * c if antisymmetric else c
                         prev = get(key)
                         out[key] = c if prev is None else prev + c
-    return FTSeries._trusted(a.dim, _unpacked(out, a.dim, width), cap)
+    return _from_packed(FTSeries, a.dim, out, width, cap)
 
 
 # -- rotation data -------------------------------------------------------------

@@ -30,9 +30,9 @@ from .graded import (
     _check_dims,
     _contractions,
     _field_units,
+    _from_packed,
     _packed_operands,
     _sub_idx,
-    _unpacked,
     is_resonant_key,
     key_grade,
     max_coeff_difference,
@@ -101,11 +101,6 @@ class WordPoly(GradedPoly):
         return max_coeff_difference(self, adjoint(self))
 
 
-def wlg_grade(a: WordPoly):
-    """Minimal letter count over stored terms (math.inf for the zero word)."""
-    return a.min_grade()
-
-
 def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
     """Product A*B re-expressed in canonical order; exact on the truncation.
 
@@ -158,7 +153,7 @@ def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
                     c = base * (f_d * f_l)
                     prev = get(key)
                     out[key] = c if prev is None else prev + c
-    return WordPoly._trusted(a.dim, _unpacked(out, a.dim, width), cap)
+    return _from_packed(WordPoly, a.dim, out, width, cap)
 
 
 def adjoint(a: WordPoly) -> WordPoly:

@@ -51,12 +51,10 @@ PUBLIC = [
     "smooth_plateau",
     "solve_homological_classical",
     "solve_homological_quantum",
-    "vanishing_order",
     "weyl_from_wick",
     "weyl_of_functional_calculus",
     "weyl_symbol_of_word",
     "wick_from_weyl",
-    "wlg_grade",
 ]
 
 

@@ -7,8 +7,6 @@ import pytest
 
 from orbitbnf.acceptance import _benchmark_hamiltonian
 from orbitbnf.bridge import (
-    compare_normal_forms,
-    diagonal_values_check,
     relate_normal_forms,
     weyl_from_wick,
     weyl_of_functional_calculus,
@@ -187,14 +185,14 @@ def test_route_equivalence_at_full_order_on_the_check_4_hamiltonian():
     assert [e for e, _c in h_s.items() if e[2] % 2] == []
 
 
-def _coupled_cubic(dim, cos_t=False):
-    """h0 + 0.05 (sum_i c_i (a_i + a_i^+))^3, c = (1.0, 0.7, 0.5); with ``cos_t``
-    the cube is added once more times cos t = (e^{it} + e^{-it}) / 2."""
+def _coupled_cubic(dim, cos_t=False, c=(1.0, 0.7, 0.5), eps=0.05):
+    """h0 + eps (sum_i c_i (a_i + a_i^+))^3; with ``cos_t`` the cube is added
+    once more times cos t = (e^{it} + e^{-it}) / 2."""
     rot = nonresonance_margin((SQRT2M1, math.sqrt(3.0) - 1.0, math.sqrt(5.0) - 2.0)[:dim], 8)
     x = WordPoly.zero(dim, 8)
-    for i, c in enumerate((1.0, 0.7, 0.5)[:dim]):
-        x = x + (WordPoly.annihilation(dim, i, 8) + WordPoly.creation(dim, i, 8)).scaled(c)
-    cube = normal_order_product(normal_order_product(x, x, 8), x, 8).scaled(0.05)
+    for i, c_i in enumerate(c[:dim]):
+        x = x + (WordPoly.annihilation(dim, i, 8) + WordPoly.creation(dim, i, 8)).scaled(c_i)
+    cube = normal_order_product(normal_order_product(x, x, 8), x, 8).scaled(eps)
     H = h0_word(rot, 1.0, 8) + cube
     if cos_t:
         cos = WordPoly.word(dim, m=1, coeff=0.5) + WordPoly.word(dim, m=-1, coeff=0.5)
@@ -219,23 +217,78 @@ def test_route_equivalence_at_full_order_on_coupled_cubics(dim, cos_t, order):
     assert relate_normal_forms(h_q, hbar_order).difference(h_s) < 1e-10
 
 
-def test_diagonal_values_check_evaluates_the_ladder():
-    nf = NormalForm(1, {((0,), 0, 0): 1.0, ((1,), 0, 0): 0.41,
-                        ((2,), 0, 0): -0.07, ((0,), 0, 2): 0.004})
-    hbar = 0.1
-    vals = diagonal_values_check(nf, hbar, 3)
-    assert len(vals) == 4
-    for mu, got in enumerate(vals):
-        p = (mu + 0.5) * hbar
-        expected = 1.0 + 0.41 * p - 0.07 * p * p + 0.004 * hbar * hbar
-        assert abs(got - expected) < 1e-12
+@pytest.mark.parametrize(
+    "dim, cos_t, order",
+    [(1, False, 8), (2, False, 8), (3, False, 6), (1, True, 8)],
+    ids=["dim1", "dim2", "dim3", "dim1-cos_t"],
+)
+def test_dyadic_words_give_even_symbols_and_even_semiclassical_tables(dim, cos_t, order):
+    """On dyadic coefficients the parity law holds exactly: the coupled cubic
+    h0 + (1/16)(sum_i c_i (a_i + a_i^+))^3, c = (1, 3/4, 1/2), has a Weyl
+    symbol without odd hbar powers, and so has its semiclassical normal form
+    at hbar^4 (the Moyal bracket over i hbar is even in hbar)."""
+    H, rot = _coupled_cubic(dim, cos_t, c=(1.0, 0.75, 0.5), eps=1.0 / 16.0)
+    symbol = weyl_symbol_of_word(H, 4, order)
+    assert [key for key in symbol.keys() if key[4] % 2] == []
+    h_s, _, _ = birkhoff_semiclassical(symbol, rot, order, 4, order)
+    assert [e for e, _c in h_s.items() if e[2] % 2] == []
 
 
-def test_compare_normal_forms_reports_differences():
-    a = NormalForm(1, {((1,), 0, 0): 0.5})
-    b = NormalForm(1, {((1,), 0, 0): 0.5, ((0,), 0, 2): 0.25})
-    text = compare_normal_forms("first", a, "second", b)
-    assert "first" in text
-    assert "second" in text
-    assert "hbar" in text
-    assert "2.500e-01" in text or "0.25" in text
+def _moyal_chain_weyl_symbol(w, hbar_order, max_weight=math.inf):
+    """Reference Weyl map: each word term c hbar^k e^{imt} (a^+)^mu a^nu D_t^j
+    as the Moyal product, in operator order, of the elementary symbols
+    e^{imt}, (zbar/sqrt2)^mu, (z/sqrt2)^nu and tau^j, summed term by term."""
+    dim = w.dim
+    zero = (0,) * dim
+    total = FTSeries.zero(dim, max_weight)
+    for (mu, nu, m, j, k), c in w.items():
+        if k > hbar_order:
+            continue
+        factors = []
+        if m:
+            factors.append(FTSeries.monomial(dim, zero, zero, m=m))
+        if any(mu):
+            factors.append(FTSeries.monomial(dim, zero, mu))
+        if any(nu):
+            factors.append(FTSeries.monomial(dim, nu, zero))
+        if j:
+            factors.append(FTSeries.monomial(dim, zero, zero, j=j))
+        term = FTSeries.constant(dim, 1.0)
+        for f in factors:
+            term = moyal_product(term, f, hbar_order - k, max_weight)
+        shifted = {
+            (tmu, tnu, tm, tj, tk + k): tc
+            for (tmu, tnu, tm, tj, tk), tc in term.truncated(max_weight - 2 * k).items()
+        }
+        scale = c * 2.0 ** (-(sum(mu) + sum(nu)) / 2.0)
+        total = total + FTSeries(dim, shifted, max_weight).scaled(scale)
+    return total
+
+
+def _random_word(rng, dim):
+    """1-4 complex terms, exponents <= 3 per mode, |m| <= 3, j <= 3, k <= 2."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = (
+            tuple(rng.randint(0, 3) for _ in range(dim)),
+            tuple(rng.randint(0, 3) for _ in range(dim)),
+            rng.randint(-3, 3),
+            rng.randint(0, 3),
+            rng.randint(0, 2),
+        )
+        terms[key] = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    return WordPoly(dim, terms)
+
+
+@pytest.mark.parametrize("max_weight", [math.inf, 10, 14], ids=["uncapped", "cap10", "cap14"])
+def test_weyl_symbol_of_word_matches_the_moyal_chain(max_weight):
+    """The closed-form Weyl map equals the Moyal-chain reference on random
+    complex words, to 1e-15 of the reference's largest coefficient."""
+    rng = random.Random(1409)
+    for _ in range(100):
+        w = _random_word(rng, rng.randint(1, 3))
+        hbar_order = rng.randint(0, 5)
+        got = weyl_symbol_of_word(w, hbar_order, max_weight)
+        ref = _moyal_chain_weyl_symbol(w, hbar_order, max_weight)
+        assert got.max_weight == ref.max_weight
+        assert (got - ref).max_abs_coeff() <= 1e-15 * ref.max_abs_coeff()

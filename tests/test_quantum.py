@@ -19,7 +19,6 @@ from orbitbnf.words import (
     key_grade,
     normal_form_to_word,
     normal_order_product,
-    wlg_grade,
     WordPoly,
 )
 
@@ -161,7 +160,7 @@ def test_generator_replay_reconstructs_decomposition():
     rot = rot1()
     H = h0_word(rot, 1.0, 8) + cubic_word(8, 1e-3)
     h, gens, rem = birkhoff_quantum(H, rot, 6, 8)
-    assert [wlg_grade(g) for g in gens] == [3, 4, 5, 6]
+    assert [g.min_grade() for g in gens] == [3, 4, 5, 6]
     conj = H
     for F in gens:
         conj = exp_conjugate(conj, F, 8)

@@ -16,7 +16,6 @@ from orbitbnf.series import (
     nonresonance_margin,
     pointwise_product,
     poisson_bracket,
-    vanishing_order,
 )
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
@@ -205,8 +204,8 @@ def test_vanishing_order_reports_minimal_weight():
     s = FTSeries.monomial(1, (2,), (1,), coeff=1.0) + FTSeries.monomial(
         1, (1,), (0,), coeff=1.0
     )
-    assert vanishing_order(s) == 1
-    assert vanishing_order(FTSeries.zero(1)) == math.inf
+    assert s.vanishing_order() == 1
+    assert FTSeries.zero(1).vanishing_order() == math.inf
 
 
 def test_serialization_roundtrip_preserves_terms():
