@@ -349,7 +349,7 @@ def _cmd_oracle_spectrum(cfg, tol, run, base_dir):
     if "drift_tol" in block:
         raise ValueError("set drift_tol with --tolerance-overrides, not in the 'oracle' block")
     hbar = float(block["hbar"])
-    w = BasisWindow(int(block["hermite_cut"]), int(block["fourier_cut"]), hbar)
+    w = BasisWindow(block["hermite_cut"], block["fourier_cut"], hbar)
     lo, hi = (float(v) for v in block["window"])
     rot = _rot(cfg, int(_block(cfg, "orders").get("weight", 6)), tol)
     H = _word_hamiltonian(cfg, rot, float("inf"))

@@ -16,7 +16,11 @@ of a generated term is one integer add of the operand keys and an offset.
 The width is chosen per call from the operands' grade and ``|m|`` bounds, so
 no field overflows, and the kernels unpack once, on return, in the order the
 terms were first generated; storage, ``items()``, records and every map
-stay tuple-keyed.  Both noncommutative products draw their integer structure
+stay tuple-keyed.  Keys are packed and split through one interned table of
+index tuples per ``(dim, width)`` (:func:`_index_table`): it gives the
+packed block and the sum of a tuple's fields, and turns a block back into
+the one tuple object for it, so the outputs of every kernel share their
+index tuples.  Both noncommutative products draw their integer structure
 constants and their packed key offsets from one cached table,
 :func:`_contractions`: the word product contracts ``a^nu`` against
 ``(a^+)^mu`` with ``l! C(mu, l) C(nu, l)``, and the Moyal sum's transverse
@@ -78,30 +82,100 @@ def _sub_idx(a, b):
 # linear, so the key of a product term is the sum of the packed operand keys
 # and packed offsets, and no tuple is built per generated term.  The left
 # operand's keys carry the bias of m, the right operand's do not, so a sum
-# carries it once.
+# carries it once.  The mu and nu fields of a key are the packed blocks of
+# its index tuples, read from the interned table of :func:`_index_table`.
 
 _MIN_WIDTH = 8
 
 
-def _pack(key, width, bias):
-    """The packed int of a key; ``bias`` is added to its Fourier mode m."""
-    mu, nu, m, j, k = key
-    p = 0
-    for v in (k, j, m + bias, *reversed(nu), *reversed(mu)):
-        p = (p << width) + v
-    return p
+class _Blocks(dict):
+    """Index tuple -> (packed block of its fields, sum); fills itself on a miss."""
+
+    __slots__ = ("width", "tuples")
+
+    def __missing__(self, idx):
+        block = sum(v << (i * self.width) for i, v in enumerate(idx))
+        self.tuples[block] = idx
+        entry = self[idx] = (block, sum(idx))
+        return entry
+
+
+class _Tuples(dict):
+    """Packed block -> the one index tuple for it; fills itself on a miss."""
+
+    __slots__ = ("dim", "width", "blocks")
+
+    def __missing__(self, block):
+        mask = (1 << self.width) - 1
+        idx = self[block] = tuple((block >> (i * self.width)) & mask for i in range(self.dim))
+        self.blocks[idx] = (block, sum(idx))
+        return idx
+
+
+@functools.lru_cache(maxsize=None)
+def _index_table(dim, width):
+    """The interned index tuples of ``dim`` fields of ``width`` bits: ``(blocks, tuples)``.
+
+    ``blocks`` maps an index tuple to its packed block (field i holds entry
+    i) and its sum; ``tuples`` maps a block back to the one tuple object for
+    it.  Both fill on a miss and keep each other complete, so every key that
+    a kernel unpacks shares its index tuples with every other, and dict
+    merges and lookups on them compare by identity first.  Keyed on the
+    width as well, since the same block stands for different tuples at
+    different widths.  The grade cap bounds the entries: a few hundred at
+    most per table.
+    """
+    blocks, tuples = _Blocks(), _Tuples()
+    blocks.width, blocks.tuples = width, tuples
+    tuples.dim, tuples.width, tuples.blocks = dim, width, blocks
+    return blocks, tuples
+
+
+def _operand_rows(poly, blocks):
+    """``(key, c, grade, mu block, nu block)`` per stored term, in storage order."""
+    rows = []
+    for key, c in poly._terms.items():
+        mu_block, mu_sum = blocks[key[0]]
+        nu_block, nu_sum = blocks[key[1]]
+        rows.append((key, c, mu_sum + nu_sum + 2 * (key[3] + key[4]), mu_block, nu_block))
+    return rows
+
+
+def _pack(rows, dim, width, bias):
+    """``(key, c, grade, packed key)`` per row; ``bias`` is added to each Fourier mode m.
+
+    The fields are combined with ``+``, not ``|``: with no bias a negative m
+    borrows from the fields above it, which the bias of the other operand
+    repays in a sum.
+    """
+    nu_shift = dim * width
+    tail_shift = 2 * nu_shift
+    k_shift = 2 * width
+    return [
+        (
+            key,
+            c,
+            g,
+            mu_block
+            + (nu_block << nu_shift)
+            + ((key[2] + bias + (key[3] << width) + (key[4] << k_shift)) << tail_shift),
+        )
+        for key, c, g, mu_block, nu_block in rows
+    ]
 
 
 def _packed_operands(a, b, cap, drop=0):
     """``(width, a-terms, partners)`` of one product kernel call.
 
     A term list holds ``(key, c, grade, packed key)`` per stored term, in
-    storage order; the a-terms carry the bias of m.  ``partners[g]`` lists,
-    in storage order, the b-terms that can meet an a-term of grade g under
-    the cap, for a product that lowers the grade sum of a term pair by
-    ``drop`` (2 for a bracket).  A kernel loops over these lists instead of
-    testing every term pair against the cap: in the Lie series most pairs
-    lie above it.
+    storage order; the a-terms carry the bias of m.  The mu and nu fields
+    and the grade of a key come from the interned table
+    :func:`_index_table` of the call's ``(dim, width)``, looked up once per
+    call.  ``partners[g]`` lists, in storage order, the b-terms that can
+    meet an a-term of grade g under the cap, for a product that lowers the
+    grade sum of a term pair by ``drop`` (2 for a bracket).  A kernel loops
+    over these lists instead of testing every term pair against the cap: in
+    the Lie series most pairs lie above it.
 
     Every product in the package keeps the total grade additive up to that
     drop, so an output field (mu_i, nu_i, j, k) never exceeds
@@ -109,24 +183,29 @@ def _packed_operands(a, b, cap, drop=0):
     grades, and an output ``|m|`` never exceeds the sum of their largest
     ``|m|``.  The field width in bits covers both, with one more bit for the
     sign of m, so no field can overflow, also under an infinite cap.  The
-    floor :data:`_MIN_WIDTH` keeps one width, and so one contraction table
-    per exponent pair, for all ordinary grades.
+    floor :data:`_MIN_WIDTH` keeps one width, and so one index table per
+    dim and one contraction table per exponent pair, for all ordinary
+    grades; the rows are read again from a wider table only when the
+    operands need more.
     """
-    a_terms = [(key, c, key_grade(key)) for key, c in a._terms.items()]
-    b_terms = [(key, c, key_grade(key)) for key, c in b._terms.items()]
+    dim = a.dim
     width = _MIN_WIDTH
-    if a_terms and b_terms:
-        bound = max(t[2] for t in a_terms) + max(t[2] for t in b_terms)
+    blocks = _index_table(dim, width)[0]
+    a_rows, b_rows = _operand_rows(a, blocks), _operand_rows(b, blocks)
+    if a_rows and b_rows:
+        bound = max(r[2] for r in a_rows) + max(r[2] for r in b_rows)
         if cap != INFINITE:
             bound = max(0, min(int(cap), bound))
         ms = max(abs(key[2]) for key in a._terms) + max(abs(key[2]) for key in b._terms)
         width = max(width, bound.bit_length(), ms.bit_length() + 1)
-    bias = 1 << (width - 1)
-    b_terms = [(key, c, g, _pack(key, width, 0)) for key, c, g in b_terms]
+        if width > _MIN_WIDTH:
+            blocks = _index_table(dim, width)[0]
+            a_rows, b_rows = _operand_rows(a, blocks), _operand_rows(b, blocks)
+    b_terms = _pack(b_rows, dim, width, 0)
     partners = {
-        g: [t for t in b_terms if t[2] <= cap + drop - g] for g in {t[2] for t in a_terms}
+        g: [t for t in b_terms if t[2] <= cap + drop - g] for g in {r[2] for r in a_rows}
     }
-    return width, [(key, c, g, _pack(key, width, bias)) for key, c, g in a_terms], partners
+    return width, _pack(a_rows, dim, width, 1 << (width - 1)), partners
 
 
 def _field_units(dim, width):
@@ -138,18 +217,32 @@ def _field_units(dim, width):
 def _from_packed(cls, dim, out, width, cap):
     """The ``cls`` polynomial of a kernel's packed-key dict, built in one pass.
 
-    Each key is unpacked (a sum with the bias of m counted once, see
-    :func:`_pack`), exact zeros are dropped and insertion order is kept.
+    Each key is split into its mu block, nu block and m, j, k fields (a sum
+    with the bias of m counted once, see :func:`_pack`); mu and nu are read
+    from the interned table :func:`_index_table` of ``(dim, width)``, so
+    every output key shares its index tuples.  Exact zeros are dropped and
+    insertion order is kept.
     """
+    tuples = _index_table(dim, width)[1]
     mask = (1 << width) - 1
     bias = 1 << (width - 1)
-    n = 2 * dim
-    shifts = range(0, (n + 3) * width, width)
+    nu_shift = dim * width
+    tail_shift = 2 * nu_shift
+    block_mask = (1 << nu_shift) - 1
+    k_shift = 2 * width
     terms = {}
     for p, c in out.items():
         if c:
-            f = [(p >> s) & mask for s in shifts]
-            terms[(tuple(f[:dim]), tuple(f[dim:n]), f[n] - bias, f[n + 1], f[n + 2])] = c
+            tail = p >> tail_shift
+            terms[
+                (
+                    tuples[p & block_mask],
+                    tuples[(p >> nu_shift) & block_mask],
+                    (tail & mask) - bias,
+                    (tail >> width) & mask,
+                    tail >> k_shift,
+                )
+            ] = c
     return cls._wrap(dim, terms, cap)
 
 

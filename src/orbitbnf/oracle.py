@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +43,29 @@ MATRIX_BUDGET = 4096
 
 @dataclass(frozen=True)
 class BasisWindow:
-    """Truncation cuts and the hbar value for one dense-matrix computation."""
+    """Truncation cuts and the hbar value for one dense-matrix computation.
+
+    The cuts are stored as plain ints (ValueError for a non-integer or
+    negative cut) and hbar must be finite and > 0.
+    """
 
     hermite_cut: int
     fourier_cut: int
     hbar: float
 
     def __post_init__(self):
-        if self.hermite_cut < 0 or self.fourier_cut < 0:
+        try:  # plain ints, as term keys are: a float cut would reach range()
+            cuts = operator.index(self.hermite_cut), operator.index(self.fourier_cut)
+        except TypeError:
+            raise ValueError(
+                f"cuts must be integers, not {self.hermite_cut!r} and {self.fourier_cut!r}"
+            ) from None
+        if min(cuts) < 0:
             raise ValueError("cuts must be >= 0")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be > 0")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError(f"hbar must be finite and > 0, not {self.hbar!r}")
+        object.__setattr__(self, "hermite_cut", cuts[0])
+        object.__setattr__(self, "fourier_cut", cuts[1])
 
     def dimension(self, dim: int) -> int:
         return (self.hermite_cut + 1) ** dim * (2 * self.fourier_cut + 1)
@@ -290,16 +303,25 @@ def numeric_trace(
     contribution size: the extreme supplied energies must then contribute
     below it (weights included), and CoverageError reports a sum that is
     visibly missing states.  With floor=None the caller vouches for coverage.
+    ValueError, before any arithmetic, unless hbar is finite and > 0 and E,
+    every level and every weight are finite (a NaN level would pass the
+    floor test).
     """
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be finite and > 0, not {hbar!r}")
+    if not math.isfinite(E):
+        raise ValueError(f"E must be finite, not {E!r}")
     lam = np.asarray(list(spectrum), dtype=float)
-    if lam.size == 0:
-        return 0.0 + 0.0j
     if weights is None:
         wts = np.ones(lam.size)
     else:
         wts = np.asarray(list(weights), dtype=float)
         if wts.shape != lam.shape:
             raise ValueError("weights must match the spectrum in length")
+    if not (np.isfinite(lam).all() and np.isfinite(wts).all()):
+        raise ValueError("levels and weights must be finite")
+    if lam.size == 0:
+        return 0.0 + 0.0j
     xs = (lam - E) / hbar
     phis = _phi_quadrature(bump, xs, points_per_width)
     contrib = wts * phis

@@ -365,6 +365,14 @@ def test_oracle_block_rejects_drift_tol(tmp_path, capsys):
     assert "--tolerance-overrides" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block", [{"hbar": math.inf}, {"hbar": 0.0}, {"hermite_cut": -1},
+                                   {"hermite_cut": 32.5}, {"fourier_cut": 0.5}])
+def test_oracle_block_rejects_a_bad_window(tmp_path, capsys, block):
+    cfg = _oracle_config(tmp_path, **block)
+    assert main(["oracle-spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_oracle_spectrum_rejects_a_word_that_is_not_symmetric(tmp_path, capsys):
     """(a+)^21 reaches only the doubled cut; it is bad input, not an unsafe window."""
     hbar = 0.1

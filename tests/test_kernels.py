@@ -298,3 +298,28 @@ def test_kernel_insertion_order_follows_the_reference_loop():
         a = _operand(FTSeries, rng, dim, INF, terms=8)
         b = _operand(FTSeries, rng, dim, INF, terms=8)
         _assert_kernels_match(list(a.keys()), list(b.keys()), dim, 10)
+
+
+def test_index_tables_keep_widths_apart():
+    """Packed blocks collide across widths: (0, 1) at width 9 and (0, 2) at
+    width 8 both pack to 512, so each (dim, width) needs its own table of
+    interned index tuples.  Run both widths in one process, in both orders."""
+    zero = ((0, 0), (0, 0), 0, 0, 0)
+    narrow = (
+        [((0, 2), (1, 0), 1, 1, 0), ((1, 1), (0, 2), -2, 0, 1)],
+        [zero, ((0, 1), (1, 0), 2, 1, 0)],
+        (0, 2),
+    )
+    wide = (  # |m| up to 130 + 3: the sign bit of m needs a ninth bit
+        [((0, 1), (0, 1), 130, 1, 0), ((1, 0), (0, 1), -1, 0, 0)],
+        [zero, ((0, 0), (0, 1), -3, 2, 0)],
+        (0, 1),
+    )
+    for case, width in (narrow, 8), (wide, 9), (wide, 9), (narrow, 8):
+        keys_a, keys_b, idx = case
+        wa = WordPoly(2, dict.fromkeys(keys_a, 1.0))
+        wb = WordPoly(2, dict.fromkeys(keys_b, 1.0))
+        assert graded._packed_operands(wa, wb, INF)[0] == width
+        for cap in (INF, 9):
+            pairs = _assert_kernels_match(keys_a, keys_b, 2, cap)
+            assert all(any(key[0] == idx for key in got.keys()) for got, _ref in pairs[::4])

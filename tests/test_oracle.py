@@ -45,6 +45,18 @@ def test_basis_window_dimension_and_state_order():
     assert w.doubled(False) == BasisWindow(4, 1, 0.1)
 
 
+def test_basis_window_stores_integer_cuts_and_rejects_bad_input():
+    w = BasisWindow(np.int64(3), np.int64(1), 0.1)
+    assert type(w.hermite_cut) is int and type(w.fourier_cut) is int
+    assert w.dimension(1) == 12 and len(w.states(1)) == 12
+    for cuts in ((3.0, 0), (3, 0.5), (-1, 0)):
+        with pytest.raises(ValueError, match="cuts"):
+            BasisWindow(*cuts, 0.1)
+    for hbar in (math.inf, -math.inf, math.nan, 0.0, -0.1):
+        with pytest.raises(ValueError, match="hbar"):
+            BasisWindow(3, 0, hbar)
+
+
 def test_assemble_h0_is_the_exact_ladder():
     rot = nonresonance_margin((SQRT2M1,), 8)
     hbar = 0.1
@@ -205,6 +217,23 @@ def test_numeric_trace_single_state_is_phi_at_zero():
     got = numeric_trace([0.7], 0.7, 0.1, bump, weights=[2.0])
     expected = 2.0 * bump.phi(0.0)
     assert abs(got - expected) < 1e-12
+
+
+def test_numeric_trace_rejects_bad_hbar_and_non_finite_levels_or_weights():
+    bump = GaussianBump(1, 0.7)
+    for hbar in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="hbar"):
+            numeric_trace([0.7], 0.7, hbar, bump)
+        with pytest.raises(ValueError, match="hbar"):
+            numeric_trace([], 0.7, hbar, bump)
+    for E in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="E must be finite"):
+            numeric_trace([0.7], E, 0.1, bump)
+    for levels, weights in (([0.7, math.nan], None), ([0.7, math.inf], None),
+                            ([0.7, 0.8], [1.0, math.nan]), ([0.7, 0.8], [math.inf, 1.0])):
+        for floor in (None, 1e-9):
+            with pytest.raises(ValueError, match="finite"):
+                numeric_trace(levels, 0.7, 0.1, bump, weights=weights, floor=floor)
 
 
 @dataclass(frozen=True)
