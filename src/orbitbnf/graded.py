@@ -51,7 +51,10 @@ INFINITE = math.inf
 
 
 def key_grade(key) -> int:
-    """Grade |mu| + |nu| + 2j + 2k of a term key (tau/D_t and hbar count 2)."""
+    """Grade |mu| + |nu| + 2j + 2k of a term key (tau/D_t and hbar count 2).
+
+    The product kernels compute the same grade inline, in :func:`_operand_rows`.
+    """
     mu, nu, _m, j, k = key
     return sum(mu) + sum(nu) + 2 * j + 2 * k
 
@@ -89,25 +92,43 @@ _MIN_WIDTH = 8
 
 
 class _Blocks(dict):
-    """Index tuple -> (packed block of its fields, sum); fills itself on a miss."""
+    """Index tuple -> (packed block of its fields, sum); fills itself on a miss.
 
-    __slots__ = ("width", "tuples")
+    An entry depends on its tuple alone.  The block is the integer sum of
+    ``v_i << (i * width)``, exact also for a field of ``2**width`` or more,
+    so packing stays linear; such a block may equal that of another tuple,
+    which is why only :class:`_Tuples`, decoding blocks whose fields fit,
+    makes the tuples that kernels output.
+    """
+
+    __slots__ = ("width",)
+
+    def __init__(self, width):
+        super().__init__()
+        self.width = width
 
     def __missing__(self, idx):
-        block = sum(v << (i * self.width) for i, v in enumerate(idx))
-        self.tuples[block] = idx
-        entry = self[idx] = (block, sum(idx))
+        entry = self[idx] = (sum(v << (i * self.width) for i, v in enumerate(idx)), sum(idx))
         return entry
 
 
 class _Tuples(dict):
-    """Packed block -> the one index tuple for it; fills itself on a miss."""
+    """Packed block -> the one index tuple for it; fills itself on a miss.
 
-    __slots__ = ("dim", "width", "blocks")
+    A decoded tuple is entered into ``blocks`` as well, so that an output
+    index tuple packs again without recomputing its block.
+    """
+
+    __slots__ = ("dim", "blocks")
+
+    def __init__(self, dim, blocks):
+        super().__init__()
+        self.dim, self.blocks = dim, blocks
 
     def __missing__(self, block):
-        mask = (1 << self.width) - 1
-        idx = self[block] = tuple((block >> (i * self.width)) & mask for i in range(self.dim))
+        width = self.blocks.width
+        mask = (1 << width) - 1
+        idx = self[block] = tuple((block >> (i * width)) & mask for i in range(self.dim))
         self.blocks[idx] = (block, sum(idx))
         return idx
 
@@ -118,21 +139,22 @@ def _index_table(dim, width):
 
     ``blocks`` maps an index tuple to its packed block (field i holds entry
     i) and its sum; ``tuples`` maps a block back to the one tuple object for
-    it.  Both fill on a miss and keep each other complete, so every key that
-    a kernel unpacks shares its index tuples with every other, and dict
-    merges and lookups on them compare by identity first.  Keyed on the
-    width as well, since the same block stands for different tuples at
-    different widths.  The grade cap bounds the entries: a few hundred at
-    most per table.
+    it.  Only ``tuples`` creates the tuples that kernels output, from blocks
+    whose fields fit, so every key that a kernel unpacks shares its index
+    tuples with every other, and dict merges and lookups on them compare by
+    identity first.  Keyed on the width as well, since the same block stands
+    for different tuples at different widths.  The grade cap bounds the
+    entries: a few hundred at most per table.
     """
-    blocks, tuples = _Blocks(), _Tuples()
-    blocks.width, blocks.tuples = width, tuples
-    tuples.dim, tuples.width, tuples.blocks = dim, width, blocks
-    return blocks, tuples
+    blocks = _Blocks(width)
+    return blocks, _Tuples(dim, blocks)
 
 
 def _operand_rows(poly, blocks):
-    """``(key, c, grade, mu block, nu block)`` per stored term, in storage order."""
+    """``(key, c, grade, mu block, nu block)`` per stored term, in storage order.
+
+    The grade is :func:`key_grade`, computed from the table's index sums.
+    """
     rows = []
     for key, c in poly._terms.items():
         mu_block, mu_sum = blocks[key[0]]

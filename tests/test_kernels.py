@@ -323,3 +323,18 @@ def test_index_tables_keep_widths_apart():
         for cap in (INF, 9):
             pairs = _assert_kernels_match(keys_a, keys_b, 2, cap)
             assert all(any(key[0] == idx for key in got.keys()) for got, _ref in pairs[::4])
+
+
+def test_overflowing_operand_fields_leave_the_index_tables_intact():
+    """An operand field of 2**8 or more is read from the width-8 table
+    before the call's width is known; at dim 2 its block, 256 for (256, 0),
+    is that of (0, 1).  Later width-8 products must still output (0, 1)."""
+    big = WordPoly(2, {((256, 0), (0, 0), 0, 0, 0): 1.0})
+    one = WordPoly(2, {((0, 0), (0, 0), 0, 0, 0): 1.0})
+    assert graded._packed_operands(big, one, INF)[0] > graded._MIN_WIDTH
+    assert list(normal_order_product(big, one, INF).keys()) == [((256, 0), (0, 0), 0, 0, 0)]
+    keys_a = [((0, 1), (1, 0), 0, 0, 0), ((0, 1), (0, 0), 1, 0, 0)]
+    keys_b = [((0, 0), (0, 0), 0, 0, 0), ((1, 0), (0, 1), -1, 1, 0)]
+    for cap in (INF, 9):
+        pairs = _assert_kernels_match(keys_a, keys_b, 2, cap)
+        assert any(key[0] == (0, 1) for key in pairs[0][0].keys())
