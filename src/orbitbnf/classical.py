@@ -24,8 +24,8 @@ from .series import FTSeries, RotationData, moyal_bracket, poisson_bracket
 def _bracket(hbar_order):
     """The Poisson bracket (hbar_order None) or the Moyal bracket through hbar^hbar_order."""
     if hbar_order is None:
-        return lambda a, b, cap=None: poisson_bracket(a, b, max_weight=cap)
-    return lambda a, b, cap=None: moyal_bracket(a, b, hbar_order, max_weight=cap)
+        return lambda a, b, cap=None, half=False: poisson_bracket(a, b, cap, half)
+    return lambda a, b, cap=None, half=False: moyal_bracket(a, b, hbar_order, cap, half)
 
 
 def h0_series(rot: RotationData, E=0.0, max_weight=math.inf) -> FTSeries:
@@ -84,7 +84,9 @@ def lie_conjugate(H: FTSeries, F: FTSeries, hbar_order=None, max_weight=None) ->
     The bracket is Poisson when ``hbar_order`` is None and Moyal through
     hbar^hbar_order otherwise.  Requires min stored weight of F >= 3 so that
     each application of ad_F gains at least one weight unit and the series
-    terminates exactly on the truncation.
+    terminates exactly on the truncation.  H and F must be real symbols
+    (ValueError otherwise): each bracket is formed by halves and completed
+    by the conjugate symbol (:func:`~orbitbnf.graded.lie_series`).
     """
     return lie_series(H, F, _bracket(hbar_order), max_weight)
 

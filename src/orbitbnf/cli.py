@@ -44,6 +44,7 @@ from .errors import (
     ResonanceError,
     UnsafeWindowError,
 )
+from .graded import require_symmetric
 from .normalform import NormalForm
 from .oracle import BasisWindow, quasi_eigenvalues
 from .quantum import birkhoff_quantum, h0_word
@@ -165,12 +166,7 @@ def _series_hamiltonian(cfg, rot, cap):
     _check_terms(terms, rot.dim, "series")
     H = h0_series(rot, float(cfg.get("E", 0.0)), cap)
     H = H + FTSeries.from_records(rot.dim, terms, cap)
-    defect = H.real_symbol_defect()
-    if defect > 1e-12 * (1.0 + H.max_abs_coeff()):
-        raise ValueError(
-            f"the series Hamiltonian is not a real symbol: conjugation defect "
-            f"{defect:.3e} exceeds 1e-12 * scale; list the conjugate of every term"
-        )
+    require_symmetric(H, "the series Hamiltonian")
     return H
 
 

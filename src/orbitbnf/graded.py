@@ -35,10 +35,19 @@ to a :class:`~orbitbnf.normalform.NormalForm`; :func:`birkhoff_sweep` does
 the grade slicing, the homological solves, the Lie-series conjugations and
 the final split into normal form and remainder.  The kernel of ad_{H0} is
 the same in both algebras (:func:`is_resonant_key`).
+
+The Lie series is symmetric by construction.  Its operands are symmetric
+words (real symbols), so every bracket it forms is symmetric, and every
+product kernel adds the charges ``|mu| - |nu|`` of a term pair.  A kernel
+called with ``half=True`` forms only the pairs whose charges sum to
+``<= 0`` (:func:`_packed_operands`), and :func:`lie_series` fills the
+charge > 0 part in from the mirror: the adjoint of a word, the conjugate
+of a symbol.  Kernel calls without ``half`` form every pair.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -151,15 +160,18 @@ def _index_table(dim, width):
 
 
 def _operand_rows(poly, blocks):
-    """``(key, c, grade, mu block, nu block)`` per stored term, in storage order.
+    """``(key, c, grade, mu block, nu block, charge)`` per stored term, in storage order.
 
-    The grade is :func:`key_grade`, computed from the table's index sums.
+    The grade is :func:`key_grade` and the charge is ``|mu| - |nu|``, both
+    computed from the table's index sums.
     """
     rows = []
     for key, c in poly._terms.items():
         mu_block, mu_sum = blocks[key[0]]
         nu_block, nu_sum = blocks[key[1]]
-        rows.append((key, c, mu_sum + nu_sum + 2 * (key[3] + key[4]), mu_block, nu_block))
+        rows.append(
+            (key, c, mu_sum + nu_sum + 2 * (key[3] + key[4]), mu_block, nu_block, mu_sum - nu_sum)
+        )
     return rows
 
 
@@ -182,22 +194,29 @@ def _pack(rows, dim, width, bias):
             + (nu_block << nu_shift)
             + ((key[2] + bias + (key[3] << width) + (key[4] << k_shift)) << tail_shift),
         )
-        for key, c, g, mu_block, nu_block in rows
+        for key, c, g, mu_block, nu_block, _q in rows
     ]
 
 
-def _packed_operands(a, b, cap, drop=0):
+def _packed_operands(a, b, cap, drop=0, half=False):
     """``(width, a-terms, partners)`` of one product kernel call.
 
-    A term list holds ``(key, c, grade, packed key)`` per stored term, in
-    storage order; the a-terms carry the bias of m.  The mu and nu fields
-    and the grade of a key come from the interned table
-    :func:`_index_table` of the call's ``(dim, width)``, looked up once per
-    call.  ``partners[g]`` lists, in storage order, the b-terms that can
-    meet an a-term of grade g under the cap, for a product that lowers the
-    grade sum of a term pair by ``drop`` (2 for a bracket).  A kernel loops
-    over these lists instead of testing every term pair against the cap: in
-    the Lie series most pairs lie above it.
+    A term list holds ``(key, c, group, packed key)`` per stored term, in
+    storage order; the a-terms carry the bias of m.  The mu and nu fields,
+    the grade and the charge ``|mu| - |nu|`` of a key come from the interned
+    table :func:`_index_table` of the call's ``(dim, width)``, looked up once
+    per call.  ``partners[group]`` lists the b-terms that an a-term of that
+    group meets, for a product that lowers the grade sum of a term pair by
+    ``drop`` (2 for a bracket).  A kernel loops over these lists instead of
+    testing every term pair: in the Lie series most pairs lie above the cap.
+
+    The group of an a-term is its grade g, and its partners are the b-terms
+    that fit under the cap with it, in storage order.  With ``half`` the
+    group is ``(g, q)`` with q the a-term's charge, and its partners are the
+    b-terms that fit and have charge ``<= -q``: a prefix of the fitting
+    b-terms sorted by charge (a stable sort, so storage order within a
+    charge).  Every product in the package adds the charges of a term pair,
+    so a half call forms exactly the pairs whose output has charge ``<= 0``.
 
     Every product in the package keeps the total grade additive up to that
     drop, so an output field (mu_i, nu_i, j, k) never exceeds
@@ -224,10 +243,25 @@ def _packed_operands(a, b, cap, drop=0):
             blocks = _index_table(dim, width)[0]
             a_rows, b_rows = _operand_rows(a, blocks), _operand_rows(b, blocks)
     b_terms = _pack(b_rows, dim, width, 0)
-    partners = {
-        g: [t for t in b_terms if t[2] <= cap + drop - g] for g in {r[2] for r in a_rows}
-    }
-    return width, _pack(a_rows, dim, width, 1 << (width - 1)), partners
+    a_terms = _pack(a_rows, dim, width, 1 << (width - 1))
+    if not half:
+        partners = {
+            g: [t for t in b_terms if t[2] <= cap + drop - g] for g in {r[2] for r in a_rows}
+        }
+        return width, a_terms, partners
+    a_terms = [(key, c, (g, r[5]), p) for (key, c, g, p), r in zip(a_terms, a_rows)]
+    by_charge = sorted(zip([r[5] for r in b_rows], b_terms), key=operator.itemgetter(0))
+    charges_of = {}
+    for r in a_rows:
+        charges_of.setdefault(r[2], set()).add(r[5])
+    partners = {}
+    for g, charges in charges_of.items():
+        fit = [(q, t) for q, t in by_charge if t[2] <= cap + drop - g]
+        fit_charges = [q for q, _t in fit]
+        fit_terms = [t for _q, t in fit]
+        for q in charges:
+            partners[g, q] = fit_terms[: bisect.bisect_right(fit_charges, -q)]
+    return width, a_terms, partners
 
 
 def _field_units(dim, width):
@@ -342,23 +376,28 @@ def _check_dims(a, b):
 def max_coeff_difference(a, b) -> float:
     """max over all keys of |a[key] - b[key]|."""
     _check_dims(a, b)
-    worst = 0.0
-    for key in a._terms.keys() | b._terms.keys():
-        worst = max(worst, abs(a._terms.get(key, 0) - b._terms.get(key, 0)))
-    return worst
+    keys = a._terms.keys() | b._terms.keys()
+    zeros = itertools.repeat(0)
+    gaps = map(operator.sub, map(a._terms.get, keys, zeros), map(b._terms.get, keys, zeros))
+    return max(map(abs, gaps), default=0.0)
 
 
 class GradedPoly:
     """Immutable sparse graded polynomial: key (mu, nu, m, j, k) -> coefficient.
 
     Coefficients are Python complex (or real) numbers.  Exact zeros and
-    keys above the cap are never stored.  A subclass names its grading (``_GRADING``), exposes the
-    cap as ``max_<grading>`` and supplies ``__mul__``.  Polynomials of
-    different subclasses never compare equal or combine.
+    keys above the cap are never stored.  A subclass names its grading
+    (``_GRADING``), its symmetry and mirror (``_SYMMETRY``, ``_MIRROR``), exposes
+    the cap as ``max_<grading>`` and supplies ``__mul__`` and ``mirror``,
+    the antilinear involution that maps a key of charge ``|mu| - |nu|`` to
+    keys of the opposite charge (the adjoint of a word, the conjugate of a
+    symbol).  Polynomials of different subclasses never compare equal or
+    combine.
     """
 
     __slots__ = ("dim", "_cap", "_terms")
     _GRADING = "grade"
+    _SYMMETRY = "symmetric"
 
     def __init__(self, dim, terms=None, cap=INFINITE):
         if dim < 0:
@@ -479,7 +518,7 @@ class GradedPoly:
         return self._trusted(self.dim, _within(self._terms, cap), cap)
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
+        return max(map(abs, self._terms.values()), default=0.0)
 
     # -- serialization ---------------------------------------------------------
 
@@ -581,6 +620,55 @@ def solve_homological(G, rot, eigenvalue, to_normal_form, margin_threshold=1e-9)
     return F, to_normal_form(G._trusted(G.dim, resonant, G._cap))
 
 
+def _check_symmetric(a, mirror, what):
+    """The symmetry defect of ``a``; ValueError above 1e-12 of its scale."""
+    defect = max_coeff_difference(a, mirror)
+    if defect > 1e-12 * (1.0 + a.max_abs_coeff()):
+        raise ValueError(
+            f"{what} is not {a._SYMMETRY}: {a._MIRROR} defect {defect:.3e} exceeds 1e-12 * scale"
+        )
+    return defect
+
+
+def require_symmetric(a, what):
+    """Raise ValueError unless ``a`` equals its mirror to 1e-12 of its scale.
+
+    The mirror is the adjoint of a word and the conjugate of a symbol, so
+    this is the check for an adjoint-symmetric word and for a real symbol.
+    """
+    _check_symmetric(a, a.mirror(), what)
+
+
+def symmetrized(a, what):
+    """``(a + mirror(a)) / 2`` after the check of :func:`require_symmetric`.
+
+    Exactly symmetric whenever the mirror is an exact involution in floating
+    point: always for symbols, and for words without a ``D_t`` power next to
+    a Fourier mode.  An ``a`` that equals its mirror exactly is returned as
+    is.
+    """
+    mirror = a.mirror()
+    if _check_symmetric(a, mirror, what) == 0.0:
+        return a  # already exact: the average would repeat every coefficient
+    return (a + mirror).scaled(0.5)
+
+
+def _filled(half, scale):
+    """``scale`` times the symmetric bracket whose charge ``<= 0`` part is ``half``.
+
+    With X- the charge < 0 part of ``half`` and X0 its charge-0 slice, the
+    bracket is ``X- + mirror(X-) + (X0 + mirror(X0)) / 2``, formed here as
+    ``Y + mirror(Y)`` with ``Y = X- + X0 / 2`` (the halving is exact).
+    """
+    zero_scale = 0.5 * scale
+    y = {
+        key: c * (zero_scale if sum(key[0]) == sum(key[1]) else scale)
+        for key, c in half._terms.items()
+    }
+    Y = half._wrap(half.dim, y, half._cap)
+    return Y + Y.mirror()  # the sum drops any exact zero of Y
+
+
 def lie_series(H, F, bracket, max_grade=None):
     """sum_k (1/k!) ad_F^k H with ad_F = bracket(F, ., cap), truncated at cap.
 
@@ -588,6 +676,16 @@ def lie_series(H, F, bracket, max_grade=None):
     grade of F to be >= 3: each bracket drops the grade sum by 2, so every
     application of ad_F gains at least one grade unit and the series ends
     exactly on the truncation.
+
+    Symmetric by construction.  H and F must be symmetric (real, for
+    symbols) to 1e-12 of their scale, or ValueError is raised; each is then
+    replaced once by its average with its mirror (:func:`symmetrized`).
+    Every term ``ad_F^k H / k!`` is then symmetric, and every bracket adds
+    the charges ``|mu| - |nu|`` of a term pair, so the output keys of
+    charge > 0 are the mirror of those of charge < 0.  Each bracket is
+    therefore called as ``bracket(F, X, cap, half=True)``, which forms only
+    the term pairs whose charges sum to ``<= 0``, and :func:`_filled`
+    restores the rest from the mirror.
     """
     cap = H._cap if max_grade is None else min(H._cap, max_grade)
     grading = H._GRADING
@@ -598,12 +696,13 @@ def lie_series(H, F, bracket, max_grade=None):
             f"generator has a term of {grading} {F.min_grade()} < 3; "
             "the Lie series would not terminate on the truncation"
         )
-    total = H.truncated(cap)
+    F = symmetrized(F, "the generator")
+    total = symmetrized(H.truncated(cap), "the conjugated operand")
     term = total
     k = 0
     while term:
         k += 1
-        term = bracket(F, term, cap).scaled(1.0 / k)
+        term = _filled(bracket(F, term, cap, half=True), 1.0 / k)
         total = total + term
     return total
 
@@ -619,13 +718,18 @@ def birkhoff_sweep(H, rot, order, work_grade, h0, solve, conjugate, to_normal_fo
     the generators F in sweep order (each on one grade slice, so
     ``F.min_grade()`` is its grade g), and the conjugated Hamiltonian minus
     those resonant terms (grades > order plus sub-tolerance residue).
+
+    H must be symmetric (a real symbol, for the series routes) to 1e-12 of
+    its scale, or ValueError is raised; the sweep starts from its average
+    with its mirror, so the remainder is exactly symmetric whenever the
+    mirror is exact (see :func:`symmetrized`).
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     work = max(order, work_grade if work_grade is not None else order)
+    cur = symmetrized(H.truncated(work), "the Hamiltonian")
     check_quadratic_part(H, h0)
     rot.require_order(order)
-    cur = H.truncated(work)
     generators = []
     for g in range(3, order + 1):
         G = cur.filtered(lambda key: key_grade(key) == g and not is_resonant_key(key))

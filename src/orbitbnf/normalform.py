@@ -228,20 +228,3 @@ class NormalForm:
         if dim is None:
             raise ValueError("empty normal-form CSV")
         return NormalForm(dim, coeffs, route=route)
-
-    def pretty(self, tol=0.0) -> str:
-        pieces = []
-        for rec in self.to_records():
-            if abs(rec["c"]) <= tol:
-                continue
-            factors = []
-            for i, e in enumerate(rec["r"]):
-                if e:
-                    factors.append(f"p{i + 1}" + (f"^{e}" if e > 1 else ""))
-            if rec["s"]:
-                factors.append("tau" + (f"^{rec['s']}" if rec["s"] > 1 else ""))
-            if rec["k"]:
-                factors.append("hbar" + (f"^{rec['k']}" if rec["k"] > 1 else ""))
-            body = "*".join(factors) if factors else "1"
-            pieces.append(f"({rec['c']})*{body}")
-        return " + ".join(pieces) if pieces else "0"

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, UnsafeWindowError
+from .graded import require_symmetric
 from .normalform import NormalForm
-from .words import BasisState, WordPoly, apply_to_basis, normal_form_to_word, require_symmetric
+from .words import BasisState, WordPoly, apply_to_basis, normal_form_to_word
 
 __all__ = [
     "BasisWindow",
@@ -156,7 +157,8 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     operators the Fourier index is exactly conserved, so the Fourier cut
     selects sectors rather than approximating them and is left alone.  The
     matrix is assembled once, at the doubled cuts; the working matrix is its
-    block on the working states, which holds the same amplitudes.
+    block on the working states, which holds the same amplitudes.  The
+    doubled matrix is solved first and freed before the working solve.
 
     The operator must be adjoint-symmetric as a word (a NormalForm is
     checked as its ``normal_form_to_word``).  That is tested once, on the
@@ -177,8 +179,13 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     couple = _couples_fourier(a)
     wide = w.doubled(couple)
     big = assemble_matrix(a, wide)
+    # The doubled solve first: its copy of ``big`` is the largest allocation
+    # and the peak of the call, and the working solve's temporaries, which
+    # come after ``big`` is freed, cannot add to it.
+    bvals = np.linalg.eigvalsh(big)
     idx = _block_index(w, wide, dim)
     mat = big[np.ix_(idx, idx)]
+    del big
     vals, vecs = np.linalg.eigh(mat)
     keep = [i for i, v in enumerate(vals) if lo <= v <= hi]
 
@@ -199,8 +206,6 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
             )
 
     mine = np.array([vals[i] for i in keep])
-    del mat, vecs  # free the working cut before the doubled solve
-    bvals = np.linalg.eigvalsh(big)
     bkeep = bvals[(bvals >= lo) & (bvals <= hi)]
     if len(bkeep) != len(mine):
         raise UnsafeWindowError(

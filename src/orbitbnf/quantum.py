@@ -28,7 +28,6 @@ from .words import (
     commutator_over_ihbar,
     diagonal_to_normal_form,
     normal_form_to_word,
-    require_symmetric,
 )
 
 
@@ -83,7 +82,9 @@ def exp_conjugate(H: WordPoly, F: WordPoly, max_grade=None) -> WordPoly:
 
     This is the word expansion of e^{-iF/hbar} H e^{iF/hbar}.  Requires the
     weighted grade of F (hbar counting 2) to be >= 3 so each commutator
-    gains at least one grade unit and the series terminates.
+    gains at least one grade unit and the series terminates.  H and F must
+    be adjoint-symmetric (ValueError otherwise): each commutator is formed
+    by halves and completed by the adjoint (:func:`~orbitbnf.graded.lie_series`).
     """
     return lie_series(H, F, commutator_over_ihbar, max_grade)
 
@@ -106,8 +107,9 @@ def birkhoff_quantum(
 
     Raises ValueError unless H is symmetric and its grade <= 2 slice is
     exactly H0 (the hbar constant must be the half-quantum sum(theta)/2).
+    The sweep starts from (H + H^+)/2, so on a t-independent H the
+    remainder's adjoint defect is exactly 0.
     """
-    require_symmetric(H, "Hamiltonian")
     return birkhoff_sweep(
         H,
         rot,

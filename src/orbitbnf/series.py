@@ -11,14 +11,10 @@ A term key ``(mu, nu, m, j, k)`` stands for the monomial
 
     z^mu * zbar^nu * e^{i m t} * tau^j * hbar^k .
 
-Gradings:
+The truncation grading is ``weight(key) = |mu| + |nu| + 2j + 2k`` (``hbar``
+counts 2, like two letter slots).
 
-* ``weight(key) = |mu| + |nu| + 2j + 2k`` -- the joint truncation grading
-  (``hbar`` counts 2, like two letter slots).
-* vanishing order ``|mu| + |nu| + 2j`` -- order of vanishing at
-  ``p = tau = 0`` (``hbar`` counts 0).
-
-``BRACKET_SIGN`` documents the Poisson-bracket sign convention:
+The Poisson-bracket sign convention:
 
     {A,B} = sum_i (dA/dx_i dB/dxi_i - dA/dxi_i dB/dx_i)
             + (dA/dt dB/dtau - dA/dtau dB/dt)
@@ -52,23 +48,9 @@ from .graded import (
     _field_units,
     _from_packed,
     _packed_operands,
+    max_coeff_difference,
 )
 from .graded import key_grade as key_weight
-
-#: Sign of the (t, tau) block of the bracket; see module docstring.
-BRACKET_SIGN = +1
-
-
-def key_vanishing(key) -> int:
-    """Order of vanishing at p=tau=0 of a term key (hbar counts 0)."""
-    mu, nu, _m, j, _k = key
-    return sum(mu) + sum(nu) + 2 * j
-
-
-def key_conjugate(key):
-    """Key of the complex-conjugate monomial."""
-    mu, nu, m, j, k = key
-    return (nu, mu, -m, j, k)
 
 
 class FTSeries(GradedPoly):
@@ -87,6 +69,8 @@ class FTSeries(GradedPoly):
 
     __slots__ = ()
     _GRADING = "weight"
+    _SYMMETRY = "a real symbol"
+    _MIRROR = "conjugation"
 
     def __init__(self, dim, terms=None, max_weight=INFINITE):
         super().__init__(dim, terms, max_weight)
@@ -104,10 +88,6 @@ class FTSeries(GradedPoly):
             return pointwise_product(self, other)
         return self.scaled(other)
 
-    def vanishing_order(self):
-        """Order of vanishing at p=tau=0 (hbar weight 0; inf for zero)."""
-        return min((key_vanishing(key) for key in self._terms), default=INFINITE)
-
     def hbar_truncated(self, kmax) -> "FTSeries":
         """Drop terms with hbar-power k > kmax."""
         return self.filtered(lambda key: key[4] <= kmax)
@@ -116,22 +96,20 @@ class FTSeries(GradedPoly):
 
     def conjugate_symbol(self) -> "FTSeries":
         """The series representing the complex conjugate symbol."""
-        return FTSeries._trusted(
+        terms = self._terms.items()
+        return FTSeries._wrap(
             self.dim,
-            {key_conjugate(key): complex(c).conjugate() for key, c in self._terms.items()},
+            {(nu, mu, -m, j, k): complex(c).conjugate() for (mu, nu, m, j, k), c in terms},
             self._cap,
         )
 
+    def mirror(self) -> "FTSeries":
+        """The conjugate symbol (:meth:`conjugate_symbol`)."""
+        return self.conjugate_symbol()
+
     def real_symbol_defect(self) -> float:
         """max |c(mu,nu,m,j,k) - conj(c(nu,mu,-m,j,k))| over stored keys."""
-        worst = 0.0
-        for key, c in self._terms.items():
-            other = self._terms.get(key_conjugate(key), 0)
-            worst = max(worst, abs(c - complex(other).conjugate()))
-        return worst
-
-    def is_real_symbol(self, tol=0.0) -> bool:
-        return self.real_symbol_defect() <= tol
+        return max_coeff_difference(self, self.conjugate_symbol())
 
     # -- numerics --------------------------------------------------------------
 
@@ -166,8 +144,8 @@ def pointwise_product(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
     width, a_terms, partners = _packed_operands(a, b, cap)
     out = {}
     get = out.get
-    for _t1, c1, w1, p1 in a_terms:
-        for _t2, c2, _w2, p2 in partners[w1]:
+    for _t1, c1, group, p1 in a_terms:
+        for _t2, c2, _w2, p2 in partners[group]:
             key = p1 + p2
             c = c1 * c2
             prev = get(key)
@@ -175,22 +153,23 @@ def pointwise_product(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
     return _from_packed(FTSeries, a.dim, out, width, cap)
 
 
-def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
+def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None, half=False) -> FTSeries:
     """Extended Poisson bracket {a, b}; sign convention in module docstring.
 
     Every term of the bracket of weight-homogeneous series of weights
     (w1, w2) has weight w1 + w2 - 2.  Keys are packed as in
-    :func:`_moyal_sum`.
+    :func:`_moyal_sum`, and ``half`` forms only the charge ``<= 0`` part, as
+    there.
     """
     _check_dims(a, b)
     cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
-    width, a_terms, partners = _packed_operands(a, b, cap, 2)
+    width, a_terms, partners = _packed_operands(a, b, cap, 2, half)
     mu_units, nu_units, _m, j_unit, _k = _field_units(a.dim, width)
     drops = [mu_u + nu_u for mu_u, nu_u in zip(mu_units, nu_units)]
     out = {}
     get = out.get
-    for (mu1, nu1, m1, j1, _k1), c1, w1, p1 in a_terms:
-        for (mu2, nu2, m2, j2, _k2), c2, _w2, p2 in partners[w1]:
+    for (mu1, nu1, m1, j1, _k1), c1, group, p1 in a_terms:
+        for (mu2, nu2, m2, j2, _k2), c2, _w2, p2 in partners[group]:
             base = c1 * c2
             p = p1 + p2
             # transverse block: 2i (dA/dzbar dB/dz - dA/dz dB/dzbar) per mode
@@ -221,16 +200,19 @@ def moyal_product(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) ->
     return _moyal_sum(a, b, hbar_order, max_weight, antisymmetric=False)
 
 
-def moyal_bracket(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) -> FTSeries:
+def moyal_bracket(
+    a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None, half=False
+) -> FTSeries:
     """(a # b - b # a)/(i hbar) through hbar^hbar_order.
 
     Computed termwise from the antisymmetrized bidifferential sum: the even
     bidifferential orders cancel identically (no floating-point residue), the
     odd orders double, and the division by i*hbar is an exact shift of the
     hbar power.  The hbar^0 slice coincides with :func:`poisson_bracket`;
-    every term drops total weight by exactly 2.
+    every term drops total weight by exactly 2.  ``half`` forms only the
+    charge ``<= 0`` part (see :func:`_moyal_sum`).
     """
-    return _moyal_sum(a, b, hbar_order, max_weight, antisymmetric=True)
+    return _moyal_sum(a, b, hbar_order, max_weight, antisymmetric=True, half=half)
 
 
 def _t_block(m1, j1, m2, j2):
@@ -249,7 +231,7 @@ def _t_block(m1, j1, m2, j2):
     ]
 
 
-def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric):
+def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
     """The bidifferential sum a # b, or (a # b - b # a)/(i hbar) if antisymmetric.
 
     A term pair expands over exponents (x, y, u, v) of the left/right
@@ -271,19 +253,25 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric):
     entry serves X and Y, and a generated key is the sum of the operand keys,
     the X and Y offsets and the (t, tau) offset.  The terms are unpacked once,
     on return, in the order they were first generated.
+
+    With ``half`` only the term pairs whose charges ``|mu| - |nu|`` sum to
+    ``<= 0`` are formed (:func:`~orbitbnf.graded._packed_operands`).  Both
+    contractions and the (t, tau) block keep the charge of a pair, so this is
+    exactly the charge ``<= 0`` part of the sum; the Lie series fills in the
+    rest of a real bracket from the conjugate symbol.
     """
     _check_dims(a, b)
     if hbar_order < 0:
         raise ValueError("hbar_order must be >= 0")
     cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
     shift = 1 if antisymmetric else 0  # the division by i hbar lowers k by one
-    width, a_terms, partners = _packed_operands(a, b, cap, 2 * shift)
+    width, a_terms, partners = _packed_operands(a, b, cap, 2 * shift, half)
     _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim, width)
     t_shift = k_unit - j_unit  # each (t, tau) derivative: one j less, one hbar more
     out = {}
     get = out.get
-    for (mu1, nu1, m1, j1, k1), c1, w1, p1 in a_terms:
-        for (mu2, nu2, m2, j2, k2), c2, _w2, p2 in partners[w1]:
+    for (mu1, nu1, m1, j1, k1), c1, group, p1 in a_terms:
+        for (mu2, nu2, m2, j2, k2), c2, _w2, p2 in partners[group]:
             base = c1 * c2
             k0 = k1 + k2 - shift
             p0 = p1 + p2 - shift * k_unit

@@ -58,6 +58,7 @@ class WordPoly(GradedPoly):
 
     __slots__ = ()
     _GRADING = "grade"
+    _MIRROR = "adjoint"
 
     def __init__(self, dim, terms=None, max_grade=math.inf):
         super().__init__(dim, terms, max_grade)
@@ -96,12 +97,16 @@ class WordPoly(GradedPoly):
     def off_diagonal_part(self) -> "WordPoly":
         return self.filtered(lambda key: not is_resonant_key(key))
 
+    def mirror(self) -> "WordPoly":
+        """The adjoint (:func:`adjoint`)."""
+        return adjoint(self)
+
     def adjoint_defect(self) -> float:
         """max coefficient difference between self and adjoint(self)."""
         return max_coeff_difference(self, adjoint(self))
 
 
-def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
+def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None, half=False) -> WordPoly:
     """Product A*B re-expressed in canonical order; exact on the truncation.
 
     Uses [a_i, a_j^+] = hbar delta_ij (per-mode contraction identity
@@ -121,19 +126,25 @@ def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
     An explicit max_grade overrides the operands' caps (the caller asserts
     the operands are complete far enough for that to be meaningful); by
     default the finer of the two caps applies.
+
+    With ``half`` only the term pairs whose charges ``|mu| - |nu|`` sum to
+    ``<= 0`` are formed, which gives exactly the charge ``<= 0`` part of the
+    product: a contraction lowers mu and nu alike and the D_t shift moves
+    neither.  The Lie series fills in the rest of a symmetric bracket from
+    the adjoint (:func:`~orbitbnf.graded.lie_series`).
     """
     _check_dims(a, b)
     if max_grade is not None:
         cap = max_grade
     else:
         cap = min(a.max_grade, b.max_grade)
-    width, a_terms, partners = _packed_operands(a, b, cap)
+    width, a_terms, partners = _packed_operands(a, b, cap, half=half)
     _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim, width)
     dt_shift = k_unit - j_unit  # D_t -> m hbar: one j less, one k more
     out = {}
     get = out.get
-    for (_mu1, nu1, _m1, j1, _k1), c1, g1, p1 in a_terms:
-        for (mu2, _nu2, m2, _j2, _k2), c2, _g2, p2 in partners[g1]:
+    for (_mu1, nu1, _m1, j1, _k1), c1, group, p1 in a_terms:
+        for (mu2, _nu2, m2, _j2, _k2), c2, _g2, p2 in partners[group]:
             base = c1 * c2
             table = _contractions(nu1, mu2, width)
             p = p1 + p2
@@ -175,24 +186,16 @@ def adjoint(a: WordPoly) -> WordPoly:
     return WordPoly._trusted(a.dim, out, a.max_grade)
 
 
-def require_symmetric(a: WordPoly, what: str):
-    """Raise ValueError unless a equals its adjoint to 1e-12 of its scale."""
-    defect = a.adjoint_defect()
-    if defect > 1e-12 * (1.0 + a.max_abs_coeff()):
-        raise ValueError(
-            f"{what} is not symmetric: adjoint defect {defect:.3e} exceeds 1e-12 * scale"
-        )
-
-
-def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
-    """(AB - BA)/(i hbar).
+def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) -> WordPoly:
+    """(AB - BA)/(i hbar), or its charge ``<= 0`` part with ``half``.
 
     The hbar-free parts of AB and BA are identical term sets and cancel;
     when several term pairs accumulate into one key the two products may
     round differently, so a residue below 1e-12 * product scale at hbar^0
     is recognized as that cancellation and dropped.  Every genuine
     commutator term carries hbar^k with k >= 1, and the division shifts k
-    down by one (grade drops by exactly 2).
+    down by one (grade drops by exactly 2).  With ``half`` both products are
+    formed by halves (:func:`normal_order_product`).
 
     Raises
     ------
@@ -204,8 +207,8 @@ def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None) -> WordPoly:
     cap = min(a.max_grade, b.max_grade)
     if max_grade is not None:
         cap = min(cap, max_grade)
-    ab = normal_order_product(a, b, cap + 2)
-    ba = normal_order_product(b, a, cap + 2)
+    ab = normal_order_product(a, b, cap + 2, half=half)
+    ba = normal_order_product(b, a, cap + 2, half=half)
     noise = 1e-12 * max(ab.max_abs_coeff(), ba.max_abs_coeff())
     raw = ab - ba
     out = {}
