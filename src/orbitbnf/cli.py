@@ -26,6 +26,7 @@ Exit codes
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -132,6 +133,8 @@ def _load_tolerances(path):
                 f"unknown tolerance {key!r}; known: {sorted(tol)}"
             )
         tol[key] = float(value)
+        if not (math.isfinite(tol[key]) and tol[key] > 0):
+            raise ValueError(f"tolerance {key!r} must be finite and > 0, not {value!r}")
     return tol
 
 

@@ -4,8 +4,8 @@ Both algebras of the package store the same data: a dict from term keys
 ``(mu, nu, m, j, k)`` to coefficients, graded by ``|mu| + |nu| + 2j + 2k``
 (``tau``/``D_t`` and ``hbar`` occupy two slots each) and truncated above a
 cap.  :class:`GradedPoly` holds that storage and everything that does not
-depend on the product: construction, linear structure, caps, slices,
-records and JSON.  :class:`~orbitbnf.series.FTSeries` (commutative symbols,
+depend on the product: construction, linear structure, caps, slices and
+records.  :class:`~orbitbnf.series.FTSeries` (commutative symbols,
 cap ``max_weight``) and :class:`~orbitbnf.words.WordPoly` (normal-ordered
 words, cap ``max_grade``) add their products and named constructors.
 
@@ -50,7 +50,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import json
 import math
 import operator
 
@@ -541,19 +540,6 @@ class GradedPoly:
             key = (tuple(r["mu"]), tuple(r["nu"]), r.get("m", 0), r.get("j", 0), r.get("k", 0))
             terms[key] = terms.get(key, 0) + complex(r["re"], r.get("im", 0.0))
         return cls(dim, terms, *cap, **cap_kw)
-
-    def to_json(self) -> str:
-        cap = None if self._cap == INFINITE else self._cap
-        return json.dumps(
-            {"dim": self.dim, f"max_{self._GRADING}": cap, "terms": self.to_records()},
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        blob = json.loads(text)
-        cap = blob.get(f"max_{cls._GRADING}")
-        return cls.from_records(blob["dim"], blob["terms"], INFINITE if cap is None else cap)
 
 
 # -- the graded normal-form engine ---------------------------------------------

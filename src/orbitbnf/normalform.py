@@ -122,13 +122,6 @@ class NormalForm:
     def hbar_truncated(self, kmax) -> "NormalForm":
         return self.filtered(lambda e: e[2] <= kmax)
 
-    def chop(self, tol) -> "NormalForm":
-        return NormalForm(
-            self.dim,
-            {e: c for e, c in self._coeffs.items() if abs(c) > tol},
-            route=self.route,
-        )
-
     def difference(self, other) -> float:
         """max over entries of |self[e] - other[e]|."""
         worst = 0.0

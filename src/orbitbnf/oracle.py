@@ -6,7 +6,8 @@ amplitudes carry the hbar normalization [a, a+] = hbar, so the harmonic part
 has eigenvalues (mu + 1/2) hbar exactly.  Everything here is independent of
 the series machinery: eigenvalues come from dense solves (LAPACK's real
 symmetric driver whenever every coefficient of the operator is real, the
-complex Hermitian one otherwise) and traces from explicit weighted sums.
+complex Hermitian one otherwise), one per class of states that no matrix
+entry connects, and traces from explicit weighted sums.
 The point is to have something slow and obviously correct to hold the
 symbolic results against.
 
@@ -146,6 +147,40 @@ def _block_index(w: BasisWindow, wide: BasisWindow, dim: int) -> np.ndarray:
     return np.array([position[s] for s in w.states(dim)])
 
 
+def _classes(mat: np.ndarray) -> np.ndarray:
+    """Class label of each state; a class holds states that nonzero entries connect.
+
+    Labels are 0, 1, ... in the order of each class's lowest state.
+    Union-find over ``np.nonzero(mat)`` in rounds: every entry that still
+    joins two roots hooks the larger root to the smaller, then every state
+    is pointed at its root.  Pointers only go to smaller indices, so the
+    rounds end and the root of a class is its lowest state.  Both triangles
+    count, so a class holds every entry that a solver reading one triangle
+    sees.
+    """
+    rows, cols = np.nonzero(mat)
+    root = np.arange(mat.shape[0])
+    while True:
+        r, c = root[rows], root[cols]
+        cross = r != c
+        if not cross.any():
+            break
+        np.minimum.at(root, np.maximum(r, c)[cross], np.minimum(r, c)[cross])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    return np.unique(root, return_inverse=True)[1]
+
+
+def _groups(label: np.ndarray) -> list:
+    """Positions of each label value, ascending, for the labels that occur."""
+    order = np.argsort(label, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(label))[:-1])
+    return [g for g in groups if len(g)]
+
+
 def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     """Sorted eigenvalues inside the energy interval ``window = (lo, hi)``.
 
@@ -155,39 +190,55 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     whole list must reproduce under doubling the Hermite cut (both cuts for
     Fourier-coupled operators) to within drift_tol.  For t-independent
     operators the Fourier index is exactly conserved, so the Fourier cut
-    selects sectors rather than approximating them and is left alone.  The
-    matrix is assembled once, at the doubled cuts; the working matrix is its
-    block on the working states, which holds the same amplitudes.  The
-    doubled matrix is solved first and freed before the working solve.
+    selects sectors rather than approximating them and is left alone.
+
+    The matrix is assembled once, at the doubled cuts, and split into
+    classes of states that no nonzero entry connects (the total-parity
+    classes of an even two-mode word, the Fourier sectors of a t-independent
+    one).  Each class is solved on its own: its doubled block (the matrix
+    itself when there is one class), then its block on the working states,
+    which holds the same amplitudes.  The doubled solves come first, and the
+    doubled matrix is freed before the working solves.  The eigenvalues of
+    all classes are merged in sorted order before the count and drift
+    checks, and a boundary-mass failure names the lowest offending
+    eigenvalue.
 
     The operator must be adjoint-symmetric as a word (a NormalForm is
     checked as its ``normal_form_to_word``).  That is tested once, on the
     word, so it holds at every cut; a matrix test would miss terms that only
     the doubled cut reaches, and the eigen-solvers read one triangle only.
 
-    Raises ValueError if the word is not adjoint-symmetric to 1e-12 of its
-    largest coefficient or the doubled window exceeds MATRIX_BUDGET, and
-    UnsafeWindowError on boundary mass, on a count mismatch between the two
-    solves, or on drift above drift_tol.
+    Raises ValueError if drift_tol is not finite and > 0, the word is not
+    adjoint-symmetric to 1e-12 of its largest coefficient or the doubled
+    window exceeds MATRIX_BUDGET, and UnsafeWindowError on boundary mass, on
+    a count mismatch between the two solves, or on drift above drift_tol.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be an interval (lo, hi) with lo < hi")
+    if not (math.isfinite(drift_tol) and drift_tol > 0):
+        raise ValueError(f"drift_tol must be finite and > 0, not {drift_tol!r}")
     a = _as_word(a)
     require_symmetric(a, "quasi_eigenvalues: the operator")
     dim = a.dim
     couple = _couples_fourier(a)
     wide = w.doubled(couple)
     big = assemble_matrix(a, wide)
-    # The doubled solve first: its copy of ``big`` is the largest allocation
-    # and the peak of the call, and the working solve's temporaries, which
-    # come after ``big`` is freed, cannot add to it.
-    bvals = np.linalg.eigvalsh(big)
+    label = _classes(big)
+    classes = _groups(label)
+    # The doubled solves first: each copies its block, and the largest of
+    # those copies is the peak of the call; the working solves' temporaries
+    # come after ``big`` is freed and cannot add to it.
+    if len(classes) == 1:
+        bvals = np.linalg.eigvalsh(big)
+    else:
+        bvals = np.sort(
+            np.concatenate([np.linalg.eigvalsh(big[np.ix_(c, c)]) for c in classes])
+        )
     idx = _block_index(w, wide, dim)
-    mat = big[np.ix_(idx, idx)]
+    members = _groups(label[idx])  # working states by class, in working order
+    blocks = [big[np.ix_(idx[m], idx[m])] for m in members]
     del big
-    vals, vecs = np.linalg.eigh(mat)
-    keep = [i for i, v in enumerate(vals) if lo <= v <= hi]
 
     states = w.states(dim)
     hc, fc = w.hermite_cut, w.fourier_cut
@@ -197,15 +248,27 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
             for s in states
         ]
     )
-    for i in keep:
-        mass = float(np.sum(np.abs(vecs[:, i][shallow]) ** 2))
-        if mass > 1e-8:
-            raise UnsafeWindowError(
-                f"eigenvalue {vals[i]:.6g} keeps mass {mass:.2e} on states "
-                "beyond half the cut; enlarge the window cuts"
-            )
+    kept = []
+    worst = None  # (eigenvalue, mass) of the lowest offending eigenvector
+    for pos, block in zip(members, blocks):
+        vals, vecs = np.linalg.eigh(block)
+        keep = [i for i, v in enumerate(vals) if lo <= v <= hi]
+        kept.append(vals[keep])
+        out = shallow[pos]
+        for i in keep:
+            if worst is not None and vals[i] >= worst[0]:
+                break
+            mass = float(np.sum(np.abs(vecs[:, i][out]) ** 2))
+            if mass > 1e-8:
+                worst = (vals[i], mass)
+                break
+    if worst is not None:
+        raise UnsafeWindowError(
+            f"eigenvalue {worst[0]:.6g} keeps mass {worst[1]:.2e} on states "
+            "beyond half the cut; enlarge the window cuts"
+        )
 
-    mine = np.array([vals[i] for i in keep])
+    mine = np.sort(np.concatenate(kept))
     bkeep = bvals[(bvals >= lo) & (bvals <= hi)]
     if len(bkeep) != len(mine):
         raise UnsafeWindowError(

@@ -32,7 +32,6 @@ from .graded import (
     _field_units,
     _from_packed,
     _packed_operands,
-    _sub_idx,
     is_resonant_key,
     key_grade,
     max_coeff_difference,
@@ -48,8 +47,9 @@ class BasisState:
     nu: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(int(e) for e in self.mu))
-        if any(e < 0 for e in self.mu):
+        mu = tuple(map(int, self.mu))
+        object.__setattr__(self, "mu", mu)
+        if mu and min(mu) < 0:
             raise ValueError("Hermite indices must be >= 0")
 
 
@@ -93,9 +93,6 @@ class WordPoly(GradedPoly):
     def diagonal_part(self) -> "WordPoly":
         """Terms commuting with the harmonic part: mu = nu and m = 0."""
         return self.filtered(is_resonant_key)
-
-    def off_diagonal_part(self) -> "WordPoly":
-        return self.filtered(lambda key: not is_resonant_key(key))
 
     def mirror(self) -> "WordPoly":
         """The adjoint (:func:`adjoint`)."""
@@ -224,32 +221,47 @@ def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) 
 
 
 def apply_to_basis(a: WordPoly, s: BasisState, hbar: float) -> dict:
-    """Exact image of a basis state: map BasisState -> complex amplitude."""
-    if hbar <= 0:
-        raise ValueError("hbar must be > 0")
-    if len(s.mu) != a.dim:
+    """Exact image of a basis state: map BasisState -> complex amplitude.
+
+    One pass over each term's modes gives its ladder factor and target.
+    Amplitudes accumulate per target ``(mu, nu)`` in the order the terms
+    reach it, a target whose sum is exactly zero is dropped, and one
+    BasisState is built per surviving target.  ValueError unless hbar is
+    finite and > 0 and the state has one Hermite index per mode.
+    """
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be finite and > 0, not {hbar!r}")
+    smu, snu = s.mu, s.nu
+    if len(smu) != a.dim:
         raise ValueError("basis state has wrong dimension")
     out = {}
+    get = out.get
     for (mu, nu, m, j, k), c in a._terms.items():
-        if any(s.mu[i] < nu[i] for i in range(a.dim)):
-            continue
-        amp = complex(c)
-        if k:
-            amp *= hbar**k
-        if j:
-            amp *= (s.nu * hbar) ** j
-        mid = _sub_idx(s.mu, nu)
         ff = 1
-        for i in range(a.dim):
-            ff *= math.perm(s.mu[i], nu[i]) * math.perm(mid[i] + mu[i], mu[i])
-        ladder_count = sum(mu) + sum(nu)
-        if ladder_count:
-            amp *= math.sqrt(ff * hbar**ladder_count)
-        target = BasisState(_add_idx(mid, mu), s.nu + m)
-        out[target] = out.get(target, 0j) + amp
-        if not out[target]:
-            del out[target]
-    return out
+        ladder_count = 0
+        target = []
+        for si, ni, mi in zip(smu, nu, mu):
+            if si < ni:  # a^nu annihilates the state
+                break
+            mid = si - ni
+            ff *= math.perm(si, ni) * math.perm(mid + mi, mi)
+            ladder_count += ni + mi
+            target.append(mid + mi)
+        else:
+            amp = complex(c)
+            if k:
+                amp *= hbar**k
+            if j:
+                amp *= (snu * hbar) ** j
+            if ladder_count:
+                amp *= math.sqrt(ff * hbar**ladder_count)
+            key = (tuple(target), snu + m)
+            total = get(key, 0j) + amp
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
+    return {BasisState(mu, nu): amp for (mu, nu), amp in out.items()}
 
 
 def diagonal_to_normal_form(a: WordPoly, route=None, imag_tol=1e-9) -> NormalForm:

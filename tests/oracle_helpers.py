@@ -1,9 +1,10 @@
 """Reference computations that only the tests use.
 
 A grid trace of a model operator, coherent-state convention checks, a
-numeric Wick symbol and single matrix elements.  Each one rebuilds a
-quantity from the oracle's basis and dense matrices, so the tests can hold
-the library's symbolic results against it.
+numeric Wick symbol, single matrix elements and the per-term loop that
+``apply_to_basis`` replaced.  Each one rebuilds a quantity from the oracle's
+basis and dense matrices, so the tests can hold the library's results
+against it.
 """
 
 import cmath
@@ -13,9 +14,43 @@ import math
 import numpy as np
 
 from orbitbnf.errors import UnsafeWindowError
+from orbitbnf.graded import _add_idx, _sub_idx
 from orbitbnf.normalform import NormalForm
 from orbitbnf.oracle import BasisWindow, assemble_matrix, numeric_trace, smooth_plateau
 from orbitbnf.words import BasisState, WordPoly, apply_to_basis
+
+
+def apply_to_basis_reference(a: WordPoly, s: BasisState, hbar: float) -> dict:
+    """``apply_to_basis`` as a straight loop: one BasisState per term.
+
+    The same arithmetic in the same order, so amplitudes and dict order
+    must match the library's column builder exactly.
+    """
+    if hbar <= 0:
+        raise ValueError("hbar must be > 0")
+    if len(s.mu) != a.dim:
+        raise ValueError("basis state has wrong dimension")
+    out = {}
+    for (mu, nu, m, j, k), c in a.items():
+        if any(s.mu[i] < nu[i] for i in range(a.dim)):
+            continue
+        amp = complex(c)
+        if k:
+            amp *= hbar**k
+        if j:
+            amp *= (s.nu * hbar) ** j
+        mid = _sub_idx(s.mu, nu)
+        ff = 1
+        for i in range(a.dim):
+            ff *= math.perm(s.mu[i], nu[i]) * math.perm(mid[i] + mu[i], mu[i])
+        ladder_count = sum(mu) + sum(nu)
+        if ladder_count:
+            amp *= math.sqrt(ff * hbar**ladder_count)
+        target = BasisState(_add_idx(mid, mu), s.nu + m)
+        out[target] = out.get(target, 0j) + amp
+        if not out[target]:
+            del out[target]
+    return out
 
 
 def matrix_element(a: WordPoly, bra: BasisState, ket: BasisState, hbar: float) -> complex:

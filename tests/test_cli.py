@@ -359,6 +359,19 @@ def test_oracle_spectrum_drift_tol_comes_from_the_overrides(tmp_path, monkeypatc
     assert manifest["tolerances"]["drift_tol"] == 3e-7
 
 
+@pytest.mark.parametrize("override", [{"drift_tol": math.nan}, {"drift_tol": math.inf},
+                                      {"drift_tol": 0.0}, {"drift_tol": -1e-10},
+                                      {"margin_threshold": -math.inf}])
+def test_tolerance_overrides_must_be_finite_and_positive(tmp_path, capsys, override):
+    """A NaN drift_tol would switch the oracle's drift check off."""
+    overrides = tmp_path / "tol.json"
+    overrides.write_text(json.dumps(override))
+    assert main(["oracle-spectrum", "--config", _oracle_config(tmp_path), "--out",
+                 str(tmp_path / "o"), "--tolerance-overrides", str(overrides)]) == 2
+    assert "must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "spectrum.csv").exists()
+
+
 def test_oracle_block_rejects_drift_tol(tmp_path, capsys):
     cfg = _oracle_config(tmp_path, drift_tol=1e-6)
     assert main(["oracle-spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -80,11 +80,6 @@ def test_records_roundtrip():
     assert not _tables_differ(nf, back)
 
 
-def test_chop_drops_tiny_entries():
-    nf = NormalForm(1, {((1,), 0, 0): 1.0, ((2,), 0, 0): 1e-15})
-    assert nf.chop(1e-12).coeff((2,), 0, 0) == 0.0
-
-
 def test_as_series_maps_actions_to_monomials():
     """p^2 becomes z^2 zbar^2 / 4 and tau becomes the j-grading."""
     nf = NormalForm(1, {((2,), 0, 0): 1.0, ((0,), 1, 0): 2.0})

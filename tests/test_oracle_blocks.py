@@ -1,0 +1,221 @@
+"""Class-wise oracle solves and the column builder behind assembly.
+
+``quasi_eigenvalues`` splits the doubled matrix into classes of states that
+no nonzero entry connects and solves each class on its own;
+``apply_to_basis`` builds each matrix column in one pass per term.  Both are
+held against the straight computations they replace: a dense solve of the
+whole matrix, and the per-term loop kept in ``oracle_helpers``.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbitbnf import oracle
+from orbitbnf.errors import UnsafeWindowError
+from orbitbnf.oracle import BasisWindow, assemble_matrix, quasi_eigenvalues
+from orbitbnf.quantum import h0_word
+from orbitbnf.series import nonresonance_margin
+from orbitbnf.words import BasisState, WordPoly, apply_to_basis, normal_order_product
+from oracle_helpers import apply_to_basis_reference
+
+SQRT2M1 = math.sqrt(2.0) - 1.0
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def ladder_sum(dim):
+    s = WordPoly.zero(dim)
+    for i in range(dim):
+        s = s + WordPoly.annihilation(dim, i) + WordPoly.creation(dim, i)
+    return s
+
+
+def one_mode_cubic(cap=10, eps=0.01):
+    s = ladder_sum(1)
+    rot = nonresonance_margin((SQRT2M1,), 8)
+    return h0_word(rot, 0.7, cap) + normal_order_product(normal_order_product(s, s, cap), s, cap) * eps
+
+
+def two_mode_quartic(cap=8):
+    rot = nonresonance_margin((SQRT2M1, math.sqrt(3.0) - 1.0), cap)
+    s2 = normal_order_product(ladder_sum(2), ladder_sum(2), cap)
+    return h0_word(rot, 1.0, cap) + normal_order_product(s2, s2, cap) * 0.003
+
+
+def classes_of(a, w):
+    return oracle._groups(oracle._classes(assemble_matrix(a, w)))
+
+
+def test_two_mode_quartic_splits_into_its_total_parity_classes():
+    w = BasisWindow(10, 0, 0.1)
+    classes = classes_of(two_mode_quartic(), w)
+    states = w.states(2)
+    assert [len(c) for c in classes] == [61, 60]
+    for parity, c in enumerate(classes):
+        assert {sum(states[i].mu) % 2 for i in c} == {parity}
+
+
+def test_one_mode_cubic_is_one_class():
+    w = BasisWindow(24, 0, 0.1)
+    (only,) = classes_of(one_mode_cubic(), w)
+    assert np.array_equal(only, np.arange(w.dimension(1)))
+
+
+def test_t_independent_word_splits_into_its_fourier_sectors():
+    w = BasisWindow(12, 2, 0.1)
+    classes = classes_of(one_mode_cubic(), w)
+    states = w.states(1)
+    assert [sorted({states[i].nu for i in c}) for c in classes] == [[nu] for nu in range(-2, 3)]
+    assert all(len(c) == 13 for c in classes)
+
+
+def test_classes_of_a_diagonal_matrix_are_single_states():
+    mat = np.diag([3.0, 0.0, -1.0, 2.0])
+    mat[0, 3] = 0.5  # an entry in the upper triangle alone joins the two states
+    assert [list(c) for c in oracle._groups(oracle._classes(mat))] == [[0, 3], [1], [2]]
+
+
+def spy_solves(monkeypatch):
+    sizes = []
+
+    def spy(solve):
+        def call(mat):
+            sizes.append(mat.shape[0])
+            return solve(mat)
+        return call
+
+    monkeypatch.setattr(oracle.np.linalg, "eigh", spy(np.linalg.eigh))
+    monkeypatch.setattr(oracle.np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+    return sizes
+
+
+@pytest.mark.parametrize("make, w, window, blocks", [
+    (two_mode_quartic, BasisWindow(19, 0, 0.1), (1.02, 1.225), [761, 760, 200, 200]),
+    (one_mode_cubic, BasisWindow(40, 1, 0.05),
+     (0.7 + 0.2 * SQRT2M1 * 0.05, 0.7 + 7.8 * SQRT2M1 * 0.05), [81] * 3 + [41] * 3),
+    (one_mode_cubic, BasisWindow(40, 0, 0.05),
+     (0.7 + 0.2 * SQRT2M1 * 0.05, 0.7 + 9.8 * SQRT2M1 * 0.05), [81, 41]),
+], ids=["two-mode-parity", "fourier-sectors", "one-class"])
+def test_class_solves_match_the_dense_solve(monkeypatch, make, w, window, blocks):
+    """Doubled blocks first, then working blocks; the merged eigenvalues are
+    the dense working solve's to 1e-14 of the spectrum's scale."""
+    a = make()
+    sizes = spy_solves(monkeypatch)
+    evs = quasi_eigenvalues(a, w, window)
+    assert sizes == blocks
+    dense = np.linalg.eigvalsh(assemble_matrix(a, w))
+    inside = dense[(dense >= window[0]) & (dense <= window[1])]
+    assert len(evs) == len(inside) > 0
+    scale = float(np.max(np.abs(dense)))
+    assert np.max(np.abs(np.array(evs) - inside)) <= 1e-14 * scale
+
+
+def test_boundary_mass_names_the_lowest_offending_eigenvalue_over_all_classes():
+    """Every Fourier sector holds shallow vectors in this window; the lowest
+    of them lies in the last sector, not in the first class solved."""
+    a = one_mode_cubic()
+    hbar = 0.1
+    w = BasisWindow(16, 1, hbar)
+    window = (0.7 + SQRT2M1 * hbar * 8.7, 0.7 + SQRT2M1 * hbar * 12.0)
+    vals, vecs = np.linalg.eigh(assemble_matrix(a, w))
+    states = w.states(1)
+    shallow = np.array([s.mu[0] > w.hermite_cut / 2 for s in states])
+    offending = {}  # sector -> lowest offending eigenvalue
+    for v, vec in zip(vals, vecs.T):
+        if window[0] <= v <= window[1] and np.sum(np.abs(vec[shallow]) ** 2) > 1e-8:
+            offending.setdefault(states[int(np.argmax(np.abs(vec)))].nu, v)
+    assert sorted(offending) == [-1, 0, 1]
+    lowest = min(offending.values())
+    assert lowest == offending[1] and f"{lowest:.6g}" != f"{offending[-1]:.6g}"
+    with pytest.raises(UnsafeWindowError, match=rf"^eigenvalue {lowest:.6g} keeps mass "):
+        quasi_eigenvalues(a, w, window)
+
+
+@pytest.mark.parametrize("drift_tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_quasi_eigenvalues_rejects_a_drift_tol_that_is_not_finite_and_positive(drift_tol):
+    """drift > nan is False, so a NaN tolerance would switch the check off."""
+    with pytest.raises(ValueError, match="drift_tol"):
+        quasi_eigenvalues(one_mode_cubic(), BasisWindow(8, 0, 0.1), (0.7, 0.8), drift_tol=drift_tol)
+
+
+def test_oracle_solve_imports_no_scipy():
+    code = (
+        "import sys\n"
+        "from orbitbnf.oracle import BasisWindow, quasi_eigenvalues\n"
+        "from orbitbnf.quantum import h0_word\n"
+        "from orbitbnf.series import nonresonance_margin\n"
+        "H = h0_word(nonresonance_margin((2 ** 0.5 - 1,), 8), 0.7, 8)\n"
+        "assert len(quasi_eigenvalues(H, BasisWindow(8, 1, 0.1), (0.6, 0.8))) > 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+# -- the column builder -------------------------------------------------------------
+
+
+@st.composite
+def words_and_states(draw):
+    dim = draw(st.integers(1, 2))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        key = (
+            tuple(draw(st.integers(0, 2)) for _ in range(dim)),
+            tuple(draw(st.integers(0, 2)) for _ in range(dim)),
+            draw(st.integers(-2, 2)),
+            draw(st.integers(0, 2)),
+            draw(st.integers(0, 2)),
+        )
+        terms[key] = complex(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    state = BasisState(tuple(draw(st.integers(0, 4)) for _ in range(dim)), draw(st.integers(-3, 3)))
+    return WordPoly(dim, terms), state, draw(st.sampled_from((0.25, 0.5, 0.1, 1.0)))
+
+
+def same_column(new, ref):
+    """Equal keys, amplitudes and dict order; repr tells -0.0 from 0.0."""
+    return list(new.items()) == list(ref.items()) and repr(new) == repr(ref)
+
+
+@settings(deadline=None, max_examples=200)
+@given(words_and_states())
+def test_column_builder_matches_the_per_term_loop(case):
+    a, s, hbar = case
+    assert same_column(apply_to_basis(a, s, hbar), apply_to_basis_reference(a, s, hbar))
+
+
+def test_column_builder_keeps_the_order_of_a_target_that_cancels_and_returns():
+    """|2> at hbar 1/4 and nu 1: a+a gives 1/2, a+ moves to |3>, -2 hbar
+    cancels |2> exactly, and D_t brings it back after |3>."""
+    a = WordPoly(1, {
+        ((1,), (1,), 0, 0, 0): 1.0,
+        ((1,), (0,), 0, 0, 0): 1.0,
+        ((0,), (0,), 0, 0, 1): -2.0,
+        ((0,), (0,), 0, 1, 0): 1.0,
+    })
+    s = BasisState((2,), 1)
+    out = apply_to_basis(a, s, 0.25)
+    assert list(out) == [BasisState((3,), 1), BasisState((2,), 1)]
+    assert out[BasisState((2,), 1)] == 0.25
+    assert same_column(out, apply_to_basis_reference(a, s, 0.25))
+
+
+def test_assembly_matches_the_per_term_loop_column_by_column():
+    for a, w in ((two_mode_quartic(), BasisWindow(4, 0, 0.1)), (one_mode_cubic(), BasisWindow(6, 2, 0.1))):
+        for s in w.states(a.dim):
+            assert same_column(apply_to_basis(a, s, w.hbar), apply_to_basis_reference(a, s, w.hbar))
+
+
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_apply_to_basis_rejects_an_hbar_that_is_not_finite_and_positive(hbar):
+    with pytest.raises(ValueError, match="hbar"):
+        apply_to_basis(WordPoly.creation(1, 0), BasisState((1,), 0), hbar)

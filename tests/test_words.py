@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from orbitbnf.graded import is_resonant_key
 from orbitbnf.normalform import NormalForm
 from orbitbnf.words import (
     adjoint,
@@ -203,7 +204,8 @@ def test_normal_form_to_word_inverts_the_diagonal_map():
 def test_diagonal_split():
     rng = random.Random(15)
     A = random_word_poly(rng, 1, terms=6)
-    assert (A.diagonal_part() + A.off_diagonal_part() - A).max_abs_coeff() == 0.0
+    off_diagonal = A.filtered(lambda key: not is_resonant_key(key))
+    assert (A.diagonal_part() + off_diagonal - A).max_abs_coeff() == 0.0
     for key in A.diagonal_part().keys():
         mu, nu, m = key[0], key[1], key[2]
         assert mu == nu and m == 0
@@ -212,5 +214,4 @@ def test_diagonal_split():
 def test_serialization_roundtrip():
     rng = random.Random(16)
     A = random_word_poly(rng, 2, terms=5)
-    assert (WordPoly.from_json(A.to_json()) - A).max_abs_coeff() == 0.0
     assert (WordPoly.from_records(2, A.to_records()) - A).max_abs_coeff() == 0.0
