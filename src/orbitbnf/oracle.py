@@ -4,10 +4,15 @@ Operators act on the model space spanned by states |mu, nu> with Hermite
 indices mu_i <= hermite_cut and Fourier index |nu| <= fourier_cut; the ladder
 amplitudes carry the hbar normalization [a, a+] = hbar, so the harmonic part
 has eigenvalues (mu + 1/2) hbar exactly.  Everything here is independent of
-the series machinery: eigenvalues come from dense solves (LAPACK's real
-symmetric driver whenever every coefficient of the operator is real, the
-complex Hermitian one otherwise), one per class of states that no matrix
-entry connects, and traces from explicit weighted sums.
+the series machinery: eigenvalues come from LAPACK solves, one per class
+of states that no matrix entry connects (the real symmetric drivers whenever
+every coefficient of the operator is real, the complex Hermitian ones
+otherwise), and traces from explicit weighted sums.  A class block of the
+doubled-cut check with n >= 1024 states and half-bandwidth b, 32 b <= n, is
+solved by the banded driver (``scipy.linalg.eigvals_banded``, O(n^2 b)
+instead of O(n^3)); every other block, and every working solve, is dense
+(numpy's ``eigvalsh``/``eigh``).  scipy is imported only on the banded
+path, so small windows never pay its import.
 The point is to have something slow and obviously correct to hold the
 symbolic results against.
 
@@ -102,7 +107,8 @@ def assemble_matrix(a, w: BasisWindow) -> np.ndarray:
     """Dense matrix of a WordPoly or NormalForm on the window basis.
 
     Columns are exact images of basis states (amplitudes that land outside
-    the window are dropped; that is the truncation).  A NormalForm is
+    the window are dropped; that is the truncation), each amplitude placed
+    at the row computed from its target's ``(mu, nu)``.  A NormalForm is
     assembled as its ``normal_form_to_word``, the exact diagonal
     h((mu + 1/2) hbar, nu hbar, hbar).  The result is Hermitian if the input
     is adjoint-symmetric (truncation can hide an asymmetry, so
@@ -117,14 +123,17 @@ def assemble_matrix(a, w: BasisWindow) -> np.ndarray:
     if n > MATRIX_BUDGET:
         raise ValueError(f"matrix dimension {n} exceeds budget {MATRIX_BUDGET}")
     real = not any(complex(c).imag for _key, c in a.items())
-    states = w.states(a.dim)
-    index = {s: i for i, s in enumerate(states)}
+    targets, amps, cols = [], [], []
+    for col, s in enumerate(w.states(a.dim)):
+        image = apply_to_basis(a, s, w.hbar)
+        targets.extend(image)
+        amps.extend(image.values())
+        cols.extend([col] * len(image))
+    mu = np.array([t.mu for t in targets], dtype=np.int64).reshape(len(targets), a.dim)
+    rows, inside = _positions(w, mu, np.array([t.nu for t in targets], dtype=np.int64))
+    vals = np.array(amps, dtype=complex)[inside]
     mat = np.zeros((n, n), dtype=float if real else complex)
-    for col, s in enumerate(states):
-        for target, amp in apply_to_basis(a, s, w.hbar).items():
-            row = index.get(target)
-            if row is not None:
-                mat[row, col] = amp.real if real else amp
+    mat[rows[inside], np.array(cols, dtype=np.int64)[inside]] = vals.real if real else vals
     return mat
 
 
@@ -136,29 +145,61 @@ def _real_if_exact(arr: np.ndarray) -> np.ndarray:
     return arr if arr.imag.any() else arr.real
 
 
+def _grid(w: BasisWindow, dim: int):
+    """Hermite indices (one row per state) and Fourier indices of w's states,
+    in the order of ``w.states(dim)``."""
+    mus = np.array(
+        list(itertools.product(range(w.hermite_cut + 1), repeat=dim)), dtype=np.int64
+    ).reshape(-1, dim)
+    nus = np.arange(-w.fourier_cut, w.fourier_cut + 1)
+    return np.tile(mus, (len(nus), 1)), np.repeat(nus, len(mus))
+
+
+def _positions(w: BasisWindow, mu: np.ndarray, nu: np.ndarray):
+    """Positions in ``w.states(dim)`` of the states ``(mu[i], nu[i])``, and
+    which of them lie inside w.
+
+    The basis is Fourier-major, then lexicographic in mu, so a position is
+    ``(nu + fourier_cut) (hermite_cut + 1)^dim`` plus mu read as digits in
+    base ``hermite_cut + 1``.  Positions of states outside w are meaningless.
+    """
+    side = w.hermite_cut + 1
+    dim = mu.shape[1]
+    inside = ((mu >= 0) & (mu <= w.hermite_cut)).all(axis=1) & (np.abs(nu) <= w.fourier_cut)
+    digits = side ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    return (nu + w.fourier_cut) * side**dim + mu @ digits, inside
+
+
 def _block_index(w: BasisWindow, wide: BasisWindow, dim: int) -> np.ndarray:
     """Positions of w's states, in w's order, in the basis of the wider window.
 
     Entries between two states of w are the same apply_to_basis amplitudes
     in either window, so ``assemble_matrix(a, wide)[np.ix_(idx, idx)]`` is
-    exactly ``assemble_matrix(a, w)``.
+    exactly ``assemble_matrix(a, w)``.  ValueError if a state of w lies
+    outside ``wide``.
     """
-    position = {s: i for i, s in enumerate(wide.states(dim))}
-    return np.array([position[s] for s in w.states(dim)])
+    idx, inside = _positions(wide, *_grid(w, dim))
+    if not inside.all():
+        raise ValueError("the working window does not lie inside the wider one")
+    return idx
 
 
-def _classes(mat: np.ndarray) -> np.ndarray:
-    """Class label of each state; a class holds states that nonzero entries connect.
+def _classes(mat: np.ndarray):
+    """Class label of each state, and the half-bandwidth of each class block.
 
-    Labels are 0, 1, ... in the order of each class's lowest state.
-    Union-find over ``np.nonzero(mat)`` in rounds: every entry that still
-    joins two roots hooks the larger root to the smaller, then every state
-    is pointed at its root.  Pointers only go to smaller indices, so the
-    rounds end and the root of a class is its lowest state.  Both triangles
-    count, so a class holds every entry that a solver reading one triangle
-    sees.
+    A class holds states that nonzero entries connect.  Labels are 0, 1, ...
+    in the order of each class's lowest state.  Union-find over the nonzero
+    entries in rounds: every entry that still joins two roots hooks the
+    larger root to the smaller, then every state is pointed at its root.
+    Pointers only go to smaller indices, so the rounds end and the root of a
+    class is its lowest state.  Both triangles count, so a class holds every
+    entry that a solver reading one triangle sees.
+
+    The half-bandwidth of class c is the largest |i - j| of a nonzero entry
+    (i, j) of its block ``mat[np.ix_(g, g)]``, g the class's states in
+    ascending order (``_groups``); it comes from the same scan of entries.
     """
-    rows, cols = np.nonzero(mat)
+    rows, cols = np.nonzero(mat != 0)  # faster than np.nonzero(mat) on float64
     root = np.arange(mat.shape[0])
     while True:
         r, c = root[rows], root[cols]
@@ -171,7 +212,15 @@ def _classes(mat: np.ndarray) -> np.ndarray:
             if np.array_equal(up, root):
                 break
             root = up
-    return np.unique(root, return_inverse=True)[1]
+    label = np.unique(root, return_inverse=True)[1]
+    sizes = np.bincount(label)
+    rank = np.empty_like(label)  # position of each state in its class block
+    rank[np.argsort(label, kind="stable")] = np.arange(len(label)) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes
+    )
+    band = np.zeros(len(sizes), dtype=np.int64)
+    np.maximum.at(band, label[rows], np.abs(rank[rows] - rank[cols]))
+    return label, band
 
 
 def _groups(label: np.ndarray) -> list:
@@ -179,6 +228,34 @@ def _groups(label: np.ndarray) -> list:
     order = np.argsort(label, kind="stable")
     groups = np.split(order, np.cumsum(np.bincount(label))[:-1])
     return [g for g in groups if len(g)]
+
+
+# A doubled class block takes the banded driver when it has at least
+# _BANDED_MIN states and half-bandwidth b with _BANDED_RATIO * b <= n.  Below
+# that size the scipy import (0.2-0.3 s, +28 MB) outweighs the dense solve
+# (0.03 s at n = 621); wider bands, such as the two-mode parity classes
+# (n = 1105, b = 94 in lexicographic order), gain nothing from it.
+_BANDED_MIN = 1024
+_BANDED_RATIO = 32
+
+
+def _doubled_eigvals(big: np.ndarray, states: np.ndarray, band: int) -> np.ndarray:
+    """Ascending eigenvalues of the block of ``big`` on ``states`` (ascending),
+    whose half-bandwidth is ``band``.
+
+    A large narrow block hands its lower band to the banded driver, read
+    diagonal by diagonal without copying the block; any other block is copied
+    (unless it is the whole matrix) and solved dense.
+    """
+    n = len(states)
+    if n >= _BANDED_MIN and _BANDED_RATIO * band <= n:
+        from scipy.linalg import eigvals_banded
+
+        lower = np.zeros((band + 1, n), dtype=big.dtype)
+        for d in range(band + 1):
+            lower[d, : n - d] = big[states[d:], states[: n - d]]
+        return eigvals_banded(lower, lower=True)
+    return np.linalg.eigvalsh(big if n == len(big) else big[np.ix_(states, states)])
 
 
 def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
@@ -203,6 +280,14 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     checks, and a boundary-mass failure names the lowest offending
     eigenvalue.
 
+    A doubled class block with n >= 1024 states and half-bandwidth b,
+    32 b <= n (a one-mode cubic word, b = 3, at a Hermite cut of 512 or
+    more), is solved by ``scipy.linalg.eigvals_banded`` on its lower band;
+    the others by dense ``eigvalsh``, so smaller windows never import scipy.  The working solves
+    stay dense ``eigh``: the boundary-mass check needs eigenvectors, and the
+    banded driver with eigenvectors was slower there (0.60 s against
+    0.44 s at n = 1233, one BLAS thread).
+
     The operator must be adjoint-symmetric as a word (a NormalForm is
     checked as its ``normal_form_to_word``).  That is tested once, on the
     word, so it holds at every cut; a matrix test would miss terms that only
@@ -224,30 +309,22 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     couple = _couples_fourier(a)
     wide = w.doubled(couple)
     big = assemble_matrix(a, wide)
-    label = _classes(big)
-    classes = _groups(label)
-    # The doubled solves first: each copies its block, and the largest of
-    # those copies is the peak of the call; the working solves' temporaries
-    # come after ``big`` is freed and cannot add to it.
-    if len(classes) == 1:
-        bvals = np.linalg.eigvalsh(big)
-    else:
-        bvals = np.sort(
-            np.concatenate([np.linalg.eigvalsh(big[np.ix_(c, c)]) for c in classes])
-        )
+    label, band = _classes(big)
+    # The doubled solves first: each dense one copies its block, and the
+    # largest of those copies is the peak of the call; the working solves'
+    # temporaries come after ``big`` is freed and cannot add to it.
+    bvals = np.sort(
+        np.concatenate([_doubled_eigvals(big, c, b) for c, b in zip(_groups(label), band)])
+    )
     idx = _block_index(w, wide, dim)
     members = _groups(label[idx])  # working states by class, in working order
     blocks = [big[np.ix_(idx[m], idx[m])] for m in members]
     del big
 
-    states = w.states(dim)
-    hc, fc = w.hermite_cut, w.fourier_cut
-    shallow = np.array(
-        [
-            any(m > hc / 2 for m in s.mu) or (couple and abs(s.nu) > fc / 2)
-            for s in states
-        ]
-    )
+    mu, nu = _grid(w, dim)
+    shallow = (mu > w.hermite_cut / 2).any(axis=1)
+    if couple:
+        shallow |= np.abs(nu) > w.fourier_cut / 2
     kept = []
     worst = None  # (eigenvalue, mass) of the lowest offending eigenvector
     for pos, block in zip(members, blocks):

@@ -1,8 +1,9 @@
 """Reference computations that only the tests use.
 
 A grid trace of a model operator, coherent-state convention checks, a
-numeric Wick symbol, single matrix elements and the per-term loop that
-``apply_to_basis`` replaced.  Each one rebuilds a quantity from the oracle's
+numeric Wick symbol, single matrix elements, the per-term loop that
+``apply_to_basis`` replaced and the dict-lookup assembly that
+``assemble_matrix`` replaced.  Each one rebuilds a quantity from the oracle's
 basis and dense matrices, so the tests can hold the library's results
 against it.
 """
@@ -51,6 +52,24 @@ def apply_to_basis_reference(a: WordPoly, s: BasisState, hbar: float) -> dict:
         if not out[target]:
             del out[target]
     return out
+
+
+def assemble_matrix_reference(a: WordPoly, w: BasisWindow) -> np.ndarray:
+    """``assemble_matrix`` as a dict lookup: each target's row by its BasisState.
+
+    The same amplitudes written to the same entries, so the library's
+    position arithmetic must give an identical matrix.
+    """
+    real = not any(complex(c).imag for _key, c in a.items())
+    states = w.states(a.dim)
+    index = {s: i for i, s in enumerate(states)}
+    mat = np.zeros((len(states), len(states)), dtype=float if real else complex)
+    for col, s in enumerate(states):
+        for target, amp in apply_to_basis(a, s, w.hbar).items():
+            row = index.get(target)
+            if row is not None:
+                mat[row, col] = amp.real if real else amp
+    return mat
 
 
 def matrix_element(a: WordPoly, bra: BasisState, ket: BasisState, hbar: float) -> complex:

@@ -1,6 +1,15 @@
-"""The package's public names."""
+"""The package's public names and declared dependencies."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
 
 import orbitbnf
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
     "BasisState",
@@ -62,3 +71,23 @@ def test_public_names_are_pinned_and_resolve():
     assert orbitbnf.__all__ == PUBLIC
     missing = [name for name in PUBLIC if not hasattr(orbitbnf, name)]
     assert not missing
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """Imports inside functions count: a lazy import is still a requirement."""
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    imported = set()
+    for path in (ROOT / "src" / "orbitbnf").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"orbitbnf"}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+        for req in project["dependencies"]
+    }
+    assert {"numpy", "scipy"} <= third_party
+    assert third_party <= declared, sorted(third_party - declared)

@@ -1,10 +1,12 @@
-"""Class-wise oracle solves and the column builder behind assembly.
+"""Class-wise oracle solves, the banded driver and the assembly behind them.
 
 ``quasi_eigenvalues`` splits the doubled matrix into classes of states that
-no nonzero entry connects and solves each class on its own;
-``apply_to_basis`` builds each matrix column in one pass per term.  Both are
-held against the straight computations they replace: a dense solve of the
-whole matrix, and the per-term loop kept in ``oracle_helpers``.
+no nonzero entry connects and solves each class on its own, a large narrow
+doubled block with LAPACK's banded driver; ``apply_to_basis`` builds each
+matrix column in one pass per term, and ``assemble_matrix`` places it by
+position arithmetic.  All are held against the straight computations they
+replace: dense solves, the per-term loop and the dict-lookup assembly kept
+in ``oracle_helpers``.
 """
 
 import math
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +27,7 @@ from orbitbnf.oracle import BasisWindow, assemble_matrix, quasi_eigenvalues
 from orbitbnf.quantum import h0_word
 from orbitbnf.series import nonresonance_margin
 from orbitbnf.words import BasisState, WordPoly, apply_to_basis, normal_order_product
-from oracle_helpers import apply_to_basis_reference
+from oracle_helpers import apply_to_basis_reference, assemble_matrix_reference
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -49,8 +52,14 @@ def two_mode_quartic(cap=8):
     return h0_word(rot, 1.0, cap) + normal_order_product(s2, s2, cap) * 0.003
 
 
+def complex_cubic():
+    """The one-mode cubic plus 0.01 i (a+^2 - a^2): Hermitian, not real."""
+    squeeze = WordPoly.word(1, mu=(2,), coeff=0.01j) + WordPoly.word(1, nu=(2,), coeff=-0.01j)
+    return one_mode_cubic() + squeeze
+
+
 def classes_of(a, w):
-    return oracle._groups(oracle._classes(assemble_matrix(a, w)))
+    return oracle._groups(oracle._classes(assemble_matrix(a, w))[0])
 
 
 def test_two_mode_quartic_splits_into_its_total_parity_classes():
@@ -79,21 +88,42 @@ def test_t_independent_word_splits_into_its_fourier_sectors():
 def test_classes_of_a_diagonal_matrix_are_single_states():
     mat = np.diag([3.0, 0.0, -1.0, 2.0])
     mat[0, 3] = 0.5  # an entry in the upper triangle alone joins the two states
-    assert [list(c) for c in oracle._groups(oracle._classes(mat))] == [[0, 3], [1], [2]]
+    label, band = oracle._classes(mat)
+    assert [list(c) for c in oracle._groups(label)] == [[0, 3], [1], [2]]
+    assert list(band) == [1, 0, 0]  # states 0 and 3 are neighbours in their block
+
+
+@pytest.mark.parametrize("make, w", [
+    (two_mode_quartic, BasisWindow(10, 0, 0.1)),
+    (one_mode_cubic, BasisWindow(12, 2, 0.1)),
+    (complex_cubic, BasisWindow(12, 0, 0.1)),
+], ids=["two-mode-parity", "fourier-sectors", "complex"])
+def test_class_bands_are_the_half_bandwidths_of_the_class_blocks(make, w):
+    mat = assemble_matrix(make(), w)
+    label, band = oracle._classes(mat)
+    expected = []
+    for g in oracle._groups(label):
+        r, c = np.nonzero(mat[np.ix_(g, g)])
+        expected.append(int(np.max(np.abs(r - c))))
+    assert list(band) == expected
 
 
 def spy_solves(monkeypatch):
-    sizes = []
+    """Solves in call order: the size of each numpy solve, and
+    ``("banded", n, eigenvalues)`` for each banded one."""
+    calls = []
 
-    def spy(solve):
-        def call(mat):
-            sizes.append(mat.shape[0])
-            return solve(mat)
+    def spy(solve, banded=False):
+        def call(mat, **kwargs):
+            out = solve(mat, **kwargs)
+            calls.append(("banded", mat.shape[1], out) if banded else mat.shape[0])
+            return out
         return call
 
     monkeypatch.setattr(oracle.np.linalg, "eigh", spy(np.linalg.eigh))
     monkeypatch.setattr(oracle.np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
-    return sizes
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", spy(scipy.linalg.eigvals_banded, True))
+    return calls
 
 
 @pytest.mark.parametrize("make, w, window, blocks", [
@@ -115,6 +145,49 @@ def test_class_solves_match_the_dense_solve(monkeypatch, make, w, window, blocks
     assert len(evs) == len(inside) > 0
     scale = float(np.max(np.abs(dense)))
     assert np.max(np.abs(np.array(evs) - inside)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("make, fourier_cut", [
+    (one_mode_cubic, 0), (one_mode_cubic, 1), (complex_cubic, 0),
+], ids=["one-class", "fourier-sectors", "complex"])
+def test_large_narrow_doubled_blocks_take_the_banded_driver(monkeypatch, make, fourier_cut):
+    """1041 doubled states per class and half-bandwidth 3: no numpy solve of
+    the doubled size, and each banded solve is the dense one's to 1e-14 of
+    the spectrum's scale."""
+    a = make()
+    hbar = 0.01
+    w = BasisWindow(520, fourier_cut, hbar)
+    window = (0.7 + 0.2 * SQRT2M1 * hbar, 0.7 + 50.5 * SQRT2M1 * hbar)
+    big = assemble_matrix(a, w.doubled(False))
+    label, band = oracle._classes(big)
+    dense = [np.linalg.eigvalsh(big[np.ix_(g, g)]) for g in oracle._groups(label)]
+    assert list(band) == [3] * len(dense)
+    calls = spy_solves(monkeypatch)
+    evs = quasi_eigenvalues(a, w, window)
+    sectors = 2 * fourier_cut + 1
+    assert [c if isinstance(c, int) else c[:2] for c in calls] == [("banded", 1041)] * sectors + [521] * sectors
+    held = 0
+    for (_tag, _n, vals), ref in zip(calls, dense):
+        scale = float(np.max(np.abs(ref)))
+        assert len(vals) == len(ref)
+        assert np.max(np.abs(vals - ref)) <= 1e-14 * scale
+        inside = np.count_nonzero((ref >= window[0]) & (ref <= window[1]))
+        assert np.count_nonzero((vals >= window[0]) & (vals <= window[1])) == inside
+        held += inside
+    assert len(evs) == held >= 50 * sectors
+
+
+def test_two_mode_parity_classes_stay_dense(monkeypatch):
+    """The benchmark's two-mode classes pass the size rule, but their
+    half-bandwidth 94 is too wide for it (32 * 94 > 1105)."""
+    a = two_mode_quartic()
+    w = BasisWindow(23, 0, 0.1)
+    label, band = oracle._classes(assemble_matrix(a, w.doubled(False)))
+    assert [len(g) for g in oracle._groups(label)] == [1105, 1104]
+    assert list(band) == [94, 94]
+    calls = spy_solves(monkeypatch)
+    assert len(quasi_eigenvalues(a, w, (1.02, 1.225))) == 8
+    assert calls == [1105, 1104, 288, 288]
 
 
 def test_boundary_mass_names_the_lowest_offending_eigenvalue_over_all_classes():
@@ -153,6 +226,18 @@ def test_oracle_solve_imports_no_scipy():
         "from orbitbnf.series import nonresonance_margin\n"
         "H = h0_word(nonresonance_margin((2 ** 0.5 - 1,), 8), 0.7, 8)\n"
         "assert len(quasi_eigenvalues(H, BasisWindow(8, 1, 0.1), (0.6, 0.8))) > 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_package_import_imports_no_scipy():
+    code = (
+        "import sys\n"
+        "import orbitbnf\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -213,6 +298,34 @@ def test_assembly_matches_the_per_term_loop_column_by_column():
     for a, w in ((two_mode_quartic(), BasisWindow(4, 0, 0.1)), (one_mode_cubic(), BasisWindow(6, 2, 0.1))):
         for s in w.states(a.dim):
             assert same_column(apply_to_basis(a, s, w.hbar), apply_to_basis_reference(a, s, w.hbar))
+
+
+def two_mode_driven(coeff):
+    """a1+^2 a2 e^{it}, a1 a2+ D_t, a2+^3 e^{-2it} and an hbar term, each times
+    ``coeff``: images leave a small window in mu and in nu."""
+    terms = {
+        ((2, 0), (0, 1), 1, 0, 0): coeff,
+        ((0, 1), (1, 0), 0, 1, 0): 2 * coeff,
+        ((0, 3), (0, 0), -2, 0, 0): -coeff,
+        ((1, 1), (1, 1), 0, 0, 1): 0.5 * coeff,
+    }
+    return WordPoly(2, terms)
+
+
+@pytest.mark.parametrize("coeff", [1.5, 1.5 - 0.5j], ids=["real", "complex"])
+def test_assembly_by_position_matches_the_dict_lookup(coeff):
+    a = two_mode_driven(coeff)
+    w = BasisWindow(3, 1, 0.25)
+    new, ref = assemble_matrix(a, w), assemble_matrix_reference(a, w)
+    assert new.dtype == ref.dtype == (np.float64 if coeff.imag == 0 else np.complex128)
+    assert np.count_nonzero(ref) > 0 and np.array_equal(new, ref)
+
+
+def test_block_index_rejects_a_window_that_does_not_fit():
+    w = BasisWindow(4, 1, 0.1)
+    assert np.array_equal(oracle._block_index(w, w, 2), np.arange(w.dimension(2)))
+    with pytest.raises(ValueError, match="inside"):
+        oracle._block_index(w.doubled(True), w, 2)
 
 
 @pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf, 0.0, -0.1])
