@@ -65,7 +65,6 @@ from .traces import (
 from .words import (
     adjoint,
     apply_to_basis,
-    BasisState,
     commutator_over_ihbar,
     diagonal_to_normal_form,
     normal_form_to_word,
@@ -74,7 +73,6 @@ from .words import (
 )
 
 __all__ = [
-    "BasisState",
     "BasisWindow",
     "CoverageError",
     "FTSeries",

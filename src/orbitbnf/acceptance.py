@@ -47,7 +47,6 @@ from .words import (
     WordPoly,
     adjoint,
     apply_to_basis,
-    BasisState,
     commutator_over_ihbar,
     key_grade,
     normal_order_product,
@@ -568,7 +567,7 @@ def check_algebra_invariants():
         X = (sum(mu) + abs(nu)) * hbar
         if not (g_max * hbar <= X <= 1.0):
             continue
-        norm = _state_norm(apply_to_basis(A, BasisState(mu, nu), hbar))
+        norm = _state_norm(apply_to_basis(A, (mu, nu), hbar))
         bound = C_A * X ** (g / 2.0)
         _require(
             norm <= bound * (1.0 + 1e-12),

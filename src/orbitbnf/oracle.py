@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CoverageError, UnsafeWindowError
 from .graded import require_symmetric
 from .normalform import NormalForm
-from .words import BasisState, WordPoly, apply_to_basis, normal_form_to_word
+from .words import WordPoly, apply_to_basis, normal_form_to_word
 
 __all__ = [
     "BasisWindow",
@@ -78,12 +78,11 @@ class BasisWindow:
         return (self.hermite_cut + 1) ** dim * (2 * self.fourier_cut + 1)
 
     def states(self, dim: int) -> list:
-        """Basis states, Fourier-major then lexicographic in mu."""
+        """Basis states as ``(mu, nu)`` tuples, Fourier-major then
+        lexicographic in mu.  This is the one place the basis order is
+        written; ``_grid`` reads it and ``_positions`` inverts it."""
         mus = list(itertools.product(range(self.hermite_cut + 1), repeat=dim))
-        out = []
-        for nu in range(-self.fourier_cut, self.fourier_cut + 1):
-            out.extend(BasisState(mu, nu) for mu in mus)
-        return out
+        return [(mu, nu) for nu in range(-self.fourier_cut, self.fourier_cut + 1) for mu in mus]
 
     def doubled(self, couple_fourier: bool) -> "BasisWindow":
         fc = 2 * self.fourier_cut if couple_fourier else self.fourier_cut
@@ -129,8 +128,7 @@ def assemble_matrix(a, w: BasisWindow) -> np.ndarray:
         targets.extend(image)
         amps.extend(image.values())
         cols.extend([col] * len(image))
-    mu = np.array([t.mu for t in targets], dtype=np.int64).reshape(len(targets), a.dim)
-    rows, inside = _positions(w, mu, np.array([t.nu for t in targets], dtype=np.int64))
+    rows, inside = _positions(w, *_arrays(targets, a.dim))
     vals = np.array(amps, dtype=complex)[inside]
     mat = np.zeros((n, n), dtype=float if real else complex)
     mat[rows[inside], np.array(cols, dtype=np.int64)[inside]] = vals.real if real else vals
@@ -145,19 +143,21 @@ def _real_if_exact(arr: np.ndarray) -> np.ndarray:
     return arr if arr.imag.any() else arr.real
 
 
+def _arrays(states: list, dim: int):
+    """Hermite indices (one row per state) and Fourier indices of a list of
+    ``(mu, nu)`` states."""
+    mu = np.array([mu for mu, _nu in states], dtype=np.int64).reshape(len(states), dim)
+    return mu, np.array([nu for _mu, nu in states], dtype=np.int64)
+
+
 def _grid(w: BasisWindow, dim: int):
-    """Hermite indices (one row per state) and Fourier indices of w's states,
-    in the order of ``w.states(dim)``."""
-    mus = np.array(
-        list(itertools.product(range(w.hermite_cut + 1), repeat=dim)), dtype=np.int64
-    ).reshape(-1, dim)
-    nus = np.arange(-w.fourier_cut, w.fourier_cut + 1)
-    return np.tile(mus, (len(nus), 1)), np.repeat(nus, len(mus))
+    """``_arrays`` of ``w.states(dim)``, in that order."""
+    return _arrays(w.states(dim), dim)
 
 
 def _positions(w: BasisWindow, mu: np.ndarray, nu: np.ndarray):
-    """Positions in ``w.states(dim)`` of the states ``(mu[i], nu[i])``, and
-    which of them lie inside w.
+    """Positions in ``w.states(dim)`` of the states ``(mu[i], nu[i])`` (arrays
+    as ``_arrays`` gives them), and which of them lie inside w.
 
     The basis is Fourier-major, then lexicographic in mu, so a position is
     ``(nu + fourier_cut) (hermite_cut + 1)^dim`` plus mu read as digits in
@@ -448,14 +448,23 @@ def numeric_trace(
     contribution size: the extreme supplied energies must then contribute
     below it (weights included), and CoverageError reports a sum that is
     visibly missing states.  With floor=None the caller vouches for coverage.
-    ValueError, before any arithmetic, unless hbar is finite and > 0 and E,
+    ValueError, before any arithmetic, unless hbar is finite and > 0, E,
     every level and every weight are finite (a NaN level would pass the
-    floor test).
+    floor test), floor is None or finite and >= 0 (a NaN floor would pass
+    every sum) and points_per_width is an integer >= 1.
     """
     if not (math.isfinite(hbar) and hbar > 0):
         raise ValueError(f"hbar must be finite and > 0, not {hbar!r}")
     if not math.isfinite(E):
         raise ValueError(f"E must be finite, not {E!r}")
+    if floor is not None and not (math.isfinite(floor) and floor >= 0):
+        raise ValueError(f"floor must be None or finite and >= 0, not {floor!r}")
+    try:
+        points = operator.index(points_per_width)
+    except TypeError:
+        points = 0
+    if points < 1:
+        raise ValueError(f"points_per_width must be an integer >= 1, not {points_per_width!r}")
     lam = np.asarray(list(spectrum), dtype=float)
     if weights is None:
         wts = np.ones(lam.size)
@@ -468,7 +477,7 @@ def numeric_trace(
     if lam.size == 0:
         return 0.0 + 0.0j
     xs = (lam - E) / hbar
-    phis = _phi_quadrature(bump, xs, points_per_width)
+    phis = _phi_quadrature(bump, xs, points)
     contrib = wts * phis
     if floor is not None:
         order = np.argsort(xs)

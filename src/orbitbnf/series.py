@@ -48,7 +48,6 @@ from .graded import (
     _field_units,
     _from_packed,
     _packed_operands,
-    max_coeff_difference,
 )
 from .graded import key_grade as key_weight
 
@@ -106,10 +105,6 @@ class FTSeries(GradedPoly):
     def mirror(self) -> "FTSeries":
         """The conjugate symbol (:meth:`conjugate_symbol`)."""
         return self.conjugate_symbol()
-
-    def real_symbol_defect(self) -> float:
-        """max |c(mu,nu,m,j,k) - conj(c(nu,mu,-m,j,k))| over stored keys."""
-        return max_coeff_difference(self, self.conjugate_symbol())
 
     # -- numerics --------------------------------------------------------------
 

@@ -21,7 +21,7 @@ On the Hermite (x) Fourier basis state ``|mu, nu>``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 from .errors import OrderingError
 from .graded import (
@@ -34,23 +34,8 @@ from .graded import (
     _packed_operands,
     is_resonant_key,
     key_grade,
-    max_coeff_difference,
 )
 from .normalform import NormalForm
-
-
-@dataclass(frozen=True)
-class BasisState:
-    """Hermite indices mu (one per transverse mode) and Fourier index nu."""
-
-    mu: tuple
-    nu: int
-
-    def __post_init__(self):
-        mu = tuple(map(int, self.mu))
-        object.__setattr__(self, "mu", mu)
-        if mu and min(mu) < 0:
-            raise ValueError("Hermite indices must be >= 0")
 
 
 class WordPoly(GradedPoly):
@@ -90,17 +75,9 @@ class WordPoly(GradedPoly):
             return normal_order_product(self, other)
         return self.scaled(other)
 
-    def diagonal_part(self) -> "WordPoly":
-        """Terms commuting with the harmonic part: mu = nu and m = 0."""
-        return self.filtered(is_resonant_key)
-
     def mirror(self) -> "WordPoly":
         """The adjoint (:func:`adjoint`)."""
         return adjoint(self)
-
-    def adjoint_defect(self) -> float:
-        """max coefficient difference between self and adjoint(self)."""
-        return max_coeff_difference(self, adjoint(self))
 
 
 def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None, half=False) -> WordPoly:
@@ -220,20 +197,27 @@ def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) 
     return WordPoly._trusted(a.dim, out, cap)
 
 
-def apply_to_basis(a: WordPoly, s: BasisState, hbar: float) -> dict:
-    """Exact image of a basis state: map BasisState -> complex amplitude.
+def apply_to_basis(a: WordPoly, state: tuple, hbar: float) -> dict:
+    """Exact image of the basis state ``state = (mu, nu)``: a dict mapping
+    each target ``(mu, nu)`` to its complex amplitude.
 
     One pass over each term's modes gives its ladder factor and target.
-    Amplitudes accumulate per target ``(mu, nu)`` in the order the terms
-    reach it, a target whose sum is exactly zero is dropped, and one
-    BasisState is built per surviving target.  ValueError unless hbar is
-    finite and > 0 and the state has one Hermite index per mode.
+    Amplitudes accumulate per target in the order the terms reach it, and a
+    target whose sum is exactly zero is dropped.  ValueError unless hbar is
+    finite and > 0, mu holds one integer >= 0 per mode and nu is an integer
+    (numpy ints are accepted; floats are not).
     """
     if not (math.isfinite(hbar) and hbar > 0):
         raise ValueError(f"hbar must be finite and > 0, not {hbar!r}")
-    smu, snu = s.mu, s.nu
+    smu, snu = state
+    try:
+        smu, snu = tuple(map(operator.index, smu)), operator.index(snu)
+    except TypeError:
+        raise ValueError(f"basis state indices must be integers, not {state!r}") from None
     if len(smu) != a.dim:
         raise ValueError("basis state has wrong dimension")
+    if smu and min(smu) < 0:
+        raise ValueError("Hermite indices must be >= 0")
     out = {}
     get = out.get
     for (mu, nu, m, j, k), c in a._terms.items():
@@ -261,7 +245,7 @@ def apply_to_basis(a: WordPoly, s: BasisState, hbar: float) -> dict:
                 out[key] = total
             else:
                 out.pop(key, None)
-    return {BasisState(mu, nu): amp for (mu, nu), amp in out.items()}
+    return out
 
 
 def diagonal_to_normal_form(a: WordPoly, route=None, imag_tol=1e-9) -> NormalForm:

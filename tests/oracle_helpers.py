@@ -18,36 +18,37 @@ from orbitbnf.errors import UnsafeWindowError
 from orbitbnf.graded import _add_idx, _sub_idx
 from orbitbnf.normalform import NormalForm
 from orbitbnf.oracle import BasisWindow, assemble_matrix, numeric_trace, smooth_plateau
-from orbitbnf.words import BasisState, WordPoly, apply_to_basis
+from orbitbnf.words import WordPoly, apply_to_basis
 
 
-def apply_to_basis_reference(a: WordPoly, s: BasisState, hbar: float) -> dict:
-    """``apply_to_basis`` as a straight loop: one BasisState per term.
+def apply_to_basis_reference(a: WordPoly, state: tuple, hbar: float) -> dict:
+    """``apply_to_basis`` as a straight loop over terms, keyed by ``(mu, nu)``.
 
     The same arithmetic in the same order, so amplitudes and dict order
     must match the library's column builder exactly.
     """
     if hbar <= 0:
         raise ValueError("hbar must be > 0")
-    if len(s.mu) != a.dim:
+    smu, snu = state
+    if len(smu) != a.dim:
         raise ValueError("basis state has wrong dimension")
     out = {}
     for (mu, nu, m, j, k), c in a.items():
-        if any(s.mu[i] < nu[i] for i in range(a.dim)):
+        if any(smu[i] < nu[i] for i in range(a.dim)):
             continue
         amp = complex(c)
         if k:
             amp *= hbar**k
         if j:
-            amp *= (s.nu * hbar) ** j
-        mid = _sub_idx(s.mu, nu)
+            amp *= (snu * hbar) ** j
+        mid = _sub_idx(smu, nu)
         ff = 1
         for i in range(a.dim):
-            ff *= math.perm(s.mu[i], nu[i]) * math.perm(mid[i] + mu[i], mu[i])
+            ff *= math.perm(smu[i], nu[i]) * math.perm(mid[i] + mu[i], mu[i])
         ladder_count = sum(mu) + sum(nu)
         if ladder_count:
             amp *= math.sqrt(ff * hbar**ladder_count)
-        target = BasisState(_add_idx(mid, mu), s.nu + m)
+        target = (_add_idx(mid, mu), snu + m)
         out[target] = out.get(target, 0j) + amp
         if not out[target]:
             del out[target]
@@ -55,7 +56,7 @@ def apply_to_basis_reference(a: WordPoly, s: BasisState, hbar: float) -> dict:
 
 
 def assemble_matrix_reference(a: WordPoly, w: BasisWindow) -> np.ndarray:
-    """``assemble_matrix`` as a dict lookup: each target's row by its BasisState.
+    """``assemble_matrix`` as a dict lookup: each target's row by its ``(mu, nu)``.
 
     The same amplitudes written to the same entries, so the library's
     position arithmetic must give an identical matrix.
@@ -72,7 +73,7 @@ def assemble_matrix_reference(a: WordPoly, w: BasisWindow) -> np.ndarray:
     return mat
 
 
-def matrix_element(a: WordPoly, bra: BasisState, ket: BasisState, hbar: float) -> complex:
+def matrix_element(a: WordPoly, bra: tuple, ket: tuple, hbar: float) -> complex:
     """<bra| A |ket> on the Hermite (x) Fourier basis."""
     return apply_to_basis(a, ket, hbar).get(bra, 0j)
 
@@ -264,7 +265,7 @@ def wick_symbol_numeric(a: WordPoly, w: BasisWindow, x, xi) -> complex:
         for i, m in enumerate(mu):
             amp *= per_mode[i][m]
         if amp:
-            coeff[BasisState(mu, 0)] = amp
+            coeff[(mu, 0)] = amp
     total = 0.0 + 0.0j
     for ket, amp in coeff.items():
         for target, out_amp in apply_to_basis(a, ket, w.hbar).items():

@@ -12,7 +12,6 @@ import orbitbnf
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
-    "BasisState",
     "BasisWindow",
     "CoverageError",
     "FTSeries",

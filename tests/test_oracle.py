@@ -38,7 +38,7 @@ def test_basis_window_dimension_and_state_order():
     assert w.dimension(1) == 9
     assert w.dimension(2) == 27
     states = w.states(1)
-    assert [(s.mu, s.nu) for s in states[:4]] == [
+    assert states[:4] == [
         ((0,), -1), ((1,), -1), ((2,), -1), ((0,), 0),
     ]
     assert w.doubled(True) == BasisWindow(4, 2, 0.1)
@@ -63,8 +63,8 @@ def test_assemble_h0_is_the_exact_ladder():
     w = BasisWindow(5, 2, hbar)
     mat = assemble_matrix(h0_word(rot, 0.7, 8), w)
     assert np.max(np.abs(mat - np.diag(np.diag(mat)))) == 0.0
-    for i, s in enumerate(w.states(1)):
-        pred = 0.7 + SQRT2M1 * hbar * (s.mu[0] + 0.5) + s.nu * hbar
+    for i, (mu, nu) in enumerate(w.states(1)):
+        pred = 0.7 + SQRT2M1 * hbar * (mu[0] + 0.5) + nu * hbar
         assert abs(mat[i, i] - pred) < 1e-14
 
 
@@ -87,8 +87,8 @@ def test_assemble_table_is_the_diagonal_of_its_values():
     for h in tables:
         w = BasisWindow(4, 2, 0.3)
         mat = assemble_matrix(h, w)
-        diag = [h.evaluate(tuple((m + 0.5) * w.hbar for m in s.mu), s.nu * w.hbar, w.hbar)
-                for s in w.states(h.dim)]
+        diag = [h.evaluate(tuple((m + 0.5) * w.hbar for m in mu), nu * w.hbar, w.hbar)
+                for mu, nu in w.states(h.dim)]
         scale = np.max(np.abs(diag))
         assert np.max(np.abs(mat - np.diag(diag))) <= 1e-14 * scale
 
@@ -234,6 +234,26 @@ def test_numeric_trace_rejects_bad_hbar_and_non_finite_levels_or_weights():
         for floor in (None, 1e-9):
             with pytest.raises(ValueError, match="finite"):
                 numeric_trace(levels, 0.7, 0.1, bump, weights=weights, floor=floor)
+
+
+def test_numeric_trace_rejects_a_floor_that_is_not_none_or_finite_and_non_negative():
+    """A NaN floor would pass every sum: ``worst > nan`` is False."""
+    bump = GaussianBump(1, 0.7)
+    for floor in (math.nan, math.inf, -1e-9):
+        with pytest.raises(ValueError, match="floor"):
+            numeric_trace([0.7], 0.7, 0.1, bump, floor=floor)
+    with pytest.raises(CoverageError):
+        numeric_trace([0.7], 0.7, 0.1, bump, floor=0.0)
+
+
+def test_numeric_trace_takes_an_integer_points_per_width_of_at_least_one():
+    bump = GaussianBump(1, 0.7)
+    for points in (0, 0.01, -1, 2.5, 64.0):
+        with pytest.raises(ValueError, match="points_per_width"):
+            numeric_trace([0.7], 0.7, 0.1, bump, points_per_width=points)
+    default = numeric_trace([0.7, 0.75], 0.7, 0.1, bump)
+    assert numeric_trace([0.7, 0.75], 0.7, 0.1, bump, points_per_width=np.int64(64)) == default
+    assert math.isfinite(abs(numeric_trace([0.7], 0.7, 0.1, bump, points_per_width=1)))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from orbitbnf.errors import UnsafeWindowError
 from orbitbnf.oracle import BasisWindow, assemble_matrix, quasi_eigenvalues
 from orbitbnf.quantum import h0_word
 from orbitbnf.series import nonresonance_margin
-from orbitbnf.words import BasisState, WordPoly, apply_to_basis, normal_order_product
+from orbitbnf.words import WordPoly, apply_to_basis, normal_order_product
 from oracle_helpers import apply_to_basis_reference, assemble_matrix_reference
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
@@ -68,7 +68,7 @@ def test_two_mode_quartic_splits_into_its_total_parity_classes():
     states = w.states(2)
     assert [len(c) for c in classes] == [61, 60]
     for parity, c in enumerate(classes):
-        assert {sum(states[i].mu) % 2 for i in c} == {parity}
+        assert {sum(states[i][0]) % 2 for i in c} == {parity}
 
 
 def test_one_mode_cubic_is_one_class():
@@ -81,7 +81,7 @@ def test_t_independent_word_splits_into_its_fourier_sectors():
     w = BasisWindow(12, 2, 0.1)
     classes = classes_of(one_mode_cubic(), w)
     states = w.states(1)
-    assert [sorted({states[i].nu for i in c}) for c in classes] == [[nu] for nu in range(-2, 3)]
+    assert [sorted({states[i][1] for i in c}) for c in classes] == [[nu] for nu in range(-2, 3)]
     assert all(len(c) == 13 for c in classes)
 
 
@@ -199,11 +199,11 @@ def test_boundary_mass_names_the_lowest_offending_eigenvalue_over_all_classes():
     window = (0.7 + SQRT2M1 * hbar * 8.7, 0.7 + SQRT2M1 * hbar * 12.0)
     vals, vecs = np.linalg.eigh(assemble_matrix(a, w))
     states = w.states(1)
-    shallow = np.array([s.mu[0] > w.hermite_cut / 2 for s in states])
+    shallow = np.array([mu[0] > w.hermite_cut / 2 for mu, _nu in states])
     offending = {}  # sector -> lowest offending eigenvalue
     for v, vec in zip(vals, vecs.T):
         if window[0] <= v <= window[1] and np.sum(np.abs(vec[shallow]) ** 2) > 1e-8:
-            offending.setdefault(states[int(np.argmax(np.abs(vec)))].nu, v)
+            offending.setdefault(states[int(np.argmax(np.abs(vec)))][1], v)
     assert sorted(offending) == [-1, 0, 1]
     lowest = min(offending.values())
     assert lowest == offending[1] and f"{lowest:.6g}" != f"{offending[-1]:.6g}"
@@ -262,7 +262,7 @@ def words_and_states(draw):
             draw(st.integers(0, 2)),
         )
         terms[key] = complex(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
-    state = BasisState(tuple(draw(st.integers(0, 4)) for _ in range(dim)), draw(st.integers(-3, 3)))
+    state = (tuple(draw(st.integers(0, 4)) for _ in range(dim)), draw(st.integers(-3, 3)))
     return WordPoly(dim, terms), state, draw(st.sampled_from((0.25, 0.5, 0.1, 1.0)))
 
 
@@ -287,10 +287,10 @@ def test_column_builder_keeps_the_order_of_a_target_that_cancels_and_returns():
         ((0,), (0,), 0, 0, 1): -2.0,
         ((0,), (0,), 0, 1, 0): 1.0,
     })
-    s = BasisState((2,), 1)
+    s = ((2,), 1)
     out = apply_to_basis(a, s, 0.25)
-    assert list(out) == [BasisState((3,), 1), BasisState((2,), 1)]
-    assert out[BasisState((2,), 1)] == 0.25
+    assert list(out) == [((3,), 1), ((2,), 1)]
+    assert out[((2,), 1)] == 0.25
     assert same_column(out, apply_to_basis_reference(a, s, 0.25))
 
 
@@ -298,6 +298,16 @@ def test_assembly_matches_the_per_term_loop_column_by_column():
     for a, w in ((two_mode_quartic(), BasisWindow(4, 0, 0.1)), (one_mode_cubic(), BasisWindow(6, 2, 0.1))):
         for s in w.states(a.dim):
             assert same_column(apply_to_basis(a, s, w.hbar), apply_to_basis_reference(a, s, w.hbar))
+
+
+@pytest.mark.parametrize("fourier_cut", [0, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_reads_the_state_order_and_positions_invert_it(dim, fourier_cut):
+    w = BasisWindow(3, fourier_cut, 0.1)
+    mu, nu = oracle._grid(w, dim)
+    assert [(tuple(m), n) for m, n in zip(mu.tolist(), nu.tolist())] == w.states(dim)
+    pos, inside = oracle._positions(w, mu, nu)
+    assert inside.all() and np.array_equal(pos, np.arange(w.dimension(dim)))
 
 
 def two_mode_driven(coeff):
@@ -331,4 +341,19 @@ def test_block_index_rejects_a_window_that_does_not_fit():
 @pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf, 0.0, -0.1])
 def test_apply_to_basis_rejects_an_hbar_that_is_not_finite_and_positive(hbar):
     with pytest.raises(ValueError, match="hbar"):
-        apply_to_basis(WordPoly.creation(1, 0), BasisState((1,), 0), hbar)
+        apply_to_basis(WordPoly.creation(1, 0), ((1,), 0), hbar)
+
+
+@pytest.mark.parametrize("state", [((2.7,), 0), ((1,), 0.5), ((-1,), 0), ((1, 1), 0)],
+                         ids=["float-mu", "float-nu", "negative-mu", "wrong-length"])
+def test_apply_to_basis_rejects_a_state_that_is_not_integer_mu_nu(state):
+    with pytest.raises(ValueError, match="basis state|Hermite"):
+        apply_to_basis(WordPoly.creation(1, 0), state, 0.25)
+
+
+def test_apply_to_basis_takes_numpy_ints_and_returns_plain_ones():
+    a = WordPoly.word(1, mu=(1,), m=1, j=1)
+    out = apply_to_basis(a, ((np.int64(2),), np.int64(-1)), 0.25)
+    assert out == apply_to_basis(a, ((2,), -1), 0.25) == {((3,), 0): -0.25 * math.sqrt(0.75)}
+    ((mu, nu),) = out
+    assert type(mu[0]) is int and type(nu) is int
