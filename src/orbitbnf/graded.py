@@ -14,9 +14,13 @@ product) work on packed keys: for the duration of one call each key is a
 single int with fixed-width fields (:func:`_packed_operands`), so the key
 of a generated term is one integer add of the operand keys and an offset.
 The width is chosen per call from the operands' grade and ``|m|`` bounds, so
-no field overflows, and the kernels unpack once, on return, in the order the
-terms were first generated; storage, ``items()``, records and every map
-stay tuple-keyed.  Keys are packed and split through one interned table of
+no field overflows.  A kernel returns its packed-key dict, in the order the
+terms were first generated, and the polynomial keeps it packed until its
+keys are read (:func:`_from_packed`): length, truth, scale, negation and
+the sum or difference of two results packed at one width and cap need no
+tuple key, and the word commutator merges its two products on packed keys.
+The first read of the terms (``items()``, records, maps, kernel operands)
+decodes them once.  Keys are packed and split through one interned table of
 index tuples per ``(dim, width)`` (:func:`_index_table`): it gives the
 packed block and the sum of a tuple's fields, and turns a block back into
 the one tuple object for it, so the outputs of every kernel share their
@@ -148,7 +152,7 @@ def _index_table(dim, width):
     ``blocks`` maps an index tuple to its packed block (field i holds entry
     i) and its sum; ``tuples`` maps a block back to the one tuple object for
     it.  Only ``tuples`` creates the tuples that kernels output, from blocks
-    whose fields fit, so every key that a kernel unpacks shares its index
+    whose fields fit, so every decoded kernel key shares its index
     tuples with every other, and dict merges and lookups on them compare by
     identity first.  Keyed on the width as well, since the same block stands
     for different tuples at different widths.  The grade cap bounds the
@@ -269,14 +273,13 @@ def _field_units(dim, width):
     return units[:dim], units[dim : 2 * dim], units[2 * dim], units[2 * dim + 1], units[2 * dim + 2]
 
 
-def _from_packed(cls, dim, out, width, cap):
-    """The ``cls`` polynomial of a kernel's packed-key dict, built in one pass.
+def _decoded(dim, width, packed):
+    """The tuple-keyed dict of a packed-key dict, in its insertion order.
 
     Each key is split into its mu block, nu block and m, j, k fields (a sum
     with the bias of m counted once, see :func:`_pack`); mu and nu are read
     from the interned table :func:`_index_table` of ``(dim, width)``, so
-    every output key shares its index tuples.  Exact zeros are dropped and
-    insertion order is kept.
+    every decoded key shares its index tuples.
     """
     tuples = _index_table(dim, width)[1]
     mask = (1 << width) - 1
@@ -286,19 +289,50 @@ def _from_packed(cls, dim, out, width, cap):
     block_mask = (1 << nu_shift) - 1
     k_shift = 2 * width
     terms = {}
-    for p, c in out.items():
-        if c:
-            tail = p >> tail_shift
-            terms[
-                (
-                    tuples[p & block_mask],
-                    tuples[(p >> nu_shift) & block_mask],
-                    (tail & mask) - bias,
-                    (tail >> width) & mask,
-                    tail >> k_shift,
-                )
-            ] = c
-    return cls._wrap(dim, terms, cap)
+    for p, c in packed.items():
+        tail = p >> tail_shift
+        terms[
+            (
+                tuples[p & block_mask],
+                tuples[(p >> nu_shift) & block_mask],
+                (tail & mask) - bias,
+                (tail >> width) & mask,
+                tail >> k_shift,
+            )
+        ] = c
+    return terms
+
+
+def _from_packed(cls, dim, out, width, cap):
+    """The ``cls`` polynomial of a kernel's packed-key dict ``out``, kept packed.
+
+    Exact zeros are deleted from ``out`` in place and the polynomial takes
+    ``(width, out)`` as its storage; the tuple keys are built on the first
+    read (:attr:`GradedPoly._terms`), in insertion order.
+    """
+    if 0 in out.values():
+        for p in [p for p, c in out.items() if not c]:
+            del out[p]
+    return cls._wrap_packed(dim, width, out, cap)
+
+
+def _merge(out, terms, sign):
+    """Add (``sign`` 1) or subtract (``sign`` -1) ``terms`` into ``out`` in place.
+
+    New keys go to the end in the order of ``terms``, and a key whose sum is
+    an exact zero is deleted.  The keys may be tuples or packed ints.
+    """
+    get = out.get
+    combine, fresh = (operator.add, operator.pos) if sign > 0 else (operator.sub, operator.neg)
+    for key, c in terms.items():
+        prev = get(key)
+        if prev is None:
+            out[key] = fresh(c)
+        elif total := combine(prev, c):
+            out[key] = total
+        else:
+            del out[key]
+    return out
 
 
 def _contraction_terms(a, b):
@@ -392,9 +426,17 @@ class GradedPoly:
     keys of the opposite charge (the adjoint of a word, the conjugate of a
     symbol).  Polynomials of different subclasses never compare equal or
     combine.
+
+    A kernel result is stored packed, as the kernel's ``(width, packed-key
+    dict)`` (:func:`_from_packed`), until something reads its keys: the
+    first read of :attr:`_terms` builds the tuple-keyed dict and drops the
+    packed one, so a polynomial holds one form at a time.  ``len``,
+    ``bool``, :meth:`max_abs_coeff` and unary ``-`` read either form, and
+    ``+`` and ``-`` merge packed keys when both operands are packed at one
+    width and cap.
     """
 
-    __slots__ = ("dim", "_cap", "_terms")
+    __slots__ = ("dim", "_cap", "_store", "_packed")
     _GRADING = "grade"
     _SYMMETRY = "symmetric"
 
@@ -403,6 +445,7 @@ class GradedPoly:
             raise ValueError("dim must be >= 0")
         self.dim = int(dim)
         self._cap = cap
+        self._packed = None
         store = {}
         for key, c in (terms or {}).items():
             key = _validate_key(key, self.dim)
@@ -411,17 +454,20 @@ class GradedPoly:
             store[key] = store[key] + c if key in store else c
             if not store[key]:
                 del store[key]
-        self._terms = store
+        self._store = store
 
     @classmethod
     def _trusted(cls, dim, terms, cap):
-        """Build from canonical keys of grade <= ``cap`` (library use).
+        """Build from canonical keys of grade <= ``cap`` (library use), dropping exact zeros.
 
-        Keys are not re-validated and their grades not checked: the kernels
-        skip every term pair above the cap, and the other library operations
-        preserve grade.  Exact zeros are still dropped: Lie series stop on an
-        empty term and term counts depend on it.  A caller that can raise a
-        grade filters with :func:`_within` first.
+        Keys are not re-validated and their grades not checked: the callers
+        preserve grade.  For callers whose coefficients can come out as an
+        exact zero: :meth:`scaled` (a zero scalar), :func:`solve_homological`
+        (a quotient that underflows), the adjoint and the heat flows (sums
+        that cancel).  Lie series stop on an empty term and term counts
+        depend on it.  A caller that can raise a grade filters with
+        :func:`_within` first; one that only keeps a subset of stored terms
+        uses :meth:`_wrap`.
         """
         return cls._wrap(dim, {key: c for key, c in terms.items() if c}, cap)
 
@@ -431,8 +477,33 @@ class GradedPoly:
         self = object.__new__(cls)
         self.dim = dim
         self._cap = cap
-        self._terms = store
+        self._store = store
+        self._packed = None
         return self
+
+    @classmethod
+    def _wrap_packed(cls, dim, width, packed, cap):
+        """Instance owning the packed-key dict ``packed`` of fields of ``width`` bits.
+
+        Its keys are those of a kernel result (m carries the bias, see
+        :func:`_pack`), of grade <= cap, with no exact zeros.
+        """
+        self = cls._wrap(dim, None, cap)
+        self._packed = (width, packed)
+        return self
+
+    @property
+    def _terms(self):
+        """The tuple-keyed dict of the terms; a packed result is decoded on the first read."""
+        if self._packed is not None:
+            width, packed = self._packed
+            self._store = _decoded(self.dim, width, packed)
+            self._packed = None
+        return self._store
+
+    def _values(self):
+        """The coefficients in storage order, from whichever form is held."""
+        return (self._store if self._packed is None else self._packed[1]).values()
 
     # -- constructors; ``cap`` is passed on as the subclass constructor takes it
 
@@ -459,39 +530,51 @@ class GradedPoly:
         return self._terms.get((tuple(mu), tuple(nu), m, j, k), 0)
 
     def __len__(self):
-        return len(self._terms)
+        return len(self._values())
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._values())
 
     def __eq__(self, other):
         return type(other) is type(self) and self.dim == other.dim and self._terms == other._terms
 
     def __repr__(self):
         return (
-            f"{type(self).__name__}(dim={self.dim}, terms={len(self._terms)}, "
+            f"{type(self).__name__}(dim={self.dim}, terms={len(self)}, "
             f"max_{self._GRADING}={self._cap})"
         )
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other):
+    def _merged(self, other, sign):
+        """``self + sign * other`` in one merge loop (:func:`_merge`).
+
+        The loop runs on packed keys when both operands are packed at the
+        same width and cap, and on tuple keys otherwise, where terms above
+        the smaller cap are left out.
+        """
         if type(other) is not type(self):
             return NotImplemented
         _check_dims(self, other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out[key] + c if key in out else c
+        a, b = self._packed, other._packed
+        if a is not None and b is not None and a[0] == b[0] and self._cap == other._cap:
+            return self._wrap_packed(self.dim, a[0], _merge(dict(a[1]), b[1], sign), self._cap)
         cap = min(self._cap, other._cap)
-        if self._cap != other._cap:
-            out = _within(out, cap)
-        return self._trusted(self.dim, out, cap)
+        out = dict(self._terms) if self._cap == cap else _within(self._terms, cap)
+        terms = other._terms if other._cap == cap else _within(other._terms, cap)
+        return self._wrap(self.dim, _merge(out, terms, sign), cap)
+
+    def __add__(self, other):
+        return self._merged(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._merged(other, -1)
 
     def __neg__(self):
-        return self._trusted(self.dim, {key: -c for key, c in self._terms.items()}, self._cap)
+        if self._packed is not None:
+            width, packed = self._packed
+            return self._wrap_packed(self.dim, width, {p: -c for p, c in packed.items()}, self._cap)
+        return self._wrap(self.dim, {key: -c for key, c in self._store.items()}, self._cap)
 
     def scaled(self, scalar):
         """Polynomial multiplied by a scalar coefficient."""
@@ -509,15 +592,14 @@ class GradedPoly:
         return min(map(key_grade, self._terms), default=INFINITE)
 
     def filtered(self, pred):
-        return self._trusted(
-            self.dim, {key: c for key, c in self._terms.items() if pred(key)}, self._cap
-        )
+        kept = {key: c for key, c in self._terms.items() if pred(key)}
+        return self._wrap(self.dim, kept, self._cap)
 
     def truncated(self, cap):
-        return self._trusted(self.dim, _within(self._terms, cap), cap)
+        return self._wrap(self.dim, _within(self._terms, cap), cap)
 
     def max_abs_coeff(self) -> float:
-        return max(map(abs, self._terms.values()), default=0.0)
+        return max(map(abs, self._values()), default=0.0)
 
     # -- serialization ---------------------------------------------------------
 

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import CoverageError, UnsafeWindowError
 from .graded import require_symmetric
 from .normalform import NormalForm
+from .traces import _quadrature_points
 from .words import WordPoly, apply_to_basis, normal_form_to_word
 
 __all__ = [
@@ -459,12 +460,7 @@ def numeric_trace(
         raise ValueError(f"E must be finite, not {E!r}")
     if floor is not None and not (math.isfinite(floor) and floor >= 0):
         raise ValueError(f"floor must be None or finite and >= 0, not {floor!r}")
-    try:
-        points = operator.index(points_per_width)
-    except TypeError:
-        points = 0
-    if points < 1:
-        raise ValueError(f"points_per_width must be an integer >= 1, not {points_per_width!r}")
+    points = _quadrature_points(points_per_width)
     lam = np.asarray(list(spectrum), dtype=float)
     if weights is None:
         wts = np.ones(lam.size)

@@ -242,12 +242,13 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
     the (t, tau) block keeps the denominator 2^(u+v) u! v!.  The factor is
     applied as the correctly rounded float num / den.
 
-    Keys are packed into ints for the duration of the call (see
-    :func:`~orbitbnf.graded._pack`).  Both contractions lower mu and nu alike
-    and raise the hbar power by their order, so one packed offset per table
-    entry serves X and Y, and a generated key is the sum of the operand keys,
-    the X and Y offsets and the (t, tau) offset.  The terms are unpacked once,
-    on return, in the order they were first generated.
+    Keys are packed into ints (see :func:`~orbitbnf.graded._pack`).  Both
+    contractions lower mu and nu alike and raise the hbar power by their
+    order, so one packed offset per table entry serves X and Y, and a
+    generated key is the sum of the operand keys, the X and Y offsets and
+    the (t, tau) offset.  The result keeps the packed keys, in the order
+    they were first generated, until its terms are read
+    (:func:`~orbitbnf.graded._from_packed`).
 
     With ``half`` only the term pairs whose charges ``|mu| - |nu|`` sum to
     ``<= 0`` are formed (:func:`~orbitbnf.graded._packed_operands`).  Both

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,21 @@ __all__ = [
 
 
 # -- test functions ---------------------------------------------------------------
+
+
+def _quadrature_points(points_per_width) -> int:
+    """``points_per_width`` as an int; ValueError unless it is an integer >= 1.
+
+    Integer types such as numpy ints are accepted (``operator.index``);
+    floats are not, integral or not.
+    """
+    try:
+        points = operator.index(points_per_width)
+    except TypeError:
+        points = 0
+    if points < 1:
+        raise ValueError(f"points_per_width must be an integer >= 1, not {points_per_width!r}")
+    return points
 
 
 @dataclass(frozen=True)
@@ -109,10 +125,13 @@ class GaussianBump:
         return TestFunctionJet(self.l, tuple(derivs))
 
     def quadrature_window(self, points_per_width: int = 64):
-        """(t_min, t_max, n_points) covering +-8 widths, for numeric traces."""
+        """(t_min, t_max, n_points) covering +-8 widths, for numeric traces.
+
+        ValueError unless points_per_width is an integer >= 1.
+        """
         c = 2.0 * math.pi * self.l
         half = 8.0 * self.width
-        n = int(2 * 8 * points_per_width) + 1
+        n = 2 * 8 * _quadrature_points(points_per_width) + 1
         return (c - half, c + half, n)
 
 

@@ -29,8 +29,10 @@ from .graded import (
     _add_idx,
     _check_dims,
     _contractions,
+    _decoded,
     _field_units,
     _from_packed,
+    _merge,
     _packed_operands,
     is_resonant_key,
     key_grade,
@@ -90,12 +92,13 @@ def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None, half=False) -
     is decided per term pair: each A-term meets only the B-terms that fit
     under the cap with it.
 
-    Keys are packed into ints for the duration of the call (see
-    :func:`~orbitbnf.graded._pack`): a generated key is the sum of the two
-    operand keys, the ``(D_t + m hbar)^j`` offset and the contraction offset
-    read from the one cached table :func:`~orbitbnf.graded._contractions`
-    that the Moyal sum shares.  The terms are unpacked once, on return, in
-    the order they were first generated.
+    Keys are packed into ints (see :func:`~orbitbnf.graded._pack`): a
+    generated key is the sum of the two operand keys, the ``(D_t + m
+    hbar)^j`` offset and the contraction offset read from the one cached
+    table :func:`~orbitbnf.graded._contractions` that the Moyal sum shares.
+    The result keeps the packed keys, in the order they were first
+    generated, until its terms are read
+    (:func:`~orbitbnf.graded._from_packed`).
 
     An explicit max_grade overrides the operands' caps (the caller asserts
     the operands are complete far enough for that to be meaningful); by
@@ -171,6 +174,12 @@ def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) 
     down by one (grade drops by exactly 2).  With ``half`` both products are
     formed by halves (:func:`normal_order_product`).
 
+    AB and BA are merged on their packed keys and the result stays packed
+    (:func:`~orbitbnf.graded._from_packed`).  Both products are packed at
+    one width, which is symmetric in the operands; k is the top field, so
+    a key has k >= 1 exactly when it is at least the k unit, and lowering
+    k is subtracting that unit.
+
     Raises
     ------
     OrderingError
@@ -184,17 +193,16 @@ def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) 
     ab = normal_order_product(a, b, cap + 2, half=half)
     ba = normal_order_product(b, a, cap + 2, half=half)
     noise = 1e-12 * max(ab.max_abs_coeff(), ba.max_abs_coeff())
-    raw = ab - ba
+    width, ab_terms = ab._packed
+    k_unit = _field_units(a.dim, width)[4]
     out = {}
-    for (mu, nu, m, j, k), c in raw.items():
-        if k < 1:
-            if abs(c) <= noise:
-                continue
-            raise OrderingError(
-                f"commutator term {(mu, nu, m, j, k)} lacks an hbar factor"
-            )
-        out[(mu, nu, m, j, k - 1)] = -1j * c
-    return WordPoly._trusted(a.dim, out, cap)
+    for p, c in _merge(dict(ab_terms), ba._packed[1], -1).items():
+        if p >= k_unit:
+            out[p - k_unit] = -1j * c
+        elif abs(c) > noise:
+            key = next(iter(_decoded(a.dim, width, {p: c})))
+            raise OrderingError(f"commutator term {key} lacks an hbar factor")
+    return WordPoly._wrap_packed(a.dim, width, out, cap)
 
 
 def apply_to_basis(a: WordPoly, state: tuple, hbar: float) -> dict:

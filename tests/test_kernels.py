@@ -338,3 +338,116 @@ def test_overflowing_operand_fields_leave_the_index_tables_intact():
     for cap in (INF, 9):
         pairs = _assert_kernels_match(keys_a, keys_b, 2, cap)
         assert any(key[0] == (0, 1) for key in pairs[0][0].keys())
+
+
+# -- packed results ----------------------------------------------------------------
+#
+# A kernel result keeps the kernel's packed-key dict until its keys are read;
+# the first read of its terms builds the tuple-keyed dict and drops the packed
+# one.  Sums, differences and negation read either form.
+
+
+def _kernel_cases(dim, cap, seed):
+    """(kernel result maker, reference terms) for the four kernels, the word
+    product once more on real coefficients, whose zero imaginary parts carry
+    a sign."""
+    rng = random.Random(4000 * dim + seed)
+    wa, wb = _operand(WordPoly, rng, dim, cap), _operand(WordPoly, rng, dim, cap)
+    sa, sb = _operand(FTSeries, rng, dim, cap), _operand(FTSeries, rng, dim, cap)
+    ra, rb = (WordPoly(dim, {key: complex(c.real) for key, c in w.items()}, cap) for w in (wa, wb))
+    return [
+        (lambda: normal_order_product(wa, wb), _ref_word_product(wa, wb, cap)),
+        (lambda: normal_order_product(ra, rb), _ref_word_product(ra, rb, cap)),
+        (lambda: moyal_bracket(sa, sb, 3), _ref_moyal_sum(sa, sb, 3, cap, True)),
+        (lambda: poisson_bracket(sa, sb), _ref_poisson_bracket(sa, sb, cap)),
+        (lambda: pointwise_product(sa, sb), _ref_pointwise_product(sa, sb, cap)),
+    ]
+
+
+def _decoded_copy(make):
+    out = make()
+    out.keys()  # the first read decodes
+    assert out._packed is None
+    return out
+
+
+def _same(x, y):
+    """Equal terms by repr, in order (signed zeros and insertion order count)."""
+    same_kind = type(x) is type(y) and x._cap == y._cap
+    return same_kind and repr(list(x.items())) == repr(list(y.items()))
+
+
+@pytest.mark.parametrize("dim,cap,seed", CASES[::3])
+def test_packed_kernel_results_read_as_the_reference_loops(dim, cap, seed):
+    for make, ref in _kernel_cases(dim, cap, seed):
+        got = make()
+        assert got._packed is not None
+        assert repr(list(got.items())) == repr(list(ref.items()))
+
+
+@pytest.mark.parametrize("dim,cap,seed", CASES[::3])
+def test_sizes_and_scale_agree_before_and_after_the_first_read(dim, cap, seed):
+    for make, ref in _kernel_cases(dim, cap, seed):
+        got = make()
+        before = len(got), bool(got), got.max_abs_coeff()
+        assert got._packed is not None and got._store is None
+        assert before == (len(ref), bool(ref), max(map(abs, ref.values()), default=0.0))
+        got.items()
+        assert got._packed is None and got._store is not None
+        assert (len(got), bool(got), got.max_abs_coeff()) == before
+
+
+@pytest.mark.parametrize("dim,cap,seed", CASES[::3])
+def test_linear_structure_on_packed_results_matches_the_tuple_path(dim, cap, seed):
+    for make, _ref in _kernel_cases(dim, cap, seed):
+        x, y = make(), make()
+        assert _same(-x, -_decoded_copy(make))
+        assert (-make())._packed is not None
+        diff = x - y
+        assert diff._packed is not None and not diff and len(diff) == 0
+        assert list(diff.items()) == []
+        total = make() + make()
+        assert total._packed is not None
+        assert _same(total, _decoded_copy(make) + _decoded_copy(make))
+
+
+def test_a_packed_result_plus_a_tuple_born_word_takes_the_tuple_path():
+    rng = random.Random(17)
+    a, b = _operand(WordPoly, rng, 2, INF), _operand(WordPoly, rng, 2, INF)
+
+    def make():
+        return normal_order_product(a, b)
+
+    some_key = next(iter(_decoded_copy(make).keys()))
+    word = WordPoly(2, {some_key: 0.25, ((1, 0), (0, 2), 1, 0, 0): -1.5})
+    for got, want in (
+        (make() + word, _decoded_copy(make) + word),
+        (word - make(), word - _decoded_copy(make)),
+    ):
+        assert got._packed is None
+        assert _same(got, want)
+
+
+def test_packed_results_with_different_caps_keep_the_smaller_cap():
+    rng = random.Random(23)
+    a, b = _operand(WordPoly, rng, 2, INF, max_exp=1), _operand(WordPoly, rng, 2, INF, max_exp=1)
+    wide, narrow = (lambda: normal_order_product(a, b, 11)), (lambda: normal_order_product(b, a, 7))
+    assert graded._packed_operands(a, b, 11)[0] == graded._packed_operands(b, a, 7)[0]
+    for got, want in (
+        (wide() + narrow(), _decoded_copy(wide) + _decoded_copy(narrow)),
+        (narrow() - wide(), _decoded_copy(narrow) - _decoded_copy(wide)),
+    ):
+        assert got._packed is None and got._cap == 7
+        assert _same(got, want)
+        assert got and max(map(graded.key_grade, got.keys())) <= 7
+        assert any(graded.key_grade(key) > 7 for key in wide().keys())
+
+
+def test_packed_results_of_different_widths_merge_on_tuple_keys():
+    a = WordPoly(1, {((1,), (0,), 150, 1, 0): 1.0, ((0,), (1,), 0, 0, 0): 0.5})
+    b = WordPoly(1, {((0,), (1,), -2, 0, 0): 2.0, ((1,), (0,), 0, 1, 0): 1.0})
+    wide, narrow = (lambda: normal_order_product(a, b)), (lambda: normal_order_product(b, b))
+    assert wide()._packed[0] > narrow()._packed[0]
+    got = wide() + narrow()
+    assert got._packed is None
+    assert _same(got, _decoded_copy(wide) + _decoded_copy(narrow))

@@ -259,3 +259,14 @@ def test_jet_depth_guard():
         psi_kernel(0, (0,), 3, shallow, rot)
     with pytest.raises(JetDepthError):
         g_function((0,), 3, shallow, rot)
+
+
+def test_quadrature_window_takes_an_integer_points_per_width_of_at_least_one():
+    bump = GaussianBump(1, 0.7)
+    for points in (0, 0.01, 2.5, -3):
+        with pytest.raises(ValueError, match="points_per_width must be an integer >= 1"):
+            bump.quadrature_window(points)
+    assert bump.quadrature_window(1)[2] == 17
+    assert bump.quadrature_window(np.int64(64)) == bump.quadrature_window() == (
+        2 * math.pi - 5.6, 2 * math.pi + 5.6, 1025
+    )
