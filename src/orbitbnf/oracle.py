@@ -7,12 +7,15 @@ has eigenvalues (mu + 1/2) hbar exactly.  Everything here is independent of
 the series machinery: eigenvalues come from LAPACK solves, one per class
 of states that no matrix entry connects (the real symmetric drivers whenever
 every coefficient of the operator is real, the complex Hermitian ones
-otherwise), and traces from explicit weighted sums.  A class block of the
-doubled-cut check with n >= 1024 states and half-bandwidth b, 32 b <= n, is
-solved by the banded driver (``scipy.linalg.eigvals_banded``, O(n^2 b)
-instead of O(n^3)); every other block, and every working solve, is dense
-(numpy's ``eigvalsh``/``eigh``).  scipy is imported only on the banded
-path, so small windows never pay its import.
+otherwise), and traces from explicit weighted sums.  A class whose block at
+the doubled cut has n >= 1024 states and half-bandwidth b, 32 b <= n, is
+solved from its lower band at both cuts: its eigenvalues come from the banded
+driver (``scipy.linalg.eigvals_banded``, O(n^2 b) instead of O(n^3)) and
+its boundary masses from banded inverse iteration (LAPACK ``?gbtrf``/
+``?gbtrs``), with dense ``eigh`` as the fallback for vectors that iteration
+cannot certify.  Every other class is solved dense (numpy's
+``eigvalsh``/``eigh``).  scipy is imported only on the banded path, so
+small windows never pay its import.
 The point is to have something slow and obviously correct to hold the
 symbolic results against.
 
@@ -231,32 +234,152 @@ def _groups(label: np.ndarray) -> list:
     return [g for g in groups if len(g)]
 
 
-# A doubled class block takes the banded driver when it has at least
-# _BANDED_MIN states and half-bandwidth b with _BANDED_RATIO * b <= n.  Below
-# that size the scipy import (0.2-0.3 s, +28 MB) outweighs the dense solve
-# (0.03 s at n = 621); wider bands, such as the two-mode parity classes
-# (n = 1105, b = 94 in lexicographic order), gain nothing from it.
+# A class is narrow when its doubled block has at least _BANDED_MIN states
+# and half-bandwidth b with _BANDED_RATIO * b <= n; a narrow class is solved
+# from band storage at both cuts, every other class dense.  Below that size
+# the scipy import (0.2-0.3 s, +28 MB) outweighs the dense solves (0.03 s
+# at n = 621); wider bands gain little: the two-mode parity classes (n = 1105,
+# b = 94 in lexicographic order) take 0.13 s in the banded driver against
+# 0.15 s dense, and inverse iteration costs O(n b^2) per window eigenvalue.
 _BANDED_MIN = 1024
 _BANDED_RATIO = 32
+
+
+def _narrow(n: int, band: int) -> bool:
+    """Whether a doubled class block of n states and half-bandwidth band
+    takes the banded path, for its doubled and its working solve."""
+    return n >= _BANDED_MIN and _BANDED_RATIO * band <= n
+
+
+def _lower_band(mat: np.ndarray, states: np.ndarray, band: int) -> np.ndarray:
+    """Lower band storage of the block of ``mat`` on ``states`` (ascending):
+    row d holds the d-th subdiagonal, read diagonal by diagonal without
+    copying the block.  ``band`` must bound the block's half-bandwidth; one
+    past the block's size is cut to it."""
+    n = len(states)
+    band = min(band, n - 1)
+    lower = np.zeros((band + 1, n), dtype=mat.dtype)
+    for d in range(band + 1):
+        lower[d, : n - d] = mat[states[d:], states[: n - d]]
+    return lower
+
+
+def _dense_from_band(lower: np.ndarray) -> np.ndarray:
+    """The dense block of the lower band ``lower``, lower triangle only:
+    ``eigh`` reads nothing else."""
+    n = lower.shape[1]
+    i = np.arange(n)
+    mat = np.zeros((n, n), dtype=lower.dtype)
+    for d in range(len(lower)):
+        mat[i[d:], i[: n - d]] = lower[d, : n - d]
+    return mat
 
 
 def _doubled_eigvals(big: np.ndarray, states: np.ndarray, band: int) -> np.ndarray:
     """Ascending eigenvalues of the block of ``big`` on ``states`` (ascending),
     whose half-bandwidth is ``band``.
 
-    A large narrow block hands its lower band to the banded driver, read
-    diagonal by diagonal without copying the block; any other block is copied
-    (unless it is the whole matrix) and solved dense.
+    A narrow block hands its lower band to the banded driver; any other
+    block is copied (unless it is the whole matrix) and solved dense.
     """
-    n = len(states)
-    if n >= _BANDED_MIN and _BANDED_RATIO * band <= n:
+    if _narrow(len(states), band):
         from scipy.linalg import eigvals_banded
 
-        lower = np.zeros((band + 1, n), dtype=big.dtype)
-        for d in range(band + 1):
-            lower[d, : n - d] = big[states[d:], states[: n - d]]
-        return eigvals_banded(lower, lower=True)
-    return np.linalg.eigvalsh(big if n == len(big) else big[np.ix_(states, states)])
+        return eigvals_banded(_lower_band(big, states, band), lower=True)
+    return np.linalg.eigvalsh(big if len(states) == len(big) else big[np.ix_(states, states)])
+
+
+# A window eigenvector with more boundary mass than _MASS_TOL is unsafe.  A
+# narrow class goes to dense eigh when a window eigenvalue lies within
+# _CLUSTER_TOL of the spectrum's scale (its largest |eigenvalue|) from a
+# neighbour, or an inverse-iteration residual exceeds _RESIDUAL_TOL of it.
+_MASS_TOL = 1e-8
+_CLUSTER_TOL = 1e-8
+_RESIDUAL_TOL = 1e-12
+
+
+class _Uncertified(Exception):
+    """Inverse iteration could not certify an eigenvector."""
+
+
+def _first_offender(vals, mass, keep, below):
+    """The lowest window eigenvalue ``vals[i]``, i in ``keep`` (ascending),
+    below ``below`` whose eigenvector keeps mass > _MASS_TOL beyond half the
+    cut, as ``(eigenvalue, mass)``, or None.  ``mass(i)`` gives that mass;
+    it may raise _Uncertified."""
+    for i in keep:
+        if vals[i] >= below:
+            break
+        m = mass(i)
+        if m > _MASS_TOL:
+            return vals[i], m
+    return None
+
+
+def _banded_window(lower: np.ndarray, lo: float, hi: float, out: np.ndarray, below: float):
+    """Window eigenvalues and first offender of a narrow working block, from
+    its lower band: all eigenvalues by ``eigvals_banded``, each mass from two
+    steps of inverse iteration (``?gbtrf``/``?gbtrs``) at the eigenvalue.
+    Raises _Uncertified when a window eigenvalue has a neighbour within
+    _CLUSTER_TOL of the scale, a shifted factor has a zero pivot, or a
+    vector's residual exceeds _RESIDUAL_TOL of the scale."""
+    from scipy.linalg import blas, eigvals_banded, lapack
+
+    vals = eigvals_banded(lower, lower=True)
+    keep = np.flatnonzero((vals >= lo) & (vals <= hi))
+    scale = max(abs(vals[0]), abs(vals[-1]))
+    gaps = np.diff(vals, prepend=-np.inf, append=np.inf)
+    if (np.minimum(gaps[keep], gaps[keep + 1]) < _CLUSTER_TOL * scale).any():
+        raise _Uncertified
+    band, n = len(lower) - 1, lower.shape[1]
+    kind = "z" if np.iscomplexobj(lower) else "d"
+    gbtrf, gbtrs = getattr(lapack, kind + "gbtrf"), getattr(lapack, kind + "gbtrs")
+    hbmv = blas.zhbmv if kind == "z" else blas.dsbmv
+    # LAPACK's general band storage: entry (i, j) at row 2 band + i - j, under
+    # ``band`` spare rows for the fill of the pivoted factor
+    general = np.zeros((3 * band + 1, n), dtype=lower.dtype)
+    for d in range(band + 1):
+        general[2 * band + d, : n - d] = lower[d, : n - d]
+        if d:
+            general[2 * band - d, d:] = lower[d, : n - d].conj()
+    # a fixed pseudo-random start, as LAPACK's ?stein takes: no symmetry of
+    # the block can make it orthogonal to an eigenvector
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+
+    def mass(i):
+        shifted = general.copy()
+        shifted[2 * band] -= vals[i]
+        lu, piv, info = gbtrf(shifted, band, band, overwrite_ab=1)
+        if info:
+            raise _Uncertified
+        x = start
+        for _step in range(2):
+            x, _info = gbtrs(lu, band, band, x, piv)
+            x /= np.linalg.norm(x)
+        residual = np.linalg.norm(hbmv(band, 1.0, lower, x, beta=-vals[i], y=x, lower=1))
+        if not residual <= _RESIDUAL_TOL * scale:  # NaN too
+            raise _Uncertified
+        return float(np.sum(np.abs(x[out]) ** 2))
+
+    return vals[keep], _first_offender(vals, mass, keep, below)
+
+
+def _working_window(block: np.ndarray, narrow: bool, lo: float, hi: float, out, below):
+    """Window eigenvalues of one class's working block (its lower band when
+    narrow, else the dense block) and the lowest of them below ``below``
+    whose eigenvector keeps mass beyond half the cut, as
+    ``(eigenvalue, mass)``, or None.  A narrow block that inverse iteration
+    cannot certify is solved dense, exactly as a dense block would be."""
+    if narrow:
+        try:
+            return _banded_window(block, lo, hi, out, below)
+        except _Uncertified:
+            block = _dense_from_band(block)
+    vals, vecs = np.linalg.eigh(block)
+    keep = np.flatnonzero((vals >= lo) & (vals <= hi))
+    return vals[keep], _first_offender(
+        vals, lambda i: float(np.sum(np.abs(vecs[:, i][out]) ** 2)), keep, below
+    )
 
 
 def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
@@ -281,13 +404,22 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     checks, and a boundary-mass failure names the lowest offending
     eigenvalue.
 
-    A doubled class block with n >= 1024 states and half-bandwidth b,
+    A class whose doubled block has n >= 1024 states and half-bandwidth b,
     32 b <= n (a one-mode cubic word, b = 3, at a Hermite cut of 512 or
-    more), is solved by ``scipy.linalg.eigvals_banded`` on its lower band;
-    the others by dense ``eigvalsh``, so smaller windows never import scipy.  The working solves
-    stay dense ``eigh``: the boundary-mass check needs eigenvectors, and the
-    banded driver with eigenvectors was slower there (0.60 s against
-    0.44 s at n = 1233, one BLAS thread).
+    more), is narrow: ``scipy.linalg.eigvals_banded`` takes its doubled
+    block's lower band, and then its working block's, read from the doubled
+    matrix with the same b before that is freed.  The boundary mass of each
+    window eigenvector comes from two steps of inverse iteration at its
+    eigenvalue (LAPACK ``?gbtrf``/``?gbtrs`` from a fixed start), in
+    ascending order.  The class falls back to dense ``eigh`` on
+    its block, rebuilt from the band, when a window eigenvalue has a
+    neighbour within 1e-8 of the spectrum's scale (inverse iteration cannot
+    separate a cluster), a shifted factor has a zero pivot, or a vector's
+    residual exceeds 1e-12 of the scale.  At n = 1233 (hbar = 2^-8, one BLAS
+    thread) the banded working solve takes 0.11 s against 0.43 s for dense
+    ``eigh``, and its eigenvalues agree with ``eigh``'s to 1e-14 of the
+    scale.  Every other class is solved by dense ``eigvalsh`` and ``eigh``,
+    so smaller windows never import scipy.
 
     The operator must be adjoint-symmetric as a word (a NormalForm is
     checked as its ``normal_form_to_word``).  That is tested once, on the
@@ -314,12 +446,20 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     # The doubled solves first: each dense one copies its block, and the
     # largest of those copies is the peak of the call; the working solves'
     # temporaries come after ``big`` is freed and cannot add to it.
-    bvals = np.sort(
-        np.concatenate([_doubled_eigvals(big, c, b) for c, b in zip(_groups(label), band)])
-    )
+    groups = _groups(label)
+    bvals = np.sort(np.concatenate([_doubled_eigvals(big, g, b) for g, b in zip(groups, band)]))
     idx = _block_index(w, wide, dim)
     members = _groups(label[idx])  # working states by class, in working order
-    blocks = [big[np.ix_(idx[m], idx[m])] for m in members]
+    # A narrow class keeps its working block as a lower band: its working
+    # states keep their order in ``big`` (idx is increasing), so the doubled
+    # class's half-bandwidth bounds the working block's.
+    blocks = []
+    for m in members:
+        c = label[idx[m[0]]]
+        narrow = _narrow(len(groups[c]), band[c])
+        states = idx[m]
+        block = _lower_band(big, states, band[c]) if narrow else big[np.ix_(states, states)]
+        blocks.append((block, narrow))
     del big
 
     mu, nu = _grid(w, dim)
@@ -328,18 +468,12 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
         shallow |= np.abs(nu) > w.fourier_cut / 2
     kept = []
     worst = None  # (eigenvalue, mass) of the lowest offending eigenvector
-    for pos, block in zip(members, blocks):
-        vals, vecs = np.linalg.eigh(block)
-        keep = [i for i, v in enumerate(vals) if lo <= v <= hi]
-        kept.append(vals[keep])
-        out = shallow[pos]
-        for i in keep:
-            if worst is not None and vals[i] >= worst[0]:
-                break
-            mass = float(np.sum(np.abs(vecs[:, i][out]) ** 2))
-            if mass > 1e-8:
-                worst = (vals[i], mass)
-                break
+    for pos, (block, narrow) in zip(members, blocks):
+        below = math.inf if worst is None else worst[0]
+        vals, offender = _working_window(block, narrow, lo, hi, shallow[pos], below)
+        kept.append(vals)
+        if offender is not None:
+            worst = offender
     if worst is not None:
         raise UnsafeWindowError(
             f"eigenvalue {worst[0]:.6g} keeps mass {worst[1]:.2e} on states "

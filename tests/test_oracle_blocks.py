@@ -21,7 +21,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitbnf import oracle
+from orbitbnf import acceptance, oracle
 from orbitbnf.errors import UnsafeWindowError
 from orbitbnf.oracle import BasisWindow, assemble_matrix, quasi_eigenvalues
 from orbitbnf.quantum import h0_word
@@ -126,6 +126,11 @@ def spy_solves(monkeypatch):
     return calls
 
 
+def routes(calls):
+    """``spy_solves`` records without the banded eigenvalues."""
+    return [c if isinstance(c, int) else c[:2] for c in calls]
+
+
 @pytest.mark.parametrize("make, w, window, blocks", [
     (two_mode_quartic, BasisWindow(19, 0, 0.1), (1.02, 1.225), [761, 760, 200, 200]),
     (one_mode_cubic, BasisWindow(40, 1, 0.05),
@@ -147,13 +152,41 @@ def test_class_solves_match_the_dense_solve(monkeypatch, make, w, window, blocks
     assert np.max(np.abs(np.array(evs) - inside)) <= 1e-14 * scale
 
 
+def spy_masses(monkeypatch):
+    """Per working solve, ``(eigenvalue, boundary mass)`` of every window
+    eigenvector, whichever path (dense or inverse iteration) measured it."""
+    seen = []
+    first = oracle._first_offender
+
+    def spy(vals, mass, keep, below):
+        seen.append([(vals[i], mass(i)) for i in keep])
+        return first(vals, mass, keep, below)
+
+    monkeypatch.setattr(oracle, "_first_offender", spy)
+    return seen
+
+
+def dense_window(mat, groups, out, window):
+    """Per class block of mat, window eigenvalues and boundary masses of
+    their eigenvectors on the ``out`` states, from dense ``eigh``."""
+    found = []
+    for g in groups:
+        vals, vecs = np.linalg.eigh(mat[np.ix_(g, g)])
+        keep = (vals >= window[0]) & (vals <= window[1])
+        found.append((vals, vals[keep], np.sum(np.abs(vecs[out[g]][:, keep]) ** 2, axis=0)))
+    return found
+
+
 @pytest.mark.parametrize("make, fourier_cut", [
     (one_mode_cubic, 0), (one_mode_cubic, 1), (complex_cubic, 0),
 ], ids=["one-class", "fourier-sectors", "complex"])
 def test_large_narrow_doubled_blocks_take_the_banded_driver(monkeypatch, make, fourier_cut):
-    """1041 doubled states per class and half-bandwidth 3: no numpy solve of
-    the doubled size, and each banded solve is the dense one's to 1e-14 of
-    the spectrum's scale."""
+    """1041 doubled and 521 working states per class, half-bandwidth 3: the
+    working blocks take the banded path too, and no numpy solve runs.  Each
+    banded doubled solve is the dense one's to 1e-14 of the spectrum's
+    scale; each working solve's window eigenvalues are dense ``eigh``'s to
+    1e-14 of the scale, and the inverse-iteration masses are ``eigh``'s to
+    1e-10."""
     a = make()
     hbar = 0.01
     w = BasisWindow(520, fourier_cut, hbar)
@@ -162,19 +195,38 @@ def test_large_narrow_doubled_blocks_take_the_banded_driver(monkeypatch, make, f
     label, band = oracle._classes(big)
     dense = [np.linalg.eigvalsh(big[np.ix_(g, g)]) for g in oracle._groups(label)]
     assert list(band) == [3] * len(dense)
+    small = assemble_matrix(a, w)
+    out = np.array([mu[0] > w.hermite_cut / 2 for mu, _nu in w.states(1)])
+    working = dense_window(small, oracle._groups(oracle._classes(small)[0]), out, window)
     calls = spy_solves(monkeypatch)
+    masses = spy_masses(monkeypatch)
+    kinds = {}
+    for kind in "dz":
+        factor = getattr(scipy.linalg.lapack, kind + "gbtrf")
+
+        def counted(*args, kind=kind, factor=factor, **kwargs):
+            kinds[kind] = kinds.get(kind, 0) + 1
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, kind + "gbtrf", counted)
     evs = quasi_eigenvalues(a, w, window)
     sectors = 2 * fourier_cut + 1
-    assert [c if isinstance(c, int) else c[:2] for c in calls] == [("banded", 1041)] * sectors + [521] * sectors
-    held = 0
+    assert routes(calls) == [("banded", 1041)] * sectors + [("banded", 521)] * sectors
     for (_tag, _n, vals), ref in zip(calls, dense):
         scale = float(np.max(np.abs(ref)))
         assert len(vals) == len(ref)
         assert np.max(np.abs(vals - ref)) <= 1e-14 * scale
-        inside = np.count_nonzero((ref >= window[0]) & (ref <= window[1]))
-        assert np.count_nonzero((vals >= window[0]) & (vals <= window[1])) == inside
-        held += inside
+    held = 0
+    for seen, (ref, inside, ref_mass) in zip(masses, working):
+        scale = float(np.max(np.abs(ref)))
+        assert len(seen) == len(inside) > 0
+        assert np.max(np.abs(np.array([v for v, _m in seen]) - inside)) <= 1e-14 * scale
+        assert np.max(np.abs(np.array([m for _v, m in seen]) - ref_mass)) <= 1e-10
+        held += len(inside)
     assert len(evs) == held >= 50 * sectors
+    # one factorization per window eigenvalue (and the spy's second pass),
+    # by the real driver for a real block and the complex one otherwise
+    assert kinds == {"z" if np.iscomplexobj(small) else "d": 2 * held}
 
 
 def test_two_mode_parity_classes_stay_dense(monkeypatch):
@@ -190,13 +242,113 @@ def test_two_mode_parity_classes_stay_dense(monkeypatch):
     assert calls == [1105, 1104, 288, 288]
 
 
-def test_boundary_mass_names_the_lowest_offending_eigenvalue_over_all_classes():
-    """Every Fourier sector holds shallow vectors in this window; the lowest
-    of them lies in the last sector, not in the first class solved."""
+def unsafe_text(a, w, window, **kwargs):
+    with pytest.raises(UnsafeWindowError) as caught:
+        quasi_eigenvalues(a, w, window, **kwargs)
+    return str(caught.value)
+
+
+def test_forced_banded_path_reproduces_check_2s_boundary_mass_failures(monkeypatch):
+    """Acceptance check 2's windows at coupling 0.1 (129 doubled states, b = 3)
+    with the narrow rule forced: inverse iteration finds the same lowest
+    offender as dense ``eigh``, byte for byte in the UnsafeWindowError text,
+    and every window mass to 1e-10."""
+    H, _rot = acceptance._benchmark_hamiltonian(cap=8, eps=0.1, E=1.0)
+    found = []
+    for hbar in (0.1, 0.05, 0.025):
+        window = (1.0 + 0.05 * SQRT2M1 * hbar, 1.0 + 9.95 * SQRT2M1 * hbar)
+        w = BasisWindow(64, 0, hbar)
+        with monkeypatch.context() as m:
+            dense_masses = spy_masses(m)
+            dense_calls = spy_solves(m)
+            dense = unsafe_text(H, w, window, drift_tol=1e-10)
+        assert dense_calls == [129, 65]
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_BANDED_MIN", 1)
+            banded_masses = spy_masses(m)
+            banded_calls = spy_solves(m)
+            banded = unsafe_text(H, w, window, drift_tol=1e-10)
+        assert routes(banded_calls) == [("banded", 129), ("banded", 65)]
+        assert banded == dense
+        (seen,), (ref,) = banded_masses, dense_masses
+        assert len(seen) == len(ref) > 0
+        assert max(abs(m - r) for (_v, m), (_u, r) in zip(seen, ref)) <= 1e-10
+        found.append(dense.split(" on states")[0])
+    assert found == [
+        "eigenvalue 1.01479 keeps mass 1.83e-02",
+        "eigenvalue 1.00508 keeps mass 1.09e-01",
+        "eigenvalue 1.00498 keeps mass 2.94e-05",
+    ]
+
+
+def wilkinson_word(c=12, delta=0.05):
+    """(a+a - c)^2 + delta (a + a+) at hbar = 1: a diagonal symmetric about c,
+    so the levels near (c -+ k) pair up, split exponentially in k."""
+    shifted = WordPoly.word(1, mu=(1,), nu=(1,)) - WordPoly.word(1, coeff=float(c))
+    return normal_order_product(shifted, shifted) + ladder_sum(1) * delta
+
+
+def test_a_near_degenerate_pair_sends_its_narrow_class_to_dense_eigh(monkeypatch):
+    """The pair at 9 (mu = 9 and 15) is split by about 4e-9, far below 1e-8
+    of the scale (2.5e5): no inverse iteration, and ``eigh`` on the block
+    rebuilt from the band gives exactly the dense path's eigenvalues."""
+    a = wilkinson_word()
+    w = BasisWindow(512, 0, 1.0)
+    window = (8.0, 10.0)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_BANDED_MIN", 10**9)
+        dense = quasi_eigenvalues(a, w, window)
+    assert len(dense) == 2 and 0 < dense[1] - dense[0] < 1e-8
+    calls = spy_solves(monkeypatch)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", None)  # never reached
+    assert quasi_eigenvalues(a, w, window) == dense
+    assert routes(calls) == [("banded", 1025), ("banded", 513), 513]
+
+
+@pytest.mark.parametrize("breakage", ["residual", "zero-pivot", "nan-vector"])
+def test_an_uncertified_vector_sends_its_narrow_class_to_dense_eigh(monkeypatch, breakage):
+    """A residual above the bound, a zero pivot in the shifted factor or a
+    NaN vector (whose residual compares False) gives up inverse iteration
+    for the class: ``eigh`` on the block rebuilt from the band, with exactly
+    the dense path's eigenvalues."""
+    a = one_mode_cubic()
+    hbar = 0.01
+    w = BasisWindow(520, 0, hbar)
+    window = (0.7 + 0.2 * SQRT2M1 * hbar, 0.7 + 50.5 * SQRT2M1 * hbar)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_BANDED_MIN", 10**9)
+        dense = quasi_eigenvalues(a, w, window)
+    lapack = scipy.linalg.lapack
+    if breakage == "residual":
+        monkeypatch.setattr(oracle, "_RESIDUAL_TOL", 0.0)
+    elif breakage == "zero-pivot":
+        factor = lapack.dgbtrf
+        monkeypatch.setattr(lapack, "dgbtrf", lambda *args, **kw: factor(*args, **kw)[:2] + (1,))
+    else:
+        solve = lapack.dgbtrs
+        monkeypatch.setattr(
+            lapack, "dgbtrs", lambda *args, **kw: (math.nan * solve(*args, **kw)[0], 0)
+        )
+    calls = spy_solves(monkeypatch)
+    assert quasi_eigenvalues(a, w, window) == dense
+    assert routes(calls) == [("banded", 1041), ("banded", 521), 521]
+
+
+def force_banded(monkeypatch):
+    """Make every class narrow, however small or wide."""
+    monkeypatch.setattr(oracle, "_BANDED_MIN", 1)
+    monkeypatch.setattr(oracle, "_BANDED_RATIO", 0)
+
+
+def offender_case(edge, sector):
+    """A one-mode cubic window over three Fourier sectors, each holding
+    shallow vectors; the window's lower edge (in units of theta hbar above
+    0.7) puts the lowest offender into ``sector``.  Returns the word, the
+    basis window, the energy window and that eigenvalue."""
     a = one_mode_cubic()
     hbar = 0.1
     w = BasisWindow(16, 1, hbar)
-    window = (0.7 + SQRT2M1 * hbar * 8.7, 0.7 + SQRT2M1 * hbar * 12.0)
+    window = (0.7 + SQRT2M1 * hbar * edge, 0.7 + SQRT2M1 * hbar * 12.0)
     vals, vecs = np.linalg.eigh(assemble_matrix(a, w))
     states = w.states(1)
     shallow = np.array([mu[0] > w.hermite_cut / 2 for mu, _nu in states])
@@ -206,9 +358,57 @@ def test_boundary_mass_names_the_lowest_offending_eigenvalue_over_all_classes():
             offending.setdefault(states[int(np.argmax(np.abs(vec)))][1], v)
     assert sorted(offending) == [-1, 0, 1]
     lowest = min(offending.values())
-    assert lowest == offending[1] and f"{lowest:.6g}" != f"{offending[-1]:.6g}"
+    assert lowest == offending[sector]
+    assert len({f"{v:.6g}" for v in offending.values()}) == 3
+    return a, w, window, lowest
+
+
+def test_boundary_mass_names_the_lowest_offending_eigenvalue_over_all_classes():
+    """Every Fourier sector holds shallow vectors in this window; the lowest
+    of them lies in the last sector, not in the first class solved."""
+    a, w, window, lowest = offender_case(8.7, 1)
     with pytest.raises(UnsafeWindowError, match=rf"^eigenvalue {lowest:.6g} keeps mass "):
         quasi_eigenvalues(a, w, window)
+
+
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+@pytest.mark.parametrize("edge, sector", [(8.7, 1), (7.87, -1)], ids=["last-class", "first-class"])
+def test_lowest_offender_holds_on_both_paths_and_in_either_class_order(
+    monkeypatch, banded, edge, sector
+):
+    """The lowest offender in the first class solved must not be replaced
+    by a later class's higher one, and inverse iteration names the same
+    offender as dense ``eigh``."""
+    a, w, window, lowest = offender_case(edge, sector)
+    if banded:
+        force_banded(monkeypatch)
+    calls = spy_solves(monkeypatch)
+    with pytest.raises(UnsafeWindowError, match=rf"^eigenvalue {lowest:.6g} keeps mass "):
+        quasi_eigenvalues(a, w, window)
+    working = [("banded", 17)] * 3 if banded else [17] * 3
+    assert routes(calls)[3:] == working
+
+
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+def test_boundary_mass_just_above_the_threshold_is_unsafe(monkeypatch, banded):
+    """The oracle-window case at hbar = 2^-4 with its window raised to 2.2:
+    the lowest offender keeps 3.35e-8, between the 1e-8 threshold and
+    1e-6, and inverse iteration measures it as ``eigh`` does."""
+    H, _rot = acceptance._benchmark_hamiltonian(cap=8, eps=0.01, E=1.0)
+    hbar = 2.0**-4
+    if banded:
+        force_banded(monkeypatch)
+    calls = spy_solves(monkeypatch)
+    window = (1.0 - 0.5 * SQRT2M1 * hbar, 2.2)
+    text = unsafe_text(H, BasisWindow(48, 0, hbar), window, drift_tol=1e-9)
+    assert text.startswith("eigenvalue 1.31898 keeps mass 3.35e-08 on states")
+    assert routes(calls) == ([("banded", 97), ("banded", 49)] if banded else [97, 49])
+
+
+def test_lower_band_cuts_a_band_wider_than_the_block():
+    mat = np.arange(16.0).reshape(4, 4)
+    lower = oracle._lower_band(mat, np.array([0, 2, 3]), 5)
+    assert np.array_equal(lower, [[0.0, 10.0, 15.0], [8.0, 14.0, 0.0], [12.0, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize("drift_tol", [math.nan, math.inf, 0.0, -1e-10])
@@ -329,6 +529,15 @@ def test_assembly_by_position_matches_the_dict_lookup(coeff):
     new, ref = assemble_matrix(a, w), assemble_matrix_reference(a, w)
     assert new.dtype == ref.dtype == (np.float64 if coeff.imag == 0 else np.complex128)
     assert np.count_nonzero(ref) > 0 and np.array_equal(new, ref)
+
+
+@pytest.mark.parametrize("fourier_cut, couple", [(0, False), (2, False), (2, True)])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_block_index_is_increasing(dim, fourier_cut, couple):
+    """The working states keep their order in the doubled basis, so a
+    class's doubled half-bandwidth bounds its working block's."""
+    w = BasisWindow(3, fourier_cut, 0.1)
+    assert (np.diff(oracle._block_index(w, w.doubled(couple), dim)) > 0).all()
 
 
 def test_block_index_rejects_a_window_that_does_not_fit():
