@@ -47,7 +47,7 @@ from .errors import (
 )
 from .graded import require_symmetric
 from .normalform import NormalForm
-from .oracle import BasisWindow, quasi_eigenvalues
+from .oracle import BasisWindow, _couples_fourier, quasi_eigenvalues
 from .quantum import birkhoff_quantum, h0_word
 from .series import FTSeries, nonresonance_margin
 from .traces import (
@@ -359,7 +359,13 @@ def _cmd_oracle_spectrum(cfg, tol, run, base_dir):
     summary = (
         f"{len(evs)} safe quasi-eigenvalues in [{lo}, {hi}] at hbar = {hbar}"
     )
-    return summary, {"hbar": hbar, "window": [lo, hi], "count": len(evs)}
+    return summary, {
+        "hbar": hbar,
+        "window": [lo, hi],
+        "count": len(evs),
+        "working_states": w.dimension(H.dim),
+        "doubled_states": w.doubled(_couples_fourier(H)).dimension(H.dim),
+    }
 
 
 def _cmd_verify(cfg, tol, run, base_dir):

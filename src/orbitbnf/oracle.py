@@ -1,10 +1,11 @@
 """Dense-matrix ground truth on a truncated Hermite (x) Fourier basis.
 
-Operators act on the model space spanned by states |mu, nu> with Hermite
-indices mu_i <= hermite_cut and Fourier index |nu| <= fourier_cut; the ladder
-amplitudes carry the hbar normalization [a, a+] = hbar, so the harmonic part
-has eigenvalues (mu + 1/2) hbar exactly.  Everything here is independent of
-the series machinery: eigenvalues come from LAPACK solves, one per class
+Operators act on the model space spanned by states |mu, nu> with total
+Hermite quantum number |mu| = sum_i mu_i <= hermite_cut (the action simplex)
+and Fourier index |nu| <= fourier_cut; the ladder amplitudes carry the hbar
+normalization [a, a+] = hbar, so the harmonic part has eigenvalues
+(mu + 1/2) hbar exactly.  Everything here is independent of the series
+machinery: eigenvalues come from LAPACK solves, one per class
 of states that no matrix entry connects (the real symmetric drivers whenever
 every coefficient of the operator is real, the complex Hermitian ones
 otherwise), and traces from explicit weighted sums.  A class whose block at
@@ -20,7 +21,7 @@ The point is to have something slow and obviously correct to hold the
 symbolic results against.
 
 Truncation policy: quantities are only trusted for states well inside the
-window (all mu_i <= hermite_cut/2, and |nu| <= fourier_cut/2 when the
+window (|mu| <= hermite_cut/2, and |nu| <= fourier_cut/2 when the
 operator couples Fourier sectors), and every eigenvalue report is validated
 by re-solving with the Hermite cut doubled and rejecting on drift.
 """
@@ -56,6 +57,11 @@ MATRIX_BUDGET = 4096
 class BasisWindow:
     """Truncation cuts and the hbar value for one dense-matrix computation.
 
+    The basis is the action simplex: the states ``(mu, nu)`` with total
+    quantum number ``|mu| = sum_i mu_i <= hermite_cut`` and
+    ``|nu| <= fourier_cut``.  The states below an energy of
+    ``E + theta . p``, p_i = (mu_i + 1/2) hbar, form a simplex in mu, not a
+    cube; for one mode the simplex is the interval ``mu <= hermite_cut``.
     The cuts are stored as plain ints (ValueError for a non-integer or
     negative cut) and hbar must be finite and > 0.
     """
@@ -79,13 +85,16 @@ class BasisWindow:
         object.__setattr__(self, "fourier_cut", cuts[1])
 
     def dimension(self, dim: int) -> int:
-        return (self.hermite_cut + 1) ** dim * (2 * self.fourier_cut + 1)
+        """``C(hermite_cut + dim, dim) (2 fourier_cut + 1)``, the number of
+        states."""
+        return math.comb(self.hermite_cut + dim, dim) * (2 * self.fourier_cut + 1)
 
     def states(self, dim: int) -> list:
         """Basis states as ``(mu, nu)`` tuples, Fourier-major then
         lexicographic in mu.  This is the one place the basis order is
         written; ``_grid`` reads it and ``_positions`` inverts it."""
-        mus = list(itertools.product(range(self.hermite_cut + 1), repeat=dim))
+        cube = itertools.product(range(self.hermite_cut + 1), repeat=dim)
+        mus = [mu for mu in cube if sum(mu) <= self.hermite_cut]
         return [(mu, nu) for nu in range(-self.fourier_cut, self.fourier_cut + 1) for mu in mus]
 
     def doubled(self, couple_fourier: bool) -> "BasisWindow":
@@ -163,15 +172,36 @@ def _positions(w: BasisWindow, mu: np.ndarray, nu: np.ndarray):
     """Positions in ``w.states(dim)`` of the states ``(mu[i], nu[i])`` (arrays
     as ``_arrays`` gives them), and which of them lie inside w.
 
-    The basis is Fourier-major, then lexicographic in mu, so a position is
-    ``(nu + fourier_cut) (hermite_cut + 1)^dim`` plus mu read as digits in
-    base ``hermite_cut + 1``.  Positions of states outside w are meaningless.
+    The basis is Fourier-major, then lexicographic in mu on the simplex
+    ``|mu| <= N`` (N = hermite_cut), so a position is
+    ``(nu + fourier_cut) C(N + dim, dim)`` plus the rank of mu.  With
+    ``s_i = mu_0 + ... + mu_{i-1}``, the states before mu whose first i
+    entries are mu's and whose entry i is v < mu_i number
+    ``C(N - s_i - v + dim - i - 1, dim - i - 1)``; summed over v this is
+    ``C(N - s_i + dim - i, dim - i) - C(N - s_{i+1} + dim - i, dim - i)``,
+    and the rank is the sum over i.  Positions of states outside w are
+    meaningless.
     """
-    side = w.hermite_cut + 1
-    dim = mu.shape[1]
-    inside = ((mu >= 0) & (mu <= w.hermite_cut)).all(axis=1) & (np.abs(nu) <= w.fourier_cut)
-    digits = side ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    return (nu + w.fourier_cut) * side**dim + mu @ digits, inside
+    n, dim = w.hermite_cut, mu.shape[1]
+    total = np.zeros(len(mu), dtype=np.int64)
+    rank = np.zeros(len(mu), dtype=np.int64)
+    for i in range(dim):
+        k = dim - i
+        rank += _comb(n - total + k, k)
+        total += mu[:, i]
+        rank -= _comb(n - total + k, k)
+    inside = (mu >= 0).all(axis=1) & (total <= n) & (np.abs(nu) <= w.fourier_cut)
+    return (nu + w.fourier_cut) * math.comb(n + dim, dim) + rank, inside
+
+
+def _comb(x: np.ndarray, k: int) -> np.ndarray:
+    """``C(x, k)`` elementwise for an int array x and a small k >= 0: the
+    product of k consecutive ints is a multiple of k!, so the division is
+    exact (0 for 0 <= x < k)."""
+    out = np.ones_like(x)
+    for j in range(k):
+        out = out * (x - j)
+    return out // math.factorial(k)
 
 
 def _block_index(w: BasisWindow, wide: BasisWindow, dim: int) -> np.ndarray:
@@ -238,9 +268,10 @@ def _groups(label: np.ndarray) -> list:
 # and half-bandwidth b with _BANDED_RATIO * b <= n; a narrow class is solved
 # from band storage at both cuts, every other class dense.  Below that size
 # the scipy import (0.2-0.3 s, +28 MB) outweighs the dense solves (0.03 s
-# at n = 621); wider bands gain little: the two-mode parity classes (n = 1105,
-# b = 94 in lexicographic order) take 0.13 s in the banded driver against
-# 0.15 s dense, and inverse iteration costs O(n b^2) per window eigenvalue.
+# at n = 621); wider bands gain little: the two-mode parity classes of the
+# simplex at a doubled cut of 64 (n = 1089 and 1056, b = 128 and 126) take
+# 0.18-0.27 s in the banded driver against 0.14-0.16 s dense (one BLAS
+# thread), and inverse iteration costs O(n b^2) per window eigenvalue.
 _BANDED_MIN = 1024
 _BANDED_RATIO = 32
 
@@ -386,12 +417,17 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     """Sorted eigenvalues inside the energy interval ``window = (lo, hi)``.
 
     Safety is enforced two ways: every reported eigenvector must keep its
-    probability mass on deep states (all mu_i <= hermite_cut/2, and
+    probability mass on deep states (|mu| = sum_i mu_i <= hermite_cut/2, and
     |nu| <= fourier_cut/2 when the operator couples Fourier sectors), and the
     whole list must reproduce under doubling the Hermite cut (both cuts for
     Fourier-coupled operators) to within drift_tol.  For t-independent
     operators the Fourier index is exactly conserved, so the Fourier cut
     selects sectors rather than approximating them and is left alone.
+
+    The basis is ``BasisWindow``'s action simplex, so a two-mode window of
+    Hermite cut N takes C(N + 2, 2) working and C(2 N + 2, 2) doubled states
+    per Fourier sector (300 and 1128 at N = 23), and two modes fit
+    MATRIX_BUDGET up to N = 44.
 
     The matrix is assembled once, at the doubled cuts, and split into
     classes of states that no nonzero entry connects (the total-parity
@@ -463,7 +499,7 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     del big
 
     mu, nu = _grid(w, dim)
-    shallow = (mu > w.hermite_cut / 2).any(axis=1)
+    shallow = mu.sum(axis=1) > w.hermite_cut / 2
     if couple:
         shallow |= np.abs(nu) > w.fourier_cut / 2
     kept = []

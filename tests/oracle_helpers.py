@@ -2,8 +2,9 @@
 
 A grid trace of a model operator, coherent-state convention checks, a
 numeric Wick symbol, single matrix elements, the per-term loop that
-``apply_to_basis`` replaced and the dict-lookup assembly that
-``assemble_matrix`` replaced.  Each one rebuilds a quantity from the oracle's
+``apply_to_basis`` replaced, the dict-lookup assembly that
+``assemble_matrix`` replaced and the spectrum on the cube basis that the
+action simplex replaced.  Each one rebuilds a quantity from the oracle's
 basis and dense matrices, so the tests can hold the library's results
 against it.
 """
@@ -71,6 +72,22 @@ def assemble_matrix_reference(a: WordPoly, w: BasisWindow) -> np.ndarray:
             if row is not None:
                 mat[row, col] = amp.real if real else amp
     return mat
+
+
+def cube_eigvalsh(a: WordPoly, cut: int, hbar: float) -> np.ndarray:
+    """Ascending eigenvalues of a t-independent word on the cube basis
+    ``mu_i <= cut`` (Fourier sector 0): a dense ``eigvalsh`` of the matrix
+    assembled by ``apply_to_basis`` column by column, each target found by
+    dict lookup."""
+    states = [(mu, 0) for mu in itertools.product(range(cut + 1), repeat=a.dim)]
+    index = {s: i for i, s in enumerate(states)}
+    mat = np.zeros((len(states), len(states)), dtype=complex)
+    for col, s in enumerate(states):
+        for target, amp in apply_to_basis(a, s, hbar).items():
+            row = index.get(target)
+            if row is not None:
+                mat[row, col] = amp
+    return np.linalg.eigvalsh(mat)
 
 
 def matrix_element(a: WordPoly, bra: tuple, ket: tuple, hbar: float) -> complex:

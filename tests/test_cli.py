@@ -317,6 +317,28 @@ def test_oracle_spectrum_ladder(tmp_path):
     assert len(values) == 6
     for mu, v in enumerate(values):
         assert abs(v - (0.7 + SQRT2M1 * hbar * (mu + 0.5))) < 1e-12
+    details = json.loads((out / "manifest.json").read_text())["details"]
+    assert (details["working_states"], details["doubled_states"]) == (33, 65)
+
+
+def test_oracle_spectrum_counts_two_mode_states_on_the_simplex(tmp_path):
+    """hermite_cut bounds the total quantum number: C(12, 2) = 66 working
+    and C(22, 2) = 231 doubled states."""
+    hbar, theta = 0.1, [SQRT2M1, math.sqrt(3.0) - 1.0]
+    cfg = write_config(tmp_path, "cfg.json", {
+        "theta": theta, "E": 1.0, "resonance_order": 8,
+        "oracle": {"hermite_cut": 10, "fourier_cut": 0, "hbar": hbar, "window": [0.99, 1.2]},
+    })
+    out = tmp_path / "out"
+    assert main(["oracle-spectrum", "--config", cfg, "--out", str(out)]) == 0
+    values = [float(line.split(",")[1])
+              for line in (out / "spectrum.csv").read_text().splitlines()[1:]]
+    levels = sorted(1.0 + hbar * (theta[0] * (a + 0.5) + theta[1] * (b + 0.5))
+                    for a, b in ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1)))
+    assert len(values) == len(levels)
+    assert max(abs(v - level) for v, level in zip(values, levels)) < 1e-12
+    details = json.loads((out / "manifest.json").read_text())["details"]
+    assert (details["working_states"], details["doubled_states"]) == (66, 231)
 
 
 def test_weyl_of_h_table(tmp_path):

@@ -36,7 +36,7 @@ def cubic_word(cap, eps):
 def test_basis_window_dimension_and_state_order():
     w = BasisWindow(2, 1, 0.1)
     assert w.dimension(1) == 9
-    assert w.dimension(2) == 27
+    assert w.dimension(2) == 18
     states = w.states(1)
     assert states[:4] == [
         ((0,), -1), ((1,), -1), ((2,), -1), ((0,), 0),

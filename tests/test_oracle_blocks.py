@@ -4,11 +4,13 @@
 no nonzero entry connects and solves each class on its own, a large narrow
 doubled block with LAPACK's banded driver; ``apply_to_basis`` builds each
 matrix column in one pass per term, and ``assemble_matrix`` places it by
-position arithmetic.  All are held against the straight computations they
-replace: dense solves, the per-term loop and the dict-lookup assembly kept
-in ``oracle_helpers``.
+position arithmetic on the action simplex |mu| <= hermite_cut.  All are
+held against the straight computations they replace: dense solves, the
+per-term loop, the dict-lookup assembly and the cube basis kept in
+``oracle_helpers``.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -27,7 +29,7 @@ from orbitbnf.oracle import BasisWindow, assemble_matrix, quasi_eigenvalues
 from orbitbnf.quantum import h0_word
 from orbitbnf.series import nonresonance_margin
 from orbitbnf.words import WordPoly, apply_to_basis, normal_order_product
-from oracle_helpers import apply_to_basis_reference, assemble_matrix_reference
+from oracle_helpers import apply_to_basis_reference, assemble_matrix_reference, cube_eigvalsh
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -66,7 +68,7 @@ def test_two_mode_quartic_splits_into_its_total_parity_classes():
     w = BasisWindow(10, 0, 0.1)
     classes = classes_of(two_mode_quartic(), w)
     states = w.states(2)
-    assert [len(c) for c in classes] == [61, 60]
+    assert [len(c) for c in classes] == [36, 30]
     for parity, c in enumerate(classes):
         assert {sum(states[i][0]) % 2 for i in c} == {parity}
 
@@ -132,7 +134,7 @@ def routes(calls):
 
 
 @pytest.mark.parametrize("make, w, window, blocks", [
-    (two_mode_quartic, BasisWindow(19, 0, 0.1), (1.02, 1.225), [761, 760, 200, 200]),
+    (two_mode_quartic, BasisWindow(19, 0, 0.1), (1.02, 1.225), [400, 380, 100, 110]),
     (one_mode_cubic, BasisWindow(40, 1, 0.05),
      (0.7 + 0.2 * SQRT2M1 * 0.05, 0.7 + 7.8 * SQRT2M1 * 0.05), [81] * 3 + [41] * 3),
     (one_mode_cubic, BasisWindow(40, 0, 0.05),
@@ -230,16 +232,17 @@ def test_large_narrow_doubled_blocks_take_the_banded_driver(monkeypatch, make, f
 
 
 def test_two_mode_parity_classes_stay_dense(monkeypatch):
-    """The benchmark's two-mode classes pass the size rule, but their
-    half-bandwidth 94 is too wide for it (32 * 94 > 1105)."""
+    """The benchmark's two-mode classes fail the size rule (576 and 552
+    doubled states, under 1024), and their half-bandwidths 92 and 90 are
+    too wide for it as well (32 * 92 > 576)."""
     a = two_mode_quartic()
     w = BasisWindow(23, 0, 0.1)
     label, band = oracle._classes(assemble_matrix(a, w.doubled(False)))
-    assert [len(g) for g in oracle._groups(label)] == [1105, 1104]
-    assert list(band) == [94, 94]
+    assert [len(g) for g in oracle._groups(label)] == [576, 552]
+    assert list(band) == [92, 90]
     calls = spy_solves(monkeypatch)
     assert len(quasi_eigenvalues(a, w, (1.02, 1.225))) == 8
-    assert calls == [1105, 1104, 288, 288]
+    assert calls == [576, 552, 144, 156]
 
 
 def unsafe_text(a, w, window, **kwargs):
@@ -545,6 +548,64 @@ def test_block_index_rejects_a_window_that_does_not_fit():
     assert np.array_equal(oracle._block_index(w, w, 2), np.arange(w.dimension(2)))
     with pytest.raises(ValueError, match="inside"):
         oracle._block_index(w.doubled(True), w, 2)
+
+
+# -- the action simplex |mu| <= hermite_cut ------------------------------------------
+
+
+@pytest.mark.parametrize("fourier_cut", [0, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_simplex_dimension_counts_its_states(dim, fourier_cut):
+    w = BasisWindow(5, fourier_cut, 0.1)
+    expected = math.comb(5 + dim, dim) * (2 * fourier_cut + 1)
+    assert w.dimension(dim) == len(w.states(dim)) == expected
+
+
+@pytest.mark.parametrize("fourier_cut", [0, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_positions_keep_the_simplex_and_rank_its_states(dim, fourier_cut):
+    """Over the cube mu_i <= 2 N (and one Fourier index past the cut on
+    either side), exactly the states with |mu| <= N and |nu| <= fourier_cut
+    are inside, each at its index in ``states()``."""
+    n = 4
+    w = BasisWindow(n, fourier_cut, 0.1)
+    index = {s: i for i, s in enumerate(w.states(dim))}
+    cube = [(mu, nu) for nu in range(-fourier_cut - 1, fourier_cut + 2)
+            for mu in itertools.product(range(2 * n + 1), repeat=dim)]
+    pos, inside = oracle._positions(w, *oracle._arrays(cube, dim))
+    assert [s for s, keep in zip(cube, inside) if keep] == [s for s in cube if s in index]
+    assert [index[s] for s in cube if s in index] == pos[inside].tolist()
+
+
+@pytest.mark.parametrize("cut, hbar, window, count", [
+    (23, 0.1, (1.02, 1.225), 8),
+    (11, 0.02, (1.004, 1.021), 2),
+], ids=["benchmark-window", "small-hbar"])
+def test_simplex_levels_are_the_cube_levels(cut, hbar, window, count):
+    """The two-mode quartic's window levels on the simplex |mu| <= cut are
+    those of a dense solve on the cube mu_i <= cut to 1e-12."""
+    a = two_mode_quartic()
+    evs = quasi_eigenvalues(a, BasisWindow(cut, 0, hbar), window)
+    cube = cube_eigvalsh(a, cut, hbar)
+    cube = cube[(cube >= window[0]) & (cube <= window[1])]
+    assert len(evs) == len(cube) == count
+    assert np.max(np.abs(np.array(evs) - cube)) <= 1e-12
+
+
+def test_boundary_mass_is_taken_beyond_half_the_total_quantum_number():
+    """At cut 8 the level (3, 3) lies beyond |mu| = 4 with all its mass,
+    though each mu_i <= 4; the level (2, 2) lies on |mu| = 4 and passes."""
+    rot = nonresonance_margin((SQRT2M1, math.sqrt(3.0) - 1.0), 8)
+    a = h0_word(rot, 1.0, 8)
+    w = BasisWindow(8, 0, 0.1)
+
+    def level(mu):
+        return 1.0 + w.hbar * sum(t * (m + 0.5) for t, m in zip(rot.theta, mu))
+
+    with pytest.raises(UnsafeWindowError, match=r"eigenvalue 1\.40119 keeps mass 1\.00e\+00"):
+        quasi_eigenvalues(a, w, (level((3, 3)) - 1e-3, level((3, 3)) + 1e-3))
+    (ev,) = quasi_eigenvalues(a, w, (level((2, 2)) - 1e-3, level((2, 2)) + 1e-3))
+    assert abs(ev - 1.28657) < 1e-5
 
 
 @pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf, 0.0, -0.1])
