@@ -26,7 +26,6 @@ from .errors import (
     JetDepthError,
     NonNilpotentError,
     OrbitBNFError,
-    OrderingError,
     ResonanceError,
     UnsafeWindowError,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "NonNilpotentError",
     "NormalForm",
     "OrbitBNFError",
-    "OrderingError",
     "ResonanceError",
     "RotationData",
     "TestFunctionJet",

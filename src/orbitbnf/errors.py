@@ -23,12 +23,6 @@ class NonNilpotentError(OrbitBNFError):
     conjugation (its lowest-weight term sits below weight three)."""
 
 
-class OrderingError(OrbitBNFError):
-    """A word-algebra operation produced a term that breaks an exactness
-    guarantee (e.g. a commutator term without the hbar factor that the
-    graded structure promises)."""
-
-
 class IllConditionedError(OrbitBNFError):
     """The linear system in the inverse trace problem is too ill-conditioned
     to trust (condition number above the configured ceiling)."""

@@ -35,7 +35,9 @@ This is the sign for which the hbar^1 term of the Moyal product equals
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product as _iproduct
 
@@ -211,10 +213,12 @@ def moyal_bracket(
 
 
 def _t_block(m1, j1, m2, j2):
-    """(u, v, numerator, denominator) of the Moyal (t, tau) block, u outer."""
-    if not (m1 and j2 or m2 and j1):  # only u = v = 0
-        return ((0, 0, 1, 1),)
-    return [
+    """The Moyal (t, tau) block of a term pair that has one beyond u = v = 0.
+
+    ``(u, v, numerator, denominator)`` per entry, u outer, split as (entries
+    of even u + v, entries of odd u + v, all entries), each in that order.
+    """
+    tt = tuple(
         (
             u,
             v,
@@ -223,7 +227,24 @@ def _t_block(m1, j1, m2, j2):
         )
         for u in range((j2 if m1 else 0) + 1)
         for v in range((j1 if m2 else 0) + 1)
-    ]
+    )
+    return _by_parity(tt, lambda e: e[0] + e[1])
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction_parities(a, b, width):
+    """:func:`~orbitbnf.graded._contractions` of (a, b) split by the parity of
+    the order ``|l|``: (even entries, odd entries, all entries), each in
+    table order.  Cached like the table itself, on exponents and width."""
+    return _by_parity(_contractions(a, b, width), operator.itemgetter(0))
+
+
+def _by_parity(entries, order):
+    """(entries of even order, entries of odd order, all entries), each in the given order."""
+    even = tuple(e for e in entries if order(e) % 2 == 0)
+    if len(even) == len(entries):
+        return entries, (), entries
+    return even, tuple(e for e in entries if order(e) % 2), entries
 
 
 def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
@@ -240,7 +261,18 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
     and Y read the word product's contraction tables
     :func:`~orbitbnf.graded._contractions` for (nu1, mu2) and (mu1, nu2); only
     the (t, tau) block keeps the denominator 2^(u+v) u! v!.  The factor is
-    applied as the correctly rounded float num / den.
+    applied as the correctly rounded float num / den, and as the integer num
+    when the pair's (t, tau) block is only u = v = 0.
+
+    The order q = |x| + |y| + u + v of a term is the hbar power it adds, and
+    the orders past the hbar room ``hbar_order - k1 - k2`` (one more for the
+    bracket) are skipped.  In the bracket the even orders cancel and the
+    odd ones double, so it reads only the Y entries of the parity that makes
+    q odd (:func:`_contraction_parities`), and when the pair's (t, tau)
+    block is not trivial, only its entries of that parity.  Its ``-i`` is
+    applied once per output term, after the sum.  The terms are generated in
+    the order (x, y, u, v) of the full expansion, so the output keeps the
+    insertion order of the straight loop.
 
     Keys are packed into ints (see :func:`~orbitbnf.graded._pack`).  Both
     contractions lower mu and nu alike and raise the hbar power by their
@@ -264,39 +296,52 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
     width, a_terms, partners = _packed_operands(a, b, cap, 2 * shift, half)
     _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim, width)
     t_shift = k_unit - j_unit  # each (t, tau) derivative: one j less, one hbar more
+    y_parts = (1, 0) if antisymmetric else (2, 2)  # the Y entries read, by the parity of |x|
     out = {}
     get = out.get
     for (mu1, nu1, m1, j1, k1), c1, group, p1 in a_terms:
+        room1 = hbar_order + shift - k1
+        p1 -= shift * k_unit
         for (mu2, nu2, m2, j2, k2), c2, _w2, p2 in partners[group]:
+            room0 = room1 - k2  # the largest order q kept for this pair
+            if room0 < shift:  # the bracket has no order q = 0
+                continue
             base = c1 * c2
-            k0 = k1 + k2 - shift
-            p0 = p1 + p2 - shift * k_unit
-            tt = _t_block(m1, j1, m2, j2)
-            y_table = _contractions(mu1, nu2, width)
+            p0 = p1 + p2
+            ys = _contraction_parities(mu1, nu2, width)
+            tt = _t_block(m1, j1, m2, j2) if m1 and j2 or m2 and j1 else None
             for sx, fx, dx in _contractions(nu1, mu2, width):
-                room = hbar_order - k0 - sx  # hbar powers left for Y, U and V
+                room = room0 - sx  # orders left for Y, U and V
                 if room < 0:
                     continue
+                # a # b carries (-1)^{|x|+u}; at odd q, b # a carries the
+                # opposite sign, so the bracket doubles it
+                fx = (1 + shift) * (-fx if sx % 2 else fx)
                 px = p0 + dx
-                for sy, fy, dy in y_table:
-                    if sy > room:
-                        continue
-                    p = px + dy
-                    for u, v, t_num, den in tt:
-                        q = sx + sy + u + v
-                        if antisymmetric and q % 2 == 0:
-                            continue  # cancels in the commutator
-                        if k0 + q > hbar_order:
+                if tt is None:  # u = v = 0 only: no division
+                    for sy, fy, dy in ys[y_parts[sx % 2]]:
+                        if sy > room:
                             continue
-                        # a # b carries (-1)^{|x|+u}; at odd q, b # a carries
-                        # the opposite sign, so the commutator doubles it
-                        sign = -1 if (sx + u) % 2 else 1
-                        num = (1 + shift) * sign * fx * fy * t_num
-                        c = base * (num / den)
-                        key = p + (u + v) * t_shift
-                        c = -1j * c if antisymmetric else c
+                        key = px + dy
+                        c = base * (fx * fy)
                         prev = get(key)
                         out[key] = c if prev is None else prev + c
+                    continue
+                for sy, fy, dy in ys[2]:
+                    t_room = room - sy  # orders left for U and V
+                    if t_room < 0:
+                        continue
+                    p = px + dy
+                    f = fx * fy
+                    for u, v, t_num, den in tt[(sx + sy + 1) % 2 if antisymmetric else 2]:
+                        if u + v > t_room:
+                            continue
+                        c = base * ((-f if u % 2 else f) * t_num / den)
+                        key = p + (u + v) * t_shift
+                        prev = get(key)
+                        out[key] = c if prev is None else prev + c
+    if antisymmetric:
+        out = {key: -1j * c for key, c in out.items()}
     return _from_packed(FTSeries, a.dim, out, width, cap)
 
 

@@ -23,16 +23,13 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import OrderingError
 from .graded import (
     GradedPoly,
     _add_idx,
     _check_dims,
     _contractions,
-    _decoded,
     _field_units,
     _from_packed,
-    _merge,
     _packed_operands,
     is_resonant_key,
     key_grade,
@@ -82,7 +79,9 @@ class WordPoly(GradedPoly):
         return adjoint(self)
 
 
-def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None, half=False) -> WordPoly:
+def normal_order_product(
+    a: WordPoly, b: WordPoly, max_grade=None, half=False, contracted=False
+) -> WordPoly:
     """Product A*B re-expressed in canonical order; exact on the truncation.
 
     Uses [a_i, a_j^+] = hbar delta_ij (per-mode contraction identity
@@ -109,6 +108,15 @@ def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None, half=False) -
     product: a contraction lowers mu and nu alike and the D_t shift moves
     neither.  The Lie series fills in the rest of a symmetric bracket from
     the adjoint (:func:`~orbitbnf.graded.lie_series`).
+
+    With ``contracted`` each term pair leaves out its first term, the
+    juxtaposition ``c1 c2 hbar^(k1+k2) e^{i(m1+m2)t} (a^+)^(mu1+mu2)
+    a^(nu1+nu2) D_t^(j1+j2)`` (l = 0, no D_t shift), so the result is
+    AB - :AB:, where :AB: is the juxtaposition product.  Every term left
+    carries at least one more hbar than its pair.  :AB: = :BA: term pair by
+    term pair, also under a cap and ``half``, which both keep a pair set
+    symmetric in the operands; :func:`commutator_over_ihbar` is the
+    difference of two contracted products.
     """
     _check_dims(a, b)
     if max_grade is not None:
@@ -118,25 +126,33 @@ def normal_order_product(a: WordPoly, b: WordPoly, max_grade=None, half=False) -
     width, a_terms, partners = _packed_operands(a, b, cap, half=half)
     _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim, width)
     dt_shift = k_unit - j_unit  # D_t -> m hbar: one j less, one k more
+    start = 1 if contracted else 0  # the table's first entry is l = 0
+    if contracted:  # a-terms without a or D_t, b-terms without a^+ or e^{imt}: no term left
+        a_terms = [t for t in a_terms if t[0][3] or any(t[0][1])]
+        partners = {g: [t for t in ts if t[0][2] or any(t[0][0])] for g, ts in partners.items()}
     out = {}
     get = out.get
     for (_mu1, nu1, _m1, j1, _k1), c1, group, p1 in a_terms:
         for (mu2, _nu2, m2, _j2, _k2), c2, _g2, p2 in partners[group]:
-            base = c1 * c2
             table = _contractions(nu1, mu2, width)
-            p = p1 + p2
             if not (j1 and m2):  # D_t^{j1} passes e^{i m2 t} unchanged: f_d = 1
-                for _s, f_l, delta in table:
+                if len(table) == start:  # only the juxtaposition, left out
+                    continue
+                base = c1 * c2
+                p = p1 + p2
+                for _s, f_l, delta in table[start:]:
                     key = p + delta
                     c = base * f_l
                     prev = get(key)
                     out[key] = c if prev is None else prev + c
                 continue
+            base = c1 * c2
+            p = p1 + p2
             # move D_t^{j1} through e^{i m2 t}: (D_t + m2 hbar)^{j1}
             for d in range(j1, -1, -1):
                 f_d = math.comb(j1, d) * (m2 ** (j1 - d))
                 p_d = p + (j1 - d) * dt_shift
-                for _s, f_l, delta in table:
+                for _s, f_l, delta in table[start:] if d == j1 else table:
                     key = p_d + delta
                     c = base * (f_d * f_l)
                     prev = get(key)
@@ -166,42 +182,33 @@ def adjoint(a: WordPoly) -> WordPoly:
 def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) -> WordPoly:
     """(AB - BA)/(i hbar), or its charge ``<= 0`` part with ``half``.
 
-    The hbar-free parts of AB and BA are identical term sets and cancel;
-    when several term pairs accumulate into one key the two products may
-    round differently, so a residue below 1e-12 * product scale at hbar^0
-    is recognized as that cancellation and dropped.  Every genuine
-    commutator term carries hbar^k with k >= 1, and the division shifts k
-    down by one (grade drops by exactly 2).  With ``half`` both products are
-    formed by halves (:func:`normal_order_product`).
+    AB and BA share their juxtaposition terms :AB: = :BA:, pair by pair, so
+    the commutator is the difference of the two contracted products
+    (``contracted=True`` of :func:`normal_order_product`), in which every
+    term carries hbar^k with k >= 1: no hbar-free term is formed, and the
+    division by i hbar lowers k by one (grade drops by exactly 2).  With
+    ``half`` both products are formed by halves.
 
-    AB and BA are merged on their packed keys and the result stays packed
-    (:func:`~orbitbnf.graded._from_packed`).  Both products are packed at
-    one width, which is symmetric in the operands; k is the top field, so
-    a key has k >= 1 exactly when it is at least the k unit, and lowering
-    k is subtracting that unit.
-
-    Raises
-    ------
-    OrderingError
-        If an hbar-free term survives above the cancellation tolerance
-        (an ordering bug).
+    When both products are still packed at one width, they are merged on
+    their packed keys and the result stays packed
+    (:func:`~orbitbnf.graded._from_packed`); k is the top field, so lowering
+    k is subtracting its unit.  Otherwise (a product whose keys were already
+    read) they are merged on tuple keys, with the same terms in the same
+    order.
     """
     _check_dims(a, b)
     cap = min(a.max_grade, b.max_grade)
     if max_grade is not None:
         cap = min(cap, max_grade)
-    ab = normal_order_product(a, b, cap + 2, half=half)
-    ba = normal_order_product(b, a, cap + 2, half=half)
-    noise = 1e-12 * max(ab.max_abs_coeff(), ba.max_abs_coeff())
-    width, ab_terms = ab._packed
+    ab = normal_order_product(a, b, cap + 2, half=half, contracted=True)
+    ba = normal_order_product(b, a, cap + 2, half=half, contracted=True)
+    diff = ab - ba
+    if diff._packed is None:
+        terms = {(mu, nu, m, j, k - 1): -1j * c for (mu, nu, m, j, k), c in diff.items()}
+        return WordPoly._wrap(a.dim, terms, cap)
+    width, packed = diff._packed
     k_unit = _field_units(a.dim, width)[4]
-    out = {}
-    for p, c in _merge(dict(ab_terms), ba._packed[1], -1).items():
-        if p >= k_unit:
-            out[p - k_unit] = -1j * c
-        elif abs(c) > noise:
-            key = next(iter(_decoded(a.dim, width, {p: c})))
-            raise OrderingError(f"commutator term {key} lacks an hbar factor")
+    out = {p - k_unit: -1j * c for p, c in packed.items()}
     return WordPoly._wrap_packed(a.dim, width, out, cap)
 
 

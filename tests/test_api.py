@@ -22,7 +22,6 @@ PUBLIC = [
     "NonNilpotentError",
     "NormalForm",
     "OrbitBNFError",
-    "OrderingError",
     "ResonanceError",
     "RotationData",
     "TestFunctionJet",

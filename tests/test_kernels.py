@@ -24,7 +24,7 @@ from orbitbnf.series import (
     pointwise_product,
     poisson_bracket,
 )
-from orbitbnf.words import WordPoly, normal_order_product
+from orbitbnf.words import WordPoly, commutator_over_ihbar, normal_order_product
 
 INF = math.inf
 
@@ -42,12 +42,26 @@ def _grade(key):
     return sum(mu) + sum(nu) + 2 * j + 2 * k
 
 
-def _ref_word_product(a, b, cap):
-    """A*B normal-ordered, every contraction factor recomputed per term pair."""
+def _charge(key):
+    return sum(key[0]) - sum(key[1])
+
+
+def _ref_word_product(a, b, cap, half=False, contracted=False):
+    """A*B normal-ordered, every contraction factor recomputed per term pair.
+
+    ``half`` keeps the pairs whose charges sum to ``<= 0`` and meets the
+    b-terms in charge order (a stable sort), as the kernel does;
+    ``contracted`` leaves out each pair's juxtaposition term (l = 0, d = j1).
+    """
+    b_items = list(b._terms.items())
+    if half:
+        b_items.sort(key=lambda item: _charge(item[0]))
     out = {}
     for (mu1, nu1, m1, j1, k1), c1 in a._terms.items():
-        for (mu2, nu2, m2, j2, k2), c2 in b._terms.items():
+        for (mu2, nu2, m2, j2, k2), c2 in b_items:
             if _grade((mu1, nu1, m1, j1, k1)) + _grade((mu2, nu2, m2, j2, k2)) > cap:
+                continue
+            if half and _charge((mu1, nu1)) + _charge((mu2, nu2)) > 0:
                 continue
             base = c1 * c2
             for d in range(j1, -1, -1):
@@ -57,6 +71,8 @@ def _ref_word_product(a, b, cap):
                 if not f_d:
                     continue
                 for l in iproduct(*[range(min(n, m) + 1) for n, m in zip(nu1, mu2)]):
+                    if contracted and d == j1 and not any(l):
+                        continue
                     f_l = 1
                     for i, li in enumerate(l):
                         f_l *= math.factorial(li) * math.comb(mu2[i], li) * math.comb(nu1[i], li)
@@ -203,17 +219,86 @@ def test_word_product_matches_reference_loop(dim, cap, seed):
 
 
 @pytest.mark.parametrize("dim,cap,seed", CASES)
+def test_contracted_word_product_is_the_reference_loop_without_juxtapositions(dim, cap, seed):
+    """``contracted=True`` leaves out each pair's l = 0, unshifted term, so
+    the product is AB - :AB:; with and without ``half``, same terms, values
+    and order by repr."""
+    rng = random.Random(1000 * dim + seed)
+    a, b = _operand(WordPoly, rng, dim, cap), _operand(WordPoly, rng, dim, cap)
+    for half in (False, True):
+        for x, y, xy_cap in ((a, b, cap), (b, a, 7)):
+            for contracted in (False, True):
+                got = normal_order_product(x, y, xy_cap, half=half, contracted=contracted)
+                ref = _ref_word_product(x, y, xy_cap, half, contracted)
+                assert repr(list(got.items())) == repr(list(ref.items()))
+    if cap == INF:  # at cap 9 a pair may have no room left for a contraction
+        assert normal_order_product(a, b, contracted=True)
+
+
+def test_commutator_matches_the_full_reference_products():
+    """The commutator against (AB - BA)/(i hbar) of the full reference
+    products, juxtapositions and all, with and without ``half``: the two
+    agree to 1e-12 of the products' scale, and the reference keeps at
+    hbar^0 only rounding of that size."""
+    formed = 0
+    for dim, cap, seed in CASES:
+        rng = random.Random(5000 * dim + seed)
+        a, b = _operand(WordPoly, rng, dim, cap), _operand(WordPoly, rng, dim, cap)
+        for half in (False, True):
+            ab = _ref_word_product(a, b, cap + 2, half)
+            ba = _ref_word_product(b, a, cap + 2, half)
+            tol = 1e-12 * max(map(abs, [*ab.values(), *ba.values()]), default=0.0)
+            want = {}
+            for key in ab.keys() | ba.keys():
+                mu, nu, m, j, k = key
+                diff = ab.get(key, 0) - ba.get(key, 0)
+                if k:
+                    want[(mu, nu, m, j, k - 1)] = -1j * diff
+                else:
+                    assert abs(diff) <= tol
+            got = commutator_over_ihbar(a, b, half=half)
+            assert got.max_grade == cap
+            for key in got.keys() | want.keys():
+                assert abs(got.coeff(key) - want.get(key, 0)) <= tol
+            formed += bool(got)
+    assert formed >= len(CASES)
+
+
+def _t_dependent_rooms(a, b, hbar_order, cap):
+    """The bracket's hbar rooms ``hbar_order - (k1 + k2 - 1)`` of the term
+    pairs under the cap whose (t, tau) block is not trivial."""
+    rooms = set()
+    for t1 in a.keys():
+        for t2 in b.keys():
+            (_, _, m1, j1, k1), (_, _, m2, j2, k2) = t1, t2
+            if (m1 and j2 or m2 and j1) and _grade(t1) + _grade(t2) - 2 <= cap:
+                rooms.add(hbar_order - (k1 + k2 - 1))
+    return rooms
+
+
+@pytest.mark.parametrize("dim,cap,seed", CASES)
 def test_moyal_sum_matches_reference_loop(dim, cap, seed):
+    """Equal terms in equal order, at every hbar room 0..3 of a t-dependent
+    term pair, where the bracket's parity and room cuts act on the (t, tau)
+    block as well as on the contractions."""
     rng = random.Random(2000 * dim + seed)
     a, b = _operand(FTSeries, rng, dim, cap), _operand(FTSeries, rng, dim, cap)
+    zero = (0,) * dim  # hbar tau e^{it} against tau e^{-it}: room 0 at hbar order 0
+    a = a + FTSeries.monomial(dim, zero, zero, 1, 1, 1, _coeff(rng), cap)
+    b = b + FTSeries.monomial(dim, zero, zero, -1, 1, 0, _coeff(rng), cap)
+    rooms = set()
     for hbar_order in range(5):
-        assert moyal_product(a, b, hbar_order)._terms == _ref_moyal_sum(
-            a, b, hbar_order, cap, False
+        assert list(moyal_product(a, b, hbar_order).items()) == list(
+            _ref_moyal_sum(a, b, hbar_order, cap, False).items()
         )
-        assert moyal_bracket(a, b, hbar_order)._terms == _ref_moyal_sum(
-            a, b, hbar_order, cap, True
+        assert list(moyal_bracket(a, b, hbar_order).items()) == list(
+            _ref_moyal_sum(a, b, hbar_order, cap, True).items()
         )
-    assert moyal_bracket(b, a, 3, 8)._terms == _ref_moyal_sum(b, a, 3, 8, True)
+        rooms |= _t_dependent_rooms(a, b, hbar_order, cap)
+    assert {0, 1, 2, 3} <= rooms
+    assert list(moyal_bracket(b, a, 3, 8).items()) == list(
+        _ref_moyal_sum(b, a, 3, 8, True).items()
+    )
 
 
 @pytest.mark.parametrize("dim,cap,seed", CASES)
@@ -240,6 +325,14 @@ def _assert_kernels_match(keys_a, keys_b, dim, cap, hbar_order=3):
         (moyal_bracket(sa, sb, hbar_order), _ref_moyal_sum(sa, sb, hbar_order, cap, True)),
         (poisson_bracket(sa, sb), _ref_poisson_bracket(sa, sb, cap)),
         (pointwise_product(sa, sb), _ref_pointwise_product(sa, sb, cap)),
+        (
+            normal_order_product(wa, wb, contracted=True),
+            _ref_word_product(wa, wb, cap, contracted=True),
+        ),
+        (
+            normal_order_product(wa, wb, half=True, contracted=True),
+            _ref_word_product(wa, wb, cap, half=True, contracted=True),
+        ),
     ]
     for got, ref in pairs:
         assert list(got._terms.items()) == list(ref.items())
@@ -284,10 +377,14 @@ def test_word_product_moves_d_t_squared_through_fourier_modes():
     keys_a = [((0, 0), (0, 0), 0, 2, 0), ((1, 0), (0, 1), 1, 2, 0), ((0, 1), (1, 1), -2, 2, 1)]
     keys_b = [((0, 0), (0, 0), 3, 0, 0), ((0, 1), (1, 0), -2, 1, 0), ((1, 1), (0, 0), 1, 0, 0)]
     for cap in (INF, 8):
-        word = _assert_kernels_match(keys_a, keys_b, 2, cap)[0][0]
+        pairs = _assert_kernels_match(keys_a, keys_b, 2, cap)
+        word, contracted = pairs[0][0], pairs[5][0]
         # D_t^2 e^{3it} = e^{3it} (D_t^2 + 6 hbar D_t + 9 hbar^2)
         got = {key[3:]: c for key, c in word.items() if key[:3] == ((0, 0), (0, 0), 3)}
         assert set(got) == {(2, 0), (1, 1), (0, 2)}
+        # the contracted product keeps the shifted terms and drops D_t^2 e^{3it}
+        got = {key[3:] for key in contracted.keys() if key[:3] == ((0, 0), (0, 0), 3)}
+        assert got == {(1, 1), (0, 2)}
 
 
 def test_kernel_insertion_order_follows_the_reference_loop():
