@@ -101,9 +101,7 @@ def _birkhoff_sweep(H, rot, order, hbar_order, work_weight, margin_threshold, ro
         h0_series(rot),
         solve=lambda G: solve_homological_classical(G, rot, margin_threshold),
         conjugate=lambda cur, F, cap: lie_conjugate(cur, F, hbar_order, cap),
-        to_normal_form=lambda resonant: NormalForm.from_resonant_series(
-            resonant, route=route, imag_tol=1e-9
-        ),
+        to_normal_form=lambda resonant: NormalForm.from_resonant_series(resonant, route=route),
     )
 
 

@@ -194,7 +194,7 @@ def _normal_form_arg(cfg, base_dir):
 def _jets(cfg):
     """Build {l: jet} plus the bump table from the config's jets block."""
     block = _block(cfg, "jets", "config needs a 'jets' block (ls, width[s], depth)")
-    ls = [int(l) for l in block.get("ls", [])]
+    ls = list(block.get("ls", []))
     if not ls:
         raise ValueError("jets block needs a non-empty 'ls' list")
     depth = int(block.get("depth", 12))
@@ -204,8 +204,8 @@ def _jets(cfg):
             raise ValueError("jets 'widths' must match 'ls' in length")
     else:
         widths = [float(block.get("width", 0.7))] * len(ls)
-    bumps = {l: GaussianBump(l, width=w) for l, w in zip(ls, widths)}
-    return {l: bumps[l].jet(depth) for l in ls}, bumps
+    bumps = {b.l: b for b in (GaussianBump(l, width=w) for l, w in zip(ls, widths))}
+    return {l: b.jet(depth) for l, b in bumps.items()}, bumps
 
 
 # -- subcommand bodies ----------------------------------------------------------

@@ -33,13 +33,19 @@ def entry_weight(entry) -> int:
     return 2 * (sum(r) + s + k)
 
 
+# Largest imaginary part, relative to max(1, |real part|), that a normal-form
+# coefficient may carry: the routes' rounding, not a complex coefficient.
+_IMAG_TOL = 1e-9
+
+
 class NormalForm:
     """Real coefficient table c[(r, s, k)] of sum c p^r tau^s hbar^k.
 
     Parameters
     ----------
     dim : int
-    coeffs : mapping (r, s, k) -> real (complex accepted if |imag| <= imag_tol)
+    coeffs : mapping (r, s, k) -> real (complex accepted if
+        |imag| <= 1e-9 max(1, |real|), and stored as its real part)
     route : str or None
         Which construction produced it: "classical", "semiclassical",
         "quantum", or None for hand-built tables.
@@ -47,7 +53,7 @@ class NormalForm:
 
     __slots__ = ("dim", "route", "_coeffs")
 
-    def __init__(self, dim, coeffs=None, route=None, imag_tol=1e-9):
+    def __init__(self, dim, coeffs=None, route=None):
         self.dim = int(dim)
         self.route = route
         store = {}
@@ -57,7 +63,7 @@ class NormalForm:
                 if len(entry[0]) != self.dim:
                     raise ValueError(f"entry {entry} has wrong dim (expected {self.dim})")
                 c = complex(c)
-                if abs(c.imag) > imag_tol * max(1.0, abs(c.real)):
+                if abs(c.imag) > _IMAG_TOL * max(1.0, abs(c.real)):
                     raise ValueError(
                         f"normal-form coefficient at {entry} is not real: {c}"
                     )
@@ -160,7 +166,7 @@ class NormalForm:
         return FTSeries(self.dim, terms, max_weight)
 
     @staticmethod
-    def from_resonant_series(series, route=None, imag_tol=1e-9) -> "NormalForm":
+    def from_resonant_series(series, route=None) -> "NormalForm":
         """Convert a resonant FTSeries (keys mu=nu, m=0) to a table.
 
         Inverse of :meth:`as_series`: z^mu zbar^mu = (2p)^mu, so the p^mu
@@ -172,7 +178,7 @@ class NormalForm:
                 raise ValueError(f"series is not resonant: key {key} has coefficient {c}")
             mu, _nu, _m, j, k = key
             coeffs[(mu, j, k)] = coeffs.get((mu, j, k), 0.0) + c * 2.0 ** sum(mu)
-        return NormalForm(series.dim, coeffs, route=route, imag_tol=imag_tol)
+        return NormalForm(series.dim, coeffs, route=route)
 
     # -- serialization -----------------------------------------------------------
 

@@ -92,7 +92,7 @@ class BasisWindow:
     def states(self, dim: int) -> list:
         """Basis states as ``(mu, nu)`` tuples, Fourier-major then
         lexicographic in mu.  This is the one place the basis order is
-        written; ``_grid`` reads it and ``_positions`` inverts it."""
+        written; ``_index`` inverts it by dict lookup."""
         cube = itertools.product(range(self.hermite_cut + 1), repeat=dim)
         mus = [mu for mu in cube if sum(mu) <= self.hermite_cut]
         return [(mu, nu) for nu in range(-self.fourier_cut, self.fourier_cut + 1) for mu in mus]
@@ -115,12 +115,17 @@ def _as_word(a) -> WordPoly:
     return a
 
 
+def _index(w: BasisWindow, dim: int) -> dict:
+    """``{(mu, nu): position}`` over ``w.states(dim)``, in that order."""
+    return {s: i for i, s in enumerate(w.states(dim))}
+
+
 def assemble_matrix(a, w: BasisWindow) -> np.ndarray:
     """Dense matrix of a WordPoly or NormalForm on the window basis.
 
-    Columns are exact images of basis states (amplitudes that land outside
-    the window are dropped; that is the truncation), each amplitude placed
-    at the row computed from its target's ``(mu, nu)``.  A NormalForm is
+    Columns are exact images of basis states, each amplitude placed at the
+    row that ``_index`` gives its target; a target with no row lies outside
+    the window and is dropped (that is the truncation).  A NormalForm is
     assembled as its ``normal_form_to_word``, the exact diagonal
     h((mu + 1/2) hbar, nu hbar, hbar).  The result is Hermitian if the input
     is adjoint-symmetric (truncation can hide an asymmetry, so
@@ -135,13 +140,15 @@ def assemble_matrix(a, w: BasisWindow) -> np.ndarray:
     if n > MATRIX_BUDGET:
         raise ValueError(f"matrix dimension {n} exceeds budget {MATRIX_BUDGET}")
     real = not any(complex(c).imag for _key, c in a.items())
-    targets, amps, cols = [], [], []
-    for col, s in enumerate(w.states(a.dim)):
+    index = _index(w, a.dim)
+    rows, amps, cols = [], [], []
+    for s, col in index.items():
         image = apply_to_basis(a, s, w.hbar)
-        targets.extend(image)
+        rows.extend([index.get(t, -1) for t in image])
         amps.extend(image.values())
         cols.extend([col] * len(image))
-    rows, inside = _positions(w, *_arrays(targets, a.dim))
+    rows = np.array(rows, dtype=np.int64)
+    inside = rows >= 0
     vals = np.array(amps, dtype=complex)[inside]
     mat = np.zeros((n, n), dtype=float if real else complex)
     mat[rows[inside], np.array(cols, dtype=np.int64)[inside]] = vals.real if real else vals
@@ -156,54 +163,6 @@ def _real_if_exact(arr: np.ndarray) -> np.ndarray:
     return arr if arr.imag.any() else arr.real
 
 
-def _arrays(states: list, dim: int):
-    """Hermite indices (one row per state) and Fourier indices of a list of
-    ``(mu, nu)`` states."""
-    mu = np.array([mu for mu, _nu in states], dtype=np.int64).reshape(len(states), dim)
-    return mu, np.array([nu for _mu, nu in states], dtype=np.int64)
-
-
-def _grid(w: BasisWindow, dim: int):
-    """``_arrays`` of ``w.states(dim)``, in that order."""
-    return _arrays(w.states(dim), dim)
-
-
-def _positions(w: BasisWindow, mu: np.ndarray, nu: np.ndarray):
-    """Positions in ``w.states(dim)`` of the states ``(mu[i], nu[i])`` (arrays
-    as ``_arrays`` gives them), and which of them lie inside w.
-
-    The basis is Fourier-major, then lexicographic in mu on the simplex
-    ``|mu| <= N`` (N = hermite_cut), so a position is
-    ``(nu + fourier_cut) C(N + dim, dim)`` plus the rank of mu.  With
-    ``s_i = mu_0 + ... + mu_{i-1}``, the states before mu whose first i
-    entries are mu's and whose entry i is v < mu_i number
-    ``C(N - s_i - v + dim - i - 1, dim - i - 1)``; summed over v this is
-    ``C(N - s_i + dim - i, dim - i) - C(N - s_{i+1} + dim - i, dim - i)``,
-    and the rank is the sum over i.  Positions of states outside w are
-    meaningless.
-    """
-    n, dim = w.hermite_cut, mu.shape[1]
-    total = np.zeros(len(mu), dtype=np.int64)
-    rank = np.zeros(len(mu), dtype=np.int64)
-    for i in range(dim):
-        k = dim - i
-        rank += _comb(n - total + k, k)
-        total += mu[:, i]
-        rank -= _comb(n - total + k, k)
-    inside = (mu >= 0).all(axis=1) & (total <= n) & (np.abs(nu) <= w.fourier_cut)
-    return (nu + w.fourier_cut) * math.comb(n + dim, dim) + rank, inside
-
-
-def _comb(x: np.ndarray, k: int) -> np.ndarray:
-    """``C(x, k)`` elementwise for an int array x and a small k >= 0: the
-    product of k consecutive ints is a multiple of k!, so the division is
-    exact (0 for 0 <= x < k)."""
-    out = np.ones_like(x)
-    for j in range(k):
-        out = out * (x - j)
-    return out // math.factorial(k)
-
-
 def _block_index(w: BasisWindow, wide: BasisWindow, dim: int) -> np.ndarray:
     """Positions of w's states, in w's order, in the basis of the wider window.
 
@@ -212,10 +171,11 @@ def _block_index(w: BasisWindow, wide: BasisWindow, dim: int) -> np.ndarray:
     exactly ``assemble_matrix(a, w)``.  ValueError if a state of w lies
     outside ``wide``.
     """
-    idx, inside = _positions(wide, *_grid(w, dim))
-    if not inside.all():
-        raise ValueError("the working window does not lie inside the wider one")
-    return idx
+    index = _index(wide, dim)
+    try:
+        return np.array([index[s] for s in w.states(dim)], dtype=np.int64)
+    except KeyError:
+        raise ValueError("the working window does not lie inside the wider one") from None
 
 
 def _classes(mat: np.ndarray):
@@ -498,10 +458,10 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
         blocks.append((block, narrow))
     del big
 
-    mu, nu = _grid(w, dim)
-    shallow = mu.sum(axis=1) > w.hermite_cut / 2
-    if couple:
-        shallow |= np.abs(nu) > w.fourier_cut / 2
+    shallow = np.array([
+        sum(mu) > w.hermite_cut / 2 or (couple and abs(nu) > w.fourier_cut / 2)
+        for mu, nu in w.states(dim)
+    ])
     kept = []
     worst = None  # (eigenvalue, mass) of the lowest offending eigenvector
     for pos, (block, narrow) in zip(members, blocks):
@@ -543,7 +503,10 @@ def smooth_plateau(p: float, p1: float, p2: float) -> float:
     u = (p - p1)/(p2 - p1).  Smoothness is load-bearing: a merely polynomial
     cutoff leaves boundary oscillations that pollute the trace sums at fixed
     powers of hbar, while this one contributes beyond all orders.
+    ValueError unless p, p1 and p2 are finite and p1 < p2.
     """
+    if not all(map(math.isfinite, (p, p1, p2))):
+        raise ValueError(f"p, p1 and p2 must be finite, not {p!r}, {p1!r} and {p2!r}")
     if not p1 < p2:
         raise ValueError("need p1 < p2")
     if p <= p1:

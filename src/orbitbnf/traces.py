@@ -78,6 +78,19 @@ def _quadrature_points(points_per_width) -> int:
     return points
 
 
+def _period_index(l) -> int:
+    """l as a plain int (numpy ints too): tables are keyed on it, and a float
+    key would not survive a CSV round trip.  ValueError unless l is an
+    integer >= 1."""
+    try:
+        l = operator.index(l)
+    except TypeError:
+        raise ValueError(f"period index l must be an integer, not {l!r}") from None
+    if l < 1:
+        raise ValueError("period index l must be >= 1")
+    return l
+
+
 @dataclass(frozen=True)
 class GaussianBump:
     """phi_hat(t) = exp(-(t - 2 pi l)^2 / (2 width^2)), one periodic window.
@@ -92,8 +105,7 @@ class GaussianBump:
     width: float = 0.7
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("period index l must be >= 1")
+        object.__setattr__(self, "l", _period_index(self.l))
         if not 0 < self.width < 1.5:
             raise ValueError("width must be in (0, 1.5) to isolate one period")
 
@@ -143,8 +155,7 @@ class TestFunctionJet:
     derivs: tuple
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("period index l must be >= 1")
+        object.__setattr__(self, "l", _period_index(self.l))
         object.__setattr__(self, "derivs", tuple(complex(v) for v in self.derivs))
         if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in self.derivs):
             raise ValueError("jet derivatives must be finite")

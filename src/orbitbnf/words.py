@@ -263,7 +263,7 @@ def apply_to_basis(a: WordPoly, state: tuple, hbar: float) -> dict:
     return out
 
 
-def diagonal_to_normal_form(a: WordPoly, route=None, imag_tol=1e-9) -> NormalForm:
+def diagonal_to_normal_form(a: WordPoly, route=None) -> NormalForm:
     """Rewrite the diagonal part (mu = nu, m = 0) as a table in (p, tau, hbar).
 
     Uses (a^+)^kappa a^kappa = prod_i prod_{l<kappa_i} (p_i - (l + 1/2) hbar)
@@ -292,7 +292,7 @@ def diagonal_to_normal_form(a: WordPoly, route=None, imag_tol=1e-9) -> NormalFor
         for (r, dk), v in poly.items():
             entry = (r, j, k + dk)
             coeffs[entry] = coeffs.get(entry, 0.0) + c * v
-    return NormalForm(a.dim, coeffs, route=route, imag_tol=imag_tol)
+    return NormalForm(a.dim, coeffs, route=route)
 
 
 def normal_form_to_word(nf: NormalForm, max_grade=math.inf) -> WordPoly:

@@ -2,11 +2,10 @@
 
 A grid trace of a model operator, coherent-state convention checks, a
 numeric Wick symbol, single matrix elements, the per-term loop that
-``apply_to_basis`` replaced, the dict-lookup assembly that
-``assemble_matrix`` replaced and the spectrum on the cube basis that the
-action simplex replaced.  Each one rebuilds a quantity from the oracle's
-basis and dense matrices, so the tests can hold the library's results
-against it.
+``apply_to_basis`` replaced, an entry-by-entry dict-lookup assembly and
+the spectrum on the cube basis that the action simplex replaced.  Each one
+rebuilds a quantity from the oracle's basis and dense matrices, so the
+tests can hold the library's results against it.
 """
 
 import cmath
@@ -59,8 +58,8 @@ def apply_to_basis_reference(a: WordPoly, state: tuple, hbar: float) -> dict:
 def assemble_matrix_reference(a: WordPoly, w: BasisWindow) -> np.ndarray:
     """``assemble_matrix`` as a dict lookup: each target's row by its ``(mu, nu)``.
 
-    The same amplitudes written to the same entries, so the library's
-    position arithmetic must give an identical matrix.
+    The same amplitudes written to the same entries, one at a time, so the
+    library's vectorized assembly must give an identical matrix.
     """
     real = not any(complex(c).imag for _key, c in a.items())
     states = w.states(a.dim)

@@ -208,6 +208,14 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
         })
         assert main([command, "--config", listed, "--out", str(tmp_path / "o")]) == 2
         assert f"config block '{block}' must be a JSON object" in capsys.readouterr().err
+    fractional = write_config(tmp_path, "fractional.json", {
+        "theta": [SQRT2M1], "normal_form": {"dim": 1, "records": [
+            {"r": [1], "s": 0, "k": 0, "c": SQRT2M1}, {"r": [0], "s": 1, "k": 0, "c": 1.0},
+        ]},
+        "jets": {"ls": [1.5], "width": 0.7, "depth": 8}, "orders": {"M": 2},
+    })
+    assert main(["trace-forward", "--config", fractional, "--out", str(tmp_path / "o")]) == 2
+    assert "period index l must be an integer, not 1.5" in capsys.readouterr().err
 
 
 def test_readme_example_config_runs_oracle_spectrum(tmp_path):

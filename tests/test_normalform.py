@@ -6,6 +6,7 @@ import pytest
 
 from orbitbnf.normalform import NormalForm
 from orbitbnf.series import FTSeries
+from orbitbnf.words import WordPoly, diagonal_to_normal_form
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 
@@ -66,6 +67,21 @@ def test_small_imaginary_parts_are_chopped_at_construction():
 def test_large_imaginary_parts_are_rejected():
     with pytest.raises(ValueError):
         NormalForm(1, {((1,), 0, 0): 1.0 + 1e-3j})
+
+
+def test_realness_check_holds_imaginary_parts_to_1e_9_on_every_route():
+    """The same 1e-9 bound (relative to max(1, |real|)) for a hand-built
+    table, a resonant series and a diagonal word."""
+    builders = (
+        lambda c: NormalForm(1, {((1,), 0, 0): c}),
+        lambda c: NormalForm.from_resonant_series(FTSeries.monomial(1, (1,), (1,), coeff=c / 2)),
+        lambda c: diagonal_to_normal_form(WordPoly.word(1, k=1, coeff=c)),
+    )
+    for build in builders:
+        with pytest.raises(ValueError, match="not real"):
+            build(1 + 2e-9j)
+        ((_entry, value),) = build(1 + 5e-10j).items()
+        assert value == 1.0 and type(value) is float
 
 
 def test_csv_roundtrip():

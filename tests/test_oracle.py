@@ -370,3 +370,13 @@ def test_smooth_plateau_shape():
     assert all(0.0 <= v <= 1.0 for v in samples)
     assert all(a >= b - 1e-15 for a, b in zip(samples, samples[1:]))
     assert 0.0 < smooth_plateau(0.55, 0.3, 0.8) < 1.0
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, 0.1, 0.9),
+    (0.5, -math.inf, 0.9),
+    (0.5, 0.1, math.inf),
+], ids=["nan-p", "inf-p1", "inf-p2"])
+def test_smooth_plateau_rejects_non_finite_input(args):
+    with pytest.raises(ValueError, match="finite"):
+        smooth_plateau(*args)

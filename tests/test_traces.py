@@ -22,6 +22,7 @@ from orbitbnf.traces import (
     psi_kernel,
     TraceExpansion,
 )
+from orbitbnf.traces import TestFunctionJet as Jet  # a Test* name would be collected
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 SQRT3M1 = math.sqrt(3.0) - 1.0
@@ -240,6 +241,25 @@ def test_trace_expansion_csv_round_trip():
     assert set(back.entries) == set(tr.entries)
     for key, val in tr.entries.items():
         assert abs(back.entries[key] - val) < 1e-15 * (1.0 + abs(val))
+
+
+def test_period_index_must_be_an_integer_of_at_least_one():
+    """A float l is rejected even when integral, so a table is never keyed
+    on one; a numpy int is stored as a plain int and its table survives the
+    CSV round trip."""
+    for l in (1.5, 2.0, 0, -1, "2"):
+        with pytest.raises(ValueError, match="period index"):
+            GaussianBump(l, 0.7)
+        with pytest.raises(ValueError, match="period index"):
+            Jet(l, (1.0,))
+    bump = GaussianBump(np.int64(2), 0.7)
+    assert type(bump.l) is int and type(bump.jet(4).l) is int
+    assert type(Jet(np.int64(2), (1.0,)).l) is int
+    nf = NormalForm(1, base_entries())
+    tr = forward_trace_expansion(nf, [bump.jet(8)], 2)
+    assert tr.to_csv().splitlines()[1].startswith("2,0,")
+    back = TraceExpansion.from_csv(tr.to_csv(), nonresonance_margin((SQRT2M1,), 8), tr.jets, tr.order)
+    assert back.entries == tr.entries
 
 
 def test_periodic_denominator_resonance_guard():
