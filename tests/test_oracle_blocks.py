@@ -10,6 +10,7 @@ per-term loop, the dict-lookup assembly and the cube basis kept in
 ``oracle_helpers``.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -537,6 +538,17 @@ def test_assembly_by_position_matches_the_dict_lookup(coeff):
             assert any(abs(nu) > fourier_cut for _mu, nu in outside)
 
 
+@pytest.mark.parametrize("fourier_cut", [0, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_reads_the_state_order_and_positions_invert_it(dim, fourier_cut):
+    """The position dict lists the states in ``states()`` order, each at
+    its index there."""
+    w = BasisWindow(3, fourier_cut, 0.1)
+    index = oracle._index(w, dim)
+    assert list(index) == w.states(dim)
+    assert list(index.values()) == list(range(w.dimension(dim)))
+
+
 @pytest.mark.parametrize("fourier_cut, couple", [(0, False), (2, False), (2, True)])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_block_index_is_increasing(dim, fourier_cut, couple):
@@ -591,6 +603,23 @@ def test_simplex_dimension_counts_its_states(dim, fourier_cut):
     w = BasisWindow(5, fourier_cut, 0.1)
     expected = math.comb(5 + dim, dim) * (2 * fourier_cut + 1)
     assert w.dimension(dim) == len(w.states(dim)) == expected
+
+
+@pytest.mark.parametrize("fourier_cut", [0, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_positions_keep_the_simplex_and_rank_its_states(dim, fourier_cut):
+    """Over the cube mu_i <= 2 N (and one Fourier index past the cut on
+    either side), exactly the states with |mu| <= N and |nu| <= fourier_cut
+    have a position, each at its index in ``states()``."""
+    n = 4
+    w = BasisWindow(n, fourier_cut, 0.1)
+    index = oracle._index(w, dim)
+    cube = [(mu, nu) for nu in range(-fourier_cut - 1, fourier_cut + 2)
+            for mu in itertools.product(range(2 * n + 1), repeat=dim)]
+    inside = [s for s in cube if s in index]
+    assert inside == [(mu, nu) for mu, nu in cube if sum(mu) <= n and abs(nu) <= fourier_cut]
+    assert inside == w.states(dim)
+    assert [index[s] for s in inside] == list(range(len(inside)))
 
 
 @pytest.mark.parametrize("cut, hbar, window, count", [
