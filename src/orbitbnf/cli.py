@@ -27,6 +27,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import platform
 import sys
@@ -121,6 +122,17 @@ def _block(cfg, name, missing=None):
     return _json_object(block, f"config block {name!r}")
 
 
+def _integer(value, name):
+    """A config setting as a plain int (numpy ints too); ValueError unless it is an integer.
+
+    ``int()`` would run ``8.7`` as 8 and accept the string ``"8"``.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"setting {name!r} must be an integer, not {value!r}") from None
+
+
 def _load_tolerances(path):
     tol = dict(DEFAULT_TOLERANCES)
     if path is None:
@@ -147,7 +159,7 @@ def _theta(cfg):
 
 def _rot(cfg, need, tol):
     theta = _theta(cfg)
-    order = max(int(need), int(cfg.get("resonance_order", need)))
+    order = max(need, _integer(cfg.get("resonance_order", need), "resonance_order"))
     return nonresonance_margin(theta, order, threshold=tol["margin_threshold"])
 
 
@@ -187,7 +199,7 @@ def _normal_form_arg(cfg, base_dir):
         with open(path) as fh:
             return NormalForm.from_csv(fh.read())
     return NormalForm.from_records(
-        int(block["dim"]), block["records"], route=block.get("route")
+        _integer(block["dim"], "normal_form.dim"), block["records"], route=block.get("route")
     )
 
 
@@ -197,7 +209,7 @@ def _jets(cfg):
     ls = list(block.get("ls", []))
     if not ls:
         raise ValueError("jets block needs a non-empty 'ls' list")
-    depth = int(block.get("depth", 12))
+    depth = _integer(block.get("depth", 12), "jets.depth")
     if "widths" in block:
         widths = [float(w) for w in block["widths"]]
         if len(widths) != len(ls):
@@ -214,8 +226,9 @@ def _jets(cfg):
 def _bnf_orders(cfg, tol):
     """(target weight, working weight, certified rotation data) of a config."""
     orders = _block(cfg, "orders")
-    weight = int(orders.get("weight", 6))
-    return weight, int(orders.get("work_weight", weight)), _rot(cfg, weight, tol)
+    weight = _integer(orders.get("weight", 6), "orders.weight")
+    work = _integer(orders.get("work_weight", weight), "orders.work_weight")
+    return weight, work, _rot(cfg, weight, tol)
 
 
 def _bnf_outputs(run, what, rot, nf, generators, remainder, **extra):
@@ -243,7 +256,7 @@ def _cmd_bnf_classical(cfg, tol, run, base_dir):
 
 def _cmd_bnf_semiclassical(cfg, tol, run, base_dir):
     weight, work, rot = _bnf_orders(cfg, tol)
-    korder = int(_block(cfg, "orders").get("hbar", 2))
+    korder = _integer(_block(cfg, "orders").get("hbar", 2), "orders.hbar")
     H = _series_hamiltonian(cfg, rot, work)
     nf, gens, remainder = birkhoff_semiclassical(
         H, rot, weight, korder, work, tol["margin_threshold"]
@@ -261,7 +274,7 @@ def _cmd_bnf_quantum(cfg, tol, run, base_dir):
 
 
 def _cmd_weyl_of_h(cfg, tol, run, base_dir):
-    korder = int(_block(cfg, "orders").get("hbar", 2))
+    korder = _integer(_block(cfg, "orders").get("hbar", 2), "orders.hbar")
     h = _normal_form_arg(cfg, base_dir)
     out = weyl_of_functional_calculus(h, korder)
     run.write("weyl_symbol.csv", out.to_csv())
@@ -273,7 +286,7 @@ def _cmd_weyl_of_h(cfg, tol, run, base_dir):
 
 
 def _cmd_trace_forward(cfg, tol, run, base_dir):
-    M = int(_block(cfg, "orders").get("M", 4))
+    M = _integer(_block(cfg, "orders").get("M", 4), "orders.M")
     nf = _normal_form_arg(cfg, base_dir)
     jets, bumps = _jets(cfg)
     theta = _theta(cfg) if "theta" in cfg else nf.theta()
@@ -296,8 +309,8 @@ def _cmd_trace_forward(cfg, tol, run, base_dir):
 
 
 def _cmd_trace_invert(cfg, tol, run, base_dir):
-    M = int(_block(cfg, "orders").get("M", 4))
-    k_max = int(_block(cfg, "trace").get("k_max", 0))
+    M = _integer(_block(cfg, "orders").get("M", 4), "orders.M")
+    k_max = _integer(_block(cfg, "trace").get("k_max", 0), "trace.k_max")
     path = cfg.get("trace_csv")
     if path is None:
         raise ValueError("config needs 'trace_csv' (path to a d_l^m table)")
@@ -350,7 +363,7 @@ def _cmd_oracle_spectrum(cfg, tol, run, base_dir):
     hbar = float(block["hbar"])
     w = BasisWindow(block["hermite_cut"], block["fourier_cut"], hbar)
     lo, hi = (float(v) for v in block["window"])
-    rot = _rot(cfg, int(_block(cfg, "orders").get("weight", 6)), tol)
+    rot = _rot(cfg, _integer(_block(cfg, "orders").get("weight", 6), "orders.weight"), tol)
     H = _word_hamiltonian(cfg, rot, float("inf"))
     evs = quasi_eigenvalues(H, w, (lo, hi), drift_tol=tol["drift_tol"])
     lines = ["index,eigenvalue"]

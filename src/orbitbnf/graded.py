@@ -10,28 +10,33 @@ cap ``max_weight``) and :class:`~orbitbnf.words.WordPoly` (normal-ordered
 words, cap ``max_grade``) add their products and named constructors.
 
 The product kernels (word product, Moyal sum, Poisson bracket, pointwise
-product) work on packed keys: for the duration of one call each key is a
-single int with fixed-width fields (:func:`_packed_operands`), so the key
-of a generated term is one integer add of the operand keys and an offset.
-The width is chosen per call from the operands' grade and ``|m|`` bounds, so
-no field overflows.  A kernel returns its packed-key dict, in the order the
-terms were first generated, and the polynomial keeps it packed until its
-keys are read (:func:`_from_packed`): length, truth, scale, negation and
-the sum or difference of two results packed at one width and cap need no
-tuple key, and the word commutator merges its two products on packed keys.
-The first read of the terms (``items()``, records, maps, kernel operands)
-decodes them once.  Keys are packed and split through one interned table of
-index tuples per ``(dim, width)`` (:func:`_index_table`): it gives the
-packed block and the sum of a tuple's fields, and turns a block back into
-the one tuple object for it, so the outputs of every kernel share their
-index tuples.  Both noncommutative products draw their integer structure
-constants and their packed key offsets from one cached table,
-:func:`_contractions`: the word product contracts ``a^nu`` against
-``(a^+)^mu`` with ``l! C(mu, l) C(nu, l)``, and the Moyal sum's transverse
-factor ``perm(n, x) perm(m, x) / x!`` is the same integer
-``x! C(n, x) C(m, x)``.  The table is built from
-:func:`_contraction_terms`, which the Wick/Weyl heat flow of
-:mod:`~orbitbnf.bridge` reads as well.
+product) work on packed keys: each key is a single int with fixed-width
+fields (:func:`_layout`), so the key of a generated term is one integer add
+of the operand keys and an offset.  The width is chosen per call from the
+operands' grade and ``|m|`` bounds, so no field overflows.  A polynomial is
+packed once per width: it keeps the rows of its terms (coefficient, grade,
+charge, packed key, index tuples and blocks, :func:`_operand_rows`), so the
+generator of a Lie series, an operand of every bracket of its series, is
+packed once, and a call builds only the short tuples its kernel reads
+(:func:`_packed_operands`).  A kernel returns its packed-key dict, in the
+order the terms were first generated, and the polynomial keeps it packed
+until its keys are read (:func:`_from_packed`): length, truth, scale,
+negation, the mirror, the sum or difference of two results packed at one
+width and cap, and its rows as a kernel operand at that width need no tuple
+key.  The first read of the terms (``items()``, records, maps) decodes them
+once.  Keys are packed and split through one interned table of index tuples
+per ``(dim, width)`` (:func:`_index_table`): it gives the packed block and
+the sum of a tuple's fields, and turns a block back into the one tuple
+object for it, so the outputs of every kernel share their index tuples.
+Both noncommutative products draw their integer structure constants and
+their packed key offsets from one cached table, :func:`_contractions`: the
+word product contracts ``a^nu`` against ``(a^+)^mu`` with ``l! C(mu, l)
+C(nu, l)``, and the Moyal sum's transverse factor ``perm(n, x) perm(m, x) /
+x!`` is the same integer ``x! C(n, x) C(m, x)``.  A kernel reads the table
+through one row per a-term exponent tuple and width (:class:`_Row`), keyed
+by the partner's packed block, so a term pair costs one int-keyed lookup.
+The table is built from :func:`_contraction_terms`, which the Wick/Weyl
+heat flow of :mod:`~orbitbnf.bridge` reads as well.
 
 The second half is the normal-form engine.  A route supplies its bracket,
 the closed-form ad_{H0} eigenvalue of a key and the map from resonant terms
@@ -45,8 +50,10 @@ words (real symbols), so every bracket it forms is symmetric, and every
 product kernel adds the charges ``|mu| - |nu|`` of a term pair.  A kernel
 called with ``half=True`` forms only the pairs whose charges sum to
 ``<= 0`` (:func:`_packed_operands`), and :func:`lie_series` fills the
-charge > 0 part in from the mirror: the adjoint of a word, the conjugate
-of a symbol.  Kernel calls without ``half`` form every pair.
+charge > 0 part in from the mirror, formed on packed keys: the adjoint of a
+word, the conjugate of a symbol.  Kernel calls without ``half`` form every
+pair.  A polynomial the sweep built exactly symmetric records it
+(:func:`symmetrized`), so the next Lie series does not check it again.
 """
 
 from __future__ import annotations
@@ -92,13 +99,12 @@ def _sub_idx(a, b):
 
 # -- packed keys of the product kernels ------------------------------------------
 #
-# Inside a kernel a key (mu, nu, m, j, k) is one int with fixed-width fields,
-# lowest first: mu_0..mu_{n-1}, nu_0..nu_{n-1}, m + bias, j, k.  Packing is
-# linear, so the key of a product term is the sum of the packed operand keys
-# and packed offsets, and no tuple is built per generated term.  The left
-# operand's keys carry the bias of m, the right operand's do not, so a sum
-# carries it once.  The mu and nu fields of a key are the packed blocks of
-# its index tuples, read from the interned table of :func:`_index_table`.
+# A packed key (mu, nu, m, j, k) is one int with fixed-width fields, lowest
+# first: mu_0..mu_{n-1}, nu_0..nu_{n-1}, m + bias, j, k.  Packing is linear,
+# so the key of a product term is the sum of the packed operand keys and
+# packed offsets, less one bias, and no tuple is built per generated term.
+# The mu and nu fields of a key are the packed blocks of its index tuples,
+# read from the interned table of :func:`_index_table`.
 
 _MIN_WIDTH = 8
 
@@ -145,81 +151,156 @@ class _Tuples(dict):
         return idx
 
 
+class _Sums(dict):
+    """Packed block -> the sum of its fields; fills itself on a miss."""
+
+    __slots__ = ("tuples",)
+
+    def __init__(self, tuples):
+        super().__init__()
+        self.tuples = tuples
+
+    def __missing__(self, block):
+        total = self[block] = sum(self.tuples[block])
+        return total
+
+
 @functools.lru_cache(maxsize=None)
 def _index_table(dim, width):
-    """The interned index tuples of ``dim`` fields of ``width`` bits: ``(blocks, tuples)``.
+    """The interned index tuples of ``dim`` fields of ``width`` bits: ``(blocks, tuples, sums)``.
 
     ``blocks`` maps an index tuple to its packed block (field i holds entry
     i) and its sum; ``tuples`` maps a block back to the one tuple object for
-    it.  Only ``tuples`` creates the tuples that kernels output, from blocks
-    whose fields fit, so every decoded kernel key shares its index
-    tuples with every other, and dict merges and lookups on them compare by
-    identity first.  Keyed on the width as well, since the same block stands
-    for different tuples at different widths.  The grade cap bounds the
-    entries: a few hundred at most per table.
+    it, and ``sums`` a block to the sum of its fields.  Only ``tuples``
+    creates the tuples that kernels output, from blocks whose fields fit, so
+    every decoded kernel key shares its index tuples with every other, and
+    dict merges and lookups on them compare by identity first.  Keyed on the
+    width as well, since the same block stands for different tuples at
+    different widths.  The grade cap bounds the entries: a few hundred at
+    most per table.
     """
     blocks = _Blocks(width)
-    return blocks, _Tuples(dim, blocks)
+    tuples = _Tuples(dim, blocks)
+    return blocks, tuples, _Sums(tuples)
 
 
-def _operand_rows(poly, blocks):
-    """``(key, c, grade, mu block, nu block, charge)`` per stored term, in storage order.
+def _layout(dim, width):
+    """``(mask, bias, nu shift, tail shift, block mask)`` of packed keys at ``width``.
 
-    The grade is :func:`key_grade` and the charge is ``|mu| - |nu|``, both
-    computed from the table's index sums.
+    A key is ``mu block + (nu block << nu shift) + (tail << tail shift)``
+    with ``tail = m + bias + (j << width) + (k << 2 width)``.  Packing is
+    linear, so the key of a product term is the sum of the operand keys and
+    packed offsets, less one bias.
     """
+    nu_shift = dim * width
+    return (1 << width) - 1, 1 << (width - 1), nu_shift, 2 * nu_shift, (1 << nu_shift) - 1
+
+
+# The fields of an operand row, in order (see :func:`_operand_rows`).
+(_C, _GRADE, _CHARGE, _KEY, _MU, _NU, _MU_BLOCK, _NU_BLOCK, _M, _J, _K) = range(11)
+
+
+def _operand_rows(poly, width):
+    """The rows of ``poly``'s terms packed at ``width``, in storage order; cached on ``poly``.
+
+    A row is ``(c, grade, charge, key, mu, nu, mu block, nu block, m, j,
+    k)`` (indices ``_C`` .. ``_K``): the grade is :func:`key_grade`, the
+    charge ``|mu| - |nu|``, and the packed key carries the bias of m, as a
+    kernel result stores it (see :func:`_layout`).  A polynomial is
+    immutable, so it keeps the rows of every width it was packed at, and an
+    operand of many kernel calls (the generator of a Lie series) is packed
+    once.  The rows of a
+    kernel result at its own width are split from its packed keys, with no
+    tuple key; all others are built from the tuple keys.
+    """
+    cache = poly._rows
+    if cache is None:
+        cache = poly._rows = {}
+    rows = cache.get(width)
+    if rows is not None:
+        return rows
+    dim = poly.dim
+    mask, bias, nu_shift, tail_shift, block_mask = _layout(dim, width)
+    blocks, tuples = _index_table(dim, width)[:2]
     rows = []
-    for key, c in poly._terms.items():
-        mu_block, mu_sum = blocks[key[0]]
-        nu_block, nu_sum = blocks[key[1]]
-        rows.append(
-            (key, c, mu_sum + nu_sum + 2 * (key[3] + key[4]), mu_block, nu_block, mu_sum - nu_sum)
-        )
+    if poly._packed is not None and poly._packed[0] == width:
+        k_shift = 2 * width
+        for p, c in poly._packed[1].items():
+            mu, nu = tuples[p & block_mask], tuples[(p >> nu_shift) & block_mask]
+            (mu_block, mu_sum), (nu_block, nu_sum) = blocks[mu], blocks[nu]
+            tail = p >> tail_shift
+            j, k = (tail >> width) & mask, tail >> k_shift
+            rows.append(
+                (c, mu_sum + nu_sum + 2 * (j + k), mu_sum - nu_sum, p, mu, nu,
+                 mu_block, nu_block, (tail & mask) - bias, j, k)
+            )
+    else:
+        k_shift = 2 * width
+        for (mu, nu, m, j, k), c in poly._terms.items():
+            (mu_block, mu_sum), (nu_block, nu_sum) = blocks[mu], blocks[nu]
+            tail = m + bias + (j << width) + (k << k_shift)
+            p = mu_block + (nu_block << nu_shift) + (tail << tail_shift)
+            rows.append(
+                (c, mu_sum + nu_sum + 2 * (j + k), mu_sum - nu_sum, p, mu, nu,
+                 mu_block, nu_block, m, j, k)
+            )
+    cache[width] = rows
     return rows
 
 
-def _pack(rows, dim, width, bias):
-    """``(key, c, grade, packed key)`` per row; ``bias`` is added to each Fourier mode m.
+def _bounds(poly):
+    """``(largest grade, largest |m|)`` of ``poly``'s terms (0 for no terms); cached.
 
-    The fields are combined with ``+``, not ``|``: with no bias a negative m
-    borrows from the fields above it, which the bias of the other operand
-    repays in a sum.
+    Read from the rows at the polynomial's own width: that of its packed
+    keys, else :data:`_MIN_WIDTH` (exact also where a field overflows it).
     """
-    nu_shift = dim * width
-    tail_shift = 2 * nu_shift
-    k_shift = 2 * width
-    return [
-        (
-            key,
-            c,
-            g,
-            mu_block
-            + (nu_block << nu_shift)
-            + ((key[2] + bias + (key[3] << width) + (key[4] << k_shift)) << tail_shift),
+    if poly._bounds is None:
+        rows = _operand_rows(poly, poly._packed[0] if poly._packed is not None else _MIN_WIDTH)
+        poly._bounds = (
+            max(map(operator.itemgetter(_GRADE), rows), default=0),
+            max(map(abs, map(operator.itemgetter(_M), rows)), default=0),
         )
-        for key, c, g, mu_block, nu_block, _q in rows
-    ]
+    return poly._bounds
 
 
-def _packed_operands(a, b, cap, drop=0, half=False):
-    """``(width, a-terms, partners)`` of one product kernel call.
+def _packed_keys(poly):
+    """``(width, packed-key dict)`` of ``poly``, m carrying the bias; read, not copied.
 
-    A term list holds ``(key, c, group, packed key)`` per stored term, in
-    storage order; the a-terms carry the bias of m.  The mu and nu fields,
-    the grade and the charge ``|mu| - |nu|`` of a key come from the interned
-    table :func:`_index_table` of the call's ``(dim, width)``, looked up once
-    per call.  ``partners[group]`` lists the b-terms that an a-term of that
-    group meets, for a product that lowers the grade sum of a term pair by
-    ``drop`` (2 for a bracket).  A kernel loops over these lists instead of
-    testing every term pair: in the Lie series most pairs lie above the cap.
+    A kernel result gives its own; a polynomial with tuple keys is packed at
+    the narrowest width that holds its fields (:func:`_operand_rows`).
+    """
+    if poly._packed is not None:
+        return poly._packed
+    g, m = _bounds(poly)
+    width = max(_MIN_WIDTH, g.bit_length(), m.bit_length() + 1)
+    return width, {r[_KEY]: r[_C] for r in _operand_rows(poly, width)}
 
-    The group of an a-term is its grade g, and its partners are the b-terms
-    that fit under the cap with it, in storage order.  With ``half`` the
-    group is ``(g, q)`` with q the a-term's charge, and its partners are the
-    b-terms that fit and have charge ``<= -q``: a prefix of the fitting
-    b-terms sorted by charge (a stable sort, so storage order within a
-    charge).  Every product in the package adds the charges of a term pair,
-    so a half call forms exactly the pairs whose output has charge ``<= 0``.
+
+def _packed_operands(
+    a, b, cap, drop=0, half=False, a_fields=(_C, _KEY), b_fields=(_C, _KEY), keep=None
+):
+    """``(width, a-terms, partners, bias)`` of one product kernel call.
+
+    The terms are the operands' rows (:func:`_operand_rows`) at the call's
+    width.  An a-term is the tuple of its grade g, its charge q and the row
+    fields ``a_fields``, and ``partners[g, q]`` lists, as
+    tuples of the row fields ``b_fields``, the b-terms that an a-term of
+    that grade and charge meets, for a product that lowers the grade sum of
+    a term pair by ``drop`` (2 for a bracket).  A kernel loops over these
+    lists instead of testing every term pair: in the Lie series most pairs
+    lie above the cap.  Each operand is packed once per width
+    (:func:`_operand_rows` caches its rows), and a call builds only the
+    short tuples its kernel reads.  Every packed key carries the bias of m,
+    and a sum of two keys must carry it once (:func:`_layout`), so a kernel
+    subtracts ``bias`` once from each a-term's key.  ``keep``, a pair of
+    predicates on a-rows and b-rows, leaves out the terms that form nothing.
+
+    The partners of an a-term are the b-terms that fit under the cap with
+    it, in storage order.  With ``half`` they are the b-terms that fit and
+    have charge ``<= -q``: a prefix of the fitting b-terms sorted by charge
+    (a stable sort, so storage order within a charge).  Every product in
+    the package adds the charges of a term pair, so a half call forms
+    exactly the pairs whose output has charge ``<= 0``.
 
     Every product in the package keeps the total grade additive up to that
     drop, so an output field (mu_i, nu_i, j, k) never exceeds
@@ -232,39 +313,44 @@ def _packed_operands(a, b, cap, drop=0, half=False):
     grades; the rows are read again from a wider table only when the
     operands need more.
     """
-    dim = a.dim
     width = _MIN_WIDTH
-    blocks = _index_table(dim, width)[0]
-    a_rows, b_rows = _operand_rows(a, blocks), _operand_rows(b, blocks)
-    if a_rows and b_rows:
-        bound = max(r[2] for r in a_rows) + max(r[2] for r in b_rows)
+    if a and b:
+        (ga, ma), (gb, mb) = _bounds(a), _bounds(b)
+        bound = ga + gb
         if cap != INFINITE:
             bound = max(0, min(int(cap), bound))
-        ms = max(abs(key[2]) for key in a._terms) + max(abs(key[2]) for key in b._terms)
-        width = max(width, bound.bit_length(), ms.bit_length() + 1)
-        if width > _MIN_WIDTH:
-            blocks = _index_table(dim, width)[0]
-            a_rows, b_rows = _operand_rows(a, blocks), _operand_rows(b, blocks)
-    b_terms = _pack(b_rows, dim, width, 0)
-    a_terms = _pack(a_rows, dim, width, 1 << (width - 1))
-    if not half:
-        partners = {
-            g: [t for t in b_terms if t[2] <= cap + drop - g] for g in {r[2] for r in a_rows}
-        }
-        return width, a_terms, partners
-    a_terms = [(key, c, (g, r[5]), p) for (key, c, g, p), r in zip(a_terms, a_rows)]
-    by_charge = sorted(zip([r[5] for r in b_rows], b_terms), key=operator.itemgetter(0))
+        width = max(width, bound.bit_length(), (ma + mb).bit_length() + 1)
+    a_rows, b_rows = _operand_rows(a, width), _operand_rows(b, width)
+    if keep is not None:
+        a_rows, b_rows = list(filter(keep[0], a_rows)), list(filter(keep[1], b_rows))
+    _mask, m_bias, _nu_shift, tail_shift, _block_mask = _layout(a.dim, width)
+    bias = m_bias << tail_shift
+    a_terms = list(map(operator.itemgetter(_GRADE, _CHARGE, *a_fields), a_rows))
+    b_terms = list(map(operator.itemgetter(*b_fields), b_rows))
+    b_grades = list(map(operator.itemgetter(_GRADE), b_rows))
+    b_top = max(b_grades, default=0)
     charges_of = {}
-    for r in a_rows:
-        charges_of.setdefault(r[2], set()).add(r[5])
+    for g, q in set(map(operator.itemgetter(_GRADE, _CHARGE), a_rows)):
+        charges_of.setdefault(g, []).append(q)
     partners = {}
+    if not half:
+        for g, charges in charges_of.items():
+            room = cap + drop - g
+            fit = b_terms
+            if b_top > room:
+                fit = [t for t, gb in zip(b_terms, b_grades) if gb <= room]
+            partners.update(dict.fromkeys([(g, q) for q in charges], fit))
+        return width, a_terms, partners, bias
+    b_charges = map(operator.itemgetter(_CHARGE), b_rows)
+    by_charge = sorted(zip(b_charges, b_grades, b_terms), key=operator.itemgetter(0))
     for g, charges in charges_of.items():
-        fit = [(q, t) for q, t in by_charge if t[2] <= cap + drop - g]
-        fit_charges = [q for q, _t in fit]
-        fit_terms = [t for _q, t in fit]
+        room = cap + drop - g
+        fit = by_charge if b_top <= room else [t for t in by_charge if t[1] <= room]
+        fit_charges = list(map(operator.itemgetter(0), fit))
+        fit_terms = list(map(operator.itemgetter(2), fit))
         for q in charges:
             partners[g, q] = fit_terms[: bisect.bisect_right(fit_charges, -q)]
-    return width, a_terms, partners
+    return width, a_terms, partners, bias
 
 
 def _field_units(dim, width):
@@ -277,16 +363,12 @@ def _decoded(dim, width, packed):
     """The tuple-keyed dict of a packed-key dict, in its insertion order.
 
     Each key is split into its mu block, nu block and m, j, k fields (a sum
-    with the bias of m counted once, see :func:`_pack`); mu and nu are read
+    with the bias of m counted once, see :func:`_layout`); mu and nu are read
     from the interned table :func:`_index_table` of ``(dim, width)``, so
     every decoded key shares its index tuples.
     """
     tuples = _index_table(dim, width)[1]
-    mask = (1 << width) - 1
-    bias = 1 << (width - 1)
-    nu_shift = dim * width
-    tail_shift = 2 * nu_shift
-    block_mask = (1 << nu_shift) - 1
+    mask, bias, nu_shift, tail_shift, block_mask = _layout(dim, width)
     k_shift = 2 * width
     terms = {}
     for p, c in packed.items():
@@ -372,6 +454,47 @@ def _contractions(nu1, mu2, width):
     )
 
 
+class _Row(dict):
+    """Partner index block -> ``table(exps, partner, width)``; fills itself on a miss.
+
+    One row of a contraction table: the entries of one exponent tuple
+    ``exps`` against every partner, keyed by the partner's packed block at
+    ``width`` (decoded through :func:`_index_table` on a miss).  A kernel
+    looks a row up once per a-term and an entry once per term pair, so a
+    pair costs one int-keyed lookup instead of a cache lookup hashed on two
+    index tuples.
+    """
+
+    __slots__ = ("table", "exps", "width", "tuples")
+
+    def __init__(self, table, exps, width):
+        super().__init__()
+        self.table, self.exps, self.width = table, exps, width
+        self.tuples = _index_table(len(exps), width)[1]
+
+    def __missing__(self, block):
+        entry = self[block] = self.table(self.exps, self.tuples[block], self.width)
+        return entry
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction_row(exps, width):
+    """The :class:`_Row` of :func:`_contractions` for ``exps``: the word
+    product's table of ``nu1`` and the Moyal sum's X table."""
+    return _Row(_contractions, exps, width)
+
+
+def _contracted(nu1, mu2, width):
+    """:func:`_contractions` without its first entry, the juxtaposition l = 0."""
+    return _contractions(nu1, mu2, width)[1:]
+
+
+@functools.lru_cache(maxsize=None)
+def _contracted_row(exps, width):
+    """The :class:`_Row` of :func:`_contracted`: the contracted word product's table."""
+    return _Row(_contracted, exps, width)
+
+
 def _sort_token(key):
     mu, nu, m, j, k = key
     return (key_grade(key), k, j, m, mu, nu)
@@ -421,11 +544,11 @@ class GradedPoly:
     Coefficients are Python complex (or real) numbers.  Exact zeros and
     keys above the cap are never stored.  A subclass names its grading
     (``_GRADING``), its symmetry and mirror (``_SYMMETRY``, ``_MIRROR``), exposes
-    the cap as ``max_<grading>`` and supplies ``__mul__`` and ``mirror``,
+    the cap as ``max_<grading>`` and supplies ``__mul__`` and ``_mirrored``,
     the antilinear involution that maps a key of charge ``|mu| - |nu|`` to
     keys of the opposite charge (the adjoint of a word, the conjugate of a
-    symbol).  Polynomials of different subclasses never compare equal or
-    combine.
+    symbol), formed on packed keys.  Polynomials of different subclasses
+    never compare equal or combine.
 
     A kernel result is stored packed, as the kernel's ``(width, packed-key
     dict)`` (:func:`_from_packed`), until something reads its keys: the
@@ -434,9 +557,15 @@ class GradedPoly:
     ``bool``, :meth:`max_abs_coeff` and unary ``-`` read either form, and
     ``+`` and ``-`` merge packed keys when both operands are packed at one
     width and cap.
+
+    Two more slots cache what the value determines: ``_rows``, the kernel
+    operand rows of every width the polynomial was packed at
+    (:func:`_operand_rows`), with ``_bounds``; and ``_exact``, set on a
+    polynomial built exactly symmetric (:func:`symmetrized`), which
+    :func:`symmetrized` then returns as it is.
     """
 
-    __slots__ = ("dim", "_cap", "_store", "_packed")
+    __slots__ = ("dim", "_cap", "_store", "_packed", "_rows", "_bounds", "_exact")
     _GRADING = "grade"
     _SYMMETRY = "symmetric"
 
@@ -445,7 +574,8 @@ class GradedPoly:
             raise ValueError("dim must be >= 0")
         self.dim = int(dim)
         self._cap = cap
-        self._packed = None
+        self._packed = self._rows = self._bounds = None
+        self._exact = False
         store = {}
         for key, c in (terms or {}).items():
             key = _validate_key(key, self.dim)
@@ -478,7 +608,8 @@ class GradedPoly:
         self.dim = dim
         self._cap = cap
         self._store = store
-        self._packed = None
+        self._packed = self._rows = self._bounds = None
+        self._exact = False
         return self
 
     @classmethod
@@ -486,7 +617,7 @@ class GradedPoly:
         """Instance owning the packed-key dict ``packed`` of fields of ``width`` bits.
 
         Its keys are those of a kernel result (m carries the bias, see
-        :func:`_pack`), of grade <= cap, with no exact zeros.
+        :func:`_layout`), of grade <= cap, with no exact zeros.
         """
         self = cls._wrap(dim, None, cap)
         self._packed = (width, packed)
@@ -494,10 +625,19 @@ class GradedPoly:
 
     @property
     def _terms(self):
-        """The tuple-keyed dict of the terms; a packed result is decoded on the first read."""
+        """The tuple-keyed dict of the terms; a packed result is decoded on the first read.
+
+        The keys are read from the operand rows at the packed width when the
+        result was an operand already, and split from the packed keys
+        otherwise.
+        """
         if self._packed is not None:
             width, packed = self._packed
-            self._store = _decoded(self.dim, width, packed)
+            rows = self._rows and self._rows.get(width)
+            if rows:
+                self._store = {(r[_MU], r[_NU], r[_M], r[_J], r[_K]): r[_C] for r in rows}
+            else:
+                self._store = _decoded(self.dim, width, packed)
             self._packed = None
         return self._store
 
@@ -538,6 +678,10 @@ class GradedPoly:
     def __eq__(self, other):
         return type(other) is type(self) and self.dim == other.dim and self._terms == other._terms
 
+    def mirror(self):
+        """The mirror: the adjoint of a word, the conjugate of a symbol."""
+        return self._mirrored()[0]
+
     def __repr__(self):
         return (
             f"{type(self).__name__}(dim={self.dim}, terms={len(self)}, "
@@ -551,18 +695,22 @@ class GradedPoly:
 
         The loop runs on packed keys when both operands are packed at the
         same width and cap, and on tuple keys otherwise, where terms above
-        the smaller cap are left out.
+        the smaller cap are left out.  The sum or difference of two exactly
+        symmetric polynomials is exactly symmetric (:func:`symmetrized`).
         """
         if type(other) is not type(self):
             return NotImplemented
         _check_dims(self, other)
         a, b = self._packed, other._packed
         if a is not None and b is not None and a[0] == b[0] and self._cap == other._cap:
-            return self._wrap_packed(self.dim, a[0], _merge(dict(a[1]), b[1], sign), self._cap)
-        cap = min(self._cap, other._cap)
-        out = dict(self._terms) if self._cap == cap else _within(self._terms, cap)
-        terms = other._terms if other._cap == cap else _within(other._terms, cap)
-        return self._wrap(self.dim, _merge(out, terms, sign), cap)
+            out = self._wrap_packed(self.dim, a[0], _merge(dict(a[1]), b[1], sign), self._cap)
+        else:
+            cap = min(self._cap, other._cap)
+            terms = dict(self._terms) if self._cap == cap else _within(self._terms, cap)
+            more = other._terms if other._cap == cap else _within(other._terms, cap)
+            out = self._wrap(self.dim, _merge(terms, more, sign), cap)
+        out._exact = self._exact and other._exact
+        return out
 
     def __add__(self, other):
         return self._merged(other, 1)
@@ -596,7 +744,14 @@ class GradedPoly:
         return self._wrap(self.dim, kept, self._cap)
 
     def truncated(self, cap):
-        return self._wrap(self.dim, _within(self._terms, cap), cap)
+        """The terms of grade <= cap, with cap ``cap``; shares the storage when all fit."""
+        if cap >= self._cap and self._packed is not None:
+            out = self._wrap_packed(self.dim, *self._packed, cap)
+        else:
+            terms = self._terms
+            out = self._wrap(self.dim, terms if cap >= self._cap else _within(terms, cap), cap)
+        out._exact = self._exact  # a grade slice of an exactly symmetric polynomial
+        return out
 
     def max_abs_coeff(self) -> float:
         return max(map(abs, self._values()), default=0.0)
@@ -710,15 +865,23 @@ def require_symmetric(a, what):
 def symmetrized(a, what):
     """``(a + mirror(a)) / 2`` after the check of :func:`require_symmetric`.
 
-    Exactly symmetric whenever the mirror is an exact involution in floating
-    point: always for symbols, and for words without a ``D_t`` power next to
-    a Fourier mode.  An ``a`` that equals its mirror exactly is returned as
-    is.
+    An ``a`` that equals its mirror exactly is returned as is.  The result
+    is flagged exactly symmetric (``_exact``) when the mirror only permutes
+    its keys and conjugates its coefficients: always for symbols, and for
+    words without a ``D_t^j e^{imt}`` key (j, m != 0).  Then the average is
+    exactly symmetric in floating point, and so are the sums, differences
+    and grade slices (:meth:`~GradedPoly.truncated`) of flagged
+    polynomials, which keep the flag; a flagged polynomial is returned as
+    it is, without the check.  Every other operand is checked and averaged
+    on every call.
     """
-    mirror = a.mirror()
-    if _check_symmetric(a, mirror, what) == 0.0:
-        return a  # already exact: the average would repeat every coefficient
-    return (a + mirror).scaled(0.5)
+    if a._exact:
+        return a
+    mirror, permutes = a._mirrored()
+    if _check_symmetric(a, mirror, what) != 0.0:
+        a = (a + mirror).scaled(0.5)
+    a._exact = permutes
+    return a
 
 
 def _filled(half, scale):
@@ -726,15 +889,25 @@ def _filled(half, scale):
 
     With X- the charge < 0 part of ``half`` and X0 its charge-0 slice, the
     bracket is ``X- + mirror(X-) + (X0 + mirror(X0)) / 2``, formed here as
-    ``Y + mirror(Y)`` with ``Y = X- + X0 / 2`` (the halving is exact).
+    ``Y + mirror(Y)`` with ``Y = X- + X0 / 2`` (the halving is exact).  Y,
+    its mirror and the sum are formed on packed keys (:func:`_packed_keys`),
+    so a kernel result stays packed for the next bracket; the sum is flagged
+    exactly symmetric as in :func:`symmetrized`.
     """
+    dim = half.dim
+    width, packed = _packed_keys(half)
+    sums = _index_table(dim, width)[2]
+    _mask, _bias, nu_shift, _tail_shift, block_mask = _layout(dim, width)
     zero_scale = 0.5 * scale
     y = {
-        key: c * (zero_scale if sum(key[0]) == sum(key[1]) else scale)
-        for key, c in half._terms.items()
+        p: c * (zero_scale if sums[p & block_mask] == sums[(p >> nu_shift) & block_mask] else scale)
+        for p, c in packed.items()
     }
-    Y = half._wrap(half.dim, y, half._cap)
-    return Y + Y.mirror()  # the sum drops any exact zero of Y
+    Y = half._wrap_packed(dim, width, y, half._cap)
+    mirror, permutes = Y._mirrored()
+    out = Y + mirror  # the sum drops any exact zero of Y
+    out._exact = permutes
+    return out
 
 
 def lie_series(H, F, bracket, max_grade=None):
@@ -747,13 +920,17 @@ def lie_series(H, F, bracket, max_grade=None):
 
     Symmetric by construction.  H and F must be symmetric (real, for
     symbols) to 1e-12 of their scale, or ValueError is raised; each is then
-    replaced once by its average with its mirror (:func:`symmetrized`).
-    Every term ``ad_F^k H / k!`` is then symmetric, and every bracket adds
-    the charges ``|mu| - |nu|`` of a term pair, so the output keys of
+    replaced once by its average with its mirror (:func:`symmetrized`,
+    which returns an operand that the sweep built exactly symmetric as it
+    is).  Every term ``ad_F^k H / k!`` is then symmetric, and every bracket
+    adds the charges ``|mu| - |nu|`` of a term pair, so the output keys of
     charge > 0 are the mirror of those of charge < 0.  Each bracket is
     therefore called as ``bracket(F, X, cap, half=True)``, which forms only
     the term pairs whose charges sum to ``<= 0``, and :func:`_filled`
-    restores the rest from the mirror.
+    restores the rest from the mirror.  Each term is bracketed before it is
+    merged into the running total, while it is still packed, so its kernel
+    rows are built from its packed keys; the terms are merged in the order
+    they are formed.
     """
     cap = H._cap if max_grade is None else min(H._cap, max_grade)
     grading = H._GRADING
@@ -770,8 +947,10 @@ def lie_series(H, F, bracket, max_grade=None):
     k = 0
     while term:
         k += 1
-        term = _filled(bracket(F, term, cap, half=True), 1.0 / k)
-        total = total + term
+        bracketed = _filled(bracket(F, term, cap, half=True), 1.0 / k)
+        if k > 1:
+            total = total + term
+        term = bracketed
     return total
 
 

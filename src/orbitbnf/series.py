@@ -43,13 +43,26 @@ from itertools import product as _iproduct
 
 from .errors import ResonanceError
 from .graded import (
+    _C,
+    _J,
+    _K,
+    _KEY,
+    _M,
+    _MU,
+    _MU_BLOCK,
+    _NU,
+    _NU_BLOCK,
     INFINITE,
     GradedPoly,
     _check_dims,
+    _contraction_row,
     _contractions,
     _field_units,
     _from_packed,
+    _layout,
+    _packed_keys,
     _packed_operands,
+    _Row,
 )
 from .graded import key_grade as key_weight
 
@@ -96,17 +109,25 @@ class FTSeries(GradedPoly):
     # -- reality -------------------------------------------------------------
 
     def conjugate_symbol(self) -> "FTSeries":
-        """The series representing the complex conjugate symbol."""
-        terms = self._terms.items()
-        return FTSeries._wrap(
-            self.dim,
-            {(nu, mu, -m, j, k): complex(c).conjugate() for (mu, nu, m, j, k), c in terms},
-            self._cap,
-        )
+        """The series representing the complex conjugate symbol.
 
-    def mirror(self) -> "FTSeries":
-        """The conjugate symbol (:meth:`conjugate_symbol`)."""
-        return self.conjugate_symbol()
+        Formed on packed keys (:func:`~orbitbnf.graded._packed_keys`): the
+        image of a key swaps its mu and nu blocks and negates m.
+        """
+        dim = self.dim
+        width, packed = _packed_keys(self)
+        mask, bias, nu_shift, tail_shift, block_mask = _layout(dim, width)
+        out = {}
+        for p, c in packed.items():
+            tail = p >> tail_shift
+            image = (p >> nu_shift & block_mask) + ((p & block_mask) << nu_shift)
+            image += (tail - 2 * ((tail & mask) - bias)) << tail_shift  # m -> -m
+            out[image] = complex(c).conjugate()
+        return FTSeries._wrap_packed(dim, width, out, self._cap)
+
+    def _mirrored(self):
+        """``(conjugate symbol, True)``: conjugation only permutes keys."""
+        return self.conjugate_symbol(), True
 
     # -- numerics --------------------------------------------------------------
 
@@ -138,11 +159,12 @@ def pointwise_product(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
     """Commutative product, truncated at min(max_weight bounds)."""
     _check_dims(a, b)
     cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
-    width, a_terms, partners = _packed_operands(a, b, cap)
+    width, a_terms, partners, bias = _packed_operands(a, b, cap)
     out = {}
     get = out.get
-    for _t1, c1, group, p1 in a_terms:
-        for _t2, c2, _w2, p2 in partners[group]:
+    for g1, q1, c1, p1 in a_terms:
+        p1 -= bias
+        for c2, p2 in partners[g1, q1]:
             key = p1 + p2
             c = c1 * c2
             prev = get(key)
@@ -156,22 +178,29 @@ def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None, half=False) -> FT
     Every term of the bracket of weight-homogeneous series of weights
     (w1, w2) has weight w1 + w2 - 2.  Keys are packed as in
     :func:`_moyal_sum`, and ``half`` forms only the charge ``<= 0`` part, as
-    there.
+    there.  The transverse block runs per mode, over the modes in which the
+    a-term has a z or a zbar.
     """
     _check_dims(a, b)
     cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
-    width, a_terms, partners = _packed_operands(a, b, cap, 2, half)
+    fields = (_C, _KEY, _MU, _NU, _M, _J)
+    width, a_terms, partners, bias = _packed_operands(a, b, cap, 2, half, fields, fields)
     mu_units, nu_units, _m, j_unit, _k = _field_units(a.dim, width)
     drops = [mu_u + nu_u for mu_u, nu_u in zip(mu_units, nu_units)]
     out = {}
     get = out.get
-    for (mu1, nu1, m1, j1, _k1), c1, group, p1 in a_terms:
-        for (mu2, nu2, m2, j2, _k2), c2, _w2, p2 in partners[group]:
+    for g1, q1, c1, p1, mu1, nu1, m1, j1 in a_terms:
+        p1 -= bias
+        # only the modes in which the a-term has a z or a zbar contribute
+        modes = [
+            (i, x1, y1, drop) for i, (x1, y1, drop) in enumerate(zip(nu1, mu1, drops)) if x1 or y1
+        ]
+        for c2, p2, mu2, nu2, m2, j2 in partners[g1, q1]:
             base = c1 * c2
             p = p1 + p2
             # transverse block: 2i (dA/dzbar dB/dz - dA/dz dB/dzbar) per mode
-            for x1, y1, x2, y2, drop in zip(nu1, mu1, mu2, nu2, drops):
-                f = x1 * x2 - y1 * y2
+            for i, x1, y1, drop in modes:
+                f = x1 * mu2[i] - y1 * nu2[i]
                 if f:
                     key = p - drop
                     c = 1j * (base * (2 * f))
@@ -212,6 +241,7 @@ def moyal_bracket(
     return _moyal_sum(a, b, hbar_order, max_weight, antisymmetric=True, half=half)
 
 
+@functools.lru_cache(maxsize=None)
 def _t_block(m1, j1, m2, j2):
     """The Moyal (t, tau) block of a term pair that has one beyond u = v = 0.
 
@@ -231,12 +261,18 @@ def _t_block(m1, j1, m2, j2):
     return _by_parity(tt, lambda e: e[0] + e[1])
 
 
-@functools.lru_cache(maxsize=None)
 def _contraction_parities(a, b, width):
     """:func:`~orbitbnf.graded._contractions` of (a, b) split by the parity of
     the order ``|l|``: (even entries, odd entries, all entries), each in
-    table order.  Cached like the table itself, on exponents and width."""
+    table order.  Cached in the rows of :func:`_parity_row`."""
     return _by_parity(_contractions(a, b, width), operator.itemgetter(0))
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_row(exps, width):
+    """The :class:`~orbitbnf.graded._Row` of :func:`_contraction_parities`
+    for ``exps``: the Moyal sum's Y table of ``mu1``."""
+    return _Row(_contraction_parities, exps, width)
 
 
 def _by_parity(entries, order):
@@ -274,11 +310,16 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
     the order (x, y, u, v) of the full expansion, so the output keeps the
     insertion order of the straight loop.
 
-    Keys are packed into ints (see :func:`~orbitbnf.graded._pack`).  Both
+    Keys are packed into ints (see :func:`~orbitbnf.graded._layout`).  Both
     contractions lower mu and nu alike and raise the hbar power by their
     order, so one packed offset per table entry serves X and Y, and a
     generated key is the sum of the operand keys, the X and Y offsets and
-    the (t, tau) offset.  The result keeps the packed keys, in the order
+    the (t, tau) offset.  Each a-term looks up its X row (of nu1,
+    :func:`~orbitbnf.graded._contraction_row`) and its Y row (of mu1,
+    :func:`_parity_row`) once, and each term pair reads its entries by the
+    b-term's packed mu and nu blocks.  A bracket pair whose only
+    contraction is the empty one on both sides forms nothing and is skipped
+    before any arithmetic.  The result keeps the packed keys, in the order
     they were first generated, until its terms are read
     (:func:`~orbitbnf.graded._from_packed`).
 
@@ -293,24 +334,34 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
         raise ValueError("hbar_order must be >= 0")
     cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
     shift = 1 if antisymmetric else 0  # the division by i hbar lowers k by one
-    width, a_terms, partners = _packed_operands(a, b, cap, 2 * shift, half)
+    width, a_terms, partners, bias = _packed_operands(
+        a, b, cap, 2 * shift, half,
+        (_C, _KEY, _MU, _NU, _M, _J, _K),
+        (_C, _KEY, _MU_BLOCK, _NU_BLOCK, _M, _J, _K),
+    )
     _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim, width)
     t_shift = k_unit - j_unit  # each (t, tau) derivative: one j less, one hbar more
     y_parts = (1, 0) if antisymmetric else (2, 2)  # the Y entries read, by the parity of |x|
     out = {}
     get = out.get
-    for (mu1, nu1, m1, j1, k1), c1, group, p1 in a_terms:
+    for g1, q1, c1, p1, mu1, nu1, m1, j1, k1 in a_terms:
+        b_terms = partners[g1, q1]
+        if not b_terms:
+            continue
         room1 = hbar_order + shift - k1
-        p1 -= shift * k_unit
-        for (mu2, nu2, m2, j2, k2), c2, _w2, p2 in partners[group]:
+        p1 -= bias + shift * k_unit
+        x_row, y_row = _contraction_row(nu1, width), _parity_row(mu1, width)
+        for c2, p2, mu2, nu2, m2, j2, k2 in b_terms:
             room0 = room1 - k2  # the largest order q kept for this pair
             if room0 < shift:  # the bracket has no order q = 0
                 continue
+            xs, ys = x_row[mu2], y_row[nu2]
+            tt = _t_block(m1, j1, m2, j2) if m1 and j2 or m2 and j1 else None
+            if tt is None and shift and len(xs) == 1 and not ys[1]:
+                continue  # no contraction on either side: every order q is even
             base = c1 * c2
             p0 = p1 + p2
-            ys = _contraction_parities(mu1, nu2, width)
-            tt = _t_block(m1, j1, m2, j2) if m1 and j2 or m2 and j1 else None
-            for sx, fx, dx in _contractions(nu1, mu2, width):
+            for sx, fx, dx in xs:
                 room = room0 - sx  # orders left for Y, U and V
                 if room < 0:
                     continue

@@ -151,6 +151,8 @@ class GaussianBump:
 class TestFunctionJet:
     """Derivatives phi_hat^(k)(2 pi l), k = 0..depth, for one period index l."""
 
+    __test__ = False  # not a test class, though pytest collects names beginning with Test
+
     l: int
     derivs: tuple
 

@@ -24,12 +24,22 @@ import math
 import operator
 
 from .graded import (
+    _C,
+    _J,
+    _KEY,
+    _M,
+    _MU_BLOCK,
+    _NU,
+    _NU_BLOCK,
     GradedPoly,
     _add_idx,
     _check_dims,
-    _contractions,
+    _contracted_row,
+    _contraction_row,
     _field_units,
     _from_packed,
+    _layout,
+    _packed_keys,
     _packed_operands,
     is_resonant_key,
     key_grade,
@@ -74,9 +84,14 @@ class WordPoly(GradedPoly):
             return normal_order_product(self, other)
         return self.scaled(other)
 
-    def mirror(self) -> "WordPoly":
-        """The adjoint (:func:`adjoint`)."""
-        return adjoint(self)
+    def _mirrored(self):
+        """``(adjoint, whether it only permutes keys)`` (:func:`_adjoint`)."""
+        return _adjoint(self)
+
+
+# The terms that can take part in a contracted product: an a-term with an a
+# or a D_t power, a b-term with an a^+ power or a Fourier mode.
+_CONTRACTING = (lambda r: r[_J] or r[_NU_BLOCK], lambda r: r[_M] or r[_MU_BLOCK])
 
 
 def normal_order_product(
@@ -91,12 +106,15 @@ def normal_order_product(
     is decided per term pair: each A-term meets only the B-terms that fit
     under the cap with it.
 
-    Keys are packed into ints (see :func:`~orbitbnf.graded._pack`): a
+    Keys are packed into ints (see :func:`~orbitbnf.graded._layout`): a
     generated key is the sum of the two operand keys, the ``(D_t + m
     hbar)^j`` offset and the contraction offset read from the one cached
     table :func:`~orbitbnf.graded._contractions` that the Moyal sum shares.
-    The result keeps the packed keys, in the order they were first
-    generated, until its terms are read
+    Each a-term looks up its table row once
+    (:func:`~orbitbnf.graded._contraction_row`, pre-sliced for
+    ``contracted``), and each term pair reads its entry by the b-term's
+    packed mu block.  The result keeps the packed keys, in the order they
+    were first generated, until its terms are read
     (:func:`~orbitbnf.graded._from_packed`).
 
     An explicit max_grade overrides the operands' caps (the caller asserts
@@ -123,24 +141,30 @@ def normal_order_product(
         cap = max_grade
     else:
         cap = min(a.max_grade, b.max_grade)
-    width, a_terms, partners = _packed_operands(a, b, cap, half=half)
+    width, a_terms, partners, bias = _packed_operands(
+        a, b, cap, 0, half, (_C, _KEY, _NU, _J), (_C, _KEY, _MU_BLOCK, _M),
+        _CONTRACTING if contracted else None,
+    )
     _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim, width)
     dt_shift = k_unit - j_unit  # D_t -> m hbar: one j less, one k more
-    start = 1 if contracted else 0  # the table's first entry is l = 0
-    if contracted:  # a-terms without a or D_t, b-terms without a^+ or e^{imt}: no term left
-        a_terms = [t for t in a_terms if t[0][3] or any(t[0][1])]
-        partners = {g: [t for t in ts if t[0][2] or any(t[0][0])] for g, ts in partners.items()}
+    row_of = _contracted_row if contracted else _contraction_row
     out = {}
     get = out.get
-    for (_mu1, nu1, _m1, j1, _k1), c1, group, p1 in a_terms:
-        for (mu2, _nu2, m2, _j2, _k2), c2, _g2, p2 in partners[group]:
-            table = _contractions(nu1, mu2, width)
+    for g1, q1, c1, p1, nu1, j1 in a_terms:
+        b_terms = partners[g1, q1]
+        if not b_terms:
+            continue
+        p1 -= bias
+        row = row_of(nu1, width)
+        full = _contraction_row(nu1, width) if j1 else None
+        for c2, p2, mu2, m2 in b_terms:
+            table = row[mu2]
             if not (j1 and m2):  # D_t^{j1} passes e^{i m2 t} unchanged: f_d = 1
-                if len(table) == start:  # only the juxtaposition, left out
+                if not table:  # only the juxtaposition, left out
                     continue
                 base = c1 * c2
                 p = p1 + p2
-                for _s, f_l, delta in table[start:]:
+                for _s, f_l, delta in table:
                     key = p + delta
                     c = base * f_l
                     prev = get(key)
@@ -152,7 +176,7 @@ def normal_order_product(
             for d in range(j1, -1, -1):
                 f_d = math.comb(j1, d) * (m2 ** (j1 - d))
                 p_d = p + (j1 - d) * dt_shift
-                for _s, f_l, delta in table[start:] if d == j1 else table:
+                for _s, f_l, delta in table if d == j1 else full[mu2]:
                     key = p_d + delta
                     c = base * (f_d * f_l)
                     prev = get(key)
@@ -166,17 +190,46 @@ def adjoint(a: WordPoly) -> WordPoly:
     Term rule: (c hbar^k e^{imt} (a^+)^mu a^nu D_t^j)^+ =
     conj(c) hbar^k e^{-imt} (a^+)^nu a^mu (D_t - m hbar)^j.
     """
+    return _adjoint(a)[0]
+
+
+def _adjoint(a: WordPoly):
+    """``(adjoint of a, whether it only permutes keys)``, formed on packed keys.
+
+    The key of a term's image swaps the mu and nu blocks and negates m; for
+    j, m != 0 the ``(D_t - m hbar)^j`` expansion adds keys of lower j and
+    higher k, and images of different terms can meet.  Only without such a
+    term is the adjoint a permutation of keys with conjugated coefficients,
+    and so exact on sums.  The result is packed at the width of ``a``'s
+    packed keys (:func:`~orbitbnf.graded._packed_keys`), which holds every
+    image field, in the order the images are first formed.
+    """
+    dim = a.dim
+    width, packed = _packed_keys(a)
+    mask, bias, nu_shift, tail_shift, block_mask = _layout(dim, width)
+    dt_shift = ((1 << (2 * width)) - (1 << width)) << tail_shift  # one j less, one k more
+    permutes = True
     out = {}
-    for (mu, nu, m, j, k), c in a._terms.items():
+    get = out.get
+    for p, c in packed.items():
+        tail = p >> tail_shift
+        m = (tail & mask) - bias
+        j = (tail >> width) & mask
         cc = complex(c).conjugate()
+        image = (p >> nu_shift & block_mask) + ((p & block_mask) << nu_shift)
+        image += (tail - 2 * m) << tail_shift
+        if not (m and j):  # one image, with the factor comb(j, j) (-m)^0 = 1
+            v = cc * 1  # not cc: a complex times an int can flip the sign of a zero part
+            prev = get(image)
+            out[image] = v if prev is None else prev + v
+            continue
+        permutes = False
         for d in range(j, -1, -1):
-            if m == 0 and d != j:
-                break
-            f = math.comb(j, d) * ((-m) ** (j - d))
-            key = (nu, mu, -m, d, k + j - d)
-            v = cc * f
-            out[key] = out[key] + v if key in out else v
-    return WordPoly._trusted(a.dim, out, a.max_grade)
+            v = cc * (math.comb(j, d) * ((-m) ** (j - d)))
+            key = image + (j - d) * dt_shift
+            prev = get(key)
+            out[key] = v if prev is None else prev + v
+    return _from_packed(WordPoly, dim, out, width, a.max_grade), permutes
 
 
 def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) -> WordPoly:

@@ -208,14 +208,33 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
         })
         assert main([command, "--config", listed, "--out", str(tmp_path / "o")]) == 2
         assert f"config block '{block}' must be a JSON object" in capsys.readouterr().err
+    nf = {"dim": 1, "records": [
+        {"r": [1], "s": 0, "k": 0, "c": SQRT2M1}, {"r": [0], "s": 1, "k": 0, "c": 1.0},
+    ]}
     fractional = write_config(tmp_path, "fractional.json", {
-        "theta": [SQRT2M1], "normal_form": {"dim": 1, "records": [
-            {"r": [1], "s": 0, "k": 0, "c": SQRT2M1}, {"r": [0], "s": 1, "k": 0, "c": 1.0},
-        ]},
+        "theta": [SQRT2M1], "normal_form": nf,
         "jets": {"ls": [1.5], "width": 0.7, "depth": 8}, "orders": {"M": 2},
     })
     assert main(["trace-forward", "--config", fractional, "--out", str(tmp_path / "o")]) == 2
     assert "period index l must be an integer, not 1.5" in capsys.readouterr().err
+    # integer settings are read with operator.index: no truncation, no strings
+    for command, name, cfg_of in (
+        ("bnf-classical", "resonance_order", lambda v: {"resonance_order": v}),
+        ("weyl-of-h", "normal_form.dim", lambda v: {"normal_form": {**nf, "dim": v}}),
+        ("trace-forward", "jets.depth", lambda v: {"jets": {"ls": [1], "depth": v}}),
+        ("bnf-classical", "orders.weight", lambda v: {"orders": {"weight": v}}),
+        ("bnf-quantum", "orders.work_weight",
+         lambda v: {"orders": {"weight": 4, "work_weight": v}}),
+        ("bnf-semiclassical", "orders.hbar", lambda v: {"orders": {"weight": 4, "hbar": v}}),
+        ("trace-forward", "orders.M", lambda v: {"orders": {"M": v}}),
+        ("trace-invert", "trace.k_max", lambda v: {"trace": {"k_max": v}}),
+    ):
+        for value in (8.7, 2.0, "8"):
+            cfg = {"theta": [SQRT2M1], "E": 1.0, "normal_form": nf,
+                   "jets": {"ls": [1], "depth": 8}, **cfg_of(value)}
+            path = write_config(tmp_path, "setting.json", cfg)
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+            assert f"setting {name!r} must be an integer, not {value!r}" in capsys.readouterr().err
 
 
 def test_readme_example_config_runs_oracle_spectrum(tmp_path):

@@ -8,15 +8,17 @@ symmetric, and ``graded._filled`` rebuilds it from that part as
 integer coefficients, ``D_t``/``tau`` powers and Fourier modes.
 """
 
+import collections
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitbnf import classical, graded, quantum, series, words
 from orbitbnf.bridge import weyl_symbol_of_word
 from orbitbnf.classical import birkhoff_classical, birkhoff_semiclassical, lie_conjugate
-from orbitbnf.graded import _filled, max_coeff_difference
+from orbitbnf.graded import GradedPoly, _filled, max_coeff_difference, symmetrized
 from orbitbnf.quantum import birkhoff_quantum, exp_conjugate, h0_word
 from orbitbnf.series import (
     FTSeries,
@@ -30,6 +32,7 @@ from orbitbnf.words import WordPoly, adjoint, commutator_over_ihbar, normal_orde
 LAWS = settings(deadline=None, max_examples=40)
 SQRT2M1 = math.sqrt(2.0) - 1.0
 SQRT3M1 = math.sqrt(3.0) - 1.0
+SQRT5M2 = math.sqrt(5.0) - 2.0
 
 
 def charge(key):
@@ -134,7 +137,7 @@ def test_kernels_called_without_half_keep_the_full_output():
     assert {charge(key) for key in normal_order_product(w, w).keys()} == {-2, 0, 2}
 
 
-def _cubic_word(dim, cap, eps, coeffs=(1.0, 0.7)):
+def _cubic_word(dim, cap, eps, coeffs=(1.0, 0.7, 0.9)):
     x = WordPoly.zero(dim, cap)
     for i in range(dim):
         x = x + (WordPoly.creation(dim, i, cap) + WordPoly.annihilation(dim, i, cap)) * coeffs[i]
@@ -142,7 +145,7 @@ def _cubic_word(dim, cap, eps, coeffs=(1.0, 0.7)):
 
 
 def _hamiltonian(dim, order, with_cos=False):
-    rot = nonresonance_margin((SQRT2M1, SQRT3M1)[:dim], order)
+    rot = nonresonance_margin((SQRT2M1, SQRT3M1, SQRT5M2)[:dim], order)
     cube = _cubic_word(dim, order, 0.05)
     H = h0_word(rot, 1.0, order) + cube
     if with_cos:
@@ -204,3 +207,117 @@ def test_conjugations_and_sweeps_reject_input_that_is_not_symmetric():
     # an imaginary multiple of a real symbol is rejected, not realified
     with pytest.raises(ValueError, match="not a real symbol"):
         lie_conjugate(symbol, G_real * 1j, None, 8)
+
+
+# The shapes of the benchmark's nf-routes cases: (dim, order, with cos t coupling).
+NF_CASES = ((2, 8, False), (3, 6, False), (1, 8, True))
+
+
+def _sweep_all_routes(dim, order, with_cos):
+    """The quantum, semiclassical (hbar order 2) and classical sweeps of one
+    case; the generator count of each."""
+    H, rot = _hamiltonian(dim, order, with_cos)
+    counts = [len(birkhoff_quantum(H, rot, order, order)[1])]
+    symbol = weyl_symbol_of_word(H, 2, order)
+    counts.append(len(birkhoff_semiclassical(symbol, rot, order, 2, order)[1]))
+    counts.append(len(birkhoff_classical(weyl_symbol_of_word(H, 0, order), rot, order, order)[1]))
+    return counts
+
+
+@pytest.mark.parametrize("dim,order,with_cos", NF_CASES)
+def test_every_polynomial_flagged_exactly_symmetric_in_a_sweep_equals_its_mirror(
+    monkeypatch, dim, order, with_cos
+):
+    """symmetrized, _filled and the sums and grade slices of their outputs
+    flag a polynomial exactly symmetric, and symmetrized then skips its
+    check.  Each flagged polynomial is checked as it is made, on a copy so
+    that the sweep's own operands stay packed: its mirror defect is exactly
+    0, and a flagged word has no D_t^j e^{imt} key."""
+    checked = collections.Counter()
+
+    def check(make):
+        def wrapper(*args, **kwargs):
+            out = make(*args, **kwargs)
+            if isinstance(out, GradedPoly) and out._exact:
+                copy = out._wrap_packed(out.dim, *out._packed, out._cap) if out._packed else out
+                assert defect(copy) == 0.0
+                assert not any(key[2] and key[3] for key in copy.keys())
+                checked[type(out).__name__] += 1
+            return out
+
+        return wrapper
+
+    for name in ("symmetrized", "_filled"):
+        monkeypatch.setattr(graded, name, check(getattr(graded, name)))
+    for name in ("_merged", "truncated"):
+        monkeypatch.setattr(GradedPoly, name, check(getattr(GradedPoly, name)))
+    _sweep_all_routes(dim, order, with_cos)
+    assert checked["FTSeries"] > 0 and checked["WordPoly"] > 0
+
+
+def test_symmetrized_returns_a_flagged_polynomial_without_the_check(monkeypatch):
+    w = WordPoly(2, {((1, 0), (0, 2), 0, 1, 0): 0.5 + 1j, ((2, 1), (0, 0), 0, 0, 1): -1.5})
+    x = w + adjoint(w)
+    assert not x._exact
+    assert symmetrized(x, "x") is x and x._exact
+    assert (x + x)._exact and x.truncated(4)._exact and not x.scaled(2.0)._exact
+    assert not (x + adjoint(x))._exact and not (x - WordPoly.zero(2))._exact
+
+    def refuse(self):
+        raise AssertionError("the mirror of a flagged polynomial was formed")
+
+    monkeypatch.setattr(WordPoly, "_mirrored", refuse)
+    assert symmetrized(x, "x") is x
+    assert symmetrized(x.truncated(4), "x")._exact
+    monkeypatch.undo()
+    # D_t e^{it}: the adjoint spreads it over D_t and hbar, so nothing is flagged
+    t = WordPoly(1, {((1,), (0,), 1, 1, 0): 0.25, ((0,), (2,), 0, 0, 0): 1.0})
+    y = symmetrized(t + adjoint(t), "y")
+    assert not y._exact and not (y + y)._exact
+    # a filled bracket with D_t^j e^{imt} keys is not flagged either
+    filled = _filled(commutator_over_ihbar(WordPoly.word(1, j=2), y, half=True), 1.0)
+    assert any(key[2] and key[3] for key in filled.keys()) and not filled._exact
+    mirrors = []
+    monkeypatch.setattr(
+        WordPoly, "_mirrored", lambda self: mirrors.append(self) or words._adjoint(self)
+    )
+    symmetrized(y, "y")
+    assert mirrors == [y]
+
+
+def test_sweeps_conjugate_and_commute_through_the_module_namespaces(monkeypatch):
+    """One quantum.exp_conjugate or classical.lie_conjugate call per
+    generator, looked up in the module at call time, and two
+    words.normal_order_product calls per commutator: the benchmark's tracer
+    (perfbench/tracing.py) and its smoke check count these spans.  The
+    contraction rows stay within their bound: one per exponent tuple and
+    width, so no more rows than the contraction tables hold entries."""
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(quantum, "exp_conjugate")
+    count(classical, "lie_conjugate")
+    count(quantum, "commutator_over_ihbar")
+    count(words, "normal_order_product")
+    caches = (graded._contraction_row, graded._contracted_row, series._parity_row)
+    for cache in (graded._contractions, *caches):
+        cache.cache_clear()
+    for case in NF_CASES:
+        calls.clear()
+        quantum_gens, semiclassical_gens, classical_gens = _sweep_all_routes(*case)
+        assert calls["exp_conjugate"] == quantum_gens > 0
+        assert calls["lie_conjugate"] == semiclassical_gens + classical_gens
+        assert calls["normal_order_product"] == 2 * calls["commutator_over_ihbar"] > 0
+    tables = graded._contractions.cache_info().currsize
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses == info.currsize and info.hits > info.misses
+        assert 0 < info.currsize <= tables

@@ -24,7 +24,7 @@ from orbitbnf.series import (
     pointwise_product,
     poisson_bracket,
 )
-from orbitbnf.words import WordPoly, commutator_over_ihbar, normal_order_product
+from orbitbnf.words import WordPoly, adjoint, commutator_over_ihbar, normal_order_product
 
 INF = math.inf
 
@@ -548,3 +548,151 @@ def test_packed_results_of_different_widths_merge_on_tuple_keys():
     got = wide() + narrow()
     assert got._packed is None
     assert _same(got, _decoded_copy(wide) + _decoded_copy(narrow))
+
+
+# -- operand rows and contraction rows ------------------------------------------------
+#
+# A kernel packs each operand once per width and keeps its rows on it
+# (graded._operand_rows): a kernel result at its own width is split from its
+# packed keys, any other operand from its tuple keys.  The contraction tables
+# are read through one row per exponent tuple and width, keyed by the
+# partner's packed block, which is why the widths must not mix.
+
+
+def _lifted(poly, k, cap):
+    """``poly`` times ``1 + hbar^k``, as a still-packed kernel result under ``cap``."""
+    z = (0,) * poly.dim
+    lift = type(poly)(poly.dim, {(z, z, 0, 0, 0): 1.0, (z, z, 0, 0, k): 1.0})
+    product = normal_order_product if isinstance(poly, WordPoly) else pointwise_product
+    return product(poly, lift, cap)
+
+
+def _row_kernels(wa, wb, sa, sb, cap):
+    """Every kernel on the operands, at their cap and at ``cap - 2``."""
+    return [
+        normal_order_product(wa, wb),
+        normal_order_product(wb, wa, cap - 2),
+        normal_order_product(wa, wb, contracted=True),
+        normal_order_product(wb, wa, cap - 2, half=True, contracted=True),
+        moyal_product(sa, sb, 3),
+        moyal_bracket(sa, sb, 3),
+        moyal_bracket(sb, sa, 2, cap - 2),
+        poisson_bracket(sa, sb),
+        poisson_bracket(sb, sa, cap - 2),
+        pointwise_product(sa, sb),
+    ]
+
+
+def _row_references(wa, wb, sa, sb, cap):
+    return [
+        _ref_word_product(wa, wb, cap),
+        _ref_word_product(wb, wa, cap - 2),
+        _ref_word_product(wa, wb, cap, contracted=True),
+        _ref_word_product(wb, wa, cap - 2, half=True, contracted=True),
+        _ref_moyal_sum(sa, sb, 3, cap, False),
+        _ref_moyal_sum(sa, sb, 3, cap, True),
+        _ref_moyal_sum(sb, sa, 2, cap - 2, True),
+        _ref_poisson_bracket(sa, sb, cap),
+        _ref_poisson_bracket(sb, sa, cap - 2),
+        _ref_pointwise_product(sa, sb, cap),
+    ]
+
+
+@pytest.mark.parametrize("dim,seed", [(1, 0), (2, 1), (3, 2)])
+def test_rows_at_two_widths_and_of_packed_operands_read_as_the_reference_loops(dim, seed):
+    """Each kernel at the floor width and at a wider one, in both orders in
+    one process, on tuple-keyed operands and on still-packed kernel results
+    of the call's width: every result equals the reference loop by repr,
+    and a packed operand is not decoded.  The ``hbar^128`` lift puts grades
+    past 255 under the cap 300, so the wider calls need 9-bit fields."""
+    rng = random.Random(6000 * dim + seed)
+    raw = [_operand(cls, rng, dim, INF) for cls in (WordPoly, WordPoly, FTSeries, FTSeries)]
+    for k, cap, width in ((1, 9, graded._MIN_WIDTH), (128, 300, 9), (128, 300, 9), (1, 9, 8)):
+        packed = [_lifted(p, k, cap) for p in raw]
+        decoded = [_lifted(p, k, cap) for p in raw]
+        for p in decoded:
+            p.keys()
+        assert all(p._packed[0] == width for p in packed)
+        assert graded._packed_operands(*packed[:2], cap)[0] == width
+        refs = _row_references(*decoded, cap)
+        for operands in (decoded, packed):
+            got = _row_kernels(*operands, cap)
+            assert [repr(list(x.items())) for x in got] == [repr(list(r.items())) for r in refs]
+        assert all(p._packed is not None for p in packed)
+        assert any(got[0].keys()) and any(got[7].keys())
+
+
+# -- the mirrors on packed keys ---------------------------------------------------------
+#
+# ``adjoint`` and ``conjugate_symbol`` are formed on packed keys; these are the
+# tuple-key loops they replaced.
+
+
+def _ref_adjoint(a):
+    """The adjoint, term by term: (c hbar^k e^{imt} (a^+)^mu a^nu D_t^j)^+ =
+    conj(c) hbar^k e^{-imt} (a^+)^nu a^mu (D_t - m hbar)^j."""
+    out = {}
+    for (mu, nu, m, j, k), c in a._terms.items():
+        cc = complex(c).conjugate()
+        for d in range(j, -1, -1):
+            if m == 0 and d != j:
+                break
+            f = math.comb(j, d) * ((-m) ** (j - d))
+            key = (nu, mu, -m, d, k + j - d)
+            v = cc * f
+            out[key] = out[key] + v if key in out else v
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_conjugate_symbol(s):
+    return {(nu, mu, -m, j, k): complex(c).conjugate() for (mu, nu, m, j, k), c in s._terms.items()}
+
+
+def _assert_mirrors_match(w, s):
+    """The packed mirrors of a word and a symbol against the reference loops, by repr."""
+    assert repr(list(adjoint(w).items())) == repr(list(_ref_adjoint(w).items()))
+    assert repr(list(s.conjugate_symbol().items())) == repr(list(_ref_conjugate_symbol(s).items()))
+
+
+@pytest.mark.parametrize("dim,cap,seed", CASES)
+def test_packed_mirrors_match_the_tuple_key_loops(dim, cap, seed):
+    rng = random.Random(7000 * dim + seed)
+    w, s = _operand(WordPoly, rng, dim, cap), _operand(FTSeries, rng, dim, cap)
+    assert any(key[2] and key[3] for key in w.keys())
+    _assert_mirrors_match(w, s)
+    assert adjoint(adjoint(w)).max_grade == cap and s.conjugate_symbol().max_weight == cap
+
+
+def test_packed_mirrors_match_on_d_t_powers_next_to_fourier_modes_and_wide_keys():
+    """D_t^j e^{imt} words spread over lower j and higher k, and images of
+    different terms meet; |m| beyond 127 packs at a wider width."""
+    keys = [
+        ((0, 0), (0, 0), 3, 2, 0), ((0, 0), (0, 0), 3, 1, 1), ((1, 0), (0, 1), -2, 3, 0),
+        ((0, 1), (1, 0), 2, 2, 1), ((1, 1), (0, 0), 1, 1, 0), ((0, 0), (1, 1), -1, 0, 2),
+    ]
+    rng = random.Random(11)
+    for extra in ([], [((0, 0), (2, 0), 130, 2, 0)]):
+        for coeff in (_coeff, lambda rng: rng.choice((-1.0, 0.5, 2.0))):  # real: zero parts
+            terms = {key: coeff(rng) for key in keys + extra}
+            w, s = WordPoly(2, terms), FTSeries(2, terms)
+            _assert_mirrors_match(w, s)
+            assert graded._packed_keys(w)[0] == (9 if extra else graded._MIN_WIDTH)
+    meet = WordPoly(1, {((0,), (0,), 1, 1, 0): 1.0, ((0,), (0,), 1, 0, 1): 1.0})
+    assert list(adjoint(meet).items()) == [(((0,), (0,), -1, 1, 0), 1.0)]
+
+
+@pytest.mark.parametrize("dim,cap,seed", CASES[::3])
+def test_packed_mirrors_of_packed_kernel_results_match_the_tuple_key_loops(dim, cap, seed):
+    rng = random.Random(8000 * dim + seed)
+    wa, wb = _operand(WordPoly, rng, dim, cap), _operand(WordPoly, rng, dim, cap)
+    sa, sb = _operand(FTSeries, rng, dim, cap), _operand(FTSeries, rng, dim, cap)
+    for make_w, make_s in (
+        (lambda: normal_order_product(wa, wb), lambda: moyal_bracket(sa, sb, 3)),
+        (lambda: commutator_over_ihbar(wa, wb, half=True), lambda: poisson_bracket(sa, sb)),
+    ):
+        w, s = make_w(), make_s()
+        w_adj, s_conj = adjoint(w), s.conjugate_symbol()
+        assert w._packed is not None and s._packed is not None
+        assert w_adj._packed[0] == w._packed[0] and s_conj._packed[0] == s._packed[0]
+        assert repr(list(w_adj.items())) == repr(list(_ref_adjoint(make_w()).items()))
+        assert repr(list(s_conj.items())) == repr(list(_ref_conjugate_symbol(make_s()).items()))
