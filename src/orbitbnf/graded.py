@@ -209,9 +209,9 @@ def _operand_rows(poly, width):
     kernel result stores it (see :func:`_layout`).  A polynomial is
     immutable, so it keeps the rows of every width it was packed at, and an
     operand of many kernel calls (the generator of a Lie series) is packed
-    once.  The rows of a
-    kernel result at its own width are split from its packed keys, with no
-    tuple key; all others are built from the tuple keys.
+    once.  The rows of a kernel result at its own width are split from its
+    packed keys, with no tuple key; all others are built from the tuple
+    keys.
     """
     cache = poly._rows
     if cache is None:
@@ -222,9 +222,9 @@ def _operand_rows(poly, width):
     dim = poly.dim
     mask, bias, nu_shift, tail_shift, block_mask = _layout(dim, width)
     blocks, tuples = _index_table(dim, width)[:2]
+    k_shift = 2 * width
     rows = []
     if poly._packed is not None and poly._packed[0] == width:
-        k_shift = 2 * width
         for p, c in poly._packed[1].items():
             mu, nu = tuples[p & block_mask], tuples[(p >> nu_shift) & block_mask]
             (mu_block, mu_sum), (nu_block, nu_sum) = blocks[mu], blocks[nu]
@@ -235,7 +235,6 @@ def _operand_rows(poly, width):
                  mu_block, nu_block, (tail & mask) - bias, j, k)
             )
     else:
-        k_shift = 2 * width
         for (mu, nu, m, j, k), c in poly._terms.items():
             (mu_block, mu_sum), (nu_block, nu_sum) = blocks[mu], blocks[nu]
             tail = m + bias + (j << width) + (k << k_shift)
