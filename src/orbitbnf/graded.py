@@ -9,25 +9,25 @@ records.  :class:`~orbitbnf.series.FTSeries` (commutative symbols,
 cap ``max_weight``) and :class:`~orbitbnf.words.WordPoly` (normal-ordered
 words, cap ``max_grade``) add their products and named constructors.
 
-The product kernels (word product, Moyal sum, Poisson bracket, pointwise
-product) work on packed keys: each key is a single int with fixed-width
-fields (:func:`_layout`), so the key of a generated term is one integer add
-of the operand keys and an offset.  The width is chosen per call from the
-operands' grade and ``|m|`` bounds, so no field overflows.  A polynomial is
-packed once per width: it keeps the rows of its terms (coefficient, grade,
-charge, packed key, index tuples and blocks, :func:`_operand_rows`), so the
-generator of a Lie series, an operand of every bracket of its series, is
-packed once, and a call builds only the short tuples its kernel reads
-(:func:`_packed_operands`).  A kernel returns its packed-key dict, in the
-order the terms were first generated, and the polynomial keeps it packed
-until its keys are read (:func:`_from_packed`): length, truth, scale,
-negation, the mirror, the sum or difference of two results packed at one
-width and cap, and its rows as a kernel operand at that width need no tuple
-key.  The first read of the terms (``items()``, records, maps) decodes them
-once.  Keys are packed and split through one interned table of index tuples
-per ``(dim, width)`` (:func:`_index_table`): it gives the packed block and
-the sum of a tuple's fields, and turns a block back into the one tuple
-object for it, so the outputs of every kernel share their index tuples.
+A polynomial stores its terms in one form: ``(width, packed-key dict)``.
+Each key is a single int with fixed-width fields (:func:`_layout`), so the
+key of a term a product kernel generates is one integer add of the
+operand keys and an offset.  Every width holds every field of its keys:
+the constructor packs at the narrowest such width (:func:`_pack`), and a
+kernel chooses its width from the operands' grade and ``|m|`` bounds and
+their own widths (:func:`_packed_operands`).  A polynomial keeps the rows
+of its terms per width (coefficient, grade, charge, packed key, index
+tuples and blocks, :func:`_operand_rows`), so the generator of a Lie
+series, an operand of every bracket of its series, is packed once, and a
+call builds only the short tuples its kernel reads.  Two polynomials meet
+at the wider of their widths (:func:`_aligned`), their sum and difference
+below the smaller cap.  Tuple keys appear only in a read-only view, built at
+most once per polynomial from its rows (:attr:`GradedPoly._terms`), for
+``items()``, records and maps.  Keys are packed and split through one
+interned table of index tuples per ``(dim, width)``
+(:func:`_index_table`): it gives the packed block and the sum of a tuple's
+fields, and turns a block back into the one tuple object for it, so the
+views of every polynomial share their index tuples.
 Both noncommutative products draw their integer structure constants and
 their packed key offsets from one cached table, :func:`_contractions`: the
 word product contracts ``a^nu`` against ``(a^+)^mu`` with ``l! C(mu, l)
@@ -112,11 +112,8 @@ _MIN_WIDTH = 8
 class _Blocks(dict):
     """Index tuple -> (packed block of its fields, sum); fills itself on a miss.
 
-    An entry depends on its tuple alone.  The block is the integer sum of
-    ``v_i << (i * width)``, exact also for a field of ``2**width`` or more,
-    so packing stays linear; such a block may equal that of another tuple,
-    which is why only :class:`_Tuples`, decoding blocks whose fields fit,
-    makes the tuples that kernels output.
+    An entry depends on its tuple alone: the block is the integer sum of
+    ``v_i << (i * width)``.
     """
 
     __slots__ = ("width",)
@@ -171,13 +168,12 @@ def _index_table(dim, width):
 
     ``blocks`` maps an index tuple to its packed block (field i holds entry
     i) and its sum; ``tuples`` maps a block back to the one tuple object for
-    it, and ``sums`` a block to the sum of its fields.  Only ``tuples``
-    creates the tuples that kernels output, from blocks whose fields fit, so
-    every decoded kernel key shares its index tuples with every other, and
-    dict merges and lookups on them compare by identity first.  Keyed on the
-    width as well, since the same block stands for different tuples at
-    different widths.  The grade cap bounds the entries: a few hundred at
-    most per table.
+    it, and ``sums`` a block to the sum of its fields.  ``tuples`` creates
+    the index tuples of every split key, so the tuple keys of every view
+    share their index tuples, and dict lookups on them compare by identity
+    first.  Keyed on the width as well, since the same block stands for
+    different tuples at different widths.  The grade cap bounds the
+    entries: a few hundred at most per table.
     """
     blocks = _Blocks(width)
     tuples = _Tuples(dim, blocks)
@@ -200,18 +196,22 @@ def _layout(dim, width):
 (_C, _GRADE, _CHARGE, _KEY, _MU, _NU, _MU_BLOCK, _NU_BLOCK, _M, _J, _K) = range(11)
 
 
+def _is_resonant_row(r) -> bool:
+    """:func:`is_resonant_key` of an operand row: equal mu and nu blocks and m = 0."""
+    return r[_MU_BLOCK] == r[_NU_BLOCK] and not r[_M]
+
+
 def _operand_rows(poly, width):
     """The rows of ``poly``'s terms packed at ``width``, in storage order; cached on ``poly``.
 
     A row is ``(c, grade, charge, key, mu, nu, mu block, nu block, m, j,
     k)`` (indices ``_C`` .. ``_K``): the grade is :func:`key_grade`, the
-    charge ``|mu| - |nu|``, and the packed key carries the bias of m, as a
-    kernel result stores it (see :func:`_layout`).  A polynomial is
-    immutable, so it keeps the rows of every width it was packed at, and an
-    operand of many kernel calls (the generator of a Lie series) is packed
-    once.  The rows of a kernel result at its own width are split from its
-    packed keys, with no tuple key; all others are built from the tuple
-    keys.
+    charge ``|mu| - |nu|``, and the packed key carries the bias of m, as the
+    storage does (see :func:`_layout`).  A polynomial is immutable, so it
+    keeps the rows of every width it was packed at, and an operand of many
+    kernel calls (the generator of a Lie series) is packed once.  The rows
+    at the polynomial's own width are split from its packed keys; those at
+    a wider width are packed again from them.
     """
     cache = poly._rows
     if cache is None:
@@ -220,12 +220,13 @@ def _operand_rows(poly, width):
     if rows is not None:
         return rows
     dim = poly.dim
+    own, packed = poly._packed
     mask, bias, nu_shift, tail_shift, block_mask = _layout(dim, width)
     blocks, tuples = _index_table(dim, width)[:2]
     k_shift = 2 * width
     rows = []
-    if poly._packed is not None and poly._packed[0] == width:
-        for p, c in poly._packed[1].items():
+    if width == own:
+        for p, c in packed.items():
             mu, nu = tuples[p & block_mask], tuples[(p >> nu_shift) & block_mask]
             (mu_block, mu_sum), (nu_block, nu_sum) = blocks[mu], blocks[nu]
             tail = p >> tail_shift
@@ -235,14 +236,11 @@ def _operand_rows(poly, width):
                  mu_block, nu_block, (tail & mask) - bias, j, k)
             )
     else:
-        for (mu, nu, m, j, k), c in poly._terms.items():
-            (mu_block, mu_sum), (nu_block, nu_sum) = blocks[mu], blocks[nu]
+        for c, g, q, _p, mu, nu, _mu_block, _nu_block, m, j, k in _operand_rows(poly, own):
+            mu_block, nu_block = blocks[mu][0], blocks[nu][0]
             tail = m + bias + (j << width) + (k << k_shift)
             p = mu_block + (nu_block << nu_shift) + (tail << tail_shift)
-            rows.append(
-                (c, mu_sum + nu_sum + 2 * (j + k), mu_sum - nu_sum, p, mu, nu,
-                 mu_block, nu_block, m, j, k)
-            )
+            rows.append((c, g, q, p, mu, nu, mu_block, nu_block, m, j, k))
     cache[width] = rows
     return rows
 
@@ -250,11 +248,10 @@ def _operand_rows(poly, width):
 def _bounds(poly):
     """``(largest grade, largest |m|)`` of ``poly``'s terms (0 for no terms); cached.
 
-    Read from the rows at the polynomial's own width: that of its packed
-    keys, else :data:`_MIN_WIDTH` (exact also where a field overflows it).
+    Read from the rows at the polynomial's own width.
     """
     if poly._bounds is None:
-        rows = _operand_rows(poly, poly._packed[0] if poly._packed is not None else _MIN_WIDTH)
+        rows = _operand_rows(poly, poly._packed[0])
         poly._bounds = (
             max(map(operator.itemgetter(_GRADE), rows), default=0),
             max(map(abs, map(operator.itemgetter(_M), rows)), default=0),
@@ -262,17 +259,47 @@ def _bounds(poly):
     return poly._bounds
 
 
-def _packed_keys(poly):
-    """``(width, packed-key dict)`` of ``poly``, m carrying the bias; read, not copied.
+def _pack(dim, terms):
+    """``(width, packed-key dict)`` of the tuple-keyed ``terms``, in their order.
 
-    A kernel result gives its own; a polynomial with tuple keys is packed at
-    the narrowest width that holds its fields (:func:`_operand_rows`).
+    The width is the narrowest that holds every field: the largest grade,
+    and the largest ``|m|`` with one more bit for its sign.
     """
-    if poly._packed is not None:
-        return poly._packed
-    g, m = _bounds(poly)
-    width = max(_MIN_WIDTH, g.bit_length(), m.bit_length() + 1)
-    return width, {r[_KEY]: r[_C] for r in _operand_rows(poly, width)}
+    grade = max(map(key_grade, terms), default=0)
+    mode = max((abs(key[2]) for key in terms), default=0)
+    width = max(_MIN_WIDTH, grade.bit_length(), mode.bit_length() + 1)
+    blocks = _index_table(dim, width)[0]
+    _mask, bias, nu_shift, tail_shift, _block_mask = _layout(dim, width)
+    k_shift = 2 * width
+    packed = {}
+    for (mu, nu, m, j, k), c in terms.items():
+        tail = m + bias + (j << width) + (k << k_shift)
+        packed[blocks[mu][0] + (blocks[nu][0] << nu_shift) + (tail << tail_shift)] = c
+    return width, packed
+
+
+def _keys_at(poly, width, cap):
+    """``poly``'s packed-key dict at ``width`` (at least its own), without terms above ``cap``.
+
+    The storage itself, read and not copied, when it is at that width and
+    its cap is not above ``cap``; otherwise read from the rows at ``width``.
+    """
+    own, packed = poly._packed
+    if own == width and cap >= poly._cap:
+        return packed
+    return {r[_KEY]: r[_C] for r in _operand_rows(poly, width) if r[_GRADE] <= cap}
+
+
+def _aligned(a, b, cap=INFINITE):
+    """``(width, a's keys, b's keys)`` at the wider of the two widths, below ``cap``.
+
+    The one way two polynomials meet (sums, differences, equality and
+    coefficient gaps): packing at a width that holds every field is
+    one-to-one, so packed keys at one width compare as tuple keys do.
+    """
+    _check_dims(a, b)
+    width = max(a._packed[0], b._packed[0])
+    return width, _keys_at(a, width, cap), _keys_at(b, width, cap)
 
 
 def _packed_operands(
@@ -306,13 +333,13 @@ def _packed_operands(
     ``min(cap, ga + gb)``, with ``ga`` and ``gb`` the operands' largest
     grades, and an output ``|m|`` never exceeds the sum of their largest
     ``|m|``.  The field width in bits covers both, with one more bit for the
-    sign of m, so no field can overflow, also under an infinite cap.  The
-    floor :data:`_MIN_WIDTH` keeps one width, and so one index table per
-    dim and one contraction table per exponent pair, for all ordinary
-    grades; the rows are read again from a wider table only when the
-    operands need more.
+    sign of m, so no field can overflow, also under an infinite cap; it is
+    at least each operand's own width, so an operand's rows are never read
+    at a width narrower than its fields.  The floor :data:`_MIN_WIDTH` keeps
+    one width, and so one index table per dim and one contraction table per
+    exponent pair, for all ordinary grades.
     """
-    width = _MIN_WIDTH
+    width = max(a._packed[0], b._packed[0])
     if a and b:
         (ga, ma), (gb, mb) = _bounds(a), _bounds(b)
         bound = ga + gb
@@ -358,50 +385,23 @@ def _field_units(dim, width):
     return units[:dim], units[dim : 2 * dim], units[2 * dim], units[2 * dim + 1], units[2 * dim + 2]
 
 
-def _decoded(dim, width, packed):
-    """The tuple-keyed dict of a packed-key dict, in its insertion order.
-
-    Each key is split into its mu block, nu block and m, j, k fields (a sum
-    with the bias of m counted once, see :func:`_layout`); mu and nu are read
-    from the interned table :func:`_index_table` of ``(dim, width)``, so
-    every decoded key shares its index tuples.
-    """
-    tuples = _index_table(dim, width)[1]
-    mask, bias, nu_shift, tail_shift, block_mask = _layout(dim, width)
-    k_shift = 2 * width
-    terms = {}
-    for p, c in packed.items():
-        tail = p >> tail_shift
-        terms[
-            (
-                tuples[p & block_mask],
-                tuples[(p >> nu_shift) & block_mask],
-                (tail & mask) - bias,
-                (tail >> width) & mask,
-                tail >> k_shift,
-            )
-        ] = c
-    return terms
-
-
 def _from_packed(cls, dim, out, width, cap):
-    """The ``cls`` polynomial of a kernel's packed-key dict ``out``, kept packed.
+    """The ``cls`` polynomial of a packed-key dict ``out`` of fields of ``width`` bits.
 
     Exact zeros are deleted from ``out`` in place and the polynomial takes
-    ``(width, out)`` as its storage; the tuple keys are built on the first
-    read (:attr:`GradedPoly._terms`), in insertion order.
+    ``(width, out)`` as its storage.
     """
     if 0 in out.values():
         for p in [p for p, c in out.items() if not c]:
             del out[p]
-    return cls._wrap_packed(dim, width, out, cap)
+    return cls._wrap(dim, width, out, cap)
 
 
 def _merge(out, terms, sign):
     """Add (``sign`` 1) or subtract (``sign`` -1) ``terms`` into ``out`` in place.
 
     New keys go to the end in the order of ``terms``, and a key whose sum is
-    an exact zero is deleted.  The keys may be tuples or packed ints.
+    an exact zero is deleted.
     """
     get = out.get
     combine, fresh = (operator.add, operator.pos) if sign > 0 else (operator.sub, operator.neg)
@@ -514,13 +514,6 @@ def _validate_key(key, dim):
     return mu, nu, m, j, k
 
 
-def _within(terms, cap):
-    """The terms of grade <= cap (all of them when the cap is infinite)."""
-    if cap == INFINITE:
-        return terms
-    return {key: c for key, c in terms.items() if key_grade(key) <= cap}
-
-
 def _check_dims(a, b):
     if type(a) is not type(b):
         raise TypeError(f"cannot combine {type(a).__name__} with {type(b).__name__}")
@@ -530,10 +523,10 @@ def _check_dims(a, b):
 
 def max_coeff_difference(a, b) -> float:
     """max over all keys of |a[key] - b[key]|."""
-    _check_dims(a, b)
-    keys = a._terms.keys() | b._terms.keys()
+    _width, a, b = _aligned(a, b)
+    keys = a.keys() | b.keys()
     zeros = itertools.repeat(0)
-    gaps = map(operator.sub, map(a._terms.get, keys, zeros), map(b._terms.get, keys, zeros))
+    gaps = map(operator.sub, map(a.get, keys, zeros), map(b.get, keys, zeros))
     return max(map(abs, gaps), default=0.0)
 
 
@@ -549,13 +542,11 @@ class GradedPoly:
     symbol), formed on packed keys.  Polynomials of different subclasses
     never compare equal or combine.
 
-    A kernel result is stored packed, as the kernel's ``(width, packed-key
-    dict)`` (:func:`_from_packed`), until something reads its keys: the
-    first read of :attr:`_terms` builds the tuple-keyed dict and drops the
-    packed one, so a polynomial holds one form at a time.  ``len``,
-    ``bool``, :meth:`max_abs_coeff` and unary ``-`` read either form, and
-    ``+`` and ``-`` merge packed keys when both operands are packed at one
-    width and cap.
+    The terms are stored as ``_packed``, a ``(width, packed-key dict)`` in
+    insertion order (see :func:`_layout`), and nothing else: every
+    operation reads the packed keys or their rows.  The tuple-keyed dict
+    that ``items()``, ``keys()``, :meth:`coeff`, records and maps read is a
+    view (:attr:`_terms`), built on the first read and cached in ``_view``.
 
     Two more slots cache what the value determines: ``_rows``, the kernel
     operand rows of every width the polynomial was packed at
@@ -564,7 +555,7 @@ class GradedPoly:
     :func:`symmetrized` then returns as it is.
     """
 
-    __slots__ = ("dim", "_cap", "_store", "_packed", "_rows", "_bounds", "_exact")
+    __slots__ = ("dim", "_cap", "_packed", "_view", "_rows", "_bounds", "_exact")
     _GRADING = "grade"
     _SYMMETRY = "symmetric"
 
@@ -573,7 +564,7 @@ class GradedPoly:
             raise ValueError("dim must be >= 0")
         self.dim = int(dim)
         self._cap = cap
-        self._packed = self._rows = self._bounds = None
+        self._view = self._rows = self._bounds = None
         self._exact = False
         store = {}
         for key, c in (terms or {}).items():
@@ -583,66 +574,46 @@ class GradedPoly:
             store[key] = store[key] + c if key in store else c
             if not store[key]:
                 del store[key]
-        self._store = store
+        self._packed = _pack(self.dim, store)
 
     @classmethod
     def _trusted(cls, dim, terms, cap):
-        """Build from canonical keys of grade <= ``cap`` (library use), dropping exact zeros.
+        """Build from canonical tuple keys of grade <= ``cap`` (library use), dropping exact zeros.
 
-        Keys are not re-validated and their grades not checked: the callers
-        preserve grade.  For callers whose coefficients can come out as an
-        exact zero: :meth:`scaled` (a zero scalar), :func:`solve_homological`
-        (a quotient that underflows), the adjoint and the heat flows (sums
-        that cancel).  Lie series stop on an empty term and term counts
-        depend on it.  A caller that can raise a grade filters with
-        :func:`_within` first; one that only keeps a subset of stored terms
-        uses :meth:`_wrap`.
+        Keys are not re-validated and their grades not checked: the callers,
+        the heat flows of :mod:`~orbitbnf.bridge`, preserve grade, and their
+        sums can cancel to an exact zero.
         """
-        return cls._wrap(dim, {key: c for key, c in terms.items() if c}, cap)
+        return cls._wrap(dim, *_pack(dim, {key: c for key, c in terms.items() if c}), cap)
 
     @classmethod
-    def _wrap(cls, dim, store, cap):
-        """Instance owning ``store`` as is: canonical keys of grade <= cap, no exact zeros."""
+    def _wrap(cls, dim, width, packed, cap):
+        """Instance owning the packed-key dict ``packed`` of fields of ``width`` bits.
+
+        Its keys carry the bias of m (see :func:`_layout`), have grade <=
+        cap and fit ``width``, and no coefficient is an exact zero.
+        """
         self = object.__new__(cls)
         self.dim = dim
         self._cap = cap
-        self._store = store
-        self._packed = self._rows = self._bounds = None
-        self._exact = False
-        return self
-
-    @classmethod
-    def _wrap_packed(cls, dim, width, packed, cap):
-        """Instance owning the packed-key dict ``packed`` of fields of ``width`` bits.
-
-        Its keys are those of a kernel result (m carries the bias, see
-        :func:`_layout`), of grade <= cap, with no exact zeros.
-        """
-        self = cls._wrap(dim, None, cap)
         self._packed = (width, packed)
+        self._view = self._rows = self._bounds = None
+        self._exact = False
         return self
 
     @property
     def _terms(self):
-        """The tuple-keyed dict of the terms; a packed result is decoded on the first read.
+        """The read-only tuple-keyed view of the terms, in storage order.
 
-        The keys are read from the operand rows at the packed width when the
-        result was an operand already, and split from the packed keys
-        otherwise.
+        Built once, from the rows at the polynomial's own width
+        (:func:`_operand_rows`), and never the source of truth.
         """
-        if self._packed is not None:
-            width, packed = self._packed
-            rows = self._rows and self._rows.get(width)
-            if rows:
-                self._store = {(r[_MU], r[_NU], r[_M], r[_J], r[_K]): r[_C] for r in rows}
-            else:
-                self._store = _decoded(self.dim, width, packed)
-            self._packed = None
-        return self._store
-
-    def _values(self):
-        """The coefficients in storage order, from whichever form is held."""
-        return (self._store if self._packed is None else self._packed[1]).values()
+        if self._view is None:
+            self._view = {
+                (r[_MU], r[_NU], r[_M], r[_J], r[_K]): r[_C]
+                for r in _operand_rows(self, self._packed[0])
+            }
+        return self._view
 
     # -- constructors; ``cap`` is passed on as the subclass constructor takes it
 
@@ -669,13 +640,16 @@ class GradedPoly:
         return self._terms.get((tuple(mu), tuple(nu), m, j, k), 0)
 
     def __len__(self):
-        return len(self._values())
+        return len(self._packed[1])
 
     def __bool__(self):
-        return bool(self._values())
+        return bool(self._packed[1])
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.dim == other.dim and self._terms == other._terms
+        if type(other) is not type(self) or self.dim != other.dim:
+            return False
+        _width, a, b = _aligned(self, other)
+        return a == b
 
     def mirror(self):
         """The mirror: the adjoint of a word, the conjugate of a symbol."""
@@ -690,24 +664,17 @@ class GradedPoly:
     # -- linear structure ----------------------------------------------------
 
     def _merged(self, other, sign):
-        """``self + sign * other`` in one merge loop (:func:`_merge`).
+        """``self + sign * other`` in one merge loop (:func:`_merge`) on packed keys.
 
-        The loop runs on packed keys when both operands are packed at the
-        same width and cap, and on tuple keys otherwise, where terms above
-        the smaller cap are left out.  The sum or difference of two exactly
-        symmetric polynomials is exactly symmetric (:func:`symmetrized`).
+        The operands meet at the wider width, and terms above the smaller cap
+        are left out (:func:`_aligned`).  The sum or difference of two
+        exactly symmetric polynomials is exactly symmetric (:func:`symmetrized`).
         """
         if type(other) is not type(self):
             return NotImplemented
-        _check_dims(self, other)
-        a, b = self._packed, other._packed
-        if a is not None and b is not None and a[0] == b[0] and self._cap == other._cap:
-            out = self._wrap_packed(self.dim, a[0], _merge(dict(a[1]), b[1], sign), self._cap)
-        else:
-            cap = min(self._cap, other._cap)
-            terms = dict(self._terms) if self._cap == cap else _within(self._terms, cap)
-            more = other._terms if other._cap == cap else _within(other._terms, cap)
-            out = self._wrap(self.dim, _merge(terms, more, sign), cap)
+        cap = min(self._cap, other._cap)
+        width, a, b = _aligned(self, other, cap)
+        out = self._wrap(self.dim, width, _merge(dict(a), b, sign), cap)
         out._exact = self._exact and other._exact
         return out
 
@@ -718,15 +685,14 @@ class GradedPoly:
         return self._merged(other, -1)
 
     def __neg__(self):
-        if self._packed is not None:
-            width, packed = self._packed
-            return self._wrap_packed(self.dim, width, {p: -c for p, c in packed.items()}, self._cap)
-        return self._wrap(self.dim, {key: -c for key, c in self._store.items()}, self._cap)
+        width, packed = self._packed
+        return self._wrap(self.dim, width, {p: -c for p, c in packed.items()}, self._cap)
 
     def scaled(self, scalar):
         """Polynomial multiplied by a scalar coefficient."""
-        return self._trusted(
-            self.dim, {key: c * scalar for key, c in self._terms.items()}, self._cap
+        width, packed = self._packed
+        return _from_packed(
+            type(self), self.dim, {p: c * scalar for p, c in packed.items()}, width, self._cap
         )
 
     def __rmul__(self, scalar):
@@ -736,24 +702,32 @@ class GradedPoly:
 
     def min_grade(self):
         """Smallest stored key grade (math.inf for the zero polynomial)."""
-        return min(map(key_grade, self._terms), default=INFINITE)
+        rows = _operand_rows(self, self._packed[0])
+        return min(map(operator.itemgetter(_GRADE), rows), default=INFINITE)
+
+    def _kept(self, keep):
+        """The terms whose rows at the own width satisfy ``keep``, with the same cap."""
+        width = self._packed[0]
+        kept = {r[_KEY]: r[_C] for r in _operand_rows(self, width) if keep(r)}
+        return self._wrap(self.dim, width, kept, self._cap)
 
     def filtered(self, pred):
-        kept = {key: c for key, c in self._terms.items() if pred(key)}
-        return self._wrap(self.dim, kept, self._cap)
+        """The terms whose tuple key satisfies ``pred``, with the same cap."""
+        return self._kept(lambda r: pred((r[_MU], r[_NU], r[_M], r[_J], r[_K])))
 
     def truncated(self, cap):
         """The terms of grade <= cap, with cap ``cap``; shares the storage when all fit."""
-        if cap >= self._cap and self._packed is not None:
-            out = self._wrap_packed(self.dim, *self._packed, cap)
-        else:
-            terms = self._terms
-            out = self._wrap(self.dim, terms if cap >= self._cap else _within(terms, cap), cap)
+        width = self._packed[0]
+        out = self._wrap(self.dim, width, _keys_at(self, width, cap), cap)
+        if cap >= self._cap:  # the same storage: share its rows too
+            if self._rows is None:
+                self._rows = {}
+            out._rows = self._rows
         out._exact = self._exact  # a grade slice of an exactly symmetric polynomial
         return out
 
     def max_abs_coeff(self) -> float:
-        return max(map(abs, self._values()), default=0.0)
+        return max(map(abs, self._packed[1].values()), default=0.0)
 
     # -- serialization ---------------------------------------------------------
 
@@ -812,7 +786,8 @@ def solve_homological(G, rot, eigenvalue, to_normal_form, margin_threshold=1e-9)
     ``eigenvalue(theta, key)`` is the algebra's closed-form ad_{H0}
     eigenvalue and ``to_normal_form`` maps a resonant polynomial to its
     NormalForm.  Returns (F, G1): F holds the non-resonant terms of G divided
-    by their eigenvalues, G1 the NormalForm of minus the resonant part.
+    by their eigenvalues, G1 the NormalForm of minus the resonant part.  Both
+    are formed on G's packed keys, read from its rows.
 
     Raises
     ------
@@ -822,24 +797,27 @@ def solve_homological(G, rot, eigenvalue, to_normal_form, margin_threshold=1e-9)
     """
     if G.dim != rot.dim:
         raise ValueError("dimension mismatch")
+    width = G._packed[0]
+    rows = _operand_rows(G, width)
     rot.require_order(
-        max((sum(map(abs, _sub_idx(key[0], key[1]))) for key in G.keys()), default=0)
+        max((sum(map(abs, map(operator.sub, r[_MU], r[_NU]))) for r in rows), default=0)
     )
     f_terms = {}
     resonant = {}
-    for key, c in G.items():
-        if is_resonant_key(key):
-            resonant[key] = -c
+    for r in rows:
+        if _is_resonant_row(r):
+            resonant[r[_KEY]] = -r[_C]
             continue
+        key = (r[_MU], r[_NU], r[_M], r[_J], r[_K])
         lam = eigenvalue(rot.theta, key)
         if abs(lam) < margin_threshold:
             raise ResonanceError(
                 f"small divisor |{lam:.3e}| < {margin_threshold:g} at "
                 f"(mu - nu, m) = ({_sub_idx(key[0], key[1])}, {key[2]})"
             )
-        f_terms[key] = c / lam
-    F = G._trusted(G.dim, f_terms, G._cap)
-    return F, to_normal_form(G._trusted(G.dim, resonant, G._cap))
+        f_terms[r[_KEY]] = r[_C] / lam
+    F = _from_packed(type(G), G.dim, f_terms, width, G._cap)
+    return F, to_normal_form(G._wrap(G.dim, width, resonant, G._cap))
 
 
 def _check_symmetric(a, mirror, what):
@@ -889,12 +867,11 @@ def _filled(half, scale):
     With X- the charge < 0 part of ``half`` and X0 its charge-0 slice, the
     bracket is ``X- + mirror(X-) + (X0 + mirror(X0)) / 2``, formed here as
     ``Y + mirror(Y)`` with ``Y = X- + X0 / 2`` (the halving is exact).  Y,
-    its mirror and the sum are formed on packed keys (:func:`_packed_keys`),
-    so a kernel result stays packed for the next bracket; the sum is flagged
+    its mirror and the sum are formed on packed keys; the sum is flagged
     exactly symmetric as in :func:`symmetrized`.
     """
     dim = half.dim
-    width, packed = _packed_keys(half)
+    width, packed = half._packed
     sums = _index_table(dim, width)[2]
     _mask, _bias, nu_shift, _tail_shift, block_mask = _layout(dim, width)
     zero_scale = 0.5 * scale
@@ -902,7 +879,7 @@ def _filled(half, scale):
         p: c * (zero_scale if sums[p & block_mask] == sums[(p >> nu_shift) & block_mask] else scale)
         for p, c in packed.items()
     }
-    Y = half._wrap_packed(dim, width, y, half._cap)
+    Y = half._wrap(dim, width, y, half._cap)
     mirror, permutes = Y._mirrored()
     out = Y + mirror  # the sum drops any exact zero of Y
     out._exact = permutes
@@ -926,10 +903,8 @@ def lie_series(H, F, bracket, max_grade=None):
     charge > 0 are the mirror of those of charge < 0.  Each bracket is
     therefore called as ``bracket(F, X, cap, half=True)``, which forms only
     the term pairs whose charges sum to ``<= 0``, and :func:`_filled`
-    restores the rest from the mirror.  Each term is bracketed before it is
-    merged into the running total, while it is still packed, so its kernel
-    rows are built from its packed keys; the terms are merged in the order
-    they are formed.
+    restores the rest from the mirror.  The terms are merged into the
+    running total in the order they are formed, on packed keys.
     """
     cap = H._cap if max_grade is None else min(H._cap, max_grade)
     grading = H._GRADING
@@ -968,7 +943,8 @@ def birkhoff_sweep(H, rot, order, work_grade, h0, solve, conjugate, to_normal_fo
     H must be symmetric (a real symbol, for the series routes) to 1e-12 of
     its scale, or ValueError is raised; the sweep starts from its average
     with its mirror, so the remainder is exactly symmetric whenever the
-    mirror is exact (see :func:`symmetrized`).
+    mirror is exact (see :func:`symmetrized`).  Each slice is read from the
+    rows of the current Hamiltonian, which its conjugation reads as well.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -978,11 +954,11 @@ def birkhoff_sweep(H, rot, order, work_grade, h0, solve, conjugate, to_normal_fo
     rot.require_order(order)
     generators = []
     for g in range(3, order + 1):
-        G = cur.filtered(lambda key: key_grade(key) == g and not is_resonant_key(key))
+        G = cur._kept(lambda r: r[_GRADE] == g and not _is_resonant_row(r))
         if not G:
             continue
         F, _ = solve(G)
         cur = conjugate(cur, F, work)
         generators.append(F)
-    resonant = cur.filtered(lambda key: is_resonant_key(key) and key_grade(key) <= order)
+    resonant = cur._kept(lambda r: r[_GRADE] <= order and _is_resonant_row(r))
     return to_normal_form(resonant), generators, cur - resonant

@@ -60,7 +60,6 @@ from .graded import (
     _field_units,
     _from_packed,
     _layout,
-    _packed_keys,
     _packed_operands,
     _Row,
 )
@@ -104,18 +103,18 @@ class FTSeries(GradedPoly):
 
     def hbar_truncated(self, kmax) -> "FTSeries":
         """Drop terms with hbar-power k > kmax."""
-        return self.filtered(lambda key: key[4] <= kmax)
+        return self._kept(lambda r: r[_K] <= kmax)
 
     # -- reality -------------------------------------------------------------
 
     def conjugate_symbol(self) -> "FTSeries":
         """The series representing the complex conjugate symbol.
 
-        Formed on packed keys (:func:`~orbitbnf.graded._packed_keys`): the
-        image of a key swaps its mu and nu blocks and negates m.
+        Formed on packed keys: the image of a key swaps its mu and nu blocks
+        and negates m.
         """
         dim = self.dim
-        width, packed = _packed_keys(self)
+        width, packed = self._packed
         mask, bias, nu_shift, tail_shift, block_mask = _layout(dim, width)
         out = {}
         for p, c in packed.items():
@@ -123,7 +122,7 @@ class FTSeries(GradedPoly):
             image = (p >> nu_shift & block_mask) + ((p & block_mask) << nu_shift)
             image += (tail - 2 * ((tail & mask) - bias)) << tail_shift  # m -> -m
             out[image] = complex(c).conjugate()
-        return FTSeries._wrap_packed(dim, width, out, self._cap)
+        return FTSeries._wrap(dim, width, out, self._cap)
 
     def _mirrored(self):
         """``(conjugate symbol, True)``: conjugation only permutes keys."""
@@ -319,9 +318,8 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
     :func:`_parity_row`) once, and each term pair reads its entries by the
     b-term's packed mu and nu blocks.  A bracket pair whose only
     contraction is the empty one on both sides forms nothing and is skipped
-    before any arithmetic.  The result keeps the packed keys, in the order
-    they were first generated, until its terms are read
-    (:func:`~orbitbnf.graded._from_packed`).
+    before any arithmetic.  The result stores the packed keys in the order
+    they were first generated (:func:`~orbitbnf.graded._from_packed`).
 
     With ``half`` only the term pairs whose charges ``|mu| - |nu|`` sum to
     ``<= 0`` are formed (:func:`~orbitbnf.graded._packed_operands`).  Both

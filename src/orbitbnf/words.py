@@ -39,7 +39,6 @@ from .graded import (
     _field_units,
     _from_packed,
     _layout,
-    _packed_keys,
     _packed_operands,
     is_resonant_key,
     key_grade,
@@ -113,9 +112,8 @@ def normal_order_product(
     Each a-term looks up its table row once
     (:func:`~orbitbnf.graded._contraction_row`, pre-sliced for
     ``contracted``), and each term pair reads its entry by the b-term's
-    packed mu block.  The result keeps the packed keys, in the order they
-    were first generated, until its terms are read
-    (:func:`~orbitbnf.graded._from_packed`).
+    packed mu block.  The result stores the packed keys in the order they
+    were first generated (:func:`~orbitbnf.graded._from_packed`).
 
     An explicit max_grade overrides the operands' caps (the caller asserts
     the operands are complete far enough for that to be meaningful); by
@@ -200,12 +198,11 @@ def _adjoint(a: WordPoly):
     j, m != 0 the ``(D_t - m hbar)^j`` expansion adds keys of lower j and
     higher k, and images of different terms can meet.  Only without such a
     term is the adjoint a permutation of keys with conjugated coefficients,
-    and so exact on sums.  The result is packed at the width of ``a``'s
-    packed keys (:func:`~orbitbnf.graded._packed_keys`), which holds every
-    image field, in the order the images are first formed.
+    and so exact on sums.  The result is packed at ``a``'s width, which
+    holds every image field, in the order the images are first formed.
     """
     dim = a.dim
-    width, packed = _packed_keys(a)
+    width, packed = a._packed
     mask, bias, nu_shift, tail_shift, block_mask = _layout(dim, width)
     dt_shift = ((1 << (2 * width)) - (1 << width)) << tail_shift  # one j less, one k more
     permutes = True
@@ -242,12 +239,8 @@ def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) 
     division by i hbar lowers k by one (grade drops by exactly 2).  With
     ``half`` both products are formed by halves.
 
-    When both products are still packed at one width, they are merged on
-    their packed keys and the result stays packed
-    (:func:`~orbitbnf.graded._from_packed`); k is the top field, so lowering
-    k is subtracting its unit.  Otherwise (a product whose keys were already
-    read) they are merged on tuple keys, with the same terms in the same
-    order.
+    The two products are merged on their packed keys; k is the top field,
+    so lowering k is subtracting its unit.
     """
     _check_dims(a, b)
     cap = min(a.max_grade, b.max_grade)
@@ -255,14 +248,9 @@ def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) 
         cap = min(cap, max_grade)
     ab = normal_order_product(a, b, cap + 2, half=half, contracted=True)
     ba = normal_order_product(b, a, cap + 2, half=half, contracted=True)
-    diff = ab - ba
-    if diff._packed is None:
-        terms = {(mu, nu, m, j, k - 1): -1j * c for (mu, nu, m, j, k), c in diff.items()}
-        return WordPoly._wrap(a.dim, terms, cap)
-    width, packed = diff._packed
+    width, packed = (ab - ba)._packed
     k_unit = _field_units(a.dim, width)[4]
-    out = {p - k_unit: -1j * c for p, c in packed.items()}
-    return WordPoly._wrap_packed(a.dim, width, out, cap)
+    return WordPoly._wrap(a.dim, width, {p - k_unit: -1j * c for p, c in packed.items()}, cap)
 
 
 def apply_to_basis(a: WordPoly, state: tuple, hbar: float) -> dict:

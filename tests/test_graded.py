@@ -8,7 +8,7 @@ import pytest
 from orbitbnf.bridge import weyl_symbol_of_word
 from orbitbnf.classical import ad_eigenvalue as series_eigenvalue
 from orbitbnf.classical import h0_series
-from orbitbnf.graded import key_grade
+from orbitbnf.graded import key_grade, max_coeff_difference
 from orbitbnf.quantum import ad_eigenvalue as word_eigenvalue
 from orbitbnf.quantum import h0_word
 from orbitbnf.series import FTSeries, RotationData, moyal_bracket, poisson_bracket
@@ -107,3 +107,116 @@ def test_weyl_symbol_of_a_word_with_hbar_stays_within_the_weight(k):
         symbol = weyl_symbol_of_word(word, hbar_order=4, max_weight=w)
         assert all(key_grade(key) <= w for key in symbol.keys())
         assert symbol == weyl_symbol_of_word(word, 4).truncated(w)
+
+
+class _Pairs(list):
+    """Term pairs read through ``items()`` as a dict would be, keys repeating."""
+
+    def items(self):
+        return list(self)
+
+
+NU1 = ((0,), (1,), 0, 0, 0)  # the key of a (a word) or zbar (a symbol)
+
+
+@pytest.mark.parametrize("cls", [FTSeries, WordPoly])
+@pytest.mark.parametrize(
+    "pairs,cap,expected,width",
+    [
+        # insertion order, a repeated key summed in place, an exact zero and a
+        # key above the cap dropped, a cancelled key re-entered at the end
+        (
+            [
+                (NU1, 1.0),
+                (((2,), (0,), 1, 0, 0), 0.0),
+                (((5,), (0,), 0, 0, 0), 2.0),
+                (((1,), (1,), -1, 1, 0), -1j),
+                (NU1, 0.5),
+                (((0,), (0,), 0, 0, 1), 0.25),
+                (((1,), (1,), -1, 1, 0), 1j),
+                (((1,), (1,), -1, 1, 0), 3.0),
+            ],
+            4,
+            [(NU1, 1.5), (((0,), (0,), 0, 0, 1), 0.25), (((1,), (1,), -1, 1, 0), 3.0)],
+            8,
+        ),
+        # an exponent of 256 needs a ninth bit
+        (
+            [(((256,), (0,), 0, 0, 0), 1.0), (NU1, -2.0)],
+            math.inf,
+            [(((256,), (0,), 0, 0, 0), 1.0), (NU1, -2.0)],
+            9,
+        ),
+        # so does |m| = 130, with its sign bit
+        (
+            [(NU1, 0.5), (((1,), (0,), -130, 2, 1), 1j)],
+            math.inf,
+            [(NU1, 0.5), (((1,), (0,), -130, 2, 1), 1j)],
+            9,
+        ),
+    ],
+)
+def test_constructor_round_trips_through_items_by_repr(cls, pairs, cap, expected, width):
+    poly = cls(1, _Pairs(pairs), cap)
+    assert repr(list(poly.items())) == repr(expected)
+    assert poly._packed[0] == width and len(poly) == len(expected)
+    assert [poly.coeff(key) for key, _c in expected] == [c for _key, c in expected]
+
+
+def _ref_merged(a_terms, b_terms, cap, sign):
+    """a + sign * b on tuple keys, below ``cap``, in the library's merge order."""
+    out = {key: c for key, c in a_terms.items() if key_grade(key) <= cap}
+    for key, c in b_terms.items():
+        if key_grade(key) > cap:
+            continue
+        if key not in out:
+            out[key] = c if sign > 0 else -c
+            continue
+        total = out[key] + c if sign > 0 else out[key] - c
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+    return out
+
+
+@pytest.mark.parametrize("cls", [FTSeries, WordPoly])
+@pytest.mark.parametrize("mode", [3, 130])  # b packs at 8 or at 9 bits
+@pytest.mark.parametrize("caps", [(math.inf, math.inf), (8, 6), (6, math.inf)])
+def test_linear_structure_across_widths_and_caps_matches_tuple_key_arithmetic(cls, mode, caps):
+    a_terms = {
+        NU1: 1.0 + 2j,
+        ((2,), (1,), 1, 1, 0): -0.5,
+        ((3,), (3,), 0, 0, 1): 0.75,
+        ((0,), (0,), -2, 2, 0): 2.0,
+    }
+    b_terms = {
+        ((3,), (3,), 0, 0, 1): 0.75,
+        ((1,), (0,), mode, 0, 0): 1j,
+        NU1: -1.0 - 2j,
+        ((4,), (2,), 0, 0, 0): 0.125,
+        ((0,), (0,), -2, 2, 0): 0.5,
+    }
+    a, b = cls(1, a_terms, caps[0]), cls(1, b_terms, caps[1])
+    assert b._packed[0] == (9 if mode > 127 else 8) and a._packed[0] == 8
+    a_kept = {key: c for key, c in a_terms.items() if key_grade(key) <= caps[0]}
+    b_kept = {key: c for key, c in b_terms.items() if key_grade(key) <= caps[1]}
+    cap = min(caps)
+    for got, want in (
+        (a + b, _ref_merged(a_kept, b_kept, cap, 1)),
+        (b + a, _ref_merged(b_kept, a_kept, cap, 1)),
+        (a - b, _ref_merged(a_kept, b_kept, cap, -1)),
+        (b - a, _ref_merged(b_kept, a_kept, cap, -1)),
+    ):
+        assert repr(list(got.items())) == repr(list(want.items()))
+        assert got._cap == cap and got._packed[0] == b._packed[0]
+    keys = a_kept.keys() | b_kept.keys()
+    gap = max(abs(a_kept.get(key, 0) - b_kept.get(key, 0)) for key in keys)
+    assert max_coeff_difference(a, b) == max_coeff_difference(b, a) == gap
+    # equal terms compare equal across widths and caps; a changed coefficient does not
+    wide = cls(1, {((1,), (0,), mode, 0, 0): 1j})
+    narrow = b - wide
+    assert narrow._packed[0] == b._packed[0]
+    rest = {key: c for key, c in b_kept.items() if key[2] != mode}
+    assert narrow == cls(1, rest) and cls(1, rest, 8) == narrow
+    assert narrow != cls(1, {**rest, NU1: 1.0}) and narrow != a

@@ -239,7 +239,7 @@ def test_every_polynomial_flagged_exactly_symmetric_in_a_sweep_equals_its_mirror
         def wrapper(*args, **kwargs):
             out = make(*args, **kwargs)
             if isinstance(out, GradedPoly) and out._exact:
-                copy = out._wrap_packed(out.dim, *out._packed, out._cap) if out._packed else out
+                copy = out._wrap(out.dim, *out._packed, out._cap)
                 assert defect(copy) == 0.0
                 assert not any(key[2] and key[3] for key in copy.keys())
                 checked[type(out).__name__] += 1
@@ -253,6 +253,49 @@ def test_every_polynomial_flagged_exactly_symmetric_in_a_sweep_equals_its_mirror
         monkeypatch.setattr(GradedPoly, name, check(getattr(GradedPoly, name)))
     _sweep_all_routes(dim, order, with_cos)
     assert checked["FTSeries"] > 0 and checked["WordPoly"] > 0
+
+
+@pytest.mark.parametrize("dim,order,with_cos", NF_CASES)
+def test_sweeps_build_tuple_key_views_only_where_resonant_parts_are_read(
+    monkeypatch, dim, order, with_cos
+):
+    """The quantum and semiclassical sweeps build a polynomial's tuple-key
+    view only inside the map of a resonant part to a NormalForm and inside
+    the check of the input's quadratic part: the slices, solves, Lie-series
+    terms and running totals stay on packed keys."""
+    H, rot = _hamiltonian(dim, order, with_cos)
+    symbol = weyl_symbol_of_word(H, 2, order)
+    reading = [0]
+    builds = collections.Counter()
+
+    def allowed(read):
+        def wrapper(*args, **kwargs):
+            reading[0] += 1
+            try:
+                return read(*args, **kwargs)
+            finally:
+                reading[0] -= 1
+
+        return wrapper
+
+    view = GradedPoly._terms
+
+    def counted(self):
+        if self._view is None:
+            builds["allowed" if reading[0] else "sweep"] += 1
+        return view.fget(self)
+
+    monkeypatch.setattr(GradedPoly, "_terms", property(counted))
+    monkeypatch.setattr(graded, "check_quadratic_part", allowed(graded.check_quadratic_part))
+    monkeypatch.setattr(quantum, "diagonal_to_normal_form", allowed(words.diagonal_to_normal_form))
+    monkeypatch.setattr(
+        classical.NormalForm,
+        "from_resonant_series",
+        staticmethod(allowed(classical.NormalForm.from_resonant_series)),
+    )
+    birkhoff_quantum(H, rot, order, order)
+    birkhoff_semiclassical(symbol, rot, order, 2, order)
+    assert builds["sweep"] == 0 and builds["allowed"] > 0
 
 
 def test_symmetrized_returns_a_flagged_polynomial_without_the_check(monkeypatch):

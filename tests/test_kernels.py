@@ -423,12 +423,14 @@ def test_index_tables_keep_widths_apart():
 
 
 def test_overflowing_operand_fields_leave_the_index_tables_intact():
-    """An operand field of 2**8 or more is read from the width-8 table
-    before the call's width is known; at dim 2 its block, 256 for (256, 0),
-    is that of (0, 1).  Later width-8 products must still output (0, 1)."""
+    """An operand field of 2**8 or more packs at 9 bits; at width 8 its
+    block, 256 for (256, 0), would be that of (0, 1).  A call is never
+    narrower than an operand's own width, also under a cap below its grade,
+    and later width-8 products must still output (0, 1)."""
     big = WordPoly(2, {((256, 0), (0, 0), 0, 0, 0): 1.0})
     one = WordPoly(2, {((0, 0), (0, 0), 0, 0, 0): 1.0})
-    assert graded._packed_operands(big, one, INF)[0] > graded._MIN_WIDTH
+    assert big._packed[0] == graded._packed_operands(big, one, INF)[0] == 9
+    assert graded._packed_operands(one, big, 9)[0] == 9
     assert list(normal_order_product(big, one, INF).keys()) == [((256, 0), (0, 0), 0, 0, 0)]
     keys_a = [((0, 1), (1, 0), 0, 0, 0), ((0, 1), (0, 0), 1, 0, 0)]
     keys_b = [((0, 0), (0, 0), 0, 0, 0), ((1, 0), (0, 1), -1, 1, 0)]
@@ -439,9 +441,9 @@ def test_overflowing_operand_fields_leave_the_index_tables_intact():
 
 # -- packed results ----------------------------------------------------------------
 #
-# A kernel result keeps the kernel's packed-key dict until its keys are read;
-# the first read of its terms builds the tuple-keyed dict and drops the packed
-# one.  Sums, differences and negation read either form.
+# A polynomial stores packed keys only; reading its terms builds a tuple-keyed
+# view beside them.  Sums, differences and negation give the same terms,
+# whether or not an operand's view was built.
 
 
 def _kernel_cases(dim, cap, seed):
@@ -461,10 +463,9 @@ def _kernel_cases(dim, cap, seed):
     ]
 
 
-def _decoded_copy(make):
+def _read_copy(make):
     out = make()
-    out.keys()  # the first read decodes
-    assert out._packed is None
+    out.keys()  # the first read builds the view
     return out
 
 
@@ -478,7 +479,6 @@ def _same(x, y):
 def test_packed_kernel_results_read_as_the_reference_loops(dim, cap, seed):
     for make, ref in _kernel_cases(dim, cap, seed):
         got = make()
-        assert got._packed is not None
         assert repr(list(got.items())) == repr(list(ref.items()))
 
 
@@ -487,41 +487,36 @@ def test_sizes_and_scale_agree_before_and_after_the_first_read(dim, cap, seed):
     for make, ref in _kernel_cases(dim, cap, seed):
         got = make()
         before = len(got), bool(got), got.max_abs_coeff()
-        assert got._packed is not None and got._store is None
         assert before == (len(ref), bool(ref), max(map(abs, ref.values()), default=0.0))
         got.items()
-        assert got._packed is None and got._store is not None
         assert (len(got), bool(got), got.max_abs_coeff()) == before
 
 
 @pytest.mark.parametrize("dim,cap,seed", CASES[::3])
-def test_linear_structure_on_packed_results_matches_the_tuple_path(dim, cap, seed):
+def test_linear_structure_on_kernel_results_matches_read_copies(dim, cap, seed):
     for make, _ref in _kernel_cases(dim, cap, seed):
         x, y = make(), make()
-        assert _same(-x, -_decoded_copy(make))
-        assert (-make())._packed is not None
+        assert _same(-x, -_read_copy(make))
         diff = x - y
-        assert diff._packed is not None and not diff and len(diff) == 0
+        assert not diff and len(diff) == 0
         assert list(diff.items()) == []
         total = make() + make()
-        assert total._packed is not None
-        assert _same(total, _decoded_copy(make) + _decoded_copy(make))
+        assert _same(total, _read_copy(make) + _read_copy(make))
 
 
-def test_a_packed_result_plus_a_tuple_born_word_takes_the_tuple_path():
+def test_a_kernel_result_plus_a_constructed_word_matches_read_copies():
     rng = random.Random(17)
     a, b = _operand(WordPoly, rng, 2, INF), _operand(WordPoly, rng, 2, INF)
 
     def make():
         return normal_order_product(a, b)
 
-    some_key = next(iter(_decoded_copy(make).keys()))
+    some_key = next(iter(_read_copy(make).keys()))
     word = WordPoly(2, {some_key: 0.25, ((1, 0), (0, 2), 1, 0, 0): -1.5})
     for got, want in (
-        (make() + word, _decoded_copy(make) + word),
-        (word - make(), word - _decoded_copy(make)),
+        (make() + word, _read_copy(make) + word),
+        (word - make(), word - _read_copy(make)),
     ):
-        assert got._packed is None
         assert _same(got, want)
 
 
@@ -531,30 +526,30 @@ def test_packed_results_with_different_caps_keep_the_smaller_cap():
     wide, narrow = (lambda: normal_order_product(a, b, 11)), (lambda: normal_order_product(b, a, 7))
     assert graded._packed_operands(a, b, 11)[0] == graded._packed_operands(b, a, 7)[0]
     for got, want in (
-        (wide() + narrow(), _decoded_copy(wide) + _decoded_copy(narrow)),
-        (narrow() - wide(), _decoded_copy(narrow) - _decoded_copy(wide)),
+        (wide() + narrow(), _read_copy(wide) + _read_copy(narrow)),
+        (narrow() - wide(), _read_copy(narrow) - _read_copy(wide)),
     ):
-        assert got._packed is None and got._cap == 7
+        assert got._cap == 7
         assert _same(got, want)
         assert got and max(map(graded.key_grade, got.keys())) <= 7
         assert any(graded.key_grade(key) > 7 for key in wide().keys())
 
 
-def test_packed_results_of_different_widths_merge_on_tuple_keys():
+def test_packed_results_of_different_widths_merge_at_the_wider_width():
     a = WordPoly(1, {((1,), (0,), 150, 1, 0): 1.0, ((0,), (1,), 0, 0, 0): 0.5})
     b = WordPoly(1, {((0,), (1,), -2, 0, 0): 2.0, ((1,), (0,), 0, 1, 0): 1.0})
     wide, narrow = (lambda: normal_order_product(a, b)), (lambda: normal_order_product(b, b))
     assert wide()._packed[0] > narrow()._packed[0]
     got = wide() + narrow()
-    assert got._packed is None
-    assert _same(got, _decoded_copy(wide) + _decoded_copy(narrow))
+    assert got._packed[0] == wide()._packed[0]
+    assert _same(got, _read_copy(wide) + _read_copy(narrow))
 
 
 # -- operand rows and contraction rows ------------------------------------------------
 #
 # A kernel packs each operand once per width and keeps its rows on it
-# (graded._operand_rows): a kernel result at its own width is split from its
-# packed keys, any other operand from its tuple keys.  The contraction tables
+# (graded._operand_rows): the rows at a polynomial's own width are split from
+# its packed keys, those at a wider width packed again from them.  The contraction tables
 # are read through one row per exponent tuple and width, keyed by the
 # partner's packed block, which is why the widths must not mix.
 
@@ -601,10 +596,11 @@ def _row_references(wa, wb, sa, sb, cap):
 @pytest.mark.parametrize("dim,seed", [(1, 0), (2, 1), (3, 2)])
 def test_rows_at_two_widths_and_of_packed_operands_read_as_the_reference_loops(dim, seed):
     """Each kernel at the floor width and at a wider one, in both orders in
-    one process, on tuple-keyed operands and on still-packed kernel results
-    of the call's width: every result equals the reference loop by repr,
-    and a packed operand is not decoded.  The ``hbar^128`` lift puts grades
-    past 255 under the cap 300, so the wider calls need 9-bit fields."""
+    one process, on kernel results of the call's width whose keys were read
+    and on ones whose keys were not: every result equals the reference loop
+    by repr, and no view of an unread operand is built.  The ``hbar^128``
+    lift puts grades past 255 under the cap 300, so the wider calls need
+    9-bit fields."""
     rng = random.Random(6000 * dim + seed)
     raw = [_operand(cls, rng, dim, INF) for cls in (WordPoly, WordPoly, FTSeries, FTSeries)]
     for k, cap, width in ((1, 9, graded._MIN_WIDTH), (128, 300, 9), (128, 300, 9), (1, 9, 8)):
@@ -618,7 +614,7 @@ def test_rows_at_two_widths_and_of_packed_operands_read_as_the_reference_loops(d
         for operands in (decoded, packed):
             got = _row_kernels(*operands, cap)
             assert [repr(list(x.items())) for x in got] == [repr(list(r.items())) for r in refs]
-        assert all(p._packed is not None for p in packed)
+        assert all(p._view is None for p in packed)
         assert any(got[0].keys()) and any(got[7].keys())
 
 
@@ -676,7 +672,7 @@ def test_packed_mirrors_match_on_d_t_powers_next_to_fourier_modes_and_wide_keys(
             terms = {key: coeff(rng) for key in keys + extra}
             w, s = WordPoly(2, terms), FTSeries(2, terms)
             _assert_mirrors_match(w, s)
-            assert graded._packed_keys(w)[0] == (9 if extra else graded._MIN_WIDTH)
+            assert w._packed[0] == (9 if extra else graded._MIN_WIDTH)
     meet = WordPoly(1, {((0,), (0,), 1, 1, 0): 1.0, ((0,), (0,), 1, 0, 1): 1.0})
     assert list(adjoint(meet).items()) == [(((0,), (0,), -1, 1, 0), 1.0)]
 
@@ -692,7 +688,7 @@ def test_packed_mirrors_of_packed_kernel_results_match_the_tuple_key_loops(dim, 
     ):
         w, s = make_w(), make_s()
         w_adj, s_conj = adjoint(w), s.conjugate_symbol()
-        assert w._packed is not None and s._packed is not None
+        assert w._view is None and s._view is None
         assert w_adj._packed[0] == w._packed[0] and s_conj._packed[0] == s._packed[0]
         assert repr(list(w_adj.items())) == repr(list(_ref_adjoint(make_w()).items()))
         assert repr(list(s_conj.items())) == repr(list(_ref_conjugate_symbol(make_s()).items()))
