@@ -133,6 +133,14 @@ def _integer(value, name):
         raise ValueError(f"setting {name!r} must be an integer, not {value!r}") from None
 
 
+def _finite(value, name):
+    """A config number as a float; ValueError unless it is finite (JSON reads NaN and Infinity)."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"setting {name!r} must be a finite number, not {value!r}")
+    return number
+
+
 def _load_tolerances(path):
     tol = dict(DEFAULT_TOLERANCES)
     if path is None:
@@ -154,7 +162,7 @@ def _theta(cfg):
     theta = cfg.get("theta")
     if not theta:
         raise ValueError("config needs a non-empty 'theta' list")
-    return tuple(float(v) for v in theta)
+    return tuple(_finite(v, "theta") for v in theta)
 
 
 def _rot(cfg, need, tol):
@@ -179,7 +187,7 @@ def _check_terms(records, dim, what):
 def _series_hamiltonian(cfg, rot, cap):
     terms = _block(cfg, "hamiltonian").get("series_terms", [])
     _check_terms(terms, rot.dim, "series")
-    H = h0_series(rot, float(cfg.get("E", 0.0)), cap)
+    H = h0_series(rot, _finite(cfg.get("E", 0.0), "E"), cap)
     H = H + FTSeries.from_records(rot.dim, terms, cap)
     require_symmetric(H, "the series Hamiltonian")
     return H
@@ -188,7 +196,7 @@ def _series_hamiltonian(cfg, rot, cap):
 def _word_hamiltonian(cfg, rot, cap):
     terms = _block(cfg, "hamiltonian").get("word_terms", [])
     _check_terms(terms, rot.dim, "word")
-    H = h0_word(rot, float(cfg.get("E", 0.0)), cap)
+    H = h0_word(rot, _finite(cfg.get("E", 0.0), "E"), cap)
     return H + WordPoly.from_records(rot.dim, terms, cap)
 
 

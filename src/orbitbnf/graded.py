@@ -9,32 +9,32 @@ records.  :class:`~orbitbnf.series.FTSeries` (commutative symbols,
 cap ``max_weight``) and :class:`~orbitbnf.words.WordPoly` (normal-ordered
 words, cap ``max_grade``) add their products and named constructors.
 
-A polynomial stores its terms in one form: ``(width, packed-key dict)``.
-Each key is a single int with fixed-width fields (:func:`_layout`), so the
-key of a term a product kernel generates is one integer add of the
-operand keys and an offset.  Every width holds every field of its keys:
-the constructor packs at the narrowest such width (:func:`_pack`), and a
-kernel chooses its width from the operands' grade and ``|m|`` bounds and
-their own widths (:func:`_packed_operands`).  A polynomial keeps the rows
-of its terms per width (coefficient, grade, charge, packed key, index
-tuples and blocks, :func:`_operand_rows`), so the generator of a Lie
-series, an operand of every bracket of its series, is packed once, and a
-call builds only the short tuples its kernel reads.  Two polynomials meet
-at the wider of their widths (:func:`_aligned`), their sum and difference
-below the smaller cap.  Tuple keys appear only in a read-only view, built at
-most once per polynomial from its rows (:attr:`GradedPoly._terms`), for
-``items()``, records and maps.  Keys are packed and split through one
-interned table of index tuples per ``(dim, width)``
-(:func:`_index_table`): it gives the packed block and the sum of a tuple's
-fields, and turns a block back into the one tuple object for it, so the
-views of every polynomial share their index tuples.
+A polynomial stores its terms in one form: a packed-key dict.  Each key
+is a single int with 8-bit fields (:func:`_layout`), so the key of a term a
+product kernel generates is one integer add of the operand keys and an
+offset.  The fields hold grades up to :data:`_MAX_GRADE` (255) and Fourier
+modes ``|m|`` up to :data:`_MAX_MODE` (127).  A key past these bounds
+raises ValueError at construction (:func:`_pack`), and so does a kernel
+call whose output could pass them, before it forms any term
+(:func:`_packed_operands`).  A polynomial keeps the rows of its terms
+(coefficient, grade, charge, packed key, index tuples and blocks,
+:func:`_operand_rows`), so the generator of a Lie series, an operand of
+every bracket of its series, is split once, and a call builds only the
+short tuples its kernel reads.  Two polynomials meet on their packed keys
+(:func:`_aligned`), their sum and difference below the smaller cap.  Tuple
+keys appear only in a read-only view, built at most once per polynomial
+from its rows (:attr:`GradedPoly._terms`), for ``items()``, records and
+maps.  Keys are packed and split through one interned table of index
+tuples per dim (:func:`_index_table`): it gives the packed block and the
+sum of a tuple's fields, and turns a block back into the one tuple object
+for it, so the views of every polynomial share their index tuples.
 Both noncommutative products draw their integer structure constants and
 their packed key offsets from one cached table, :func:`_contractions`: the
 word product contracts ``a^nu`` against ``(a^+)^mu`` with ``l! C(mu, l)
 C(nu, l)``, and the Moyal sum's transverse factor ``perm(n, x) perm(m, x) /
 x!`` is the same integer ``x! C(n, x) C(m, x)``.  A kernel reads the table
-through one row per a-term exponent tuple and width (:class:`_Row`), keyed
-by the partner's packed block, so a term pair costs one int-keyed lookup.
+through one row per a-term exponent tuple (:class:`_Row`), keyed by the
+partner's packed block, so a term pair costs one int-keyed lookup.
 The table is built from :func:`_contraction_terms`, which the Wick/Weyl
 heat flow of :mod:`~orbitbnf.bridge` reads as well.
 
@@ -99,31 +99,42 @@ def _sub_idx(a, b):
 
 # -- packed keys of the product kernels ------------------------------------------
 #
-# A packed key (mu, nu, m, j, k) is one int with fixed-width fields, lowest
-# first: mu_0..mu_{n-1}, nu_0..nu_{n-1}, m + bias, j, k.  Packing is linear,
+# A packed key (mu, nu, m, j, k) is one int with fields of _WIDTH bits, lowest
+# first: mu_0..mu_{n-1}, nu_0..nu_{n-1}, m + _BIAS, j, k.  Packing is linear,
 # so the key of a product term is the sum of the packed operand keys and
 # packed offsets, less one bias, and no tuple is built per generated term.
 # The mu and nu fields of a key are the packed blocks of its index tuples,
-# read from the interned table of :func:`_index_table`.
+# read from the interned table of :func:`_index_table`.  No field of a key of
+# grade <= _MAX_GRADE exceeds its grade, and m + _BIAS lies in 1 .. 255 for
+# |m| <= _MAX_MODE, so such keys pack one-to-one.
 
-_MIN_WIDTH = 8
+_WIDTH = 8
+_MASK = (1 << _WIDTH) - 1
+_BIAS = 1 << (_WIDTH - 1)
+_MAX_GRADE = _MASK
+_MAX_MODE = _BIAS - 1
+
+
+def _check_bounds(grade, mode, what):
+    """ValueError if ``grade`` passes :data:`_MAX_GRADE` or ``mode`` :data:`_MAX_MODE`."""
+    if grade > _MAX_GRADE or mode > _MAX_MODE:
+        raise ValueError(
+            f"{what} grade {grade} and |m| {mode}, past the packed-key bounds "
+            f"grade <= {_MAX_GRADE} and |m| <= {_MAX_MODE}"
+        )
 
 
 class _Blocks(dict):
     """Index tuple -> (packed block of its fields, sum); fills itself on a miss.
 
     An entry depends on its tuple alone: the block is the integer sum of
-    ``v_i << (i * width)``.
+    ``v_i << (i * _WIDTH)``.
     """
 
-    __slots__ = ("width",)
-
-    def __init__(self, width):
-        super().__init__()
-        self.width = width
+    __slots__ = ()
 
     def __missing__(self, idx):
-        entry = self[idx] = (sum(v << (i * self.width) for i, v in enumerate(idx)), sum(idx))
+        entry = self[idx] = (sum(v << (i * _WIDTH) for i, v in enumerate(idx)), sum(idx))
         return entry
 
 
@@ -141,9 +152,7 @@ class _Tuples(dict):
         self.dim, self.blocks = dim, blocks
 
     def __missing__(self, block):
-        width = self.blocks.width
-        mask = (1 << width) - 1
-        idx = self[block] = tuple((block >> (i * width)) & mask for i in range(self.dim))
+        idx = self[block] = tuple((block >> (i * _WIDTH)) & _MASK for i in range(self.dim))
         self.blocks[idx] = (block, sum(idx))
         return idx
 
@@ -163,33 +172,32 @@ class _Sums(dict):
 
 
 @functools.lru_cache(maxsize=None)
-def _index_table(dim, width):
-    """The interned index tuples of ``dim`` fields of ``width`` bits: ``(blocks, tuples, sums)``.
+def _index_table(dim):
+    """The interned index tuples of ``dim`` fields: ``(blocks, tuples, sums)``.
 
     ``blocks`` maps an index tuple to its packed block (field i holds entry
     i) and its sum; ``tuples`` maps a block back to the one tuple object for
     it, and ``sums`` a block to the sum of its fields.  ``tuples`` creates
     the index tuples of every split key, so the tuple keys of every view
     share their index tuples, and dict lookups on them compare by identity
-    first.  Keyed on the width as well, since the same block stands for
-    different tuples at different widths.  The grade cap bounds the
-    entries: a few hundred at most per table.
+    first.  The grade cap bounds the entries: a few hundred at most per
+    table.
     """
-    blocks = _Blocks(width)
+    blocks = _Blocks()
     tuples = _Tuples(dim, blocks)
     return blocks, tuples, _Sums(tuples)
 
 
-def _layout(dim, width):
-    """``(mask, bias, nu shift, tail shift, block mask)`` of packed keys at ``width``.
+def _layout(dim):
+    """``(nu shift, tail shift, block mask)`` of packed keys of ``dim`` modes.
 
     A key is ``mu block + (nu block << nu shift) + (tail << tail shift)``
-    with ``tail = m + bias + (j << width) + (k << 2 width)``.  Packing is
+    with ``tail = m + _BIAS + (j << _WIDTH) + (k << 2 _WIDTH)``.  Packing is
     linear, so the key of a product term is the sum of the operand keys and
     packed offsets, less one bias.
     """
-    nu_shift = dim * width
-    return (1 << width) - 1, 1 << (width - 1), nu_shift, 2 * nu_shift, (1 << nu_shift) - 1
+    nu_shift = dim * _WIDTH
+    return nu_shift, 2 * nu_shift, (1 << nu_shift) - 1
 
 
 # The fields of an operand row, in order (see :func:`_operand_rows`).
@@ -201,57 +209,38 @@ def _is_resonant_row(r) -> bool:
     return r[_MU_BLOCK] == r[_NU_BLOCK] and not r[_M]
 
 
-def _operand_rows(poly, width):
-    """The rows of ``poly``'s terms packed at ``width``, in storage order; cached on ``poly``.
+def _operand_rows(poly):
+    """The rows of ``poly``'s terms, in storage order; cached on ``poly``.
 
     A row is ``(c, grade, charge, key, mu, nu, mu block, nu block, m, j,
     k)`` (indices ``_C`` .. ``_K``): the grade is :func:`key_grade`, the
     charge ``|mu| - |nu|``, and the packed key carries the bias of m, as the
     storage does (see :func:`_layout`).  A polynomial is immutable, so it
-    keeps the rows of every width it was packed at, and an operand of many
-    kernel calls (the generator of a Lie series) is packed once.  The rows
-    at the polynomial's own width are split from its packed keys; those at
-    a wider width are packed again from them.
+    keeps its rows, and an operand of many kernel calls (the generator of a
+    Lie series) is split once.
     """
-    cache = poly._rows
-    if cache is None:
-        cache = poly._rows = {}
-    rows = cache.get(width)
-    if rows is not None:
-        return rows
-    dim = poly.dim
-    own, packed = poly._packed
-    mask, bias, nu_shift, tail_shift, block_mask = _layout(dim, width)
-    blocks, tuples = _index_table(dim, width)[:2]
-    k_shift = 2 * width
+    if poly._rows is not None:
+        return poly._rows
+    nu_shift, tail_shift, block_mask = _layout(poly.dim)
+    blocks, tuples = _index_table(poly.dim)[:2]
     rows = []
-    if width == own:
-        for p, c in packed.items():
-            mu, nu = tuples[p & block_mask], tuples[(p >> nu_shift) & block_mask]
-            (mu_block, mu_sum), (nu_block, nu_sum) = blocks[mu], blocks[nu]
-            tail = p >> tail_shift
-            j, k = (tail >> width) & mask, tail >> k_shift
-            rows.append(
-                (c, mu_sum + nu_sum + 2 * (j + k), mu_sum - nu_sum, p, mu, nu,
-                 mu_block, nu_block, (tail & mask) - bias, j, k)
-            )
-    else:
-        for c, g, q, _p, mu, nu, _mu_block, _nu_block, m, j, k in _operand_rows(poly, own):
-            mu_block, nu_block = blocks[mu][0], blocks[nu][0]
-            tail = m + bias + (j << width) + (k << k_shift)
-            p = mu_block + (nu_block << nu_shift) + (tail << tail_shift)
-            rows.append((c, g, q, p, mu, nu, mu_block, nu_block, m, j, k))
-    cache[width] = rows
+    for p, c in poly._packed.items():
+        mu, nu = tuples[p & block_mask], tuples[(p >> nu_shift) & block_mask]
+        (mu_block, mu_sum), (nu_block, nu_sum) = blocks[mu], blocks[nu]
+        tail = p >> tail_shift
+        j, k = (tail >> _WIDTH) & _MASK, tail >> (2 * _WIDTH)
+        rows.append(
+            (c, mu_sum + nu_sum + 2 * (j + k), mu_sum - nu_sum, p, mu, nu,
+             mu_block, nu_block, (tail & _MASK) - _BIAS, j, k)
+        )
+    poly._rows = rows
     return rows
 
 
 def _bounds(poly):
-    """``(largest grade, largest |m|)`` of ``poly``'s terms (0 for no terms); cached.
-
-    Read from the rows at the polynomial's own width.
-    """
+    """``(largest grade, largest |m|)`` of ``poly``'s terms (0 for no terms); cached."""
     if poly._bounds is None:
-        rows = _operand_rows(poly, poly._packed[0])
+        rows = _operand_rows(poly)
         poly._bounds = (
             max(map(operator.itemgetter(_GRADE), rows), default=0),
             max(map(abs, map(operator.itemgetter(_M), rows)), default=0),
@@ -260,61 +249,57 @@ def _bounds(poly):
 
 
 def _pack(dim, terms):
-    """``(width, packed-key dict)`` of the tuple-keyed ``terms``, in their order.
+    """The packed-key dict of the tuple-keyed ``terms``, in their order.
 
-    The width is the narrowest that holds every field: the largest grade,
-    and the largest ``|m|`` with one more bit for its sign.
+    ValueError if a key passes the bounds of the fields (:func:`_check_bounds`).
     """
     grade = max(map(key_grade, terms), default=0)
     mode = max((abs(key[2]) for key in terms), default=0)
-    width = max(_MIN_WIDTH, grade.bit_length(), mode.bit_length() + 1)
-    blocks = _index_table(dim, width)[0]
-    _mask, bias, nu_shift, tail_shift, _block_mask = _layout(dim, width)
-    k_shift = 2 * width
+    _check_bounds(grade, mode, "keys reach")
+    blocks = _index_table(dim)[0]
+    nu_shift, tail_shift, _block_mask = _layout(dim)
+    k_shift = 2 * _WIDTH
     packed = {}
     for (mu, nu, m, j, k), c in terms.items():
-        tail = m + bias + (j << width) + (k << k_shift)
+        tail = m + _BIAS + (j << _WIDTH) + (k << k_shift)
         packed[blocks[mu][0] + (blocks[nu][0] << nu_shift) + (tail << tail_shift)] = c
-    return width, packed
+    return packed
 
 
-def _keys_at(poly, width, cap):
-    """``poly``'s packed-key dict at ``width`` (at least its own), without terms above ``cap``.
+def _keys_at(poly, cap):
+    """``poly``'s packed-key dict without terms above ``cap``.
 
-    The storage itself, read and not copied, when it is at that width and
-    its cap is not above ``cap``; otherwise read from the rows at ``width``.
+    The storage itself, read and not copied, when its cap is not above
+    ``cap``; otherwise read from its rows.
     """
-    own, packed = poly._packed
-    if own == width and cap >= poly._cap:
-        return packed
-    return {r[_KEY]: r[_C] for r in _operand_rows(poly, width) if r[_GRADE] <= cap}
+    if cap >= poly._cap:
+        return poly._packed
+    return {r[_KEY]: r[_C] for r in _operand_rows(poly) if r[_GRADE] <= cap}
 
 
 def _aligned(a, b, cap=INFINITE):
-    """``(width, a's keys, b's keys)`` at the wider of the two widths, below ``cap``.
+    """``(a's keys, b's keys)`` without terms above ``cap``.
 
     The one way two polynomials meet (sums, differences, equality and
-    coefficient gaps): packing at a width that holds every field is
-    one-to-one, so packed keys at one width compare as tuple keys do.
+    coefficient gaps): packing is one-to-one, so packed keys compare as
+    tuple keys do.
     """
     _check_dims(a, b)
-    width = max(a._packed[0], b._packed[0])
-    return width, _keys_at(a, width, cap), _keys_at(b, width, cap)
+    return _keys_at(a, cap), _keys_at(b, cap)
 
 
 def _packed_operands(
     a, b, cap, drop=0, half=False, a_fields=(_C, _KEY), b_fields=(_C, _KEY), keep=None
 ):
-    """``(width, a-terms, partners, bias)`` of one product kernel call.
+    """``(a-terms, partners, bias)`` of one product kernel call.
 
-    The terms are the operands' rows (:func:`_operand_rows`) at the call's
-    width.  An a-term is the tuple of its grade g, its charge q and the row
-    fields ``a_fields``, and ``partners[g, q]`` lists, as
-    tuples of the row fields ``b_fields``, the b-terms that an a-term of
-    that grade and charge meets, for a product that lowers the grade sum of
-    a term pair by ``drop`` (2 for a bracket).  A kernel loops over these
-    lists instead of testing every term pair: in the Lie series most pairs
-    lie above the cap.  Each operand is packed once per width
+    The terms are the operands' rows (:func:`_operand_rows`).  An a-term is
+    the tuple of its grade g, its charge q and the row fields ``a_fields``,
+    and ``partners[g, q]`` lists, as tuples of the row fields ``b_fields``,
+    the b-terms that an a-term of that grade and charge meets, for a product
+    that lowers the grade sum of a term pair by ``drop`` (2 for a bracket).
+    A kernel loops over these lists instead of testing every term pair: in
+    the Lie series most pairs lie above the cap.  Each operand is split once
     (:func:`_operand_rows` caches its rows), and a call builds only the
     short tuples its kernel reads.  Every packed key carries the bias of m,
     and a sum of two keys must carry it once (:func:`_layout`), so a kernel
@@ -332,25 +317,17 @@ def _packed_operands(
     drop, so an output field (mu_i, nu_i, j, k) never exceeds
     ``min(cap, ga + gb)``, with ``ga`` and ``gb`` the operands' largest
     grades, and an output ``|m|`` never exceeds the sum of their largest
-    ``|m|``.  The field width in bits covers both, with one more bit for the
-    sign of m, so no field can overflow, also under an infinite cap; it is
-    at least each operand's own width, so an operand's rows are never read
-    at a width narrower than its fields.  The floor :data:`_MIN_WIDTH` keeps
-    one width, and so one index table per dim and one contraction table per
-    exponent pair, for all ordinary grades.
+    ``|m|``.  A call whose bounds pass the packed-key bounds raises
+    ValueError before it forms any term (:func:`_check_bounds`), so no
+    field can overflow, also under an infinite cap.
     """
-    width = max(a._packed[0], b._packed[0])
     if a and b:
         (ga, ma), (gb, mb) = _bounds(a), _bounds(b)
-        bound = ga + gb
-        if cap != INFINITE:
-            bound = max(0, min(int(cap), bound))
-        width = max(width, bound.bit_length(), (ma + mb).bit_length() + 1)
-    a_rows, b_rows = _operand_rows(a, width), _operand_rows(b, width)
+        _check_bounds(min(cap, ga + gb), ma + mb, "the product's keys could reach")
+    a_rows, b_rows = _operand_rows(a), _operand_rows(b)
     if keep is not None:
         a_rows, b_rows = list(filter(keep[0], a_rows)), list(filter(keep[1], b_rows))
-    _mask, m_bias, _nu_shift, tail_shift, _block_mask = _layout(a.dim, width)
-    bias = m_bias << tail_shift
+    bias = _BIAS << _layout(a.dim)[1]
     a_terms = list(map(operator.itemgetter(_GRADE, _CHARGE, *a_fields), a_rows))
     b_terms = list(map(operator.itemgetter(*b_fields), b_rows))
     b_grades = list(map(operator.itemgetter(_GRADE), b_rows))
@@ -366,7 +343,7 @@ def _packed_operands(
             if b_top > room:
                 fit = [t for t, gb in zip(b_terms, b_grades) if gb <= room]
             partners.update(dict.fromkeys([(g, q) for q in charges], fit))
-        return width, a_terms, partners, bias
+        return a_terms, partners, bias
     b_charges = map(operator.itemgetter(_CHARGE), b_rows)
     by_charge = sorted(zip(b_charges, b_grades, b_terms), key=operator.itemgetter(0))
     for g, charges in charges_of.items():
@@ -376,25 +353,25 @@ def _packed_operands(
         fit_terms = list(map(operator.itemgetter(2), fit))
         for q in charges:
             partners[g, q] = fit_terms[: bisect.bisect_right(fit_charges, -q)]
-    return width, a_terms, partners, bias
+    return a_terms, partners, bias
 
 
-def _field_units(dim, width):
+def _field_units(dim):
     """The packed units of the fields: (mu units, nu units, m, j, k)."""
-    units = [1 << (f * width) for f in range(2 * dim + 3)]
+    units = [1 << (f * _WIDTH) for f in range(2 * dim + 3)]
     return units[:dim], units[dim : 2 * dim], units[2 * dim], units[2 * dim + 1], units[2 * dim + 2]
 
 
-def _from_packed(cls, dim, out, width, cap):
-    """The ``cls`` polynomial of a packed-key dict ``out`` of fields of ``width`` bits.
+def _from_packed(cls, dim, out, cap):
+    """The ``cls`` polynomial of a packed-key dict ``out``.
 
     Exact zeros are deleted from ``out`` in place and the polynomial takes
-    ``(width, out)`` as its storage.
+    ``out`` as its storage.
     """
     if 0 in out.values():
         for p in [p for p, c in out.items() if not c]:
             del out[p]
-    return cls._wrap(dim, width, out, cap)
+    return cls._wrap(dim, out, cap)
 
 
 def _merge(out, terms, sign):
@@ -431,21 +408,20 @@ def _contraction_terms(a, b):
 
 
 @functools.lru_cache(maxsize=None)
-def _contractions(nu1, mu2, width):
+def _contractions(nu1, mu2):
     """Contraction table of a^{nu1} against (a^+)^{mu2}, shared by both products.
 
     One entry ``(|l|, f_l, delta_l)`` per term of
     ``_contraction_terms(nu1, mu2)``, in its order, with the integer
     ``f_l = prod_i l_i! C(nu1_i, l_i) C(mu2_i, l_i)`` and the packed key offset
-    ``delta_l`` (fields of ``width`` bits) that lowers every mu_i and nu_i by
-    l_i and raises k by |l|.  The word product reads it for the pair
-    (nu1, mu2) of its operands.  The Moyal sum reads it twice, for (nu1, mu2)
-    and (mu1, nu2), because its transverse factor ``perm(n, x) perm(m, x) /
-    x!`` equals ``x! C(n, x) C(m, x)``, and both of its contractions lower mu
-    and nu alike.  Keyed on exponents and width only, which the grade cap
-    bounds.
+    ``delta_l`` that lowers every mu_i and nu_i by l_i and raises k by |l|.
+    The word product reads it for the pair (nu1, mu2) of its operands.  The
+    Moyal sum reads it twice, for (nu1, mu2) and (mu1, nu2), because its
+    transverse factor ``perm(n, x) perm(m, x) / x!`` equals ``x! C(n, x)
+    C(m, x)``, and both of its contractions lower mu and nu alike.  Keyed on
+    exponents only, which the grade cap bounds.
     """
-    mu_units, nu_units, _m, _j, k_unit = _field_units(len(nu1), width)
+    mu_units, nu_units, _m, _j, k_unit = _field_units(len(nu1))
     pair_units = list(map(operator.add, mu_units, nu_units))
     return tuple(
         (s, f_l, s * k_unit - sum(map(operator.mul, l, pair_units)))
@@ -454,44 +430,43 @@ def _contractions(nu1, mu2, width):
 
 
 class _Row(dict):
-    """Partner index block -> ``table(exps, partner, width)``; fills itself on a miss.
+    """Partner index block -> ``table(exps, partner)``; fills itself on a miss.
 
     One row of a contraction table: the entries of one exponent tuple
-    ``exps`` against every partner, keyed by the partner's packed block at
-    ``width`` (decoded through :func:`_index_table` on a miss).  A kernel
-    looks a row up once per a-term and an entry once per term pair, so a
-    pair costs one int-keyed lookup instead of a cache lookup hashed on two
-    index tuples.
+    ``exps`` against every partner, keyed by the partner's packed block
+    (decoded through :func:`_index_table` on a miss).  A kernel looks a row
+    up once per a-term and an entry once per term pair, so a pair costs one
+    int-keyed lookup instead of a cache lookup hashed on two index tuples.
     """
 
-    __slots__ = ("table", "exps", "width", "tuples")
+    __slots__ = ("table", "exps", "tuples")
 
-    def __init__(self, table, exps, width):
+    def __init__(self, table, exps):
         super().__init__()
-        self.table, self.exps, self.width = table, exps, width
-        self.tuples = _index_table(len(exps), width)[1]
+        self.table, self.exps = table, exps
+        self.tuples = _index_table(len(exps))[1]
 
     def __missing__(self, block):
-        entry = self[block] = self.table(self.exps, self.tuples[block], self.width)
+        entry = self[block] = self.table(self.exps, self.tuples[block])
         return entry
 
 
 @functools.lru_cache(maxsize=None)
-def _contraction_row(exps, width):
+def _contraction_row(exps):
     """The :class:`_Row` of :func:`_contractions` for ``exps``: the word
     product's table of ``nu1`` and the Moyal sum's X table."""
-    return _Row(_contractions, exps, width)
+    return _Row(_contractions, exps)
 
 
-def _contracted(nu1, mu2, width):
+def _contracted(nu1, mu2):
     """:func:`_contractions` without its first entry, the juxtaposition l = 0."""
-    return _contractions(nu1, mu2, width)[1:]
+    return _contractions(nu1, mu2)[1:]
 
 
 @functools.lru_cache(maxsize=None)
-def _contracted_row(exps, width):
+def _contracted_row(exps):
     """The :class:`_Row` of :func:`_contracted`: the contracted word product's table."""
-    return _Row(_contracted, exps, width)
+    return _Row(_contracted, exps)
 
 
 def _sort_token(key):
@@ -523,7 +498,7 @@ def _check_dims(a, b):
 
 def max_coeff_difference(a, b) -> float:
     """max over all keys of |a[key] - b[key]|."""
-    _width, a, b = _aligned(a, b)
+    a, b = _aligned(a, b)
     keys = a.keys() | b.keys()
     zeros = itertools.repeat(0)
     gaps = map(operator.sub, map(a.get, keys, zeros), map(b.get, keys, zeros))
@@ -542,16 +517,17 @@ class GradedPoly:
     symbol), formed on packed keys.  Polynomials of different subclasses
     never compare equal or combine.
 
-    The terms are stored as ``_packed``, a ``(width, packed-key dict)`` in
-    insertion order (see :func:`_layout`), and nothing else: every
-    operation reads the packed keys or their rows.  The tuple-keyed dict
-    that ``items()``, ``keys()``, :meth:`coeff`, records and maps read is a
-    view (:attr:`_terms`), built on the first read and cached in ``_view``.
+    The terms are stored as ``_packed``, a packed-key dict in insertion
+    order (see :func:`_layout`), and nothing else: every operation reads
+    the packed keys or their rows.  A key past the packed-key bounds
+    (grade 255, ``|m|`` 127) raises ValueError at construction.  The
+    tuple-keyed dict that ``items()``, ``keys()``, :meth:`coeff`, records
+    and maps read is a view (:attr:`_terms`), built on the first read and
+    cached in ``_view``.
 
     Two more slots cache what the value determines: ``_rows``, the kernel
-    operand rows of every width the polynomial was packed at
-    (:func:`_operand_rows`), with ``_bounds``; and ``_exact``, set on a
-    polynomial built exactly symmetric (:func:`symmetrized`), which
+    operand rows (:func:`_operand_rows`), with ``_bounds``; and ``_exact``,
+    set on a polynomial built exactly symmetric (:func:`symmetrized`), which
     :func:`symmetrized` then returns as it is.
     """
 
@@ -584,19 +560,20 @@ class GradedPoly:
         the heat flows of :mod:`~orbitbnf.bridge`, preserve grade, and their
         sums can cancel to an exact zero.
         """
-        return cls._wrap(dim, *_pack(dim, {key: c for key, c in terms.items() if c}), cap)
+        return cls._wrap(dim, _pack(dim, {key: c for key, c in terms.items() if c}), cap)
 
     @classmethod
-    def _wrap(cls, dim, width, packed, cap):
-        """Instance owning the packed-key dict ``packed`` of fields of ``width`` bits.
+    def _wrap(cls, dim, packed, cap):
+        """Instance owning the packed-key dict ``packed``.
 
         Its keys carry the bias of m (see :func:`_layout`), have grade <=
-        cap and fit ``width``, and no coefficient is an exact zero.
+        cap and lie within the packed-key bounds, and no coefficient is an
+        exact zero.
         """
         self = object.__new__(cls)
         self.dim = dim
         self._cap = cap
-        self._packed = (width, packed)
+        self._packed = packed
         self._view = self._rows = self._bounds = None
         self._exact = False
         return self
@@ -605,13 +582,13 @@ class GradedPoly:
     def _terms(self):
         """The read-only tuple-keyed view of the terms, in storage order.
 
-        Built once, from the rows at the polynomial's own width
-        (:func:`_operand_rows`), and never the source of truth.
+        Built once, from the rows (:func:`_operand_rows`), and never the
+        source of truth.
         """
         if self._view is None:
             self._view = {
                 (r[_MU], r[_NU], r[_M], r[_J], r[_K]): r[_C]
-                for r in _operand_rows(self, self._packed[0])
+                for r in _operand_rows(self)
             }
         return self._view
 
@@ -640,15 +617,15 @@ class GradedPoly:
         return self._terms.get((tuple(mu), tuple(nu), m, j, k), 0)
 
     def __len__(self):
-        return len(self._packed[1])
+        return len(self._packed)
 
     def __bool__(self):
-        return bool(self._packed[1])
+        return bool(self._packed)
 
     def __eq__(self, other):
         if type(other) is not type(self) or self.dim != other.dim:
             return False
-        _width, a, b = _aligned(self, other)
+        a, b = _aligned(self, other)
         return a == b
 
     def mirror(self):
@@ -666,15 +643,15 @@ class GradedPoly:
     def _merged(self, other, sign):
         """``self + sign * other`` in one merge loop (:func:`_merge`) on packed keys.
 
-        The operands meet at the wider width, and terms above the smaller cap
-        are left out (:func:`_aligned`).  The sum or difference of two
-        exactly symmetric polynomials is exactly symmetric (:func:`symmetrized`).
+        Terms above the smaller cap are left out (:func:`_aligned`).  The sum
+        or difference of two exactly symmetric polynomials is exactly
+        symmetric (:func:`symmetrized`).
         """
         if type(other) is not type(self):
             return NotImplemented
         cap = min(self._cap, other._cap)
-        width, a, b = _aligned(self, other, cap)
-        out = self._wrap(self.dim, width, _merge(dict(a), b, sign), cap)
+        a, b = _aligned(self, other, cap)
+        out = self._wrap(self.dim, _merge(dict(a), b, sign), cap)
         out._exact = self._exact and other._exact
         return out
 
@@ -685,14 +662,12 @@ class GradedPoly:
         return self._merged(other, -1)
 
     def __neg__(self):
-        width, packed = self._packed
-        return self._wrap(self.dim, width, {p: -c for p, c in packed.items()}, self._cap)
+        return self._wrap(self.dim, {p: -c for p, c in self._packed.items()}, self._cap)
 
     def scaled(self, scalar):
         """Polynomial multiplied by a scalar coefficient."""
-        width, packed = self._packed
         return _from_packed(
-            type(self), self.dim, {p: c * scalar for p, c in packed.items()}, width, self._cap
+            type(self), self.dim, {p: c * scalar for p, c in self._packed.items()}, self._cap
         )
 
     def __rmul__(self, scalar):
@@ -702,14 +677,13 @@ class GradedPoly:
 
     def min_grade(self):
         """Smallest stored key grade (math.inf for the zero polynomial)."""
-        rows = _operand_rows(self, self._packed[0])
+        rows = _operand_rows(self)
         return min(map(operator.itemgetter(_GRADE), rows), default=INFINITE)
 
     def _kept(self, keep):
-        """The terms whose rows at the own width satisfy ``keep``, with the same cap."""
-        width = self._packed[0]
-        kept = {r[_KEY]: r[_C] for r in _operand_rows(self, width) if keep(r)}
-        return self._wrap(self.dim, width, kept, self._cap)
+        """The terms whose rows satisfy ``keep``, with the same cap."""
+        kept = {r[_KEY]: r[_C] for r in _operand_rows(self) if keep(r)}
+        return self._wrap(self.dim, kept, self._cap)
 
     def filtered(self, pred):
         """The terms whose tuple key satisfies ``pred``, with the same cap."""
@@ -717,17 +691,14 @@ class GradedPoly:
 
     def truncated(self, cap):
         """The terms of grade <= cap, with cap ``cap``; shares the storage when all fit."""
-        width = self._packed[0]
-        out = self._wrap(self.dim, width, _keys_at(self, width, cap), cap)
+        out = self._wrap(self.dim, _keys_at(self, cap), cap)
         if cap >= self._cap:  # the same storage: share its rows too
-            if self._rows is None:
-                self._rows = {}
-            out._rows = self._rows
+            out._rows = _operand_rows(self)
         out._exact = self._exact  # a grade slice of an exactly symmetric polynomial
         return out
 
     def max_abs_coeff(self) -> float:
-        return max(map(abs, self._packed[1].values()), default=0.0)
+        return max(map(abs, self._packed.values()), default=0.0)
 
     # -- serialization ---------------------------------------------------------
 
@@ -797,8 +768,7 @@ def solve_homological(G, rot, eigenvalue, to_normal_form, margin_threshold=1e-9)
     """
     if G.dim != rot.dim:
         raise ValueError("dimension mismatch")
-    width = G._packed[0]
-    rows = _operand_rows(G, width)
+    rows = _operand_rows(G)
     rot.require_order(
         max((sum(map(abs, map(operator.sub, r[_MU], r[_NU]))) for r in rows), default=0)
     )
@@ -816,8 +786,8 @@ def solve_homological(G, rot, eigenvalue, to_normal_form, margin_threshold=1e-9)
                 f"(mu - nu, m) = ({_sub_idx(key[0], key[1])}, {key[2]})"
             )
         f_terms[r[_KEY]] = r[_C] / lam
-    F = _from_packed(type(G), G.dim, f_terms, width, G._cap)
-    return F, to_normal_form(G._wrap(G.dim, width, resonant, G._cap))
+    F = _from_packed(type(G), G.dim, f_terms, G._cap)
+    return F, to_normal_form(G._wrap(G.dim, resonant, G._cap))
 
 
 def _check_symmetric(a, mirror, what):
@@ -871,15 +841,14 @@ def _filled(half, scale):
     exactly symmetric as in :func:`symmetrized`.
     """
     dim = half.dim
-    width, packed = half._packed
-    sums = _index_table(dim, width)[2]
-    _mask, _bias, nu_shift, _tail_shift, block_mask = _layout(dim, width)
+    sums = _index_table(dim)[2]
+    nu_shift, _tail_shift, block_mask = _layout(dim)
     zero_scale = 0.5 * scale
     y = {
         p: c * (zero_scale if sums[p & block_mask] == sums[(p >> nu_shift) & block_mask] else scale)
-        for p, c in packed.items()
+        for p, c in half._packed.items()
     }
-    Y = half._wrap(dim, width, y, half._cap)
+    Y = half._wrap(dim, y, half._cap)
     mirror, permutes = Y._mirrored()
     out = Y + mirror  # the sum drops any exact zero of Y
     out._exact = permutes

@@ -16,15 +16,24 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 
 from .graded import is_resonant_key
 
 
 def _entry_key(r, s, k):
-    r = tuple(int(e) for e in r)
-    if any(e < 0 for e in r) or s < 0 or k < 0:
-        raise ValueError(f"negative exponent in entry ({r}, {s}, {k})")
-    return (r, int(s), int(k))
+    """The entry ``(r, s, k)`` as plain ints; ValueError unless every exponent is an integer >= 0.
+
+    Read with ``operator.index``, as term keys are (numpy ints too): ``int()``
+    would read the exponent 1.5 as 1.
+    """
+    try:
+        entry = (tuple(map(operator.index, r)), operator.index(s), operator.index(k))
+    except TypeError:
+        raise ValueError(f"exponents must be integers in entry ({r}, {s}, {k})") from None
+    if min(entry[0] + entry[1:]) < 0:
+        raise ValueError(f"negative exponent in entry {entry}")
+    return entry
 
 
 def entry_weight(entry) -> int:
@@ -193,7 +202,7 @@ class NormalForm:
     def from_records(dim, records, route=None) -> "NormalForm":
         coeffs = {}
         for rec in records:
-            entry = (tuple(rec["r"]), int(rec["s"]), int(rec["k"]))
+            entry = _entry_key(rec["r"], rec["s"], rec["k"])
             coeffs[entry] = coeffs.get(entry, 0.0) + float(rec["c"])
         return NormalForm(dim, coeffs, route=route)
 

@@ -43,11 +43,13 @@ from itertools import product as _iproduct
 
 from .errors import ResonanceError
 from .graded import (
+    _BIAS,
     _C,
     _J,
     _K,
     _KEY,
     _M,
+    _MASK,
     _MU,
     _MU_BLOCK,
     _NU,
@@ -113,16 +115,14 @@ class FTSeries(GradedPoly):
         Formed on packed keys: the image of a key swaps its mu and nu blocks
         and negates m.
         """
-        dim = self.dim
-        width, packed = self._packed
-        mask, bias, nu_shift, tail_shift, block_mask = _layout(dim, width)
+        nu_shift, tail_shift, block_mask = _layout(self.dim)
         out = {}
-        for p, c in packed.items():
+        for p, c in self._packed.items():
             tail = p >> tail_shift
             image = (p >> nu_shift & block_mask) + ((p & block_mask) << nu_shift)
-            image += (tail - 2 * ((tail & mask) - bias)) << tail_shift  # m -> -m
+            image += (tail - 2 * ((tail & _MASK) - _BIAS)) << tail_shift  # m -> -m
             out[image] = complex(c).conjugate()
-        return FTSeries._wrap(dim, width, out, self._cap)
+        return FTSeries._wrap(self.dim, out, self._cap)
 
     def _mirrored(self):
         """``(conjugate symbol, True)``: conjugation only permutes keys."""
@@ -158,7 +158,7 @@ def pointwise_product(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
     """Commutative product, truncated at min(max_weight bounds)."""
     _check_dims(a, b)
     cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
-    width, a_terms, partners, bias = _packed_operands(a, b, cap)
+    a_terms, partners, bias = _packed_operands(a, b, cap)
     out = {}
     get = out.get
     for g1, q1, c1, p1 in a_terms:
@@ -168,7 +168,7 @@ def pointwise_product(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
             c = c1 * c2
             prev = get(key)
             out[key] = c if prev is None else prev + c
-    return _from_packed(FTSeries, a.dim, out, width, cap)
+    return _from_packed(FTSeries, a.dim, out, cap)
 
 
 def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None, half=False) -> FTSeries:
@@ -183,8 +183,8 @@ def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None, half=False) -> FT
     _check_dims(a, b)
     cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
     fields = (_C, _KEY, _MU, _NU, _M, _J)
-    width, a_terms, partners, bias = _packed_operands(a, b, cap, 2, half, fields, fields)
-    mu_units, nu_units, _m, j_unit, _k = _field_units(a.dim, width)
+    a_terms, partners, bias = _packed_operands(a, b, cap, 2, half, fields, fields)
+    mu_units, nu_units, _m, j_unit, _k = _field_units(a.dim)
     drops = [mu_u + nu_u for mu_u, nu_u in zip(mu_units, nu_units)]
     out = {}
     get = out.get
@@ -212,7 +212,7 @@ def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None, half=False) -> FT
                 c = 1j * (base * f)
                 prev = get(key)
                 out[key] = c if prev is None else prev + c
-    return _from_packed(FTSeries, a.dim, out, width, cap)
+    return _from_packed(FTSeries, a.dim, out, cap)
 
 
 def moyal_product(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) -> FTSeries:
@@ -260,18 +260,18 @@ def _t_block(m1, j1, m2, j2):
     return _by_parity(tt, lambda e: e[0] + e[1])
 
 
-def _contraction_parities(a, b, width):
+def _contraction_parities(a, b):
     """:func:`~orbitbnf.graded._contractions` of (a, b) split by the parity of
     the order ``|l|``: (even entries, odd entries, all entries), each in
     table order.  Cached in the rows of :func:`_parity_row`."""
-    return _by_parity(_contractions(a, b, width), operator.itemgetter(0))
+    return _by_parity(_contractions(a, b), operator.itemgetter(0))
 
 
 @functools.lru_cache(maxsize=None)
-def _parity_row(exps, width):
+def _parity_row(exps):
     """The :class:`~orbitbnf.graded._Row` of :func:`_contraction_parities`
     for ``exps``: the Moyal sum's Y table of ``mu1``."""
-    return _Row(_contraction_parities, exps, width)
+    return _Row(_contraction_parities, exps)
 
 
 def _by_parity(entries, order):
@@ -332,12 +332,12 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
         raise ValueError("hbar_order must be >= 0")
     cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
     shift = 1 if antisymmetric else 0  # the division by i hbar lowers k by one
-    width, a_terms, partners, bias = _packed_operands(
+    a_terms, partners, bias = _packed_operands(
         a, b, cap, 2 * shift, half,
         (_C, _KEY, _MU, _NU, _M, _J, _K),
         (_C, _KEY, _MU_BLOCK, _NU_BLOCK, _M, _J, _K),
     )
-    _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim, width)
+    _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim)
     t_shift = k_unit - j_unit  # each (t, tau) derivative: one j less, one hbar more
     y_parts = (1, 0) if antisymmetric else (2, 2)  # the Y entries read, by the parity of |x|
     out = {}
@@ -348,7 +348,7 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
             continue
         room1 = hbar_order + shift - k1
         p1 -= bias + shift * k_unit
-        x_row, y_row = _contraction_row(nu1, width), _parity_row(mu1, width)
+        x_row, y_row = _contraction_row(nu1), _parity_row(mu1)
         for c2, p2, mu2, nu2, m2, j2, k2 in b_terms:
             room0 = room1 - k2  # the largest order q kept for this pair
             if room0 < shift:  # the bracket has no order q = 0
@@ -391,7 +391,7 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
                         out[key] = c if prev is None else prev + c
     if antisymmetric:
         out = {key: -1j * c for key, c in out.items()}
-    return _from_packed(FTSeries, a.dim, out, width, cap)
+    return _from_packed(FTSeries, a.dim, out, cap)
 
 
 # -- rotation data -------------------------------------------------------------
@@ -434,10 +434,14 @@ def nonresonance_margin(theta, order: int, threshold: float = 1e-9) -> RotationD
 
     Raises
     ------
+    ValueError
+        If an angle is not finite or ``order < 1``.
     ResonanceError
         If the margin falls below ``threshold``.
     """
     theta = tuple(float(v) for v in theta)
+    if not all(map(math.isfinite, theta)):
+        raise ValueError(f"rotation angles must be finite, not {theta}")
     if order < 1:
         raise ValueError("order must be >= 1")
     n = len(theta)

@@ -24,13 +24,16 @@ import math
 import operator
 
 from .graded import (
+    _BIAS,
     _C,
     _J,
     _KEY,
     _M,
+    _MASK,
     _MU_BLOCK,
     _NU,
     _NU_BLOCK,
+    _WIDTH,
     GradedPoly,
     _add_idx,
     _check_dims,
@@ -139,11 +142,11 @@ def normal_order_product(
         cap = max_grade
     else:
         cap = min(a.max_grade, b.max_grade)
-    width, a_terms, partners, bias = _packed_operands(
+    a_terms, partners, bias = _packed_operands(
         a, b, cap, 0, half, (_C, _KEY, _NU, _J), (_C, _KEY, _MU_BLOCK, _M),
         _CONTRACTING if contracted else None,
     )
-    _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim, width)
+    _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim)
     dt_shift = k_unit - j_unit  # D_t -> m hbar: one j less, one k more
     row_of = _contracted_row if contracted else _contraction_row
     out = {}
@@ -153,8 +156,8 @@ def normal_order_product(
         if not b_terms:
             continue
         p1 -= bias
-        row = row_of(nu1, width)
-        full = _contraction_row(nu1, width) if j1 else None
+        row = row_of(nu1)
+        full = _contraction_row(nu1) if j1 else None
         for c2, p2, mu2, m2 in b_terms:
             table = row[mu2]
             if not (j1 and m2):  # D_t^{j1} passes e^{i m2 t} unchanged: f_d = 1
@@ -179,7 +182,7 @@ def normal_order_product(
                     c = base * (f_d * f_l)
                     prev = get(key)
                     out[key] = c if prev is None else prev + c
-    return _from_packed(WordPoly, a.dim, out, width, cap)
+    return _from_packed(WordPoly, a.dim, out, cap)
 
 
 def adjoint(a: WordPoly) -> WordPoly:
@@ -198,20 +201,20 @@ def _adjoint(a: WordPoly):
     j, m != 0 the ``(D_t - m hbar)^j`` expansion adds keys of lower j and
     higher k, and images of different terms can meet.  Only without such a
     term is the adjoint a permutation of keys with conjugated coefficients,
-    and so exact on sums.  The result is packed at ``a``'s width, which
-    holds every image field, in the order the images are first formed.
+    and so exact on sums.  The images keep the grade and |m| of their
+    terms, so they lie within the packed-key bounds; they are stored in the
+    order they are first formed.
     """
     dim = a.dim
-    width, packed = a._packed
-    mask, bias, nu_shift, tail_shift, block_mask = _layout(dim, width)
-    dt_shift = ((1 << (2 * width)) - (1 << width)) << tail_shift  # one j less, one k more
+    nu_shift, tail_shift, block_mask = _layout(dim)
+    dt_shift = ((1 << (2 * _WIDTH)) - (1 << _WIDTH)) << tail_shift  # one j less, one k more
     permutes = True
     out = {}
     get = out.get
-    for p, c in packed.items():
+    for p, c in a._packed.items():
         tail = p >> tail_shift
-        m = (tail & mask) - bias
-        j = (tail >> width) & mask
+        m = (tail & _MASK) - _BIAS
+        j = (tail >> _WIDTH) & _MASK
         cc = complex(c).conjugate()
         image = (p >> nu_shift & block_mask) + ((p & block_mask) << nu_shift)
         image += (tail - 2 * m) << tail_shift
@@ -226,7 +229,7 @@ def _adjoint(a: WordPoly):
             key = image + (j - d) * dt_shift
             prev = get(key)
             out[key] = v if prev is None else prev + v
-    return _from_packed(WordPoly, dim, out, width, a.max_grade), permutes
+    return _from_packed(WordPoly, dim, out, a.max_grade), permutes
 
 
 def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) -> WordPoly:
@@ -248,9 +251,8 @@ def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) 
         cap = min(cap, max_grade)
     ab = normal_order_product(a, b, cap + 2, half=half, contracted=True)
     ba = normal_order_product(b, a, cap + 2, half=half, contracted=True)
-    width, packed = (ab - ba)._packed
-    k_unit = _field_units(a.dim, width)[4]
-    return WordPoly._wrap(a.dim, width, {p - k_unit: -1j * c for p, c in packed.items()}, cap)
+    k_unit = _field_units(a.dim)[4]
+    return WordPoly._wrap(a.dim, {p - k_unit: -1j * c for p, c in (ab - ba)._packed.items()}, cap)
 
 
 def apply_to_basis(a: WordPoly, state: tuple, hbar: float) -> dict:

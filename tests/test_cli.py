@@ -217,6 +217,30 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     })
     assert main(["trace-forward", "--config", fractional, "--out", str(tmp_path / "o")]) == 2
     assert "period index l must be an integer, not 1.5" in capsys.readouterr().err
+    # a fractional normal-form exponent is not read as an integer
+    fractional_r = write_config(tmp_path, "fractional_r.json", {
+        "normal_form": {"dim": 1, "records": [
+            *nf["records"], {"r": [1.5], "s": 0, "k": 0, "c": 0.3},
+        ]},
+    })
+    assert main(["weyl-of-h", "--config", fractional_r, "--out", str(tmp_path / "o")]) == 2
+    assert "exponents must be integers" in capsys.readouterr().err
+    # non-finite theta and E stop at the config boundary (JSON reads Infinity and NaN)
+    for field, value in (("theta", [math.inf]), ("theta", [SQRT2M1, math.nan]), ("E", math.nan)):
+        for command in ("bnf-quantum", "bnf-classical"):
+            cfg = {"theta": [SQRT2M1], "E": 1.0, "orders": {"weight": 4}, field: value}
+            path = write_config(tmp_path, "nonfinite.json", cfg)
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+            assert f"setting {field!r} must be a finite number" in capsys.readouterr().err
+    # a Fourier mode past the packed-key bounds (|m| <= 127)
+    wide_mode = write_config(tmp_path, "wide_mode.json", {
+        "theta": [SQRT2M1], "E": 1.0, "orders": {"weight": 4},
+        "hamiltonian": {"word_terms": [
+            {"mu": [1], "nu": [0], "m": 200, "j": 0, "k": 0, "re": 1.0, "im": 0.0},
+        ]},
+    })
+    assert main(["bnf-quantum", "--config", wide_mode, "--out", str(tmp_path / "o")]) == 2
+    assert "past the packed-key bounds" in capsys.readouterr().err
     # integer settings are read with operator.index: no truncation, no strings
     for command, name, cfg_of in (
         ("bnf-classical", "resonance_order", lambda v: {"resonance_order": v}),

@@ -121,7 +121,7 @@ NU1 = ((0,), (1,), 0, 0, 0)  # the key of a (a word) or zbar (a symbol)
 
 @pytest.mark.parametrize("cls", [FTSeries, WordPoly])
 @pytest.mark.parametrize(
-    "pairs,cap,expected,width",
+    "pairs,cap,expected",
     [
         # insertion order, a repeated key summed in place, an exact zero and a
         # key above the cap dropped, a cancelled key re-entered at the end
@@ -138,29 +138,52 @@ NU1 = ((0,), (1,), 0, 0, 0)  # the key of a (a word) or zbar (a symbol)
             ],
             4,
             [(NU1, 1.5), (((0,), (0,), 0, 0, 1), 0.25), (((1,), (1,), -1, 1, 0), 3.0)],
-            8,
         ),
-        # an exponent of 256 needs a ninth bit
+        # the packed-key bounds: grade 255 in one exponent and in j and k, |m| = 127
         (
-            [(((256,), (0,), 0, 0, 0), 1.0), (NU1, -2.0)],
+            [(((255,), (0,), 0, 0, 0), 1.0), (NU1, -2.0), (((1,), (0,), 0, 63, 64), 0.5)],
             math.inf,
-            [(((256,), (0,), 0, 0, 0), 1.0), (NU1, -2.0)],
-            9,
+            [(((255,), (0,), 0, 0, 0), 1.0), (NU1, -2.0), (((1,), (0,), 0, 63, 64), 0.5)],
         ),
-        # so does |m| = 130, with its sign bit
         (
-            [(NU1, 0.5), (((1,), (0,), -130, 2, 1), 1j)],
+            [(NU1, 0.5), (((1,), (0,), -127, 2, 1), 1j), (((0,), (2,), 127, 0, 0), -1.0)],
             math.inf,
-            [(NU1, 0.5), (((1,), (0,), -130, 2, 1), 1j)],
-            9,
+            [(NU1, 0.5), (((1,), (0,), -127, 2, 1), 1j), (((0,), (2,), 127, 0, 0), -1.0)],
         ),
     ],
 )
-def test_constructor_round_trips_through_items_by_repr(cls, pairs, cap, expected, width):
+def test_constructor_round_trips_through_items_by_repr(cls, pairs, cap, expected):
     poly = cls(1, _Pairs(pairs), cap)
     assert repr(list(poly.items())) == repr(expected)
-    assert poly._packed[0] == width and len(poly) == len(expected)
+    assert len(poly) == len(expected)
     assert [poly.coeff(key) for key, _c in expected] == [c for _key, c in expected]
+    assert repr(cls.from_records(1, poly.to_records(), cap).to_records()) == repr(poly.to_records())
+
+
+@pytest.mark.parametrize("cls", [FTSeries, WordPoly])
+@pytest.mark.parametrize(
+    "key",
+    [
+        ((256,), (0,), 0, 0, 0),  # grade 256 in one exponent
+        ((0,), (0,), 0, 64, 64),  # grade 256 in j and k
+        ((1,), (0,), 128, 0, 0),  # |m| = 128
+        ((1,), (0,), -128, 0, 0),
+    ],
+)
+def test_keys_past_the_packed_bounds_raise_at_construction(cls, key):
+    """Grades up to 255 and |m| up to 127 fill the 8-bit fields; one more
+    raises from the constructor, from ``from_records`` and from the trusted
+    constructor of the heat flows, also next to keys within the bounds."""
+    terms = {NU1: 1.0, key: 0.5}
+    mu, nu, m, j, k = key
+    record = {"mu": list(mu), "nu": list(nu), "m": m, "j": j, "k": k, "re": 0.5}
+    for build in (
+        lambda: cls(1, terms),
+        lambda: cls.from_records(1, [record]),
+        lambda: cls._trusted(1, terms, math.inf),
+    ):
+        with pytest.raises(ValueError, match="packed-key bounds"):
+            build()
 
 
 def _ref_merged(a_terms, b_terms, cap, sign):
@@ -181,9 +204,9 @@ def _ref_merged(a_terms, b_terms, cap, sign):
 
 
 @pytest.mark.parametrize("cls", [FTSeries, WordPoly])
-@pytest.mark.parametrize("mode", [3, 130])  # b packs at 8 or at 9 bits
+@pytest.mark.parametrize("mode", [3, 127])
 @pytest.mark.parametrize("caps", [(math.inf, math.inf), (8, 6), (6, math.inf)])
-def test_linear_structure_across_widths_and_caps_matches_tuple_key_arithmetic(cls, mode, caps):
+def test_linear_structure_across_caps_matches_tuple_key_arithmetic(cls, mode, caps):
     a_terms = {
         NU1: 1.0 + 2j,
         ((2,), (1,), 1, 1, 0): -0.5,
@@ -198,7 +221,6 @@ def test_linear_structure_across_widths_and_caps_matches_tuple_key_arithmetic(cl
         ((0,), (0,), -2, 2, 0): 0.5,
     }
     a, b = cls(1, a_terms, caps[0]), cls(1, b_terms, caps[1])
-    assert b._packed[0] == (9 if mode > 127 else 8) and a._packed[0] == 8
     a_kept = {key: c for key, c in a_terms.items() if key_grade(key) <= caps[0]}
     b_kept = {key: c for key, c in b_terms.items() if key_grade(key) <= caps[1]}
     cap = min(caps)
@@ -209,14 +231,12 @@ def test_linear_structure_across_widths_and_caps_matches_tuple_key_arithmetic(cl
         (b - a, _ref_merged(b_kept, a_kept, cap, -1)),
     ):
         assert repr(list(got.items())) == repr(list(want.items()))
-        assert got._cap == cap and got._packed[0] == b._packed[0]
+        assert got._cap == cap
     keys = a_kept.keys() | b_kept.keys()
     gap = max(abs(a_kept.get(key, 0) - b_kept.get(key, 0)) for key in keys)
     assert max_coeff_difference(a, b) == max_coeff_difference(b, a) == gap
-    # equal terms compare equal across widths and caps; a changed coefficient does not
-    wide = cls(1, {((1,), (0,), mode, 0, 0): 1j})
-    narrow = b - wide
-    assert narrow._packed[0] == b._packed[0]
+    # equal terms compare equal across caps; a changed coefficient does not
+    narrow = b - cls(1, {((1,), (0,), mode, 0, 0): 1j})
     rest = {key: c for key, c in b_kept.items() if key[2] != mode}
     assert narrow == cls(1, rest) and cls(1, rest, 8) == narrow
     assert narrow != cls(1, {**rest, NU1: 1.0}) and narrow != a

@@ -239,7 +239,7 @@ def test_every_polynomial_flagged_exactly_symmetric_in_a_sweep_equals_its_mirror
         def wrapper(*args, **kwargs):
             out = make(*args, **kwargs)
             if isinstance(out, GradedPoly) and out._exact:
-                copy = out._wrap(out.dim, *out._packed, out._cap)
+                copy = out._wrap(out.dim, out._packed, out._cap)
                 assert defect(copy) == 0.0
                 assert not any(key[2] and key[3] for key in copy.keys())
                 checked[type(out).__name__] += 1
@@ -333,8 +333,8 @@ def test_sweeps_conjugate_and_commute_through_the_module_namespaces(monkeypatch)
     generator, looked up in the module at call time, and two
     words.normal_order_product calls per commutator: the benchmark's tracer
     (perfbench/tracing.py) and its smoke check count these spans.  The
-    contraction rows stay within their bound: one per exponent tuple and
-    width, so no more rows than the contraction tables hold entries."""
+    contraction rows stay within their bound: one per exponent tuple, so
+    no more rows than the contraction tables hold entries."""
     calls = collections.Counter()
 
     def count(module, name):

@@ -16,7 +16,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from orbitbnf import graded
+from orbitbnf import graded, series, words
 from orbitbnf.series import (
     FTSeries,
     moyal_bracket,
@@ -348,24 +348,21 @@ def test_kernels_on_dim_0_operands():
 
 
 def test_kernels_on_mixed_sign_fourier_modes_beyond_100():
-    keys_a = [((1,), (0,), 150, 1, 0), ((0,), (2,), -120, 2, 0), ((2,), (1,), 101, 0, 1)]
-    keys_b = [((0,), (1,), -150, 2, 0), ((1,), (1,), 130, 1, 0), ((1,), (2,), -100, 0, 0)]
-    a = WordPoly(1, dict.fromkeys(keys_a, 1.0))
-    b = WordPoly(1, dict.fromkeys(keys_b, 1.0))
-    assert graded._packed_operands(a, b, INF)[0] > graded._MIN_WIDTH
+    """Modes of both signs beyond 100 against small ones: the output modes
+    reach both ends of the m field, |m| = 127."""
+    keys_a = [((1,), (0,), 110, 1, 0), ((0,), (2,), -110, 2, 0), ((2,), (1,), 101, 0, 1)]
+    keys_b = [((0,), (1,), -17, 2, 0), ((1,), (1,), 17, 1, 0), ((1,), (2,), -9, 0, 0)]
     for cap in (INF, 9):
         pairs = _assert_kernels_match(keys_a, keys_b, 1, cap)
         modes = {key[2] for got, _ref in pairs for key in got.keys()}
-        assert 0 in modes and 280 in modes and -270 in modes
+        assert {127, -127, 93, -93} <= modes
 
 
-@pytest.mark.parametrize("n", [40, 70])
+@pytest.mark.parametrize("n", [40, 63])
 def test_kernels_on_high_powers_under_an_infinite_cap(n):
-    """(a^+)^n a^n times itself: every contraction 0..n, and at n = 70 the
-    output grade 280 needs fields wider than the default width."""
+    """(a^+)^n a^n times itself: every contraction 0..n, and at n = 63 the
+    output grade 252 lies near the top of the 8-bit fields."""
     keys = [((n,), (n,), 0, 0, 0)]
-    a = WordPoly(1, dict.fromkeys(keys, 1.0))
-    assert (graded._packed_operands(a, a, INF)[0] > graded._MIN_WIDTH) == (n == 70)
     pairs = _assert_kernels_match(keys, keys, 1, INF, hbar_order=n + 1)
     word = pairs[0][0]
     assert len(word) == n + 1
@@ -397,46 +394,49 @@ def test_kernel_insertion_order_follows_the_reference_loop():
         _assert_kernels_match(list(a.keys()), list(b.keys()), dim, 10)
 
 
-def test_index_tables_keep_widths_apart():
-    """Packed blocks collide across widths: (0, 1) at width 9 and (0, 2) at
-    width 8 both pack to 512, so each (dim, width) needs its own table of
-    interned index tuples.  Run both widths in one process, in both orders."""
-    zero = ((0, 0), (0, 0), 0, 0, 0)
-    narrow = (
-        [((0, 2), (1, 0), 1, 1, 0), ((1, 1), (0, 2), -2, 0, 1)],
-        [zero, ((0, 1), (1, 0), 2, 1, 0)],
-        (0, 2),
-    )
-    wide = (  # |m| up to 130 + 3: the sign bit of m needs a ninth bit
-        [((0, 1), (0, 1), 130, 1, 0), ((1, 0), (0, 1), -1, 0, 0)],
-        [zero, ((0, 0), (0, 1), -3, 2, 0)],
-        (0, 1),
-    )
-    for case, width in (narrow, 8), (wide, 9), (wide, 9), (narrow, 8):
-        keys_a, keys_b, idx = case
-        wa = WordPoly(2, dict.fromkeys(keys_a, 1.0))
-        wb = WordPoly(2, dict.fromkeys(keys_b, 1.0))
-        assert graded._packed_operands(wa, wb, INF)[0] == width
-        for cap in (INF, 9):
-            pairs = _assert_kernels_match(keys_a, keys_b, 2, cap)
-            assert all(any(key[0] == idx for key in got.keys()) for got, _ref in pairs[::4])
+def _wide_word():
+    """(a^+)^70 a^70: its square has grade 280, past the 8-bit fields."""
+    return WordPoly(1, {((70,), (70,), 0, 0, 0): 1.0})
 
 
-def test_overflowing_operand_fields_leave_the_index_tables_intact():
-    """An operand field of 2**8 or more packs at 9 bits; at width 8 its
-    block, 256 for (256, 0), would be that of (0, 1).  A call is never
-    narrower than an operand's own width, also under a cap below its grade,
-    and later width-8 products must still output (0, 1)."""
-    big = WordPoly(2, {((256, 0), (0, 0), 0, 0, 0): 1.0})
-    one = WordPoly(2, {((0, 0), (0, 0), 0, 0, 0): 1.0})
-    assert big._packed[0] == graded._packed_operands(big, one, INF)[0] == 9
-    assert graded._packed_operands(one, big, 9)[0] == 9
-    assert list(normal_order_product(big, one, INF).keys()) == [((256, 0), (0, 0), 0, 0, 0)]
-    keys_a = [((0, 1), (1, 0), 0, 0, 0), ((0, 1), (0, 0), 1, 0, 0)]
-    keys_b = [((0, 0), (0, 0), 0, 0, 0), ((1, 0), (0, 1), -1, 1, 0)]
-    for cap in (INF, 9):
-        pairs = _assert_kernels_match(keys_a, keys_b, 2, cap)
-        assert any(key[0] == (0, 1) for key in pairs[0][0].keys())
+def test_a_kernel_call_that_could_pass_the_packed_bounds_raises_before_forming_a_term(
+    monkeypatch,
+):
+    """Every kernel whose ``min(cap, ga + gb)`` passes 255, or whose operand
+    modes could add past 127, raises ValueError before it reads a contraction
+    row or forms a term; under a cap within the bounds the same operands
+    multiply.  A later in-range product still matches its reference loop."""
+    rows = []
+    for module, name in ((words, "_contraction_row"), (words, "_contracted_row"),
+                         (series, "_contraction_row"), (series, "_parity_row")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda exps, f=original: rows.append(exps) or f(exps))
+    w = _wide_word()
+    s = FTSeries(1, dict(w.items()))
+    high = WordPoly(1, {((1,), (0,), 100, 0, 0): 1.0})
+    low = WordPoly(1, {((0,), (1,), -28, 0, 0): 1.0})
+    calls = [
+        lambda: normal_order_product(w, w),
+        lambda: normal_order_product(w, w, half=True, contracted=True),
+        lambda: commutator_over_ihbar(w, w),
+        lambda: moyal_product(s, s, 71),
+        lambda: moyal_bracket(s, s, 71),
+        lambda: poisson_bracket(s, s),
+        lambda: pointwise_product(s, s),
+        lambda: normal_order_product(w, w, 256),
+        lambda: normal_order_product(high, low),  # |m| could reach 128
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="packed-key bounds"):
+            call()
+    assert rows == []
+    assert not normal_order_product(w, w, 255)  # every term has grade 280
+    top = WordPoly(1, {((0,), (1,), -27, 0, 0): 1.0, ((2,), (0,), 27, 1, 0): 0.5})
+    for x, y in ((high, top), (top, high)):  # |m| up to 127
+        assert normal_order_product(x, y)._terms == _ref_word_product(x, y, INF)
+    monkeypatch.undo()
+    keys = [((40,), (40,), 0, 0, 0), ((1,), (0,), 3, 1, 0)]
+    _assert_kernels_match(keys, keys, 1, INF, hbar_order=41)
 
 
 # -- packed results ----------------------------------------------------------------
@@ -524,7 +524,6 @@ def test_packed_results_with_different_caps_keep_the_smaller_cap():
     rng = random.Random(23)
     a, b = _operand(WordPoly, rng, 2, INF, max_exp=1), _operand(WordPoly, rng, 2, INF, max_exp=1)
     wide, narrow = (lambda: normal_order_product(a, b, 11)), (lambda: normal_order_product(b, a, 7))
-    assert graded._packed_operands(a, b, 11)[0] == graded._packed_operands(b, a, 7)[0]
     for got, want in (
         (wide() + narrow(), _read_copy(wide) + _read_copy(narrow)),
         (narrow() - wide(), _read_copy(narrow) - _read_copy(wide)),
@@ -535,23 +534,11 @@ def test_packed_results_with_different_caps_keep_the_smaller_cap():
         assert any(graded.key_grade(key) > 7 for key in wide().keys())
 
 
-def test_packed_results_of_different_widths_merge_at_the_wider_width():
-    a = WordPoly(1, {((1,), (0,), 150, 1, 0): 1.0, ((0,), (1,), 0, 0, 0): 0.5})
-    b = WordPoly(1, {((0,), (1,), -2, 0, 0): 2.0, ((1,), (0,), 0, 1, 0): 1.0})
-    wide, narrow = (lambda: normal_order_product(a, b)), (lambda: normal_order_product(b, b))
-    assert wide()._packed[0] > narrow()._packed[0]
-    got = wide() + narrow()
-    assert got._packed[0] == wide()._packed[0]
-    assert _same(got, _read_copy(wide) + _read_copy(narrow))
-
-
 # -- operand rows and contraction rows ------------------------------------------------
 #
-# A kernel packs each operand once per width and keeps its rows on it
-# (graded._operand_rows): the rows at a polynomial's own width are split from
-# its packed keys, those at a wider width packed again from them.  The contraction tables
-# are read through one row per exponent tuple and width, keyed by the
-# partner's packed block, which is why the widths must not mix.
+# A kernel splits each operand's packed keys once and keeps the rows on it
+# (graded._operand_rows).  The contraction tables are read through one row
+# per exponent tuple, keyed by the partner's packed block.
 
 
 def _lifted(poly, k, cap):
@@ -594,22 +581,21 @@ def _row_references(wa, wb, sa, sb, cap):
 
 
 @pytest.mark.parametrize("dim,seed", [(1, 0), (2, 1), (3, 2)])
-def test_rows_at_two_widths_and_of_packed_operands_read_as_the_reference_loops(dim, seed):
-    """Each kernel at the floor width and at a wider one, in both orders in
-    one process, on kernel results of the call's width whose keys were read
-    and on ones whose keys were not: every result equals the reference loop
-    by repr, and no view of an unread operand is built.  The ``hbar^128``
-    lift puts grades past 255 under the cap 300, so the wider calls need
-    9-bit fields."""
+def test_rows_of_low_and_top_grade_operands_read_as_the_reference_loops(dim, seed):
+    """Each kernel at low grades and at grades near the top of the 8-bit
+    fields, in both orders in one process, on kernel results whose keys
+    were read and on ones whose keys were not: every result equals the
+    reference loop by repr, and no view of an unread operand is built.  The
+    ``hbar^100`` lift puts operand grades above 200 and output grades up to
+    the cap 250."""
     rng = random.Random(6000 * dim + seed)
     raw = [_operand(cls, rng, dim, INF) for cls in (WordPoly, WordPoly, FTSeries, FTSeries)]
-    for k, cap, width in ((1, 9, graded._MIN_WIDTH), (128, 300, 9), (128, 300, 9), (1, 9, 8)):
+    for k, cap in ((1, 9), (100, 250), (100, 250), (1, 9)):
         packed = [_lifted(p, k, cap) for p in raw]
         decoded = [_lifted(p, k, cap) for p in raw]
         for p in decoded:
             p.keys()
-        assert all(p._packed[0] == width for p in packed)
-        assert graded._packed_operands(*packed[:2], cap)[0] == width
+        assert (graded._bounds(packed[0])[0] > 200) == (k > 1)
         refs = _row_references(*decoded, cap)
         for operands in (decoded, packed):
             got = _row_kernels(*operands, cap)
@@ -659,20 +645,19 @@ def test_packed_mirrors_match_the_tuple_key_loops(dim, cap, seed):
     assert adjoint(adjoint(w)).max_grade == cap and s.conjugate_symbol().max_weight == cap
 
 
-def test_packed_mirrors_match_on_d_t_powers_next_to_fourier_modes_and_wide_keys():
+def test_packed_mirrors_match_on_d_t_powers_next_to_fourier_modes_and_top_modes():
     """D_t^j e^{imt} words spread over lower j and higher k, and images of
-    different terms meet; |m| beyond 127 packs at a wider width."""
+    different terms meet; |m| = 127 fills the m field at either sign."""
     keys = [
         ((0, 0), (0, 0), 3, 2, 0), ((0, 0), (0, 0), 3, 1, 1), ((1, 0), (0, 1), -2, 3, 0),
         ((0, 1), (1, 0), 2, 2, 1), ((1, 1), (0, 0), 1, 1, 0), ((0, 0), (1, 1), -1, 0, 2),
     ]
     rng = random.Random(11)
-    for extra in ([], [((0, 0), (2, 0), 130, 2, 0)]):
+    for extra in ([], [((0, 0), (2, 0), 127, 2, 0), ((1, 0), (0, 0), -127, 1, 1)]):
         for coeff in (_coeff, lambda rng: rng.choice((-1.0, 0.5, 2.0))):  # real: zero parts
             terms = {key: coeff(rng) for key in keys + extra}
             w, s = WordPoly(2, terms), FTSeries(2, terms)
             _assert_mirrors_match(w, s)
-            assert w._packed[0] == (9 if extra else graded._MIN_WIDTH)
     meet = WordPoly(1, {((0,), (0,), 1, 1, 0): 1.0, ((0,), (0,), 1, 0, 1): 1.0})
     assert list(adjoint(meet).items()) == [(((0,), (0,), -1, 1, 0), 1.0)]
 
@@ -689,6 +674,5 @@ def test_packed_mirrors_of_packed_kernel_results_match_the_tuple_key_loops(dim, 
         w, s = make_w(), make_s()
         w_adj, s_conj = adjoint(w), s.conjugate_symbol()
         assert w._view is None and s._view is None
-        assert w_adj._packed[0] == w._packed[0] and s_conj._packed[0] == s._packed[0]
         assert repr(list(w_adj.items())) == repr(list(_ref_adjoint(make_w()).items()))
         assert repr(list(s_conj.items())) == repr(list(_ref_conjugate_symbol(make_s()).items()))

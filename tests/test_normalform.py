@@ -96,6 +96,27 @@ def test_records_roundtrip():
     assert not _tables_differ(nf, back)
 
 
+@pytest.mark.parametrize(
+    "r,s,k", [([1.5], 0, 0), ([1.0], 0, 0), ([1], 1.5, 0), ([1], 0, 2.0), (["1"], 0, 0)]
+)
+def test_exponents_that_are_not_integers_raise(r, s, k):
+    """A float or string exponent raises instead of being truncated: r = 1.5
+    would otherwise merge into the p entry."""
+    record = {"r": r, "s": s, "k": k, "c": 0.3}
+    with pytest.raises(ValueError, match="must be integers"):
+        NormalForm.from_records(1, [{"r": [1], "s": 0, "k": 0, "c": SQRT2M1}, record])
+    with pytest.raises(ValueError, match="must be integers"):
+        NormalForm(1, {(tuple(r), s, k): 0.3})
+
+
+def test_numpy_integer_exponents_are_accepted():
+    np = pytest.importorskip("numpy")
+    rec = {"r": [np.int64(2)], "s": np.int32(1), "k": np.int64(0), "c": 0.5}
+    nf = NormalForm.from_records(1, [rec])
+    assert list(nf.items()) == [(((2,), 1, 0), 0.5)]
+    assert type(next(iter(nf.items()))[0][0][0]) is int
+
+
 def test_as_series_maps_actions_to_monomials():
     """p^2 becomes z^2 zbar^2 / 4 and tau becomes the j-grading."""
     nf = NormalForm(1, {((2,), 0, 0): 1.0, ((0,), 1, 0): 2.0})
