@@ -126,9 +126,7 @@ def _heat_flow_terms(terms, hbar_order: int, step) -> dict:
 
 def _heat_flow(sym, hbar_order: int, sign: int):
     if isinstance(sym, FTSeries):
-        return FTSeries._trusted(
-            sym.dim, _heat_flow_terms(sym.items(), hbar_order, sign), sym.max_weight
-        )
+        return FTSeries(sym.dim, _heat_flow_terms(sym.items(), hbar_order, sign), sym.max_weight)
     if isinstance(sym, NormalForm):
         flowed = _heat_flow(sym.as_series(), hbar_order, sign)
         return NormalForm.from_resonant_series(flowed, route=sym.route)
@@ -185,7 +183,7 @@ def weyl_symbol_of_word(w, hbar_order: int, max_weight=math.inf) -> FTSeries:
                 yield (nu, mu, m, j - i, k + i), c * (math.comb(j, i) * (-m) ** i / 2**i)
 
     flowed = _heat_flow_terms(shifted_terms(), hbar_order, -0.5)
-    return FTSeries._trusted(
+    return FTSeries(
         w.dim,
         {key: c * 2.0 ** (-(sum(key[0]) + sum(key[1])) / 2.0) for key, c in flowed.items()},
         max_weight,

@@ -13,9 +13,11 @@ A polynomial stores its terms in one form: a packed-key dict.  Each key
 is a single int with 8-bit fields (:func:`_layout`), so the key of a term a
 product kernel generates is one integer add of the operand keys and an
 offset.  The fields hold grades up to :data:`_MAX_GRADE` (255) and Fourier
-modes ``|m|`` up to :data:`_MAX_MODE` (127).  A key past these bounds
-raises ValueError at construction (:func:`_pack`), and so does a kernel
-call whose output could pass them, before it forms any term
+modes ``|m|`` up to :data:`_MAX_MODE` (127).  Tuple keys reach this
+storage only through the validating constructor, which packs one key at a
+time (:meth:`GradedPoly.__init__`): a key past these bounds or a coefficient
+that is not finite raises ValueError there, and a kernel call whose output
+could pass the bounds raises before it forms any term
 (:func:`_packed_operands`).  A polynomial keeps the rows of its terms
 (coefficient, grade, charge, packed key, index tuples and blocks,
 :func:`_operand_rows`), so the generator of a Lie series, an operand of
@@ -59,6 +61,7 @@ pair.  A polynomial the sweep built exactly symmetric records it
 from __future__ import annotations
 
 import bisect
+import cmath
 import functools
 import itertools
 import math
@@ -246,24 +249,6 @@ def _bounds(poly):
             max(map(abs, map(operator.itemgetter(_M), rows)), default=0),
         )
     return poly._bounds
-
-
-def _pack(dim, terms):
-    """The packed-key dict of the tuple-keyed ``terms``, in their order.
-
-    ValueError if a key passes the bounds of the fields (:func:`_check_bounds`).
-    """
-    grade = max(map(key_grade, terms), default=0)
-    mode = max((abs(key[2]) for key in terms), default=0)
-    _check_bounds(grade, mode, "keys reach")
-    blocks = _index_table(dim)[0]
-    nu_shift, tail_shift, _block_mask = _layout(dim)
-    k_shift = 2 * _WIDTH
-    packed = {}
-    for (mu, nu, m, j, k), c in terms.items():
-        tail = m + _BIAS + (j << _WIDTH) + (k << k_shift)
-        packed[blocks[mu][0] + (blocks[nu][0] << nu_shift) + (tail << tail_shift)] = c
-    return packed
 
 
 def _keys_at(poly, cap):
@@ -489,6 +474,20 @@ def _validate_key(key, dim):
     return mu, nu, m, j, k
 
 
+def _read_dim(dim) -> int:
+    """``dim`` as a plain int >= 0 (numpy ints too); ValueError otherwise.
+
+    Read with ``operator.index``, as keys are: ``int()`` would read 1.5 as 1.
+    """
+    try:
+        dim = operator.index(dim)
+    except TypeError:
+        raise ValueError(f"dim must be an integer, not {dim!r}") from None
+    if dim < 0:
+        raise ValueError("dim must be >= 0")
+    return dim
+
+
 def _check_dims(a, b):
     if type(a) is not type(b):
         raise TypeError(f"cannot combine {type(a).__name__} with {type(b).__name__}")
@@ -520,10 +519,10 @@ class GradedPoly:
     The terms are stored as ``_packed``, a packed-key dict in insertion
     order (see :func:`_layout`), and nothing else: every operation reads
     the packed keys or their rows.  A key past the packed-key bounds
-    (grade 255, ``|m|`` 127) raises ValueError at construction.  The
-    tuple-keyed dict that ``items()``, ``keys()``, :meth:`coeff`, records
-    and maps read is a view (:attr:`_terms`), built on the first read and
-    cached in ``_view``.
+    (grade 255, ``|m|`` 127) or a coefficient that is not finite raises
+    ValueError at construction.  The tuple-keyed dict that ``items()``,
+    ``keys()``, :meth:`coeff`, records and maps read is a view
+    (:attr:`_terms`), built on the first read and cached in ``_view``.
 
     Two more slots cache what the value determines: ``_rows``, the kernel
     operand rows (:func:`_operand_rows`), with ``_bounds``; and ``_exact``,
@@ -536,31 +535,41 @@ class GradedPoly:
     _SYMMETRY = "symmetric"
 
     def __init__(self, dim, terms=None, cap=INFINITE):
-        if dim < 0:
-            raise ValueError("dim must be >= 0")
-        self.dim = int(dim)
+        """Pack ``terms`` (tuple key -> coefficient), one key at a time.
+
+        The only code that turns tuple keys into storage.  Each key is
+        validated (:func:`_validate_key`) and its coefficient must be
+        finite; a zero coefficient or a grade above ``cap`` skips the key,
+        and a key past the packed-key bounds raises ValueError
+        (:func:`_check_bounds`) before it is packed, even when its
+        coefficients would cancel.  Repeated keys are summed in place, and a
+        sum that reaches an exact zero is deleted.
+        """
+        self.dim = _read_dim(dim)
         self._cap = cap
         self._view = self._rows = self._bounds = None
         self._exact = False
-        store = {}
+        blocks = _index_table(self.dim)[0]
+        nu_shift, tail_shift, _block_mask = _layout(self.dim)
+        packed = {}
         for key, c in (terms or {}).items():
-            key = _validate_key(key, self.dim)
-            if not c or key_grade(key) > cap:
+            mu, nu, m, j, k = key = _validate_key(key, self.dim)
+            if not cmath.isfinite(c):
+                raise ValueError(f"the coefficient of key {key} must be finite, not {c!r}")
+            grade = key_grade(key)
+            if not c or grade > cap:
                 continue
-            store[key] = store[key] + c if key in store else c
-            if not store[key]:
-                del store[key]
-        self._packed = _pack(self.dim, store)
-
-    @classmethod
-    def _trusted(cls, dim, terms, cap):
-        """Build from canonical tuple keys of grade <= ``cap`` (library use), dropping exact zeros.
-
-        Keys are not re-validated and their grades not checked: the callers,
-        the heat flows of :mod:`~orbitbnf.bridge`, preserve grade, and their
-        sums can cancel to an exact zero.
-        """
-        return cls._wrap(dim, _pack(dim, {key: c for key, c in terms.items() if c}), cap)
+            _check_bounds(grade, abs(m), "a key reaches")
+            tail = m + _BIAS + (j << _WIDTH) + (k << (2 * _WIDTH))
+            p = blocks[mu][0] + (blocks[nu][0] << nu_shift) + (tail << tail_shift)
+            prev = packed.get(p)
+            if prev is None:
+                packed[p] = c
+            elif total := prev + c:
+                packed[p] = total
+            else:
+                del packed[p]
+        self._packed = packed
 
     @classmethod
     def _wrap(cls, dim, packed, cap):
@@ -665,7 +674,9 @@ class GradedPoly:
         return self._wrap(self.dim, {p: -c for p, c in self._packed.items()}, self._cap)
 
     def scaled(self, scalar):
-        """Polynomial multiplied by a scalar coefficient."""
+        """Polynomial multiplied by a scalar coefficient; ValueError unless it is finite."""
+        if not cmath.isfinite(scalar):
+            raise ValueError(f"the scalar must be finite, not {scalar!r}")
         return _from_packed(
             type(self), self.dim, {p: c * scalar for p, c in self._packed.items()}, self._cap
         )

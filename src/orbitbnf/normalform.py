@@ -13,12 +13,13 @@ rotation angles ``theta_i = c[(e_i, 0, 0)]`` and the tau coefficient
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import math
 import operator
 
-from .graded import is_resonant_key
+from .graded import _read_dim, is_resonant_key
 
 
 def _entry_key(r, s, k):
@@ -53,7 +54,7 @@ class NormalForm:
     Parameters
     ----------
     dim : int
-    coeffs : mapping (r, s, k) -> real (complex accepted if
+    coeffs : mapping (r, s, k) -> finite real (complex accepted if
         |imag| <= 1e-9 max(1, |real|), and stored as its real part)
     route : str or None
         Which construction produced it: "classical", "semiclassical",
@@ -63,7 +64,7 @@ class NormalForm:
     __slots__ = ("dim", "route", "_coeffs")
 
     def __init__(self, dim, coeffs=None, route=None):
-        self.dim = int(dim)
+        self.dim = _read_dim(dim)
         self.route = route
         store = {}
         if coeffs:
@@ -72,6 +73,8 @@ class NormalForm:
                 if len(entry[0]) != self.dim:
                     raise ValueError(f"entry {entry} has wrong dim (expected {self.dim})")
                 c = complex(c)
+                if not cmath.isfinite(c):
+                    raise ValueError(f"normal-form coefficient at {entry} must be finite, not {c}")
                 if abs(c.imag) > _IMAG_TOL * max(1.0, abs(c.real)):
                     raise ValueError(
                         f"normal-form coefficient at {entry} is not real: {c}"

@@ -104,3 +104,13 @@ def test_supplementary_trace_regression_small_coupling():
     assert errors[-1] < 1e-8
     slope = float(np.polyfit(np.log(hbars), np.log(errors), 1)[0])
     assert slope >= 2.5, f"exponent {slope:.2f}, errors {errors}"
+
+
+def test_a_check_that_reaches_its_runtime_cap_fails(monkeypatch):
+    """run_all times each check once and fails one whose time reaches its cap."""
+    monkeypatch.setattr(acceptance, "_CHECKS", [])
+    acceptance._check(1, "instant", 0)(lambda: "done")
+    (result,) = acceptance.run_all()
+    assert not result.passed and result.seconds >= 0.0
+    assert result.detail == f"CheckFailure: runtime {result.seconds:.1f} s exceeds the 0 s cap"
+    assert acceptance.format_result(result).startswith("FAIL  1. instant -- CheckFailure")

@@ -241,6 +241,21 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     })
     assert main(["bnf-quantum", "--config", wide_mode, "--out", str(tmp_path / "o")]) == 2
     assert "past the packed-key bounds" in capsys.readouterr().err
+    # non-finite coefficients stop at the library's constructors
+    for command, field, coeff in (("bnf-quantum", "word_terms", {"re": math.nan}),
+                                  ("bnf-classical", "series_terms", {"re": 0.0, "im": math.inf})):
+        path = write_config(tmp_path, "nonfinite_terms.json", {
+            "theta": [SQRT2M1], "E": 1.0, "orders": {"weight": 4},
+            "hamiltonian": {field: [{"mu": [3], "nu": [0], "m": 0, "j": 0, "k": 0, **coeff}]},
+        })
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+    nan_record = {"r": [2], "s": 0, "k": 0, "c": math.nan}
+    nonfinite_c = write_config(tmp_path, "nonfinite_c.json", {
+        "normal_form": {"dim": 1, "records": [*nf["records"], nan_record]},
+    })
+    assert main(["weyl-of-h", "--config", nonfinite_c, "--out", str(tmp_path / "o")]) == 2
+    assert "must be finite" in capsys.readouterr().err
     # integer settings are read with operator.index: no truncation, no strings
     for command, name, cfg_of in (
         ("bnf-classical", "resonance_order", lambda v: {"resonance_order": v}),

@@ -172,18 +172,60 @@ def test_constructor_round_trips_through_items_by_repr(cls, pairs, cap, expected
 )
 def test_keys_past_the_packed_bounds_raise_at_construction(cls, key):
     """Grades up to 255 and |m| up to 127 fill the 8-bit fields; one more
-    raises from the constructor, from ``from_records`` and from the trusted
-    constructor of the heat flows, also next to keys within the bounds."""
+    raises from the constructor and from ``from_records``, also next to keys
+    within the bounds, and also when its two coefficients cancel, since the
+    key is checked before it is packed."""
     terms = {NU1: 1.0, key: 0.5}
     mu, nu, m, j, k = key
     record = {"mu": list(mu), "nu": list(nu), "m": m, "j": j, "k": k, "re": 0.5}
     for build in (
         lambda: cls(1, terms),
         lambda: cls.from_records(1, [record]),
-        lambda: cls._trusted(1, terms, math.inf),
+        lambda: cls(1, _Pairs([(NU1, 1.0), (key, 0.5), (key, -0.5)])),
     ):
         with pytest.raises(ValueError, match="packed-key bounds"):
             build()
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 0.0)]
+
+
+@pytest.mark.parametrize("cls", [FTSeries, WordPoly])
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_non_finite_coefficients_and_scalars_raise(cls, value):
+    """A coefficient or scalar that is not finite raises ValueError from the
+    constructor (also on a key above the cap), ``from_records`` and
+    ``scaled``."""
+    c = complex(value)
+    record = {"mu": [0], "nu": [1], "m": 0, "j": 0, "k": 0, "re": c.real, "im": c.imag}
+    for build in (
+        lambda: cls(1, {NU1: 1.0, ((1,), (1,), 0, 0, 0): value}),
+        lambda: cls(1, {((4,), (0,), 0, 0, 0): value}, 2),
+        lambda: cls.from_records(1, [record]),
+        lambda: cls(1, {NU1: 1.0}).scaled(value),
+        lambda: value * cls(1, {NU1: 1.0}),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+
+
+@pytest.mark.parametrize("h0", [h0_series, h0_word])
+@pytest.mark.parametrize("E", [math.nan, math.inf])
+def test_quadratic_parts_reject_a_non_finite_energy(h0, E):
+    rot = RotationData(THETAS[:1], resonance_order=8, margin=0.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        h0(rot, E)
+
+
+@pytest.mark.parametrize("cls", [FTSeries, WordPoly])
+def test_dim_is_read_as_an_integer(cls):
+    """A float dim raises instead of being truncated; numpy ints are read as ints."""
+    np = pytest.importorskip("numpy")
+    for dim in (1.5, 2.0, "1", -1):
+        with pytest.raises(ValueError, match="dim must be"):
+            cls(dim, {NU1: 1.0})
+    poly = cls(np.int64(1), {NU1: 1.0})
+    assert poly.dim == 1 and type(poly.dim) is int
 
 
 def _ref_merged(a_terms, b_terms, cap, sign):

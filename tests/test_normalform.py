@@ -115,6 +115,26 @@ def test_numpy_integer_exponents_are_accepted():
     nf = NormalForm.from_records(1, [rec])
     assert list(nf.items()) == [(((2,), 1, 0), 0.5)]
     assert type(next(iter(nf.items()))[0][0][0]) is int
+    nf = NormalForm(np.int64(1), {((1,), 0, 0): 0.5})
+    assert nf.dim == 1 and type(nf.dim) is int
+
+
+@pytest.mark.parametrize("dim", [2.7, 1.0, "1", -1])
+def test_dim_that_is_not_an_integer_raises(dim):
+    """A float dim raises instead of being truncated (2.7 would read as 2)."""
+    with pytest.raises(ValueError, match="dim must be"):
+        NormalForm(dim, {})
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_non_finite_coefficients_raise(c):
+    """A coefficient that is not finite raises; 1 + nan j is not read as 1.0
+    (its realness test is false for nan)."""
+    with pytest.raises(ValueError, match="must be finite"):
+        NormalForm(1, {((0,), 0, 0): 1.0, ((1,), 0, 0): c})
+    if not isinstance(c, complex):
+        with pytest.raises(ValueError, match="must be finite"):
+            NormalForm.from_records(1, [{"r": [1], "s": 0, "k": 0, "c": c}])
 
 
 def test_as_series_maps_actions_to_monomials():

@@ -11,6 +11,10 @@ Hamiltonian ``H = h0 + W`` act on its normal-form tables bit for bit:
 - energy shift: with ``E`` moved from 1.0 to 1.75, the constant entry moves
   by exactly 0.75 and every other entry is bit-identical.
 
+The generators and the remainder obey the same laws term by term, in the
+same order: each term of grade g is multiplied by exactly ``2^(g - 2)``
+under the doubling, and none moves under the shift.
+
 The cases have the shapes of the benchmark's nf-routes Hamiltonians.
 """
 
@@ -20,6 +24,7 @@ import pytest
 
 from orbitbnf.bridge import weyl_symbol_of_word
 from orbitbnf.classical import birkhoff_classical, birkhoff_semiclassical
+from orbitbnf.graded import key_grade
 from orbitbnf.normalform import entry_weight
 from orbitbnf.quantum import birkhoff_quantum, h0_word
 from orbitbnf.series import nonresonance_margin
@@ -42,15 +47,22 @@ def _perturbation(dim, order, with_cos):
     return cube + normal_order_product(cos_t, cube, order)
 
 
-def _tables(H, rot, order):
-    """{route: normal-form table as a dict} of the three sweeps of H."""
+def _sweeps(H, rot, order):
+    """{route: (normal form, generators, remainder)} of the three sweeps of H."""
     symbol = weyl_symbol_of_word(H, HBAR_ORDER, order)
-    nfs = {
-        "quantum": birkhoff_quantum(H, rot, order, order)[0],
-        "semiclassical": birkhoff_semiclassical(symbol, rot, order, HBAR_ORDER, order)[0],
-        "classical": birkhoff_classical(weyl_symbol_of_word(H, 0, order), rot, order, order)[0],
+    return {
+        "quantum": birkhoff_quantum(H, rot, order, order),
+        "semiclassical": birkhoff_semiclassical(symbol, rot, order, HBAR_ORDER, order),
+        "classical": birkhoff_classical(weyl_symbol_of_word(H, 0, order), rot, order, order),
     }
-    return {route: dict(nf.items()) for route, nf in nfs.items()}
+
+
+def _terms(polys, by_grade=False):
+    """The terms of each polynomial in order, each times ``2^(grade - 2)`` with ``by_grade``."""
+    return [
+        [(key, c * 2.0 ** (key_grade(key) - 2) if by_grade else c) for key, c in poly.items()]
+        for poly in polys
+    ]
 
 
 @pytest.mark.parametrize(
@@ -61,16 +73,21 @@ def _tables(H, rot, order):
 def test_coupling_doubling_and_energy_shift_act_exactly_on_every_route(dim, order, with_cos):
     rot = nonresonance_margin(THETAS[:dim], order)
     W = _perturbation(dim, order, with_cos)
-    base = _tables(h0_word(rot, 1.0, order) + W, rot, order)
-    doubled = _tables(h0_word(rot, 1.0, order) + W.scaled(2.0), rot, order)
-    shifted = _tables(h0_word(rot, 1.75, order) + W, rot, order)
+    base = _sweeps(h0_word(rot, 1.0, order) + W, rot, order)
+    doubled = _sweeps(h0_word(rot, 1.0, order) + W.scaled(2.0), rot, order)
+    shifted = _sweeps(h0_word(rot, 1.75, order) + W, rot, order)
     energy = ((0,) * dim, 0, 0)
-    for route, table in base.items():
+    for route, (nf, generators, remainder) in base.items():
+        table = dict(nf.items())
         rest = {e: c for e, c in table.items() if e != energy}
         assert table[energy] == 1.0 and max(map(entry_weight, rest)) == order
-        got = dict(doubled[route])
+        assert generators and remainder
+        polys = [*generators, remainder]
+        got = dict(doubled[route][0].items())
         assert got.pop(energy) == 1.0
         assert got == {e: c * 2.0 ** (entry_weight(e) - 2) for e, c in rest.items()}, route
-        got = dict(shifted[route])
+        assert _terms([*doubled[route][1], doubled[route][2]]) == _terms(polys, True), route
+        got = dict(shifted[route][0].items())
         assert got.pop(energy) == 1.75
         assert got == rest, route
+        assert _terms([*shifted[route][1], shifted[route][2]]) == _terms(polys), route
