@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .graded import _contraction_terms, _sub_idx, key_grade
+from .graded import _contraction_terms, _read_index, _sub_idx, key_grade
 from .normalform import NormalForm
 from .series import FTSeries
 
@@ -72,8 +72,7 @@ def weyl_of_functional_calculus(h: NormalForm, hbar_order: int) -> NormalForm:
     unchanged (quantizing a function of D_t alone is exact).  The output
     agrees with h at hbar^0 and differs only in even hbar powers per entry.
     """
-    if hbar_order < 0:
-        raise ValueError("hbar_order must be >= 0")
+    hbar_order = _read_index(hbar_order, "hbar_order")
     out = {}
     for (r, s, k), c in h.items():
         parts = [(tuple(), 0, Fraction(1))]
@@ -111,8 +110,10 @@ def _heat_flow_terms(terms, hbar_order: int, step) -> dict:
     z^mu zbar^nu goes to the sum over 0 <= x <= min(mu, nu) of
     step^|x| x! C(mu, x) C(nu, x) hbar^|x| z^{mu-x} zbar^{nu-x}, with the
     integers from :func:`~orbitbnf.graded._contraction_terms`; terms above
-    hbar^hbar_order are dropped.
+    hbar^hbar_order are dropped; ValueError unless ``hbar_order`` is an
+    integer >= 0.
     """
+    hbar_order = _read_index(hbar_order, "hbar_order")
     out = {}
     for (mu, nu, m, j, k), c in terms:
         for x, s, f in _contraction_terms(mu, nu):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .graded import birkhoff_sweep, lie_series, solve_homological, theta_shift
+from .graded import _read_index, birkhoff_sweep, lie_series, solve_homological, theta_shift
 from .normalform import NormalForm
 from .series import FTSeries, RotationData, moyal_bracket, poisson_bracket
 
@@ -141,8 +141,7 @@ def birkhoff_semiclassical(
     explicit hbar powers k <= hbar_order; its hbar^0 slice coincides with
     birkhoff_classical's output.
     """
-    if hbar_order < 0:
-        raise ValueError("hbar_order must be >= 0")
+    hbar_order = _read_index(hbar_order, "hbar_order")
     nf, generators, remainder = _birkhoff_sweep(
         H.hbar_truncated(hbar_order),
         rot,

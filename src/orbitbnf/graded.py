@@ -16,9 +16,11 @@ offset.  The fields hold grades up to :data:`_MAX_GRADE` (255) and Fourier
 modes ``|m|`` up to :data:`_MAX_MODE` (127).  Tuple keys reach this
 storage only through the validating constructor, which packs one key at a
 time (:meth:`GradedPoly.__init__`): a key past these bounds or a coefficient
-that is not finite raises ValueError there, and a kernel call whose output
-could pass the bounds raises before it forms any term
-(:func:`_packed_operands`).  A polynomial keeps the rows of its terms
+that is not finite raises ValueError there.  Every product kernel starts
+from one call set-up, :func:`_packed_operands`: it checks the operands'
+class and dim, picks the call's cap and raises before any term is formed
+when the output could pass the bounds.  Caps and hbar orders are read by
+one rule (:func:`_read_index`).  A polynomial keeps the rows of its terms
 (coefficient, grade, charge, packed key, index tuples and blocks,
 :func:`_operand_rows`), so the generator of a Lie series, an operand of
 every bracket of its series, is split once, and a call builds only the
@@ -36,7 +38,8 @@ word product contracts ``a^nu`` against ``(a^+)^mu`` with ``l! C(mu, l)
 C(nu, l)``, and the Moyal sum's transverse factor ``perm(n, x) perm(m, x) /
 x!`` is the same integer ``x! C(n, x) C(m, x)``.  A kernel reads the table
 through one row per a-term exponent tuple (:class:`_Row`), keyed by the
-partner's packed block, so a term pair costs one int-keyed lookup.
+partner's packed block, so a term pair costs one int-keyed lookup; the
+rows of every table sit in one cache, :func:`_row`.
 The table is built from :func:`_contraction_terms`, which the Wick/Weyl
 heat flow of :mod:`~orbitbnf.bridge` reads as well.
 
@@ -273,10 +276,14 @@ def _aligned(a, b, cap=INFINITE):
     return _keys_at(a, cap), _keys_at(b, cap)
 
 
-def _packed_operands(
-    a, b, cap, drop=0, half=False, a_fields=(_C, _KEY), b_fields=(_C, _KEY), keep=None
-):
-    """``(a-terms, partners, bias)`` of one product kernel call.
+def _packed_operands(a, b, cap, drop, half, a_fields, b_fields, keep=None):
+    """``(a-terms, partners, bias, cap)`` of one product kernel call.
+
+    The one call set-up of every product kernel.  The operands must share
+    class and dim (:func:`_check_dims`).  An explicit ``cap``
+    (:func:`_read_index`) overrides the operands' caps, as the caller
+    asserts they are complete that far; with ``None`` the smaller operand
+    cap applies.  The kernel stores its output under the returned cap.
 
     The terms are the operands' rows (:func:`_operand_rows`).  An a-term is
     the tuple of its grade g, its charge q and the row fields ``a_fields``,
@@ -306,6 +313,8 @@ def _packed_operands(
     ValueError before it forms any term (:func:`_check_bounds`), so no
     field can overflow, also under an infinite cap.
     """
+    _check_dims(a, b)
+    cap = min(a._cap, b._cap) if cap is None else _read_index(cap, "cap", infinite=True)
     if a and b:
         (ga, ma), (gb, mb) = _bounds(a), _bounds(b)
         _check_bounds(min(cap, ga + gb), ma + mb, "the product's keys could reach")
@@ -328,7 +337,7 @@ def _packed_operands(
             if b_top > room:
                 fit = [t for t, gb in zip(b_terms, b_grades) if gb <= room]
             partners.update(dict.fromkeys([(g, q) for q in charges], fit))
-        return a_terms, partners, bias
+        return a_terms, partners, bias, cap
     b_charges = map(operator.itemgetter(_CHARGE), b_rows)
     by_charge = sorted(zip(b_charges, b_grades, b_terms), key=operator.itemgetter(0))
     for g, charges in charges_of.items():
@@ -338,7 +347,7 @@ def _packed_operands(
         fit_terms = list(map(operator.itemgetter(2), fit))
         for q in charges:
             partners[g, q] = fit_terms[: bisect.bisect_right(fit_charges, -q)]
-    return a_terms, partners, bias
+    return a_terms, partners, bias, cap
 
 
 def _field_units(dim):
@@ -437,21 +446,17 @@ class _Row(dict):
 
 
 @functools.lru_cache(maxsize=None)
-def _contraction_row(exps):
-    """The :class:`_Row` of :func:`_contractions` for ``exps``: the word
-    product's table of ``nu1`` and the Moyal sum's X table."""
-    return _Row(_contractions, exps)
+def _row(table, exps):
+    """The :class:`_Row` of ``table`` for ``exps``: the one cache of contraction-table rows.
+
+    The word product and the Moyal sum's X table share ``_row(_contractions, nu1)``.
+    """
+    return _Row(table, exps)
 
 
 def _contracted(nu1, mu2):
     """:func:`_contractions` without its first entry, the juxtaposition l = 0."""
     return _contractions(nu1, mu2)[1:]
-
-
-@functools.lru_cache(maxsize=None)
-def _contracted_row(exps):
-    """The :class:`_Row` of :func:`_contracted`: the contracted word product's table."""
-    return _Row(_contracted, exps)
 
 
 def _sort_token(key):
@@ -474,18 +479,22 @@ def _validate_key(key, dim):
     return mu, nu, m, j, k
 
 
-def _read_dim(dim) -> int:
-    """``dim`` as a plain int >= 0 (numpy ints too); ValueError otherwise.
+def _read_index(value, what, infinite=False):
+    """``value`` as a plain int >= 0 (numpy ints too), or ``math.inf`` if
+    ``infinite``; ValueError otherwise.  The rule for dims, caps and hbar orders.
 
-    Read with ``operator.index``, as keys are: ``int()`` would read 1.5 as 1.
+    Read with ``operator.index``, as keys are: ``int()`` would read 1.5 as
+    1, and a NaN cap would keep every term and pass the packed-key bounds.
     """
+    if infinite and value == INFINITE:
+        return INFINITE
     try:
-        dim = operator.index(dim)
+        value = operator.index(value)
     except TypeError:
-        raise ValueError(f"dim must be an integer, not {dim!r}") from None
-    if dim < 0:
-        raise ValueError("dim must be >= 0")
-    return dim
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, not {value}")
+    return value
 
 
 def _check_dims(a, b):
@@ -510,11 +519,13 @@ class GradedPoly:
     Coefficients are Python complex (or real) numbers.  Exact zeros and
     keys above the cap are never stored.  A subclass names its grading
     (``_GRADING``), its symmetry and mirror (``_SYMMETRY``, ``_MIRROR``), exposes
-    the cap as ``max_<grading>`` and supplies ``__mul__`` and ``_mirrored``,
-    the antilinear involution that maps a key of charge ``|mu| - |nu|`` to
-    keys of the opposite charge (the adjoint of a word, the conjugate of a
-    symbol), formed on packed keys.  Polynomials of different subclasses
-    never compare equal or combine.
+    the cap as ``max_<grading>`` and supplies ``_mirrored``, the antilinear
+    involution that maps a key of charge ``|mu| - |nu|`` to keys of the
+    opposite charge (the adjoint of a word, the conjugate of a symbol),
+    formed on packed keys.  Polynomials of different subclasses never
+    compare equal or combine.  ``*`` takes scalars on either side; only
+    :class:`~orbitbnf.words.WordPoly` also reads it between polynomials, as
+    its word product.
 
     The terms are stored as ``_packed``, a packed-key dict in insertion
     order (see :func:`_layout`), and nothing else: every operation reads
@@ -537,7 +548,8 @@ class GradedPoly:
     def __init__(self, dim, terms=None, cap=INFINITE):
         """Pack ``terms`` (tuple key -> coefficient), one key at a time.
 
-        The only code that turns tuple keys into storage.  Each key is
+        The only code that turns tuple keys into storage.  ``cap`` must be
+        an integer >= 0 or ``math.inf`` (:func:`_read_index`).  Each key is
         validated (:func:`_validate_key`) and its coefficient must be
         finite; a zero coefficient or a grade above ``cap`` skips the key,
         and a key past the packed-key bounds raises ValueError
@@ -545,8 +557,8 @@ class GradedPoly:
         coefficients would cancel.  Repeated keys are summed in place, and a
         sum that reaches an exact zero is deleted.
         """
-        self.dim = _read_dim(dim)
-        self._cap = cap
+        self.dim = _read_index(dim, "dim")
+        self._cap = cap = _read_index(cap, "cap", infinite=True)
         self._view = self._rows = self._bounds = None
         self._exact = False
         blocks = _index_table(self.dim)[0]
@@ -681,8 +693,13 @@ class GradedPoly:
             type(self), self.dim, {p: c * scalar for p, c in self._packed.items()}, self._cap
         )
 
-    def __rmul__(self, scalar):
+    def __mul__(self, scalar):
+        """The scalar multiple (a product of two polynomials is a kernel call)."""
+        if isinstance(scalar, GradedPoly):
+            return NotImplemented
         return self.scaled(scalar)
+
+    __rmul__ = __mul__
 
     # -- grading and slicing -------------------------------------------------
 
@@ -701,7 +718,9 @@ class GradedPoly:
         return self._kept(lambda r: pred((r[_MU], r[_NU], r[_M], r[_J], r[_K])))
 
     def truncated(self, cap):
-        """The terms of grade <= cap, with cap ``cap``; shares the storage when all fit."""
+        """The terms of grade <= cap, with cap ``cap`` (:func:`_read_index`); shares the
+        storage when all fit."""
+        cap = _read_index(cap, "cap", infinite=True)
         out = self._wrap(self.dim, _keys_at(self, cap), cap)
         if cap >= self._cap:  # the same storage: share its rows too
             out._rows = _operand_rows(self)
@@ -869,7 +888,8 @@ def _filled(half, scale):
 def lie_series(H, F, bracket, max_grade=None):
     """sum_k (1/k!) ad_F^k H with ad_F = bracket(F, ., cap), truncated at cap.
 
-    ``cap`` is the finer of H's cap and ``max_grade``.  Requires the minimal
+    ``cap`` is the finer of H's cap and ``max_grade`` (an integer >= 0 or
+    ``math.inf``, :func:`_read_index`).  Requires the minimal
     grade of F to be >= 3: each bracket drops the grade sum by 2, so every
     application of ad_F gains at least one grade unit and the series ends
     exactly on the truncation.
@@ -886,7 +906,7 @@ def lie_series(H, F, bracket, max_grade=None):
     restores the rest from the mirror.  The terms are merged into the
     running total in the order they are formed, on packed keys.
     """
-    cap = H._cap if max_grade is None else min(H._cap, max_grade)
+    cap = H._cap if max_grade is None else min(H._cap, _read_index(max_grade, "cap", infinite=True))
     grading = H._GRADING
     if cap == INFINITE:
         raise ValueError(f"the Lie series needs a finite truncation {grading}")

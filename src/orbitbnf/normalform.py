@@ -19,7 +19,7 @@ import io
 import math
 import operator
 
-from .graded import _read_dim, is_resonant_key
+from .graded import _read_index, is_resonant_key
 
 
 def _entry_key(r, s, k):
@@ -64,7 +64,7 @@ class NormalForm:
     __slots__ = ("dim", "route", "_coeffs")
 
     def __init__(self, dim, coeffs=None, route=None):
-        self.dim = _read_dim(dim)
+        self.dim = _read_index(dim, "dim")
         self.route = route
         store = {}
         if coeffs:
@@ -138,6 +138,8 @@ class NormalForm:
         return nf
 
     def hbar_truncated(self, kmax) -> "NormalForm":
+        """Drop entries with hbar-power k > kmax; ValueError unless kmax is an integer >= 0."""
+        kmax = _read_index(kmax, "kmax")
         return self.filtered(lambda e: e[2] <= kmax)
 
     def difference(self, other) -> float:

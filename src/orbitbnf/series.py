@@ -56,14 +56,13 @@ from .graded import (
     _NU_BLOCK,
     INFINITE,
     GradedPoly,
-    _check_dims,
-    _contraction_row,
     _contractions,
     _field_units,
     _from_packed,
     _layout,
     _packed_operands,
-    _Row,
+    _read_index,
+    _row,
 )
 from .graded import key_grade as key_weight
 
@@ -98,13 +97,9 @@ class FTSeries(GradedPoly):
     def monomial(dim, mu, nu, m=0, j=0, k=0, coeff=1.0 + 0j, max_weight=INFINITE) -> "FTSeries":
         return FTSeries(dim, {(tuple(mu), tuple(nu), m, j, k): coeff}, max_weight)
 
-    def __mul__(self, other):
-        if isinstance(other, GradedPoly):
-            return pointwise_product(self, other)
-        return self.scaled(other)
-
     def hbar_truncated(self, kmax) -> "FTSeries":
-        """Drop terms with hbar-power k > kmax."""
+        """Drop terms with hbar-power k > kmax; ValueError unless kmax is an integer >= 0."""
+        kmax = _read_index(kmax, "kmax")
         return self._kept(lambda r: r[_K] <= kmax)
 
     # -- reality -------------------------------------------------------------
@@ -154,23 +149,6 @@ class FTSeries(GradedPoly):
         return total
 
 
-def pointwise_product(a: FTSeries, b: FTSeries, max_weight=None) -> FTSeries:
-    """Commutative product, truncated at min(max_weight bounds)."""
-    _check_dims(a, b)
-    cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
-    a_terms, partners, bias = _packed_operands(a, b, cap)
-    out = {}
-    get = out.get
-    for g1, q1, c1, p1 in a_terms:
-        p1 -= bias
-        for c2, p2 in partners[g1, q1]:
-            key = p1 + p2
-            c = c1 * c2
-            prev = get(key)
-            out[key] = c if prev is None else prev + c
-    return _from_packed(FTSeries, a.dim, out, cap)
-
-
 def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None, half=False) -> FTSeries:
     """Extended Poisson bracket {a, b}; sign convention in module docstring.
 
@@ -180,10 +158,8 @@ def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None, half=False) -> FT
     there.  The transverse block runs per mode, over the modes in which the
     a-term has a z or a zbar.
     """
-    _check_dims(a, b)
-    cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
     fields = (_C, _KEY, _MU, _NU, _M, _J)
-    a_terms, partners, bias = _packed_operands(a, b, cap, 2, half, fields, fields)
+    a_terms, partners, bias, cap = _packed_operands(a, b, max_weight, 2, half, fields, fields)
     mu_units, nu_units, _m, j_unit, _k = _field_units(a.dim)
     drops = [mu_u + nu_u for mu_u, nu_u in zip(mu_units, nu_units)]
     out = {}
@@ -218,9 +194,10 @@ def poisson_bracket(a: FTSeries, b: FTSeries, max_weight=None, half=False) -> FT
 def moyal_product(a: FTSeries, b: FTSeries, hbar_order: int, max_weight=None) -> FTSeries:
     """Weyl-composition symbol a # b expanded through hbar^hbar_order.
 
-    The hbar^0 slice is the pointwise product; the hbar^1 slice is
-    (i/2){a, b}.  Total weight is exactly additive, and the total hbar
-    power of each retained term is capped at ``hbar_order``.
+    The hbar^0 slice is the pointwise product, so at ``hbar_order`` 0 on
+    hbar-free operands this is the commutative product of symbols; the
+    hbar^1 slice is (i/2){a, b}.  Total weight is exactly additive, and the
+    total hbar power of each retained term is capped at ``hbar_order``.
     """
     return _moyal_sum(a, b, hbar_order, max_weight, antisymmetric=False)
 
@@ -263,15 +240,9 @@ def _t_block(m1, j1, m2, j2):
 def _contraction_parities(a, b):
     """:func:`~orbitbnf.graded._contractions` of (a, b) split by the parity of
     the order ``|l|``: (even entries, odd entries, all entries), each in
-    table order.  Cached in the rows of :func:`_parity_row`."""
+    table order: the Moyal sum's Y table, read through
+    :func:`~orbitbnf.graded._row`."""
     return _by_parity(_contractions(a, b), operator.itemgetter(0))
-
-
-@functools.lru_cache(maxsize=None)
-def _parity_row(exps):
-    """The :class:`~orbitbnf.graded._Row` of :func:`_contraction_parities`
-    for ``exps``: the Moyal sum's Y table of ``mu1``."""
-    return _Row(_contraction_parities, exps)
 
 
 def _by_parity(entries, order):
@@ -313,9 +284,9 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
     contractions lower mu and nu alike and raise the hbar power by their
     order, so one packed offset per table entry serves X and Y, and a
     generated key is the sum of the operand keys, the X and Y offsets and
-    the (t, tau) offset.  Each a-term looks up its X row (of nu1,
-    :func:`~orbitbnf.graded._contraction_row`) and its Y row (of mu1,
-    :func:`_parity_row`) once, and each term pair reads its entries by the
+    the (t, tau) offset.  Each a-term looks up its X row (of nu1) and its Y
+    row (of mu1, :func:`_contraction_parities`) once
+    (:func:`~orbitbnf.graded._row`), and each term pair reads its entries by the
     b-term's packed mu and nu blocks.  A bracket pair whose only
     contraction is the empty one on both sides forms nothing and is skipped
     before any arithmetic.  The result stores the packed keys in the order
@@ -327,13 +298,10 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
     exactly the charge ``<= 0`` part of the sum; the Lie series fills in the
     rest of a real bracket from the conjugate symbol.
     """
-    _check_dims(a, b)
-    if hbar_order < 0:
-        raise ValueError("hbar_order must be >= 0")
-    cap = max_weight if max_weight is not None else min(a.max_weight, b.max_weight)
+    hbar_order = _read_index(hbar_order, "hbar_order")
     shift = 1 if antisymmetric else 0  # the division by i hbar lowers k by one
-    a_terms, partners, bias = _packed_operands(
-        a, b, cap, 2 * shift, half,
+    a_terms, partners, bias, cap = _packed_operands(
+        a, b, max_weight, 2 * shift, half,
         (_C, _KEY, _MU, _NU, _M, _J, _K),
         (_C, _KEY, _MU_BLOCK, _NU_BLOCK, _M, _J, _K),
     )
@@ -348,7 +316,7 @@ def _moyal_sum(a, b, hbar_order, max_weight, antisymmetric, half=False):
             continue
         room1 = hbar_order + shift - k1
         p1 -= bias + shift * k_unit
-        x_row, y_row = _contraction_row(nu1), _parity_row(mu1)
+        x_row, y_row = _row(_contractions, nu1), _row(_contraction_parities, mu1)
         for c2, p2, mu2, nu2, m2, j2, k2 in b_terms:
             room0 = room1 - k2  # the largest order q kept for this pair
             if room0 < shift:  # the bracket has no order q = 0

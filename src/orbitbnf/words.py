@@ -36,13 +36,14 @@ from .graded import (
     _WIDTH,
     GradedPoly,
     _add_idx,
-    _check_dims,
-    _contracted_row,
-    _contraction_row,
+    _contracted,
+    _contractions,
     _field_units,
     _from_packed,
     _layout,
     _packed_operands,
+    _read_index,
+    _row,
     is_resonant_key,
     key_grade,
 )
@@ -113,14 +114,13 @@ def normal_order_product(
     hbar)^j`` offset and the contraction offset read from the one cached
     table :func:`~orbitbnf.graded._contractions` that the Moyal sum shares.
     Each a-term looks up its table row once
-    (:func:`~orbitbnf.graded._contraction_row`, pre-sliced for
+    (:func:`~orbitbnf.graded._row`, of the table pre-sliced for
     ``contracted``), and each term pair reads its entry by the b-term's
     packed mu block.  The result stores the packed keys in the order they
     were first generated (:func:`~orbitbnf.graded._from_packed`).
 
-    An explicit max_grade overrides the operands' caps (the caller asserts
-    the operands are complete far enough for that to be meaningful); by
-    default the finer of the two caps applies.
+    An explicit max_grade overrides the operands' caps; by default the
+    finer of the two caps applies (:func:`~orbitbnf.graded._packed_operands`).
 
     With ``half`` only the term pairs whose charges ``|mu| - |nu|`` sum to
     ``<= 0`` are formed, which gives exactly the charge ``<= 0`` part of the
@@ -137,18 +137,13 @@ def normal_order_product(
     symmetric in the operands; :func:`commutator_over_ihbar` is the
     difference of two contracted products.
     """
-    _check_dims(a, b)
-    if max_grade is not None:
-        cap = max_grade
-    else:
-        cap = min(a.max_grade, b.max_grade)
-    a_terms, partners, bias = _packed_operands(
-        a, b, cap, 0, half, (_C, _KEY, _NU, _J), (_C, _KEY, _MU_BLOCK, _M),
+    a_terms, partners, bias, cap = _packed_operands(
+        a, b, max_grade, 0, half, (_C, _KEY, _NU, _J), (_C, _KEY, _MU_BLOCK, _M),
         _CONTRACTING if contracted else None,
     )
     _mu, _nu, _m, j_unit, k_unit = _field_units(a.dim)
     dt_shift = k_unit - j_unit  # D_t -> m hbar: one j less, one k more
-    row_of = _contracted_row if contracted else _contraction_row
+    source = _contracted if contracted else _contractions
     out = {}
     get = out.get
     for g1, q1, c1, p1, nu1, j1 in a_terms:
@@ -156,8 +151,8 @@ def normal_order_product(
         if not b_terms:
             continue
         p1 -= bias
-        row = row_of(nu1)
-        full = _contraction_row(nu1) if j1 else None
+        row = _row(source, nu1)
+        full = _row(_contractions, nu1) if j1 else None
         for c2, p2, mu2, m2 in b_terms:
             table = row[mu2]
             if not (j1 and m2):  # D_t^{j1} passes e^{i m2 t} unchanged: f_d = 1
@@ -245,10 +240,9 @@ def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) 
     The two products are merged on their packed keys; k is the top field,
     so lowering k is subtracting its unit.
     """
-    _check_dims(a, b)
-    cap = min(a.max_grade, b.max_grade)
+    cap = min(a._cap, b._cap)
     if max_grade is not None:
-        cap = min(cap, max_grade)
+        cap = min(cap, _read_index(max_grade, "cap", infinite=True))
     ab = normal_order_product(a, b, cap + 2, half=half, contracted=True)
     ba = normal_order_product(b, a, cap + 2, half=half, contracted=True)
     k_unit = _field_units(a.dim)[4]

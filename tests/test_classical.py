@@ -33,13 +33,8 @@ def rot1(order=8):
 
 def cubic_symbol(dim_cap, eps):
     """Weyl symbol of eps (a + a+)^3: eps (z + zbar)^3 / 2^(3/2)."""
-    z = FTSeries.monomial(1, (1,), (0,), coeff=1.0, max_weight=dim_cap)
-    zbar = FTSeries.monomial(1, (0,), (1,), coeff=1.0, max_weight=dim_cap)
-    x = z + zbar
-    from orbitbnf.series import pointwise_product
-
-    xx = pointwise_product(x, x, dim_cap)
-    return pointwise_product(xx, x, dim_cap).scaled(eps / 2**1.5)
+    cube = {((3 - i,), (i,), 0, 0, 0): math.comb(3, i) for i in range(4)}
+    return FTSeries(1, cube, dim_cap).scaled(eps / 2**1.5)
 
 
 def test_h0_series_structure():

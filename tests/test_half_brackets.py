@@ -333,8 +333,10 @@ def test_sweeps_conjugate_and_commute_through_the_module_namespaces(monkeypatch)
     generator, looked up in the module at call time, and two
     words.normal_order_product calls per commutator: the benchmark's tracer
     (perfbench/tracing.py) and its smoke check count these spans.  The
-    contraction rows stay within their bound: one per exponent tuple, so
-    no more rows than the contraction tables hold entries."""
+    contraction rows stay within their bound: the one row cache builds each
+    row once and then reuses it, and each of its three tables gets one row
+    per exponent tuple, so no more rows than the contraction tables hold
+    entries."""
     calls = collections.Counter()
 
     def count(module, name):
@@ -350,8 +352,14 @@ def test_sweeps_conjugate_and_commute_through_the_module_namespaces(monkeypatch)
     count(classical, "lie_conjugate")
     count(quantum, "commutator_over_ihbar")
     count(words, "normal_order_product")
-    caches = (graded._contraction_row, graded._contracted_row, series._parity_row)
-    for cache in (graded._contractions, *caches):
+    built = collections.Counter()
+
+    def row(table, exps, original=graded._Row):
+        built[table] += 1
+        return original(table, exps)
+
+    monkeypatch.setattr(graded, "_Row", row)
+    for cache in (graded._contractions, graded._row):
         cache.cache_clear()
     for case in NF_CASES:
         calls.clear()
@@ -360,7 +368,7 @@ def test_sweeps_conjugate_and_commute_through_the_module_namespaces(monkeypatch)
         assert calls["lie_conjugate"] == semiclassical_gens + classical_gens
         assert calls["normal_order_product"] == 2 * calls["commutator_over_ihbar"] > 0
     tables = graded._contractions.cache_info().currsize
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.misses == info.currsize and info.hits > info.misses
-        assert 0 < info.currsize <= tables
+    info = graded._row.cache_info()
+    assert info.misses == info.currsize == sum(built.values()) and info.hits > info.misses
+    assert set(built) == {graded._contractions, graded._contracted, series._contraction_parities}
+    assert all(0 < rows <= tables for rows in built.values())

@@ -1,12 +1,15 @@
 """The product kernels against their straight-loop reference versions.
 
 ``normal_order_product`` and the Moyal sum read their structure constants
-from the shared contraction table ``graded._contractions``, and every kernel
-(those two, ``poisson_bracket`` and ``pointwise_product``) builds its keys as
-packed ints.  The reference functions below build tuple keys and recompute
-every factor per term pair, in the same loop order and with the same
-arithmetic, so the library must agree with them exactly (``==`` of the
-stored terms, no tolerance) and store the terms in the same order.
+from the shared contraction table ``graded._contractions``, through the one
+row cache ``graded._row``, and every kernel (those two and
+``poisson_bracket``) builds its keys as packed ints after the one call
+set-up ``graded._packed_operands``.  The reference functions below build
+tuple keys and recompute every factor per term pair, in the same loop order
+and with the same arithmetic, so the library must agree with them exactly
+(``==`` of the stored terms, no tolerance) and store the terms in the same
+order.  The pointwise reference loop checks ``moyal_product(a, b, 0)`` on
+hbar-free operands, the commutative product of symbols.
 """
 
 import math
@@ -21,7 +24,6 @@ from orbitbnf.series import (
     FTSeries,
     moyal_bracket,
     moyal_product,
-    pointwise_product,
     poisson_bracket,
 )
 from orbitbnf.words import WordPoly, adjoint, commutator_over_ihbar, normal_order_product
@@ -177,6 +179,7 @@ def _ref_poisson_bracket(a, b, cap):
 
 
 def _ref_pointwise_product(a, b, cap):
+    """The commutative product of symbols: ``moyal_product(a, b, 0)`` on hbar-free operands."""
     out = {}
     for (mu1, nu1, m1, j1, k1), c1 in a._terms.items():
         for (mu2, nu2, m2, j2, k2), c2 in b._terms.items():
@@ -303,12 +306,15 @@ def test_moyal_sum_matches_reference_loop(dim, cap, seed):
 
 @pytest.mark.parametrize("dim,cap,seed", CASES)
 def test_poisson_bracket_and_pointwise_product_match_reference_loops(dim, cap, seed):
+    """The pointwise product is ``moyal_product(., ., 0)`` of the hbar-free
+    slices: equal terms in equal order."""
     rng = random.Random(3000 * dim + seed)
     a, b = _operand(FTSeries, rng, dim, cap), _operand(FTSeries, rng, dim, cap)
     assert poisson_bracket(a, b)._terms == _ref_poisson_bracket(a, b, cap)
     assert poisson_bracket(b, a, 7)._terms == _ref_poisson_bracket(b, a, 7)
-    assert pointwise_product(a, b)._terms == _ref_pointwise_product(a, b, cap)
-    assert pointwise_product(b, a, 7)._terms == _ref_pointwise_product(b, a, 7)
+    a, b = a.hbar_truncated(0), b.hbar_truncated(0)
+    assert list(moyal_product(a, b, 0).items()) == list(_ref_pointwise_product(a, b, cap).items())
+    assert list(moyal_product(b, a, 0, 7).items()) == list(_ref_pointwise_product(b, a, 7).items())
 
 
 def _assert_kernels_match(keys_a, keys_b, dim, cap, hbar_order=3):
@@ -324,7 +330,6 @@ def _assert_kernels_match(keys_a, keys_b, dim, cap, hbar_order=3):
         (moyal_product(sa, sb, hbar_order), _ref_moyal_sum(sa, sb, hbar_order, cap, False)),
         (moyal_bracket(sa, sb, hbar_order), _ref_moyal_sum(sa, sb, hbar_order, cap, True)),
         (poisson_bracket(sa, sb), _ref_poisson_bracket(sa, sb, cap)),
-        (pointwise_product(sa, sb), _ref_pointwise_product(sa, sb, cap)),
         (
             normal_order_product(wa, wb, contracted=True),
             _ref_word_product(wa, wb, cap, contracted=True),
@@ -375,7 +380,7 @@ def test_word_product_moves_d_t_squared_through_fourier_modes():
     keys_b = [((0, 0), (0, 0), 3, 0, 0), ((0, 1), (1, 0), -2, 1, 0), ((1, 1), (0, 0), 1, 0, 0)]
     for cap in (INF, 8):
         pairs = _assert_kernels_match(keys_a, keys_b, 2, cap)
-        word, contracted = pairs[0][0], pairs[5][0]
+        word, contracted = pairs[0][0], pairs[4][0]
         # D_t^2 e^{3it} = e^{3it} (D_t^2 + 6 hbar D_t + 9 hbar^2)
         got = {key[3:]: c for key, c in word.items() if key[:3] == ((0, 0), (0, 0), 3)}
         assert set(got) == {(2, 0), (1, 1), (0, 2)}
@@ -404,13 +409,16 @@ def test_a_kernel_call_that_could_pass_the_packed_bounds_raises_before_forming_a
 ):
     """Every kernel whose ``min(cap, ga + gb)`` passes 255, or whose operand
     modes could add past 127, raises ValueError before it reads a contraction
-    row or forms a term; under a cap within the bounds the same operands
-    multiply.  A later in-range product still matches its reference loop."""
+    row or forms a term; so does every kernel called with a cap that is not
+    an integer >= 0 or infinite, which would otherwise pass the bounds check
+    (a NaN cap let the exponent 400 of (a^+)^200 squared overflow into the
+    nu field).  Under a cap within the bounds the same operands multiply.  A
+    later in-range product still matches its reference loop."""
     rows = []
-    for module, name in ((words, "_contraction_row"), (words, "_contracted_row"),
-                         (series, "_contraction_row"), (series, "_parity_row")):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda exps, f=original: rows.append(exps) or f(exps))
+    for module in (words, series):
+        monkeypatch.setattr(
+            module, "_row", lambda table, exps, f=graded._row: rows.append(exps) or f(table, exps)
+        )
     w = _wide_word()
     s = FTSeries(1, dict(w.items()))
     high = WordPoly(1, {((1,), (0,), 100, 0, 0): 1.0})
@@ -422,13 +430,24 @@ def test_a_kernel_call_that_could_pass_the_packed_bounds_raises_before_forming_a
         lambda: moyal_product(s, s, 71),
         lambda: moyal_bracket(s, s, 71),
         lambda: poisson_bracket(s, s),
-        lambda: pointwise_product(s, s),
         lambda: normal_order_product(w, w, 256),
         lambda: normal_order_product(high, low),  # |m| could reach 128
     ]
     for call in calls:
         with pytest.raises(ValueError, match="packed-key bounds"):
             call()
+    lone = WordPoly(1, {((200,), (0,), 0, 0, 0): 1.0})
+    for cap in (math.nan, -1, 1.5, "4"):
+        for call in (
+            lambda: normal_order_product(lone, lone, cap),
+            lambda: normal_order_product(w, w, cap, half=True, contracted=True),
+            lambda: commutator_over_ihbar(w, w, cap),
+            lambda: moyal_product(s, s, 71, cap),
+            lambda: moyal_bracket(s, s, 71, cap),
+            lambda: poisson_bracket(s, s, cap),
+        ):
+            with pytest.raises(ValueError, match="cap must be"):
+                call()
     assert rows == []
     assert not normal_order_product(w, w, 255)  # every term has grade 280
     top = WordPoly(1, {((0,), (1,), -27, 0, 0): 1.0, ((2,), (0,), 27, 1, 0): 0.5})
@@ -447,7 +466,7 @@ def test_a_kernel_call_that_could_pass_the_packed_bounds_raises_before_forming_a
 
 
 def _kernel_cases(dim, cap, seed):
-    """(kernel result maker, reference terms) for the four kernels, the word
+    """(kernel result maker, reference terms) for the three kernels, the word
     product once more on real coefficients, whose zero imaginary parts carry
     a sign."""
     rng = random.Random(4000 * dim + seed)
@@ -459,7 +478,6 @@ def _kernel_cases(dim, cap, seed):
         (lambda: normal_order_product(ra, rb), _ref_word_product(ra, rb, cap)),
         (lambda: moyal_bracket(sa, sb, 3), _ref_moyal_sum(sa, sb, 3, cap, True)),
         (lambda: poisson_bracket(sa, sb), _ref_poisson_bracket(sa, sb, cap)),
-        (lambda: pointwise_product(sa, sb), _ref_pointwise_product(sa, sb, cap)),
     ]
 
 
@@ -542,11 +560,15 @@ def test_packed_results_with_different_caps_keep_the_smaller_cap():
 
 
 def _lifted(poly, k, cap):
-    """``poly`` times ``1 + hbar^k``, as a still-packed kernel result under ``cap``."""
+    """``poly`` times ``1 + hbar^k``, as a still-packed kernel result under ``cap``.
+
+    The lift holds no letter, no Fourier mode and no tau, so both products
+    multiply by it pointwise."""
     z = (0,) * poly.dim
     lift = type(poly)(poly.dim, {(z, z, 0, 0, 0): 1.0, (z, z, 0, 0, k): 1.0})
-    product = normal_order_product if isinstance(poly, WordPoly) else pointwise_product
-    return product(poly, lift, cap)
+    if isinstance(poly, WordPoly):
+        return normal_order_product(poly, lift, cap)
+    return moyal_product(poly, lift, k + 1, cap)  # the operands' k is at most 1
 
 
 def _row_kernels(wa, wb, sa, sb, cap):
@@ -561,7 +583,6 @@ def _row_kernels(wa, wb, sa, sb, cap):
         moyal_bracket(sb, sa, 2, cap - 2),
         poisson_bracket(sa, sb),
         poisson_bracket(sb, sa, cap - 2),
-        pointwise_product(sa, sb),
     ]
 
 
@@ -576,7 +597,6 @@ def _row_references(wa, wb, sa, sb, cap):
         _ref_moyal_sum(sb, sa, 2, cap - 2, True),
         _ref_poisson_bracket(sa, sb, cap),
         _ref_poisson_bracket(sb, sa, cap - 2),
-        _ref_pointwise_product(sa, sb, cap),
     ]
 
 
