@@ -166,12 +166,14 @@ def weyl_symbol_of_word(w, hbar_order: int, max_weight=math.inf) -> FTSeries:
     step) times 2^{-(|mu'| + |nu'|)/2}; that irrational part is applied once
     per output key, after the sum, so a key whose contributions cancel
     exactly on dyadic coefficients is an exact zero and is not stored.  The
-    grade is kept: terms above ``max_weight`` are skipped.
+    grade is kept: terms above ``max_weight`` (an integer >= 0 or
+    ``math.inf``) are skipped.
     """
     from .words import WordPoly  # local import to keep the module DAG acyclic
 
     if not isinstance(w, WordPoly):
         raise TypeError("expected WordPoly")
+    max_weight = _read_index(max_weight, "max_weight", infinite=True)
 
     def shifted_terms():  # the Wick symbol without 2^{-(|mu| + |nu|)/2}, t shifted
         for key, c in w.items():

@@ -16,7 +16,14 @@ from __future__ import annotations
 
 import math
 
-from .graded import _read_index, birkhoff_sweep, lie_series, solve_homological, theta_shift
+from .graded import (
+    _read_index,
+    _read_real,
+    birkhoff_sweep,
+    lie_series,
+    solve_homological,
+    theta_shift,
+)
 from .normalform import NormalForm
 from .series import FTSeries, RotationData, moyal_bracket, poisson_bracket
 
@@ -29,7 +36,11 @@ def _bracket(hbar_order):
 
 
 def h0_series(rot: RotationData, E=0.0, max_weight=math.inf) -> FTSeries:
-    """The normalized quadratic part E + tau + theta.p as a series."""
+    """The normalized quadratic part E + tau + theta.p as a series.
+
+    ValueError unless E is a finite real number (:func:`~orbitbnf.graded._read_real`).
+    """
+    E = _read_real(E, "E")
     n = rot.dim
     zero = (0,) * n
     terms = {(zero, zero, 0, 1, 0): 1.0 + 0j}
@@ -98,8 +109,9 @@ def _birkhoff_sweep(H, rot, order, hbar_order, work_weight, margin_threshold, ro
         rot,
         order,
         work_weight,
+        margin_threshold,
         h0_series(rot),
-        solve=lambda G: solve_homological_classical(G, rot, margin_threshold),
+        solve=lambda G, margin: solve_homological_classical(G, rot, margin),
         conjugate=lambda cur, F, cap: lie_conjugate(cur, F, hbar_order, cap),
         to_normal_form=lambda resonant: NormalForm.from_resonant_series(resonant, route=route),
     )

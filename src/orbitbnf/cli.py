@@ -26,8 +26,6 @@ Exit codes
 import argparse
 import hashlib
 import json
-import math
-import operator
 import os
 import platform
 import sys
@@ -46,7 +44,7 @@ from .errors import (
     ResonanceError,
     UnsafeWindowError,
 )
-from .graded import require_symmetric
+from .graded import _read_index, _read_real, require_symmetric
 from .normalform import NormalForm
 from .oracle import BasisWindow, _couples_fourier, quasi_eigenvalues
 from .quantum import birkhoff_quantum, h0_word
@@ -122,25 +120,6 @@ def _block(cfg, name, missing=None):
     return _json_object(block, f"config block {name!r}")
 
 
-def _integer(value, name):
-    """A config setting as a plain int (numpy ints too); ValueError unless it is an integer.
-
-    ``int()`` would run ``8.7`` as 8 and accept the string ``"8"``.
-    """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"setting {name!r} must be an integer, not {value!r}") from None
-
-
-def _finite(value, name):
-    """A config number as a float; ValueError unless it is finite (JSON reads NaN and Infinity)."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"setting {name!r} must be a finite number, not {value!r}")
-    return number
-
-
 def _load_tolerances(path):
     tol = dict(DEFAULT_TOLERANCES)
     if path is None:
@@ -152,9 +131,7 @@ def _load_tolerances(path):
             raise ValueError(
                 f"unknown tolerance {key!r}; known: {sorted(tol)}"
             )
-        tol[key] = float(value)
-        if not (math.isfinite(tol[key]) and tol[key] > 0):
-            raise ValueError(f"tolerance {key!r} must be finite and > 0, not {value!r}")
+        tol[key] = _read_real(value, f"tolerance {key!r}", "> 0")
     return tol
 
 
@@ -162,12 +139,12 @@ def _theta(cfg):
     theta = cfg.get("theta")
     if not theta:
         raise ValueError("config needs a non-empty 'theta' list")
-    return tuple(_finite(v, "theta") for v in theta)
+    return tuple(_read_real(v, "setting 'theta'") for v in theta)
 
 
 def _rot(cfg, need, tol):
     theta = _theta(cfg)
-    order = max(need, _integer(cfg.get("resonance_order", need), "resonance_order"))
+    order = max(need, _read_index(cfg.get("resonance_order", need), "setting 'resonance_order'"))
     return nonresonance_margin(theta, order, threshold=tol["margin_threshold"])
 
 
@@ -187,7 +164,7 @@ def _check_terms(records, dim, what):
 def _series_hamiltonian(cfg, rot, cap):
     terms = _block(cfg, "hamiltonian").get("series_terms", [])
     _check_terms(terms, rot.dim, "series")
-    H = h0_series(rot, _finite(cfg.get("E", 0.0), "E"), cap)
+    H = h0_series(rot, _read_real(cfg.get("E", 0.0), "setting 'E'"), cap)
     H = H + FTSeries.from_records(rot.dim, terms, cap)
     require_symmetric(H, "the series Hamiltonian")
     return H
@@ -196,7 +173,7 @@ def _series_hamiltonian(cfg, rot, cap):
 def _word_hamiltonian(cfg, rot, cap):
     terms = _block(cfg, "hamiltonian").get("word_terms", [])
     _check_terms(terms, rot.dim, "word")
-    H = h0_word(rot, _finite(cfg.get("E", 0.0), "E"), cap)
+    H = h0_word(rot, _read_real(cfg.get("E", 0.0), "setting 'E'"), cap)
     return H + WordPoly.from_records(rot.dim, terms, cap)
 
 
@@ -207,7 +184,9 @@ def _normal_form_arg(cfg, base_dir):
         with open(path) as fh:
             return NormalForm.from_csv(fh.read())
     return NormalForm.from_records(
-        _integer(block["dim"], "normal_form.dim"), block["records"], route=block.get("route")
+        _read_index(block["dim"], "setting 'normal_form.dim'"),
+        block["records"],
+        route=block.get("route"),
     )
 
 
@@ -217,13 +196,13 @@ def _jets(cfg):
     ls = list(block.get("ls", []))
     if not ls:
         raise ValueError("jets block needs a non-empty 'ls' list")
-    depth = _integer(block.get("depth", 12), "jets.depth")
+    depth = _read_index(block.get("depth", 12), "setting 'jets.depth'")
     if "widths" in block:
-        widths = [float(w) for w in block["widths"]]
+        widths = list(block["widths"])
         if len(widths) != len(ls):
             raise ValueError("jets 'widths' must match 'ls' in length")
     else:
-        widths = [float(block.get("width", 0.7))] * len(ls)
+        widths = [block.get("width", 0.7)] * len(ls)
     bumps = {b.l: b for b in (GaussianBump(l, width=w) for l, w in zip(ls, widths))}
     return {l: b.jet(depth) for l, b in bumps.items()}, bumps
 
@@ -234,8 +213,8 @@ def _jets(cfg):
 def _bnf_orders(cfg, tol):
     """(target weight, working weight, certified rotation data) of a config."""
     orders = _block(cfg, "orders")
-    weight = _integer(orders.get("weight", 6), "orders.weight")
-    work = _integer(orders.get("work_weight", weight), "orders.work_weight")
+    weight = _read_index(orders.get("weight", 6), "setting 'orders.weight'")
+    work = _read_index(orders.get("work_weight", weight), "setting 'orders.work_weight'")
     return weight, work, _rot(cfg, weight, tol)
 
 
@@ -264,7 +243,7 @@ def _cmd_bnf_classical(cfg, tol, run, base_dir):
 
 def _cmd_bnf_semiclassical(cfg, tol, run, base_dir):
     weight, work, rot = _bnf_orders(cfg, tol)
-    korder = _integer(_block(cfg, "orders").get("hbar", 2), "orders.hbar")
+    korder = _read_index(_block(cfg, "orders").get("hbar", 2), "setting 'orders.hbar'")
     H = _series_hamiltonian(cfg, rot, work)
     nf, gens, remainder = birkhoff_semiclassical(
         H, rot, weight, korder, work, tol["margin_threshold"]
@@ -282,7 +261,7 @@ def _cmd_bnf_quantum(cfg, tol, run, base_dir):
 
 
 def _cmd_weyl_of_h(cfg, tol, run, base_dir):
-    korder = _integer(_block(cfg, "orders").get("hbar", 2), "orders.hbar")
+    korder = _read_index(_block(cfg, "orders").get("hbar", 2), "setting 'orders.hbar'")
     h = _normal_form_arg(cfg, base_dir)
     out = weyl_of_functional_calculus(h, korder)
     run.write("weyl_symbol.csv", out.to_csv())
@@ -294,7 +273,7 @@ def _cmd_weyl_of_h(cfg, tol, run, base_dir):
 
 
 def _cmd_trace_forward(cfg, tol, run, base_dir):
-    M = _integer(_block(cfg, "orders").get("M", 4), "orders.M")
+    M = _read_index(_block(cfg, "orders").get("M", 4), "setting 'orders.M'")
     nf = _normal_form_arg(cfg, base_dir)
     jets, bumps = _jets(cfg)
     theta = _theta(cfg) if "theta" in cfg else nf.theta()
@@ -317,8 +296,8 @@ def _cmd_trace_forward(cfg, tol, run, base_dir):
 
 
 def _cmd_trace_invert(cfg, tol, run, base_dir):
-    M = _integer(_block(cfg, "orders").get("M", 4), "orders.M")
-    k_max = _integer(_block(cfg, "trace").get("k_max", 0), "trace.k_max")
+    M = _read_index(_block(cfg, "orders").get("M", 4), "setting 'orders.M'")
+    k_max = _read_index(_block(cfg, "trace").get("k_max", 0), "setting 'trace.k_max'")
     path = cfg.get("trace_csv")
     if path is None:
         raise ValueError("config needs 'trace_csv' (path to a d_l^m table)")
@@ -368,20 +347,20 @@ def _cmd_oracle_spectrum(cfg, tol, run, base_dir):
     )
     if "drift_tol" in block:
         raise ValueError("set drift_tol with --tolerance-overrides, not in the 'oracle' block")
-    hbar = float(block["hbar"])
-    w = BasisWindow(block["hermite_cut"], block["fourier_cut"], hbar)
-    lo, hi = (float(v) for v in block["window"])
-    rot = _rot(cfg, _integer(_block(cfg, "orders").get("weight", 6), "orders.weight"), tol)
+    w = BasisWindow(block["hermite_cut"], block["fourier_cut"], block["hbar"])
+    lo, hi = (_read_real(v, "setting 'oracle.window'") for v in block["window"])
+    weight = _read_index(_block(cfg, "orders").get("weight", 6), "setting 'orders.weight'")
+    rot = _rot(cfg, weight, tol)
     H = _word_hamiltonian(cfg, rot, float("inf"))
     evs = quasi_eigenvalues(H, w, (lo, hi), drift_tol=tol["drift_tol"])
     lines = ["index,eigenvalue"]
     lines += [f"{i},{v!r}" for i, v in enumerate(evs)]
     run.write("spectrum.csv", "\n".join(lines) + "\n")
     summary = (
-        f"{len(evs)} safe quasi-eigenvalues in [{lo}, {hi}] at hbar = {hbar}"
+        f"{len(evs)} safe quasi-eigenvalues in [{lo}, {hi}] at hbar = {w.hbar}"
     )
     return summary, {
-        "hbar": hbar,
+        "hbar": w.hbar,
         "window": [lo, hi],
         "count": len(evs),
         "working_states": w.dimension(H.dim),

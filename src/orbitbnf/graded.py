@@ -19,16 +19,17 @@ time (:meth:`GradedPoly.__init__`): a key past these bounds or a coefficient
 that is not finite raises ValueError there.  Every product kernel starts
 from one call set-up, :func:`_packed_operands`: it checks the operands'
 class and dim, picks the call's cap and raises before any term is formed
-when the output could pass the bounds.  Caps and hbar orders are read by
-one rule (:func:`_read_index`).  A polynomial keeps the rows of its terms
-(coefficient, grade, charge, packed key, index tuples and blocks,
-:func:`_operand_rows`), so the generator of a Lie series, an operand of
-every bracket of its series, is split once, and a call builds only the
-short tuples its kernel reads.  Two polynomials meet on their packed keys
-(:func:`_aligned`), their sum and difference below the smaller cap.  Tuple
-keys appear only in a read-only view, built at most once per polynomial
-from its rows (:attr:`GradedPoly._terms`), for ``items()``, records and
-maps.  Keys are packed and split through one interned table of index
+when the output could pass the bounds.  Every number a caller passes to
+the package is read by one of two rules kept here: integers by
+:func:`_read_index`, reals by :func:`_read_real`.  A polynomial keeps the
+rows of its terms (coefficient, grade, charge, packed key, index tuples and
+blocks, :func:`_operand_rows`), so the generator of a Lie series, an
+operand of every bracket of its series, is split once, and a call builds
+only the short tuples its kernel reads.  Two polynomials meet on their
+packed keys (:func:`_aligned`), their sum and difference below the smaller
+cap.  Tuple keys appear only in a read-only view, built at most once per
+polynomial from its rows (:attr:`GradedPoly._terms`), for ``items()``,
+records and maps.  Keys are packed and split through one interned table of index
 tuples per dim (:func:`_index_table`): it gives the packed block and the
 sum of a tuple's fields, and turns a block back into the one tuple object
 for it, so the views of every polynomial share their index tuples.
@@ -68,6 +69,7 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 import operator
 
 from .errors import NonNilpotentError, ResonanceError
@@ -314,7 +316,7 @@ def _packed_operands(a, b, cap, drop, half, a_fields, b_fields, keep=None):
     field can overflow, also under an infinite cap.
     """
     _check_dims(a, b)
-    cap = min(a._cap, b._cap) if cap is None else _read_index(cap, "cap", infinite=True)
+    cap = min(a._cap, b._cap) if cap is None else _read_index(cap, f"max_{a._GRADING}", infinite=True)
     if a and b:
         (ga, ma), (gb, mb) = _bounds(a), _bounds(b)
         _check_bounds(min(cap, ga + gb), ma + mb, "the product's keys could reach")
@@ -479,9 +481,10 @@ def _validate_key(key, dim):
     return mu, nu, m, j, k
 
 
-def _read_index(value, what, infinite=False):
-    """``value`` as a plain int >= 0 (numpy ints too), or ``math.inf`` if
-    ``infinite``; ValueError otherwise.  The rule for dims, caps and hbar orders.
+def _read_index(value, what, least=0, infinite=False):
+    """``value`` as a plain int >= ``least`` (numpy ints too), or ``math.inf``
+    if ``infinite``; ValueError naming ``what`` otherwise.  The rule for every
+    integer a caller passes: dims, caps, hbar orders, orders, cuts and indices.
 
     Read with ``operator.index``, as keys are: ``int()`` would read 1.5 as
     1, and a NaN cap would keep every term and pass the packed-key bounds.
@@ -492,9 +495,28 @@ def _read_index(value, what, infinite=False):
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, not {value!r}") from None
-    if value < 0:
-        raise ValueError(f"{what} must be >= 0, not {value}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, not {value}")
     return value
+
+
+def _read_real(value, what, sign=""):
+    """``value`` as a finite float, ``> 0`` or ``>= 0`` as ``sign`` says
+    (``"> 0"``, ``">= 0"`` or ``""`` for any sign); ValueError naming
+    ``what`` otherwise.  The rule for every real number a caller passes:
+    thresholds, tolerances, ``hbar`` and widths are ``> 0``, margins and
+    floors ``>= 0``.
+
+    Ints and numpy scalars are read, strings are not (``float()`` would
+    parse one).  A NaN threshold would switch off its guard, as every
+    comparison with NaN is False.
+    """
+    if not isinstance(value, (float, int, numbers.Real)):  # float and int first: fast
+        raise ValueError(f"{what} must be a real number, not {value!r}")
+    number = float(value)
+    if not math.isfinite(number) or (sign and (number < 0 or number == 0 and sign == "> 0")):
+        raise ValueError(f"{what} must be finite{' and ' + sign if sign else ''}, not {value!r}")
+    return number
 
 
 def _check_dims(a, b):
@@ -558,7 +580,7 @@ class GradedPoly:
         sum that reaches an exact zero is deleted.
         """
         self.dim = _read_index(dim, "dim")
-        self._cap = cap = _read_index(cap, "cap", infinite=True)
+        self._cap = cap = _read_index(cap, f"max_{self._GRADING}", infinite=True)
         self._view = self._rows = self._bounds = None
         self._exact = False
         blocks = _index_table(self.dim)[0]
@@ -795,7 +817,11 @@ def solve_homological(G, rot, eigenvalue, to_normal_form, margin_threshold=1e-9)
     ResonanceError
         If |eigenvalue| < margin_threshold at a non-resonant key, reporting
         the offending Fourier shift (mu - nu, m).
+    ValueError
+        Unless margin_threshold is finite and > 0 (:func:`_read_real`): a
+        NaN or negative one would switch the small-divisor guard off.
     """
+    margin_threshold = _read_real(margin_threshold, "margin_threshold", "> 0")
     if G.dim != rot.dim:
         raise ValueError("dimension mismatch")
     rows = _operand_rows(G)
@@ -906,8 +932,11 @@ def lie_series(H, F, bracket, max_grade=None):
     restores the rest from the mirror.  The terms are merged into the
     running total in the order they are formed, on packed keys.
     """
-    cap = H._cap if max_grade is None else min(H._cap, _read_index(max_grade, "cap", infinite=True))
     grading = H._GRADING
+    if max_grade is None:
+        cap = H._cap
+    else:
+        cap = min(H._cap, _read_index(max_grade, f"max_{grading}", infinite=True))
     if cap == INFINITE:
         raise ValueError(f"the Lie series needs a finite truncation {grading}")
     if F and F.min_grade() < 3:
@@ -928,13 +957,19 @@ def lie_series(H, F, bracket, max_grade=None):
     return total
 
 
-def birkhoff_sweep(H, rot, order, work_grade, h0, solve, conjugate, to_normal_form):
+def birkhoff_sweep(
+    H, rot, order, work_grade, margin_threshold, h0, solve, conjugate, to_normal_form
+):
     """The graded normal-form iteration of all three routes.
 
     For g = 3..order the non-resonant grade-g terms of the current
-    Hamiltonian are removed by one solve ``solve(G) -> (F, G1)`` and one
-    conjugation ``conjugate(cur, F, work) -> cur``, with the working cap
-    ``work = max(order, work_grade)``.  Returns ``(nf, generators,
+    Hamiltonian are removed by one solve ``solve(G, margin_threshold) ->
+    (F, G1)`` and one conjugation ``conjugate(cur, F, work) -> cur``, with
+    the working cap ``work = max(order, work_grade)``.  ``order`` is an
+    integer >= 2, ``work_grade`` None or an integer >= 0 (named
+    ``work_<grading>``) and ``margin_threshold`` finite and > 0; all three
+    are read before any work (:func:`_read_index`, :func:`_read_real`), so a
+    sweep with nothing to solve rejects them too.  Returns ``(nf, generators,
     remainder)``: ``to_normal_form`` of the resonant terms of grade <= order,
     the generators F in sweep order (each on one grade slice, so
     ``F.min_grade()`` is its grade g), and the conjugated Hamiltonian minus
@@ -946,9 +981,10 @@ def birkhoff_sweep(H, rot, order, work_grade, h0, solve, conjugate, to_normal_fo
     mirror is exact (see :func:`symmetrized`).  Each slice is read from the
     rows of the current Hamiltonian, which its conjugation reads as well.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    work = max(order, work_grade if work_grade is not None else order)
+    order = _read_index(order, "order", least=2)
+    work = order if work_grade is None else _read_index(work_grade, f"work_{H._GRADING}")
+    work = max(order, work)
+    margin_threshold = _read_real(margin_threshold, "margin_threshold", "> 0")
     cur = symmetrized(H.truncated(work), "the Hamiltonian")
     check_quadratic_part(H, h0)
     rot.require_order(order)
@@ -957,7 +993,7 @@ def birkhoff_sweep(H, rot, order, work_grade, h0, solve, conjugate, to_normal_fo
         G = cur._kept(lambda r: r[_GRADE] == g and not _is_resonant_row(r))
         if not G:
             continue
-        F, _ = solve(G)
+        F, _ = solve(G, margin_threshold)
         cur = conjugate(cur, F, work)
         generators.append(F)
     resonant = cur._kept(lambda r: r[_GRADE] <= order and _is_resonant_row(r))

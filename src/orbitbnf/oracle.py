@@ -30,15 +30,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoverageError, UnsafeWindowError
-from .graded import require_symmetric
+from .graded import _read_index, _read_real, require_symmetric
 from .normalform import NormalForm
-from .traces import _quadrature_points
 from .words import WordPoly, apply_to_basis, normal_form_to_word
 
 __all__ = [
@@ -63,7 +61,8 @@ class BasisWindow:
     ``E + theta . p``, p_i = (mu_i + 1/2) hbar, form a simplex in mu, not a
     cube; for one mode the simplex is the interval ``mu <= hermite_cut``.
     The cuts are stored as plain ints (ValueError for a non-integer or
-    negative cut) and hbar must be finite and > 0.
+    negative cut: a float cut would reach range()) and hbar as a float,
+    which must be finite and > 0.
     """
 
     hermite_cut: int
@@ -71,18 +70,9 @@ class BasisWindow:
     hbar: float
 
     def __post_init__(self):
-        try:  # plain ints, as term keys are: a float cut would reach range()
-            cuts = operator.index(self.hermite_cut), operator.index(self.fourier_cut)
-        except TypeError:
-            raise ValueError(
-                f"cuts must be integers, not {self.hermite_cut!r} and {self.fourier_cut!r}"
-            ) from None
-        if min(cuts) < 0:
-            raise ValueError("cuts must be >= 0")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ValueError(f"hbar must be finite and > 0, not {self.hbar!r}")
-        object.__setattr__(self, "hermite_cut", cuts[0])
-        object.__setattr__(self, "fourier_cut", cuts[1])
+        object.__setattr__(self, "hermite_cut", _read_index(self.hermite_cut, "hermite_cut"))
+        object.__setattr__(self, "fourier_cut", _read_index(self.fourier_cut, "fourier_cut"))
+        object.__setattr__(self, "hbar", _read_real(self.hbar, "hbar", "> 0"))
 
     def dimension(self, dim: int) -> int:
         """``C(hermite_cut + dim, dim) (2 fourier_cut + 1)``, the number of
@@ -422,16 +412,16 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     word, so it holds at every cut; a matrix test would miss terms that only
     the doubled cut reaches, and the eigen-solvers read one triangle only.
 
-    Raises ValueError if drift_tol is not finite and > 0, the word is not
-    adjoint-symmetric to 1e-12 of its largest coefficient or the doubled
-    window exceeds MATRIX_BUDGET, and UnsafeWindowError on boundary mass, on
-    a count mismatch between the two solves, or on drift above drift_tol.
+    Raises ValueError if the window's ends are not finite with lo < hi,
+    drift_tol is not finite and > 0, the word is not adjoint-symmetric to
+    1e-12 of its largest coefficient or the doubled window exceeds
+    MATRIX_BUDGET, and UnsafeWindowError on boundary mass, on a count
+    mismatch between the two solves, or on drift above drift_tol.
     """
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = (_read_real(v, "window") for v in window)
     if not lo < hi:
         raise ValueError("window must be an interval (lo, hi) with lo < hi")
-    if not (math.isfinite(drift_tol) and drift_tol > 0):
-        raise ValueError(f"drift_tol must be finite and > 0, not {drift_tol!r}")
+    drift_tol = _read_real(drift_tol, "drift_tol", "> 0")
     a = _as_word(a)
     require_symmetric(a, "quasi_eigenvalues: the operator")
     dim = a.dim
@@ -505,8 +495,7 @@ def smooth_plateau(p: float, p1: float, p2: float) -> float:
     powers of hbar, while this one contributes beyond all orders.
     ValueError unless p, p1 and p2 are finite and p1 < p2.
     """
-    if not all(map(math.isfinite, (p, p1, p2))):
-        raise ValueError(f"p, p1 and p2 must be finite, not {p!r}, {p1!r} and {p2!r}")
+    p, p1, p2 = _read_real(p, "p"), _read_real(p1, "p1"), _read_real(p2, "p2")
     if not p1 < p2:
         raise ValueError("need p1 < p2")
     if p <= p1:
@@ -521,7 +510,7 @@ def smooth_plateau(p: float, p1: float, p2: float) -> float:
     return g(1.0 - u) / (g(u) + g(1.0 - u))
 
 
-_SPLIT = 32  # fine nodes per coarse node in the split-angle trapezoid rule
+_SPLIT = 64  # fine nodes per coarse node in the split-angle trapezoid rule
 
 
 def _phi_quadrature(bump, xs: np.ndarray, points_per_width: int) -> np.ndarray:
@@ -534,9 +523,12 @@ def _phi_quadrature(bump, xs: np.ndarray, points_per_width: int) -> np.ndarray:
 
     The nodes are uniform, so with j = B q + r the phase splits as
     e^{i t_j x} = e^{i t_{Bq} x} e^{i r dt x}: per x, B fine and ceil(n/B)
-    coarse phases replace n full ones.  The fine phases are contracted with
-    the weights, zero-padded to a (ceil(n/B), B) table, in one product, and
-    the coarse phases finish the sum.
+    coarse phases replace n full ones.  The fine phases are the powers of
+    one exponential e^{i dt x}, formed by a running product; the coarse
+    phases are direct exponentials (a running product over them would
+    carry its rounding across the whole window).  The fine phases are
+    contracted with the weights, zero-padded to a (ceil(n/B), B) table, in
+    one product, and the coarse phases finish the sum.
     """
     t0, t1, n = bump.quadrature_window(points_per_width)
     ts = np.linspace(t0, t1, n)
@@ -545,21 +537,23 @@ def _phi_quadrature(bump, xs: np.ndarray, points_per_width: int) -> np.ndarray:
     wts = np.array([bump.phi_hat(t) for t in ts], dtype=complex)
     wts *= dt / (2.0 * math.pi)
     wts[[0, -1]] *= 0.5
-    # e^{i r dt x} = cos + i sin: for a real phi_hat two real products instead
-    # of a complex exp and a complex product; complex weights work unchanged
+    # a real phi_hat keeps a real table: the product then multiplies complex
+    # phases by real weights; complex weights work unchanged
     wts = _real_if_exact(wts)
     rows = -(-n // _SPLIT)
     table = np.zeros(rows * _SPLIT, dtype=wts.dtype)
     table[:n] = wts
     table = table.reshape(rows, _SPLIT).T
     coarse = ts[::_SPLIT]
-    fine = dt * np.arange(_SPLIT)
     out = np.empty(len(xs), dtype=complex)
     chunk = 2048
     for i in range(0, len(xs), chunk):
         x = xs[i : i + chunk]
-        arg = np.outer(x, fine)
-        inner = np.cos(arg) @ table + 1j * (np.sin(arg) @ table)
+        fine = np.empty((len(x), _SPLIT), dtype=complex)
+        fine[:, 0] = 1.0
+        fine[:, 1:] = np.exp(1j * dt * x)[:, None]
+        np.cumprod(fine, axis=1, out=fine)
+        inner = fine @ table
         out[i : i + chunk] = np.einsum("ij,ij->i", np.exp(1j * np.outer(x, coarse)), inner)
     return out
 
@@ -587,13 +581,11 @@ def numeric_trace(
     floor test), floor is None or finite and >= 0 (a NaN floor would pass
     every sum) and points_per_width is an integer >= 1.
     """
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise ValueError(f"hbar must be finite and > 0, not {hbar!r}")
-    if not math.isfinite(E):
-        raise ValueError(f"E must be finite, not {E!r}")
-    if floor is not None and not (math.isfinite(floor) and floor >= 0):
-        raise ValueError(f"floor must be None or finite and >= 0, not {floor!r}")
-    points = _quadrature_points(points_per_width)
+    hbar = _read_real(hbar, "hbar", "> 0")
+    E = _read_real(E, "E")
+    if floor is not None:
+        floor = _read_real(floor, "floor", ">= 0")
+    points = _read_index(points_per_width, "points_per_width", least=1)
     lam = np.asarray(list(spectrum), dtype=float)
     if weights is None:
         wts = np.ones(lam.size)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .graded import birkhoff_sweep, lie_series, solve_homological, theta_shift
+from .graded import _read_real, birkhoff_sweep, lie_series, solve_homological, theta_shift
 from .normalform import NormalForm
 from .series import RotationData
 from .words import (
@@ -32,7 +32,11 @@ from .words import (
 
 
 def h0_word(rot: RotationData, E=0.0, max_grade=math.inf) -> WordPoly:
-    """E + sum theta_i a_i^+ a_i + (sum theta_i / 2) hbar + D_t as a word."""
+    """E + sum theta_i a_i^+ a_i + (sum theta_i / 2) hbar + D_t as a word.
+
+    ValueError unless E is a finite real number (:func:`~orbitbnf.graded._read_real`).
+    """
+    E = _read_real(E, "E")
     n = rot.dim
     zero = (0,) * n
     terms = {
@@ -115,8 +119,9 @@ def birkhoff_quantum(
         rot,
         order,
         work_grade,
+        margin_threshold,
         h0_word(rot),
-        solve=lambda G: solve_homological_quantum(G, rot, margin_threshold),
+        solve=lambda G, margin: solve_homological_quantum(G, rot, margin),
         conjugate=exp_conjugate,
         to_normal_form=lambda diag: diagonal_to_normal_form(diag, route="quantum"),
     )

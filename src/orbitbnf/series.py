@@ -62,6 +62,7 @@ from .graded import (
     _layout,
     _packed_operands,
     _read_index,
+    _read_real,
     _row,
 )
 from .graded import key_grade as key_weight
@@ -371,7 +372,10 @@ class RotationData:
 
     ``margin`` is the smallest |theta . kappa + m| over nonzero integer
     vectors with |kappa| <= resonance_order and |m| within the scan bound
-    of :func:`nonresonance_margin`.
+    of :func:`nonresonance_margin`.  The angles and the margin are stored as
+    finite floats (the margin >= 0) and the order as an int >= 0, read by
+    the package's input rule (ValueError otherwise): a NaN order would let
+    :meth:`require_order` pass every order.
     """
 
     theta: tuple
@@ -379,7 +383,11 @@ class RotationData:
     margin: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
+        theta = tuple(_read_real(v, "theta") for v in self.theta)
+        order = _read_index(self.resonance_order, "resonance_order")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "resonance_order", order)
+        object.__setattr__(self, "margin", _read_real(self.margin, "margin", ">= 0"))
 
     @property
     def dim(self) -> int:
@@ -403,15 +411,15 @@ def nonresonance_margin(theta, order: int, threshold: float = 1e-9) -> RotationD
     Raises
     ------
     ValueError
-        If an angle is not finite or ``order < 1``.
+        If an angle is not finite, ``order`` is not an integer >= 1 or
+        ``threshold`` is not finite and > 0 (a NaN threshold would certify
+        every angle).
     ResonanceError
         If the margin falls below ``threshold``.
     """
-    theta = tuple(float(v) for v in theta)
-    if not all(map(math.isfinite, theta)):
-        raise ValueError(f"rotation angles must be finite, not {theta}")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    theta = tuple(_read_real(v, "theta") for v in theta)
+    order = _read_index(order, "order", least=1)
+    threshold = _read_real(threshold, "threshold", "> 0")
     n = len(theta)
     mbound = order * max(1, math.ceil(max(abs(v) for v in theta))) + 1
     best = INFINITE

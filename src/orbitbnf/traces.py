@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,7 @@ from .errors import (
     JetDepthError,
     ResonanceError,
 )
+from .graded import _read_index, _read_real
 from .normalform import NormalForm
 from .series import RotationData, nonresonance_margin  # re-exported
 
@@ -63,34 +63,6 @@ __all__ = [
 # -- test functions ---------------------------------------------------------------
 
 
-def _quadrature_points(points_per_width) -> int:
-    """``points_per_width`` as an int; ValueError unless it is an integer >= 1.
-
-    Integer types such as numpy ints are accepted (``operator.index``);
-    floats are not, integral or not.
-    """
-    try:
-        points = operator.index(points_per_width)
-    except TypeError:
-        points = 0
-    if points < 1:
-        raise ValueError(f"points_per_width must be an integer >= 1, not {points_per_width!r}")
-    return points
-
-
-def _period_index(l) -> int:
-    """l as a plain int (numpy ints too): tables are keyed on it, and a float
-    key would not survive a CSV round trip.  ValueError unless l is an
-    integer >= 1."""
-    try:
-        l = operator.index(l)
-    except TypeError:
-        raise ValueError(f"period index l must be an integer, not {l!r}") from None
-    if l < 1:
-        raise ValueError("period index l must be >= 1")
-    return l
-
-
 @dataclass(frozen=True)
 class GaussianBump:
     """phi_hat(t) = exp(-(t - 2 pi l)^2 / (2 width^2)), one periodic window.
@@ -99,14 +71,19 @@ class GaussianBump:
     2 pi (l +- 1) is ~3e-18, so the bump isolates the single period l.
     phi(x) = (width / sqrt(2 pi)) e^{i 2 pi l x} e^{-width^2 x^2 / 2} in the
     convention phi(x) = (1/2 pi) integral phi_hat(t) e^{i t x} dt.
+
+    ``l`` is stored as a plain int (an integer >= 1: tables are keyed on
+    it, and a float key would not survive a CSV round trip) and ``width`` as
+    a float; ValueError otherwise.
     """
 
     l: int
     width: float = 0.7
 
     def __post_init__(self):
-        object.__setattr__(self, "l", _period_index(self.l))
-        if not 0 < self.width < 1.5:
+        object.__setattr__(self, "l", _read_index(self.l, "period index l", least=1))
+        object.__setattr__(self, "width", _read_real(self.width, "width", "> 0"))
+        if not self.width < 1.5:
             raise ValueError("width must be in (0, 1.5) to isolate one period")
 
     def phi_hat(self, t: float) -> float:
@@ -123,9 +100,10 @@ class GaussianBump:
 
     def jet(self, depth: int) -> "TestFunctionJet":
         """Exact derivatives at the center: odd vanish, even alternate
-        as phi_hat^(2a) = (-1)^a (2a-1)!! / width^(2a)."""
+        as phi_hat^(2a) = (-1)^a (2a-1)!! / width^(2a).  ValueError unless
+        depth is an integer >= 0."""
         derivs = []
-        for kk in range(depth + 1):
+        for kk in range(_read_index(depth, "depth") + 1):
             if kk % 2:
                 derivs.append(0.0 + 0.0j)
             else:
@@ -143,7 +121,7 @@ class GaussianBump:
         """
         c = 2.0 * math.pi * self.l
         half = 8.0 * self.width
-        n = 2 * 8 * _quadrature_points(points_per_width) + 1
+        n = 2 * 8 * _read_index(points_per_width, "points_per_width", least=1) + 1
         return (c - half, c + half, n)
 
 
@@ -157,7 +135,7 @@ class TestFunctionJet:
     derivs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "l", _period_index(self.l))
+        object.__setattr__(self, "l", _read_index(self.l, "period index l", least=1))
         object.__setattr__(self, "derivs", tuple(complex(v) for v in self.derivs))
         if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in self.derivs):
             raise ValueError("jet derivatives must be finite")
@@ -227,9 +205,12 @@ def psi_kernel(K, R, S, jet: TestFunctionJet, rot: RotationData, threshold=1e-9)
 
     Linear in the jet.  Requires jet depth >= S (deeper derivatives of
     phi_hat never enter the t^S coefficient because the other factors
-    are jets with nonnegative valuation in delta t).
+    are jets with nonnegative valuation in delta t).  ValueError unless K,
+    S and the entries of R are integers >= 0 and threshold is finite and > 0.
     """
-    R = tuple(R)
+    K, S = _read_index(K, "K"), _read_index(S, "S")
+    R = tuple(_read_index(v, "R") for v in R)
+    threshold = _read_real(threshold, "threshold", "> 0")
     phase = _I_POWERS[(K + S) % 4] * _I_POWERS[(-sum(R)) % 4]
     return phase * _kernel_derivative(K, R, S, jet, rot, threshold)
 
@@ -240,9 +221,12 @@ def g_function(r, s, jet: TestFunctionJet, rot: RotationData, threshold=1e-9):
     The printed normalization of the one-orbit amplitude; exposed for direct
     inspection and finite-difference checking.  The assembly and inversion
     use psi_kernel, which differs from this by i-phases and the placement
-    of the t-power (both conventions are linear in the jet).
+    of the t-power (both conventions are linear in the jet).  ValueError
+    unless s and the entries of r are integers >= 0 and threshold is finite
+    and > 0.
     """
-    r = tuple(r)
+    r, s = tuple(_read_index(v, "r") for v in r), _read_index(s, "s")
+    threshold = _read_real(threshold, "threshold", "> 0")
     phase = _I_POWERS[(-(sum(r) + s)) % 4]
     base = 2.0 * math.pi * jet.l
     return phase * _kernel_derivative(1 + sum(r), r, s, jet, rot, threshold) * base ** (-sum(r))
@@ -355,9 +339,10 @@ def forward_trace_expansion(
     The trace argument is (spectrum - E)/hbar with E = nf.energy(), so the
     energy entry never appears; d_l^0 = phi_hat(2 pi l) G(2 pi l, theta), and
     the m-th coefficient consumes entries with m_a <= m only (triangular).
+    ValueError unless M is an integer >= 1 and threshold is finite and > 0.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    M = _read_index(M, "M", least=1)
+    threshold = _read_real(threshold, "threshold", "> 0")
     rot = _rot_of(nf)
     entries = _nonlinear_entries(nf, rot)
     table = {}
@@ -406,11 +391,16 @@ def invert_trace_expansion(
     InconsistentDataError
         If the free part d_l^0 disagrees with the jets, or a step's
         least-squares residual exceeds residual_tol * scale.
+    ValueError
+        Unless M is an integer >= 1, k_max an integer >= 0, and
+        cond_threshold, residual_tol and threshold are finite and > 0 (a NaN
+        would switch its check off).
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    M = _read_index(M, "M", least=1)
+    k_max = _read_index(k_max, "k_max")
+    cond_threshold = _read_real(cond_threshold, "cond_threshold", "> 0")
+    residual_tol = _read_real(residual_tol, "residual_tol", "> 0")
+    threshold = _read_real(threshold, "threshold", "> 0")
     dim = rot.dim
     ls = sorted(tr.jets)
     # free-part consistency

@@ -21,7 +21,6 @@ On the Hermite (x) Fourier basis state ``|mu, nu>``:
 from __future__ import annotations
 
 import math
-import operator
 
 from .graded import (
     _BIAS,
@@ -43,6 +42,7 @@ from .graded import (
     _layout,
     _packed_operands,
     _read_index,
+    _read_real,
     _row,
     is_resonant_key,
     key_grade,
@@ -242,7 +242,7 @@ def commutator_over_ihbar(a: WordPoly, b: WordPoly, max_grade=None, half=False) 
     """
     cap = min(a._cap, b._cap)
     if max_grade is not None:
-        cap = min(cap, _read_index(max_grade, "cap", infinite=True))
+        cap = min(cap, _read_index(max_grade, "max_grade", infinite=True))
     ab = normal_order_product(a, b, cap + 2, half=half, contracted=True)
     ba = normal_order_product(b, a, cap + 2, half=half, contracted=True)
     k_unit = _field_units(a.dim)[4]
@@ -257,19 +257,14 @@ def apply_to_basis(a: WordPoly, state: tuple, hbar: float) -> dict:
     Amplitudes accumulate per target in the order the terms reach it, and a
     target whose sum is exactly zero is dropped.  ValueError unless hbar is
     finite and > 0, mu holds one integer >= 0 per mode and nu is an integer
-    (numpy ints are accepted; floats are not).
+    (numpy ints are accepted and returned as ints; floats are not).
     """
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise ValueError(f"hbar must be finite and > 0, not {hbar!r}")
+    hbar = _read_real(hbar, "hbar", "> 0")
     smu, snu = state
-    try:
-        smu, snu = tuple(map(operator.index, smu)), operator.index(snu)
-    except TypeError:
-        raise ValueError(f"basis state indices must be integers, not {state!r}") from None
+    smu = tuple(_read_index(i, "basis state mu") for i in smu)
+    snu = _read_index(snu, "basis state nu", least=-math.inf)
     if len(smu) != a.dim:
         raise ValueError("basis state has wrong dimension")
-    if smu and min(smu) < 0:
-        raise ValueError("Hermite indices must be >= 0")
     out = {}
     get = out.get
     for (mu, nu, m, j, k), c in a._terms.items():

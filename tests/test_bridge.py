@@ -13,16 +13,10 @@ from orbitbnf.bridge import (
     weyl_symbol_of_word,
     wick_from_weyl,
 )
-from orbitbnf.classical import (
-    birkhoff_semiclassical,
-    h0_series,
-    homological_residual,
-    lie_conjugate,
-    solve_homological_classical,
-)
+from orbitbnf.classical import birkhoff_semiclassical
 from orbitbnf.normalform import NormalForm
 from orbitbnf.quantum import birkhoff_quantum, h0_word
-from orbitbnf.series import FTSeries, moyal_bracket, moyal_product, nonresonance_margin
+from orbitbnf.series import FTSeries, moyal_product, nonresonance_margin
 from orbitbnf.words import normal_order_product, WordPoly
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
@@ -300,39 +294,12 @@ def test_weyl_symbol_of_word_matches_the_moyal_chain(max_weight):
         assert (got - ref).max_abs_coeff() <= 1e-15 * ref.max_abs_coeff()
 
 
-def test_hbar_orders_are_read_as_integers():
-    """A NaN, fractional or negative hbar order raises ValueError at every
-    entry point that truncates in hbar.  Unread, NaN passed every ``k >
-    order`` test, so it kept every hbar power (moyal_product through hbar^4
-    where order 2 stops at hbar^2), or in ``<= order`` tests kept none, and
-    1.5 acted as 1."""
-    rot = nonresonance_margin((SQRT2M1,), 8)
+def test_hbar_orders_truncate_at_the_given_order():
+    """Order 2 keeps hbar^2 and drops hbar^4 (bad orders: tests/test_inputs.py).
+    Unread, a NaN order passed every ``k > order`` test and kept every hbar
+    power, and 1.5 acted as 1."""
     a = FTSeries(1, {((3,), (1,), 0, 0, 0): 1.0, ((1,), (3,), 0, 0, 0): 1.0})
     b = FTSeries(1, {((2,), (3,), 0, 0, 0): 1.0, ((3,), (2,), 0, 0, 0): 1.0})
-    word = WordPoly(1, {((3,), (1,), 0, 0, 0): 1.0, ((1,), (3,), 0, 0, 0): 1.0})
     nf = NormalForm(1, {((4,), 0, 0): 1.0})
-    G = FTSeries(1, {((3,), (0,), 0, 0, 0): 1.0, ((0,), (3,), 0, 0, 0): 1.0}, 8)
-    F, G1 = solve_homological_classical(G, rot)
-    H = h0_series(rot, max_weight=8) + G
     assert max(key[4] for key in moyal_product(a, b, 2).keys()) == 2
     assert ((0,), 0, 4) not in dict(weyl_of_functional_calculus(nf, 2).items())
-    calls = [
-        lambda order: moyal_product(a, b, order),
-        lambda order: moyal_bracket(a, b, order),
-        lambda order: lie_conjugate(H, F, order),
-        lambda order: homological_residual(F, G, G1, rot, order),
-        lambda order: birkhoff_semiclassical(H, rot, 4, order),
-        lambda order: weyl_of_functional_calculus(nf, order),
-        lambda order: relate_normal_forms(nf, order),
-        lambda order: weyl_symbol_of_word(word, order),
-        lambda order: wick_from_weyl(a, order),
-        lambda order: weyl_from_wick(nf, order),
-        lambda order: a.hbar_truncated(order),
-        lambda order: nf.hbar_truncated(order),
-    ]
-    for order in (math.nan, 1.5, -1):
-        for call in calls:
-            with pytest.raises(ValueError, match="must be"):
-                call(order)
-    for call in calls:
-        call(2)

@@ -231,7 +231,27 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
             cfg = {"theta": [SQRT2M1], "E": 1.0, "orders": {"weight": 4}, field: value}
             path = write_config(tmp_path, "nonfinite.json", cfg)
             assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
-            assert f"setting {field!r} must be a finite number" in capsys.readouterr().err
+            assert f"setting {field!r} must be finite" in capsys.readouterr().err
+    # numbers given as strings are not read as numbers (float() would parse them)
+    oracle = {"hermite_cut": 8, "fourier_cut": 0, "hbar": 0.1, "window": [0.7, 0.8]}
+    for command, extra, text in (
+        ("bnf-quantum", {"E": "1.0"}, "setting 'E' must be a real number, not '1.0'"),
+        ("bnf-classical", {"theta": ["0.41"]},
+         "setting 'theta' must be a real number, not '0.41'"),
+        ("oracle-spectrum", {"oracle": {**oracle, "hbar": "0.1"}},
+         "hbar must be a real number, not '0.1'"),
+        ("oracle-spectrum", {"oracle": {**oracle, "window": ["0.7", 0.8]}},
+         "setting 'oracle.window' must be a real number, not '0.7'"),
+        ("trace-forward", {"jets": {"ls": [1], "width": "0.7", "depth": 8}},
+         "width must be a real number, not '0.7'"),
+        ("trace-forward", {"jets": {"ls": [1], "widths": ["0.7"], "depth": 8}},
+         "width must be a real number, not '0.7'"),
+    ):
+        cfg = {"theta": [SQRT2M1], "E": 1.0, "orders": {"weight": 4, "M": 2},
+               "normal_form": nf, **extra}
+        path = write_config(tmp_path, "strings.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert text in capsys.readouterr().err
     # a Fourier mode past the packed-key bounds (|m| <= 127)
     wide_mode = write_config(tmp_path, "wide_mode.json", {
         "theta": [SQRT2M1], "E": 1.0, "orders": {"weight": 4},

@@ -8,7 +8,7 @@ import pytest
 from orbitbnf.bridge import weyl_symbol_of_word
 from orbitbnf.classical import ad_eigenvalue as series_eigenvalue
 from orbitbnf.classical import h0_series
-from orbitbnf.graded import key_grade, lie_series, max_coeff_difference
+from orbitbnf.graded import key_grade, max_coeff_difference
 from orbitbnf.quantum import ad_eigenvalue as word_eigenvalue
 from orbitbnf.quantum import h0_word
 from orbitbnf.series import FTSeries, RotationData, moyal_bracket, poisson_bracket
@@ -218,42 +218,6 @@ def test_quadratic_parts_reject_a_non_finite_energy(h0, E):
     rot = RotationData(THETAS[:1], resonance_order=8, margin=0.0)
     with pytest.raises(ValueError, match="must be finite"):
         h0(rot, E)
-
-
-@pytest.mark.parametrize("cls", [FTSeries, WordPoly])
-def test_dim_is_read_as_an_integer(cls):
-    """A float dim raises instead of being truncated; numpy ints are read as ints."""
-    np = pytest.importorskip("numpy")
-    for dim in (1.5, 2.0, "1", -1):
-        with pytest.raises(ValueError, match="dim must be"):
-            cls(dim, {NU1: 1.0})
-    poly = cls(np.int64(1), {NU1: 1.0})
-    assert poly.dim == 1 and type(poly.dim) is int
-
-
-@pytest.mark.parametrize("cls", [FTSeries, WordPoly])
-def test_caps_are_read_as_integers_or_infinity(cls):
-    """A NaN, negative, fractional or string cap raises ValueError at every
-    place a cap is read (the kernels' caps: tests/test_kernels.py).
-    Unread, a NaN cap made a sum depend on its order: a + b kept cap nan
-    and no term, b + a cap 4 and two terms.  numpy ints and infinities are
-    read as int and math.inf."""
-    np = pytest.importorskip("numpy")
-    terms = {((3,), (0,), 0, 0, 0): 1, ((0,), (3,), 0, 0, 0): 1}
-    poly = cls(1, terms, 4)
-    bracket = commutator_over_ihbar if cls is WordPoly else poisson_bracket
-    for cap in (math.nan, -1, 1.5, "4", 4.0):
-        for call in (
-            lambda: cls(1, terms, cap),
-            lambda: poly.truncated(cap),
-            lambda: bracket(poly, poly, cap),
-            lambda: lie_series(poly, poly, bracket, cap),
-        ):
-            with pytest.raises(ValueError, match="cap must be"):
-                call()
-    for cap, want in ((np.int64(4), 4), (np.inf, math.inf), (float("inf"), math.inf)):
-        for got in (cls(1, terms, cap), poly.truncated(cap)):
-            assert got._cap == want and type(got._cap) is type(want)
 
 
 def _ref_merged(a_terms, b_terms, cap, sign):

@@ -50,7 +50,7 @@ def test_basis_window_stores_integer_cuts_and_rejects_bad_input():
     assert type(w.hermite_cut) is int and type(w.fourier_cut) is int
     assert w.dimension(1) == 12 and len(w.states(1)) == 12
     for cuts in ((3.0, 0), (3, 0.5), (-1, 0)):
-        with pytest.raises(ValueError, match="cuts"):
+        with pytest.raises(ValueError, match="_cut must be"):
             BasisWindow(*cuts, 0.1)
     for hbar in (math.inf, -math.inf, math.nan, 0.0, -0.1):
         with pytest.raises(ValueError, match="hbar"):
@@ -246,11 +246,9 @@ def test_numeric_trace_rejects_a_floor_that_is_not_none_or_finite_and_non_negati
         numeric_trace([0.7], 0.7, 0.1, bump, floor=0.0)
 
 
-def test_numeric_trace_takes_an_integer_points_per_width_of_at_least_one():
+def test_numeric_trace_reads_points_per_width_as_an_integer():
+    """Bad values: tests/test_inputs.py."""
     bump = GaussianBump(1, 0.7)
-    for points in (0, 0.01, -1, 2.5, 64.0):
-        with pytest.raises(ValueError, match="points_per_width"):
-            numeric_trace([0.7], 0.7, 0.1, bump, points_per_width=points)
     default = numeric_trace([0.7, 0.75], 0.7, 0.1, bump)
     assert numeric_trace([0.7, 0.75], 0.7, 0.1, bump, points_per_width=np.int64(64)) == default
     assert math.isfinite(abs(numeric_trace([0.7], 0.7, 0.1, bump, points_per_width=1)))
@@ -306,6 +304,16 @@ def test_split_angle_quadrature_matches_the_straight_loop(bump, points_per_width
     ref, weight_sum = straight_loop_phi(bump, xs, points_per_width)
     got = oracle._phi_quadrature(bump, xs, points_per_width)
     assert np.max(np.abs(got - ref)) <= 1e-14 * weight_sum
+
+
+def test_split_angle_quadrature_matches_the_closed_form_over_the_traced_range():
+    """The benchmark's windows evaluate phi at |x| up to about 240, where the
+    phases reach 250 t: the running product of the fine phases and the
+    direct coarse ones stay within 1e-14 of the closed form there too."""
+    bump = GaussianBump(1, 0.7)
+    xs = np.linspace(-250.0, 250.0, 20001)
+    closed = np.array([bump.phi(x) for x in xs])
+    assert np.max(np.abs(oracle._phi_quadrature(bump, xs, 64) - closed)) <= 1e-14
 
 
 def test_numeric_trace_coverage_guard():
@@ -370,13 +378,3 @@ def test_smooth_plateau_shape():
     assert all(0.0 <= v <= 1.0 for v in samples)
     assert all(a >= b - 1e-15 for a, b in zip(samples, samples[1:]))
     assert 0.0 < smooth_plateau(0.55, 0.3, 0.8) < 1.0
-
-
-@pytest.mark.parametrize("args", [
-    (math.nan, 0.1, 0.9),
-    (0.5, -math.inf, 0.9),
-    (0.5, 0.1, math.inf),
-], ids=["nan-p", "inf-p1", "inf-p2"])
-def test_smooth_plateau_rejects_non_finite_input(args):
-    with pytest.raises(ValueError, match="finite"):
-        smooth_plateau(*args)
