@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graded import _contraction_terms, _read_index, _sub_idx, key_grade
-from .normalform import NormalForm
+from .normalform import NormalForm, _substituted
 from .series import FTSeries
 
 
@@ -48,11 +48,10 @@ def weyl_fluctuation_poly(k: int):
     p # f = p f - (hbar^2/4)(p f'' + f'), so w_0 = 1 and
     w_{k+1} = p w_k - (hbar^2/4)(p w_k'' + w_k'), which sends each term
     c p^r hbar^e to c p^{r+1} hbar^e - (r^2 c/4) p^{r-1} hbar^{e+2}.
+    ValueError unless k is an integer >= 0 (:func:`~orbitbnf.graded._read_index`).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     terms = {(0, 0): Fraction(1)}
-    for _ in range(k):
+    for _ in range(_read_index(k, "k")):
         nxt = {}
         for (r, e), c in terms.items():
             nxt[(r + 1, e)] = nxt.get((r + 1, e), 0) + c
@@ -68,28 +67,15 @@ def weyl_fluctuation_poly(k: int):
 def weyl_of_functional_calculus(h: NormalForm, hbar_order: int) -> NormalForm:
     """Exact Weyl symbol of h(P_1..P_n, D_t, hbar) through hbar^hbar_order.
 
-    Each p_i^{r_i} factor becomes w_{r_i}(p_i, hbar); tau powers pass through
-    unchanged (quantizing a function of D_t alone is exact).  The output
+    Each p_i^{r_i} factor becomes w_{r_i}(p_i, hbar) (the per-mode
+    substitution :func:`~orbitbnf.normalform._substituted` with the table
+    :func:`weyl_fluctuation_poly`); tau powers pass through unchanged
+    (quantizing a function of D_t alone is exact).  The output
     agrees with h at hbar^0 and differs only in even hbar powers per entry.
     """
     hbar_order = _read_index(hbar_order, "hbar_order")
-    out = {}
-    for (r, s, k), c in h.items():
-        parts = [(tuple(), 0, Fraction(1))]
-        for ri in r:
-            w = weyl_fluctuation_poly(ri)
-            nxt = []
-            for (rv, e, f) in parts:
-                for (rr, ee), ff in w:
-                    if k + e + ee > hbar_order:
-                        continue
-                    nxt.append((rv + (rr,), e + ee, f * ff))
-            parts = nxt
-        for (rv, e, f) in parts:
-            key = (rv, s, k + e)
-            val = c * float(f)
-            out[key] = out.get(key, 0.0) + val
-    return NormalForm(h.dim, out, route="weyl")
+    terms = _substituted(h.items(), weyl_fluctuation_poly, hbar_order)
+    return NormalForm(h.dim, terms, route="weyl")
 
 
 def relate_normal_forms(h_quantum: NormalForm, hbar_order: int) -> NormalForm:

@@ -767,11 +767,14 @@ class GradedPoly:
 
     @classmethod
     def from_records(cls, dim, records, *cap, **cap_kw):
-        """Inverse of :meth:`to_records`; keys are validated like user input."""
+        """Inverse of :meth:`to_records`; keys are validated like user input,
+        and ``re``/``im`` are read by :func:`_read_real`."""
         terms = {}
         for r in records:
             key = (tuple(r["mu"]), tuple(r["nu"]), r.get("m", 0), r.get("j", 0), r.get("k", 0))
-            terms[key] = terms.get(key, 0) + complex(r["re"], r.get("im", 0.0))
+            real = _read_real(r["re"], "coefficient 're'")
+            imag = _read_real(r.get("im", 0.0), "coefficient 'im'")
+            terms[key] = terms.get(key, 0) + complex(real, imag)
         return cls(dim, terms, *cap, **cap_kw)
 
 

@@ -18,8 +18,10 @@ import csv
 import io
 import math
 import operator
+from fractions import Fraction
 
-from .graded import _read_index, is_resonant_key
+from .graded import _read_index, _read_real, is_resonant_key
+from .series import FTSeries
 
 
 def _entry_key(r, s, k):
@@ -41,6 +43,34 @@ def entry_weight(entry) -> int:
     """Weight 2(|r| + s + k) of an entry in the joint grading."""
     r, s, k = entry
     return 2 * (sum(r) + s + k)
+
+
+def _substituted(entries, table, hbar_order=math.inf) -> dict:
+    """One substitution per mode on the entries ``((r, s, k), c)`` of a table.
+
+    ``table(r_i)`` is the exact image of the power ``r_i`` of one mode, as
+    terms ``((n, e), Fraction)``: hbar^e times the n-th basis element of
+    the mode.  An entry adds ``c * float(f)`` at ``(n, s, k + sum e)`` for
+    every product ``f`` of one term per mode, in entry order, mode 0
+    outermost and each table in its own order; products past
+    hbar^hbar_order are left out.  Each product is exact and rounds once,
+    so the result does not depend on how the table was built.  A key whose
+    contributions cancel holds 0.0, which the table constructors drop.
+    """
+    out = {}
+    for (r, s, k), c in entries:
+        parts = [((), 0, Fraction(1))]
+        for ri in r:
+            parts = [
+                (n + (nn,), e + ee, f * ff)
+                for n, e, f in parts
+                for (nn, ee), ff in table(ri)
+                if k + e + ee <= hbar_order
+            ]
+        for n, e, f in parts:
+            key = (n, s, k + e)
+            out[key] = out.get(key, 0.0) + c * float(f)
+    return out
 
 
 # Largest imaginary part, relative to max(1, |real part|), that a normal-form
@@ -172,8 +202,6 @@ class NormalForm:
 
     def as_series(self, max_weight=math.inf):
         """The same function as an FTSeries: p^r -> 2^{-|r|} z^r zbar^r."""
-        from .series import FTSeries
-
         terms = {}
         for (r, s, k), c in self._coeffs.items():
             terms[(r, r, 0, s, k)] = c * 2.0 ** (-sum(r))
@@ -184,8 +212,12 @@ class NormalForm:
         """Convert a resonant FTSeries (keys mu=nu, m=0) to a table.
 
         Inverse of :meth:`as_series`: z^mu zbar^mu = (2p)^mu, so the p^mu
-        coefficient is 2^{|mu|} times the stored one.  Any non-resonant key raises.
+        coefficient is 2^{|mu|} times the stored one.  Any non-resonant key
+        raises ValueError, and anything but an FTSeries TypeError (a word's
+        diagonal goes through :func:`~orbitbnf.words.diagonal_to_normal_form`).
         """
+        if not isinstance(series, FTSeries):
+            raise TypeError("expected FTSeries")
         coeffs = {}
         for key, c in series.items():
             if not is_resonant_key(key):
@@ -208,7 +240,7 @@ class NormalForm:
         coeffs = {}
         for rec in records:
             entry = _entry_key(rec["r"], rec["s"], rec["k"])
-            coeffs[entry] = coeffs.get(entry, 0.0) + float(rec["c"])
+            coeffs[entry] = coeffs.get(entry, 0.0) + _read_real(rec["c"], "coefficient 'c'")
         return NormalForm(dim, coeffs, route=route)
 
     def to_csv(self) -> str:

@@ -75,10 +75,8 @@ def quantum_homological_residual(
     F: WordPoly, G: WordPoly, G1: NormalForm, rot: RotationData
 ) -> float:
     """max |coefficient| of [H0, F]/(i hbar) - G - G1 (the solve contract)."""
-    cap = G.max_grade if G.max_grade != math.inf else None
-    lhs = commutator_over_ihbar(h0_word(rot), F, max_grade=cap)
-    res = lhs - G - normal_form_to_word(G1, cap if cap is not None else math.inf)
-    return res.max_abs_coeff()
+    lhs = commutator_over_ihbar(h0_word(rot), F, max_grade=G.max_grade)
+    return (lhs - G - normal_form_to_word(G1, G.max_grade)).max_abs_coeff()
 
 
 def exp_conjugate(H: WordPoly, F: WordPoly, max_grade=None) -> WordPoly:

@@ -21,6 +21,8 @@ On the Hermite (x) Fourier basis state ``|mu, nu>``:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 from .graded import (
     _BIAS,
@@ -34,7 +36,6 @@ from .graded import (
     _NU_BLOCK,
     _WIDTH,
     GradedPoly,
-    _add_idx,
     _contracted,
     _contractions,
     _field_units,
@@ -47,7 +48,7 @@ from .graded import (
     is_resonant_key,
     key_grade,
 )
-from .normalform import NormalForm
+from .normalform import NormalForm, _substituted
 
 
 class WordPoly(GradedPoly):
@@ -295,52 +296,63 @@ def apply_to_basis(a: WordPoly, state: tuple, hbar: float) -> dict:
     return out
 
 
+def _one_mode_table(steps, lowering):
+    """The one-mode terms ``((n, e), Fraction)`` after ``steps`` recurrence steps.
+
+    A term ``(n, e)`` stands for hbar^e times the n-th basis element.  Each
+    step sends ``c (n, e)`` to ``c (n + 1, e) + lowering(step, n) c (n, e + 1)``,
+    starting from ``1 (0, 0)``; the terms keep the order in which they are
+    first formed.
+    """
+    terms = {(0, 0): Fraction(1)}
+    for step in range(steps):
+        nxt = {}
+        for (n, e), c in terms.items():
+            nxt[n + 1, e] = nxt.get((n + 1, e), 0) + c
+            nxt[n, e + 1] = nxt.get((n, e + 1), 0) + lowering(step, n) * c
+        terms = nxt
+    return tuple(terms.items())
+
+
+@lru_cache(maxsize=None)
+def _ladder_in_actions(kappa):
+    """(a^+)^kappa a^kappa = prod_{l<kappa} (p - (l + 1/2) hbar), as the
+    terms ``((p_power, hbar_power), Fraction)``, p powers falling."""
+    return _one_mode_table(kappa, lambda l, _n: Fraction(-2 * l - 1, 2))
+
+
+@lru_cache(maxsize=None)
+def _action_in_ladders(r):
+    """P^r, with P = a^+ a + hbar/2, as the terms ``((kappa, hbar_power),
+    Fraction)`` of hbar^e N_kappa, N_kappa = (a^+)^kappa a^kappa; from
+    P N_kappa = N_(kappa+1) + (kappa + 1/2) hbar N_kappa."""
+    return _one_mode_table(r, lambda _l, kappa: Fraction(2 * kappa + 1, 2))
+
+
 def diagonal_to_normal_form(a: WordPoly, route=None) -> NormalForm:
     """Rewrite the diagonal part (mu = nu, m = 0) as a table in (p, tau, hbar).
 
     Uses (a^+)^kappa a^kappa = prod_i prod_{l<kappa_i} (p_i - (l + 1/2) hbar)
     with p_i standing for the oscillator P_i = a_i^+ a_i + hbar/2, and
-    D_t^j -> tau^j.  Evaluating the result at p = (mu + 1/2) hbar,
-    tau = nu hbar reproduces the diagonal matrix elements exactly.
+    D_t^j -> tau^j: the per-mode substitution
+    :func:`~orbitbnf.normalform._substituted` with the table
+    :func:`_ladder_in_actions`.  Evaluating the result at
+    p = (mu + 1/2) hbar, tau = nu hbar reproduces the diagonal matrix
+    elements exactly.  TypeError unless ``a`` is a WordPoly (a series goes
+    through :meth:`~orbitbnf.normalform.NormalForm.from_resonant_series`).
     """
-    coeffs = {}
-    zero_r = (0,) * a.dim
-    for key, c in a._terms.items():
-        if not is_resonant_key(key):
-            continue
-        mu, _nu, _m, j, k = key
-        # expand prod_i prod_{l<mu_i} (p_i - (l+1/2) hbar) as {(r, dk): coeff}
-        poly = {(zero_r, 0): 1.0}
-        for i, kap in enumerate(mu):
-            e_i = tuple(1 if x == i else 0 for x in range(a.dim))
-            for l in range(kap):
-                nxt = {}
-                for (r, dk), v in poly.items():
-                    up = (_add_idx(r, e_i), dk)
-                    nxt[up] = nxt.get(up, 0.0) + v
-                    dn = (r, dk + 1)
-                    nxt[dn] = nxt.get(dn, 0.0) - v * (l + 0.5)
-                poly = nxt
-        for (r, dk), v in poly.items():
-            entry = (r, j, k + dk)
-            coeffs[entry] = coeffs.get(entry, 0.0) + c * v
-    return NormalForm(a.dim, coeffs, route=route)
+    if not isinstance(a, WordPoly):
+        raise TypeError("expected WordPoly")
+    entries = (((key[0], key[3], key[4]), c) for key, c in a.items() if is_resonant_key(key))
+    return NormalForm(a.dim, _substituted(entries, _ladder_in_actions), route=route)
 
 
 def normal_form_to_word(nf: NormalForm, max_grade=math.inf) -> WordPoly:
     """Exact word realization of a table: p^r tau^s hbar^k ->
-    prod_i (a_i^+ a_i + hbar/2)^{r_i} * D_t^s * hbar^k, normal-ordered."""
-    dim = nf.dim
-    zero = (0,) * dim
-    total = WordPoly.zero(dim, max_grade)
-    for (r, s, k), c in nf.items():
-        w = WordPoly(dim, {(zero, zero, 0, s, k): c}, max_grade)
-        for i, ri in enumerate(r):
-            e_i = tuple(1 if x == i else 0 for x in range(dim))
-            p_word = WordPoly(
-                dim, {(e_i, e_i, 0, 0, 0): 1.0, (zero, zero, 0, 0, 1): 0.5}, max_grade
-            )
-            for _ in range(ri):
-                w = normal_order_product(w, p_word)
-        total = total + w
-    return total
+    prod_i (a_i^+ a_i + hbar/2)^{r_i} * D_t^s * hbar^k, normal-ordered.
+
+    The inverse substitution of :func:`diagonal_to_normal_form`, with the
+    table :func:`_action_in_ladders`; terms above ``max_grade`` are dropped.
+    """
+    terms = _substituted(nf.items(), _action_in_ladders)
+    return WordPoly(nf.dim, {(n, n, 0, s, k): c for (n, s, k), c in terms.items()}, max_grade)

@@ -276,6 +276,21 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     })
     assert main(["weyl-of-h", "--config", nonfinite_c, "--out", str(tmp_path / "o")]) == 2
     assert "must be finite" in capsys.readouterr().err
+    # coefficients given as strings are not parsed
+    string_c = {"r": [2], "s": 0, "k": 0, "c": "0.3"}
+    for command in ("weyl-of-h", "trace-forward"):
+        path = write_config(tmp_path, "string_c.json", {
+            "normal_form": {"dim": 1, "records": [*nf["records"], string_c]},
+            "jets": {"ls": [1], "depth": 8},
+        })
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "coefficient 'c' must be a real number, not '0.3'" in capsys.readouterr().err
+    string_re = write_config(tmp_path, "string_re.json", {
+        "theta": [SQRT2M1], "E": 1.0, "orders": {"weight": 4},
+        "hamiltonian": {"word_terms": [{"mu": [3], "nu": [0], "re": "0.3"}]},
+    })
+    assert main(["bnf-quantum", "--config", string_re, "--out", str(tmp_path / "o")]) == 2
+    assert "coefficient 're' must be a real number, not '0.3'" in capsys.readouterr().err
     # integer settings are read with operator.index: no truncation, no strings
     for command, name, cfg_of in (
         ("bnf-classical", "resonance_order", lambda v: {"resonance_order": v}),

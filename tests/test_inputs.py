@@ -203,6 +203,16 @@ def _rows():
         Row("FTSeries", "dim", lambda v: FTSeries(v, {}), 1, (*INDEX, 2.0)),
         Row("WordPoly", "dim", lambda v: WordPoly(v, {}), 1, (*INDEX, 2.0)),
         Row("NormalForm", "dim", lambda v: NormalForm(v, {}), 1, (*INDEX, 2.0)),
+        # coefficients of records
+        Row("NormalForm.from_records", "c",
+            lambda v: NormalForm.from_records(1, [{"r": [1], "s": 0, "k": 0, "c": v}]), 0.3,
+            FINITE, "coefficient 'c'"),
+        Row("WordPoly.from_records", "re",
+            lambda v: WordPoly.from_records(1, [{"mu": [1], "nu": [0], "re": v}]), 0.3, FINITE,
+            "coefficient 're'"),
+        Row("FTSeries.from_records", "im",
+            lambda v: FTSeries.from_records(1, [{"mu": [1], "nu": [0], "re": 0.3, "im": v}]),
+            0.3, FINITE, "coefficient 'im'"),
     ]
     # caps: constructors, slices, kernels and Lie series
     for entry, param, call in (

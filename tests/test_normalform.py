@@ -161,6 +161,13 @@ def test_from_resonant_series_collapses_action_monomials():
         NormalForm.from_resonant_series(s + off)
 
 
+def test_from_resonant_series_rejects_a_word():
+    """a^+ a is p - hbar/2, not the symbol z zbar = 2p: words go through
+    diagonal_to_normal_form."""
+    with pytest.raises(TypeError, match="expected FTSeries"):
+        NormalForm.from_resonant_series(WordPoly.word(1, mu=(1,), nu=(1,)))
+
+
 def _tables_differ(a, b, tol=0.0):
     keys = {tuple(r["r"]) + (r["s"], r["k"]) for r in a.to_records()}
     keys |= {tuple(r["r"]) + (r["s"], r["k"]) for r in b.to_records()}

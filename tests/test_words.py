@@ -8,6 +8,7 @@ import pytest
 from orbitbnf import words
 from orbitbnf.graded import is_resonant_key
 from orbitbnf.normalform import NormalForm
+from orbitbnf.series import FTSeries
 from orbitbnf.words import (
     adjoint,
     apply_to_basis,
@@ -240,14 +241,21 @@ def test_diagonal_to_normal_form_absorbs_the_half_shift():
     assert abs(nf.coeff((0,), 0, 1) + 0.5) < 1e-15
 
 
+def test_diagonal_to_normal_form_rejects_a_series():
+    """The symbol z zbar is 2p, not the word a^+ a = p - hbar/2: series go
+    through NormalForm.from_resonant_series."""
+    with pytest.raises(TypeError, match="expected WordPoly"):
+        diagonal_to_normal_form(FTSeries.monomial(1, (1,), (1,), coeff=0.5))
+
+
 def test_normal_form_to_word_inverts_the_diagonal_map():
+    """Exactly, on dyadic coefficients."""
     nf = NormalForm(
         1, {((2,), 0, 0): 0.5, ((1,), 1, 0): 1.5, ((0,), 0, 2): -0.25}
     )
     word = normal_form_to_word(nf)
     back = diagonal_to_normal_form(word)
-    for rec in nf.to_records():
-        assert abs(back.coeff(tuple(rec["r"]), rec["s"], rec["k"]) - rec["c"]) < 1e-14
+    assert dict(back.items()) == dict(nf.items())
 
 
 def test_diagonal_split():
