@@ -305,7 +305,7 @@ def _cmd_trace_invert(cfg, tol, run, base_dir):
         text = fh.read()
     rot = _rot(cfg, max(2, M), tol)
     jets, _bumps = _jets(cfg)
-    tr = TraceExpansion.from_csv(text, rot, jets, M)
+    tr = TraceExpansion.from_csv(text, jets)
     nf, report = invert_trace_expansion(
         tr,
         rot,

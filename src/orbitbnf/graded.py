@@ -38,9 +38,9 @@ their packed key offsets from one cached table, :func:`_contractions`: the
 word product contracts ``a^nu`` against ``(a^+)^mu`` with ``l! C(mu, l)
 C(nu, l)``, and the Moyal sum's transverse factor ``perm(n, x) perm(m, x) /
 x!`` is the same integer ``x! C(n, x) C(m, x)``.  A kernel reads the table
-through one row per a-term exponent tuple (:class:`_Row`), keyed by the
-partner's packed block, so a term pair costs one int-keyed lookup; the
-rows of every table sit in one cache, :func:`_row`.
+through one row per a-term exponent tuple, keyed by the partner's packed
+block, so a term pair costs one int-keyed lookup; the rows of every table
+sit in one cache, :func:`_row`.
 The table is built from :func:`_contraction_terms`, which the Wick/Weyl
 heat flow of :mod:`~orbitbnf.bridge` reads as well.
 
@@ -132,51 +132,21 @@ def _check_bounds(grade, mode, what):
         )
 
 
-class _Blocks(dict):
-    """Index tuple -> (packed block of its fields, sum); fills itself on a miss.
+class _Table(dict):
+    """A dict that fills a missing key with ``fill(key)``, once.
 
-    An entry depends on its tuple alone: the block is the integer sum of
-    ``v_i << (i * _WIDTH)``.
+    A hit is a plain dict lookup; only a miss calls ``fill``.
     """
 
-    __slots__ = ()
+    __slots__ = ("fill",)
 
-    def __missing__(self, idx):
-        entry = self[idx] = (sum(v << (i * _WIDTH) for i, v in enumerate(idx)), sum(idx))
-        return entry
-
-
-class _Tuples(dict):
-    """Packed block -> the one index tuple for it; fills itself on a miss.
-
-    A decoded tuple is entered into ``blocks`` as well, so that an output
-    index tuple packs again without recomputing its block.
-    """
-
-    __slots__ = ("dim", "blocks")
-
-    def __init__(self, dim, blocks):
+    def __init__(self, fill):
         super().__init__()
-        self.dim, self.blocks = dim, blocks
+        self.fill = fill
 
-    def __missing__(self, block):
-        idx = self[block] = tuple((block >> (i * _WIDTH)) & _MASK for i in range(self.dim))
-        self.blocks[idx] = (block, sum(idx))
-        return idx
-
-
-class _Sums(dict):
-    """Packed block -> the sum of its fields; fills itself on a miss."""
-
-    __slots__ = ("tuples",)
-
-    def __init__(self, tuples):
-        super().__init__()
-        self.tuples = tuples
-
-    def __missing__(self, block):
-        total = self[block] = sum(self.tuples[block])
-        return total
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,9 +161,16 @@ def _index_table(dim):
     first.  The grade cap bounds the entries: a few hundred at most per
     table.
     """
-    blocks = _Blocks()
-    tuples = _Tuples(dim, blocks)
-    return blocks, tuples, _Sums(tuples)
+    blocks = _Table(lambda idx: (sum(v << (i * _WIDTH) for i, v in enumerate(idx)), sum(idx)))
+
+    def decode(block):
+        # a decoded tuple enters ``blocks`` too, so it packs again for free
+        idx = tuple((block >> (i * _WIDTH)) & _MASK for i in range(dim))
+        blocks[idx] = (block, sum(idx))
+        return idx
+
+    tuples = _Table(decode)
+    return blocks, tuples, _Table(lambda block: sum(tuples[block]))
 
 
 def _layout(dim):
@@ -425,35 +402,20 @@ def _contractions(nu1, mu2):
     )
 
 
-class _Row(dict):
-    """Partner index block -> ``table(exps, partner)``; fills itself on a miss.
+@functools.lru_cache(maxsize=None)
+def _row(table, exps):
+    """Partner index block -> ``table(exps, partner)``: the one cache of
+    contraction-table rows.
 
-    One row of a contraction table: the entries of one exponent tuple
+    One row of a contraction table holds the entries of one exponent tuple
     ``exps`` against every partner, keyed by the partner's packed block
     (decoded through :func:`_index_table` on a miss).  A kernel looks a row
     up once per a-term and an entry once per term pair, so a pair costs one
     int-keyed lookup instead of a cache lookup hashed on two index tuples.
-    """
-
-    __slots__ = ("table", "exps", "tuples")
-
-    def __init__(self, table, exps):
-        super().__init__()
-        self.table, self.exps = table, exps
-        self.tuples = _index_table(len(exps))[1]
-
-    def __missing__(self, block):
-        entry = self[block] = self.table(self.exps, self.tuples[block])
-        return entry
-
-
-@functools.lru_cache(maxsize=None)
-def _row(table, exps):
-    """The :class:`_Row` of ``table`` for ``exps``: the one cache of contraction-table rows.
-
     The word product and the Moyal sum's X table share ``_row(_contractions, nu1)``.
     """
-    return _Row(table, exps)
+    tuples = _index_table(len(exps))[1]
+    return _Table(lambda block: table(exps, tuples[block]))
 
 
 def _contracted(nu1, mu2):
@@ -517,6 +479,18 @@ def _read_real(value, what, sign=""):
     if not math.isfinite(number) or (sign and (number < 0 or number == 0 and sign == "> 0")):
         raise ValueError(f"{what} must be finite{' and ' + sign if sign else ''}, not {value!r}")
     return number
+
+
+def _check_coeff(c, key):
+    """ValueError naming ``key`` unless ``cmath.isfinite`` reads ``c`` as
+    finite: the rule for every coefficient a constructor takes, so a string
+    is refused, not parsed."""
+    try:
+        finite = cmath.isfinite(c)
+    except TypeError:
+        raise ValueError(f"the coefficient of {key} must be a number, not {c!r}") from None
+    if not finite:
+        raise ValueError(f"the coefficient of {key} must be finite, not {c!r}")
 
 
 def _check_dims(a, b):
@@ -588,8 +562,7 @@ class GradedPoly:
         packed = {}
         for key, c in (terms or {}).items():
             mu, nu, m, j, k = key = _validate_key(key, self.dim)
-            if not cmath.isfinite(c):
-                raise ValueError(f"the coefficient of key {key} must be finite, not {c!r}")
+            _check_coeff(c, key)
             grade = key_grade(key)
             if not c or grade > cap:
                 continue

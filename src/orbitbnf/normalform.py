@@ -13,14 +13,13 @@ rotation angles ``theta_i = c[(e_i, 0, 0)]`` and the tau coefficient
 
 from __future__ import annotations
 
-import cmath
 import csv
 import io
 import math
 import operator
 from fractions import Fraction
 
-from .graded import _read_index, _read_real, is_resonant_key
+from .graded import _check_coeff, _read_index, _read_real, is_resonant_key
 from .series import FTSeries
 
 
@@ -102,9 +101,8 @@ class NormalForm:
                 entry = _entry_key(r, s, k)
                 if len(entry[0]) != self.dim:
                     raise ValueError(f"entry {entry} has wrong dim (expected {self.dim})")
+                _check_coeff(c, entry)
                 c = complex(c)
-                if not cmath.isfinite(c):
-                    raise ValueError(f"normal-form coefficient at {entry} must be finite, not {c}")
                 if abs(c.imag) > _IMAG_TOL * max(1.0, abs(c.real)):
                     raise ValueError(
                         f"normal-form coefficient at {entry} is not real: {c}"

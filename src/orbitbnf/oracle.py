@@ -153,21 +153,6 @@ def _real_if_exact(arr: np.ndarray) -> np.ndarray:
     return arr if arr.imag.any() else arr.real
 
 
-def _block_index(w: BasisWindow, wide: BasisWindow, dim: int) -> np.ndarray:
-    """Positions of w's states, in w's order, in the basis of the wider window.
-
-    Entries between two states of w are the same apply_to_basis amplitudes
-    in either window, so ``assemble_matrix(a, wide)[np.ix_(idx, idx)]`` is
-    exactly ``assemble_matrix(a, w)``.  ValueError if a state of w lies
-    outside ``wide``.
-    """
-    index = _index(wide, dim)
-    try:
-        return np.array([index[s] for s in w.states(dim)], dtype=np.int64)
-    except KeyError:
-        raise ValueError("the working window does not lie inside the wider one") from None
-
-
 def _classes(mat: np.ndarray):
     """Class label of each state, and the half-bandwidth of each class block.
 
@@ -283,21 +268,19 @@ class _Uncertified(Exception):
     """Inverse iteration could not certify an eigenvector."""
 
 
-def _first_offender(vals, mass, keep, below):
+def _first_offender(vals, mass, keep):
     """The lowest window eigenvalue ``vals[i]``, i in ``keep`` (ascending),
-    below ``below`` whose eigenvector keeps mass > _MASS_TOL beyond half the
-    cut, as ``(eigenvalue, mass)``, or None.  ``mass(i)`` gives that mass;
-    it may raise _Uncertified."""
+    whose eigenvector keeps mass > _MASS_TOL beyond half the cut, as
+    ``(eigenvalue, mass)``, or None.  ``mass(i)`` gives that mass; it may
+    raise _Uncertified."""
     for i in keep:
-        if vals[i] >= below:
-            break
         m = mass(i)
         if m > _MASS_TOL:
             return vals[i], m
     return None
 
 
-def _banded_window(lower: np.ndarray, lo: float, hi: float, out: np.ndarray, below: float):
+def _banded_window(lower: np.ndarray, lo: float, hi: float, out: np.ndarray):
     """Window eigenvalues and first offender of a narrow working block, from
     its lower band: all eigenvalues by ``eigvals_banded``, each mass from two
     steps of inverse iteration (``?gbtrf``/``?gbtrs``) at the eigenvalue.
@@ -342,24 +325,24 @@ def _banded_window(lower: np.ndarray, lo: float, hi: float, out: np.ndarray, bel
             raise _Uncertified
         return float(np.sum(np.abs(x[out]) ** 2))
 
-    return vals[keep], _first_offender(vals, mass, keep, below)
+    return vals[keep], _first_offender(vals, mass, keep)
 
 
-def _working_window(block: np.ndarray, narrow: bool, lo: float, hi: float, out, below):
+def _working_window(block: np.ndarray, narrow: bool, lo: float, hi: float, out):
     """Window eigenvalues of one class's working block (its lower band when
-    narrow, else the dense block) and the lowest of them below ``below``
-    whose eigenvector keeps mass beyond half the cut, as
-    ``(eigenvalue, mass)``, or None.  A narrow block that inverse iteration
-    cannot certify is solved dense, exactly as a dense block would be."""
+    narrow, else the dense block) and the lowest of them whose eigenvector
+    keeps mass beyond half the cut, as ``(eigenvalue, mass)``, or None.  A
+    narrow block that inverse iteration cannot certify is solved dense,
+    exactly as a dense block would be."""
     if narrow:
         try:
-            return _banded_window(block, lo, hi, out, below)
+            return _banded_window(block, lo, hi, out)
         except _Uncertified:
             block = _dense_from_band(block)
     vals, vecs = np.linalg.eigh(block)
     keep = np.flatnonzero((vals >= lo) & (vals <= hi))
     return vals[keep], _first_offender(
-        vals, lambda i: float(np.sum(np.abs(vecs[:, i][out]) ** 2)), keep, below
+        vals, lambda i: float(np.sum(np.abs(vecs[:, i][out]) ** 2)), keep
     )
 
 
@@ -383,12 +366,13 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     classes of states that no nonzero entry connects (the total-parity
     classes of an even two-mode word, the Fourier sectors of a t-independent
     one).  Each class is solved on its own: its doubled block (the matrix
-    itself when there is one class), then its block on the working states,
-    which holds the same amplitudes.  The doubled solves come first, and the
-    doubled matrix is freed before the working solves.  The eigenvalues of
-    all classes are merged in sorted order before the count and drift
-    checks, and a boundary-mass failure names the lowest offending
-    eigenvalue.
+    itself when there is one class), then its working block: its doubled
+    states inside the working cuts, which hold the same amplitudes.  The
+    doubled solves come first, and the doubled matrix is freed before the
+    working solves.  The eigenvalues of all classes are merged in sorted
+    order before the count and drift checks.  Each class reports its own
+    lowest unsafe eigenvector, and a boundary-mass failure names the lowest
+    of these (the earlier class's on a tie).
 
     A class whose doubled block has n >= 1024 states and half-bandwidth b,
     32 b <= n (a one-mode cubic word, b = 3, at a Hermite cut of 512 or
@@ -424,7 +408,6 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     drift_tol = _read_real(drift_tol, "drift_tol", "> 0")
     a = _as_word(a)
     require_symmetric(a, "quasi_eigenvalues: the operator")
-    dim = a.dim
     couple = _couples_fourier(a)
     wide = w.doubled(couple)
     big = assemble_matrix(a, wide)
@@ -434,39 +417,32 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     # temporaries come after ``big`` is freed and cannot add to it.
     groups = _groups(label)
     bvals = np.sort(np.concatenate([_doubled_eigvals(big, g, b) for g, b in zip(groups, band)]))
-    idx = _block_index(w, wide, dim)
-    members = _groups(label[idx])  # working states by class, in working order
-    # A narrow class keeps its working block as a lower band: its working
-    # states keep their order in ``big`` (idx is increasing), so the doubled
-    # class's half-bandwidth bounds the working block's.
+    # The doubled basis order restricted to the working cuts is the working
+    # order, so a class's working states are its doubled states inside them,
+    # and its doubled half-bandwidth bounds its working block's.
+    depth, sector = np.array([(sum(mu), abs(nu)) for mu, nu in wide.states(a.dim)]).T
+    inside = (depth <= w.hermite_cut) & (sector <= w.fourier_cut)
+    shallow = (depth > w.hermite_cut / 2) | (couple & (sector > w.fourier_cut / 2))
     blocks = []
-    for m in members:
-        c = label[idx[m[0]]]
-        narrow = _narrow(len(groups[c]), band[c])
-        states = idx[m]
-        block = _lower_band(big, states, band[c]) if narrow else big[np.ix_(states, states)]
-        blocks.append((block, narrow))
+    for g, b in zip(groups, band):
+        narrow = _narrow(len(g), b)
+        g = g[inside[g]]
+        if len(g):
+            block = _lower_band(big, g, b) if narrow else big[np.ix_(g, g)]
+            blocks.append((block, narrow, shallow[g]))
     del big
 
-    shallow = np.array([
-        sum(mu) > w.hermite_cut / 2 or (couple and abs(nu) > w.fourier_cut / 2)
-        for mu, nu in w.states(dim)
-    ])
-    kept = []
-    worst = None  # (eigenvalue, mass) of the lowest offending eigenvector
-    for pos, (block, narrow) in zip(members, blocks):
-        below = math.inf if worst is None else worst[0]
-        vals, offender = _working_window(block, narrow, lo, hi, shallow[pos], below)
-        kept.append(vals)
-        if offender is not None:
-            worst = offender
-    if worst is not None:
+    solved = [_working_window(block, narrow, lo, hi, out) for block, narrow, out in blocks]
+    offenders = [offender for _vals, offender in solved if offender is not None]
+    if offenders:
+        # the lowest eigenvalue; min keeps the earlier class on a tie
+        worst = min(offenders, key=lambda o: o[0])
         raise UnsafeWindowError(
             f"eigenvalue {worst[0]:.6g} keeps mass {worst[1]:.2e} on states "
             "beyond half the cut; enlarge the window cuts"
         )
 
-    mine = np.sort(np.concatenate(kept))
+    mine = np.sort(np.concatenate([vals for vals, _offender in solved]))
     bkeep = bvals[(bvals >= lo) & (bvals <= hi)]
     if len(bkeep) != len(mine):
         raise UnsafeWindowError(

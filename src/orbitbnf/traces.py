@@ -237,12 +237,10 @@ def g_function(r, s, jet: TestFunctionJet, rot: RotationData, threshold=1e-9):
 
 @dataclass
 class TraceExpansion:
-    """Coefficient table d_l^m with the jets and rotation data that made it."""
+    """Coefficient table d_l^m with the jets that made it."""
 
-    rot: RotationData
     entries: dict  # (l, m) -> complex
     jets: dict  # l -> TestFunctionJet
-    order: int  # entries cover m < order
 
     def d(self, l, m) -> complex:
         return self.entries.get((l, m), 0.0 + 0.0j)
@@ -255,7 +253,7 @@ class TraceExpansion:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_csv(text, rot: RotationData, jets, order) -> "TraceExpansion":
+    def from_csv(text, jets) -> "TraceExpansion":
         entries = {}
         rows = [ln for ln in text.strip().splitlines() if ln.strip()]
         if rows and rows[0].lower().startswith("l,"):
@@ -263,20 +261,12 @@ class TraceExpansion:
         for ln in rows:
             l_s, m_s, re_s, im_s = ln.split(",")
             entries[(int(l_s), int(m_s))] = complex(float(re_s), float(im_s))
-        return TraceExpansion(rot, entries, dict(jets), order)
+        return TraceExpansion(entries, dict(jets))
 
 
-def _nonlinear_entries(nf: NormalForm, rot: RotationData, theta_tol=1e-9):
-    """Validate linear content against rot and list (r, s, k, c, m_a)."""
-    if nf.dim != rot.dim:
-        raise ValueError("dimension mismatch")
-    th = nf.theta()
-    for a, b in zip(th, rot.theta):
-        if abs(a - b) > theta_tol:
-            raise ValueError(
-                f"normal form linear part {th} does not match rotation data {rot.theta}"
-            )
-    if abs(nf.tau_coefficient() - 1.0) > theta_tol:
+def _nonlinear_entries(nf: NormalForm):
+    """Check the tau coefficient is 1 and list (r, s, k, c, m_a)."""
+    if abs(nf.tau_coefficient() - 1.0) > 1e-9:
         raise ValueError("normal form tau coefficient must be 1")
     out = []
     for (r, s, k), c in nf.nonlinear_items():
@@ -344,14 +334,14 @@ def forward_trace_expansion(
     M = _read_index(M, "M", least=1)
     threshold = _read_real(threshold, "threshold", "> 0")
     rot = _rot_of(nf)
-    entries = _nonlinear_entries(nf, rot)
+    entries = _nonlinear_entries(nf)
     table = {}
     for jet in jets:
         l = jet.l
         table[(l, 0)] = psi_kernel(0, (0,) * nf.dim, 0, jet, rot, threshold)
         for m in range(1, M):
             table[(l, m)] = _multiset_sum(entries, m, jet, rot, threshold)
-    return TraceExpansion(rot, table, {jet.l: jet for jet in jets}, M)
+    return TraceExpansion(table, {jet.l: jet for jet in jets})
 
 
 def _rot_of(nf: NormalForm):

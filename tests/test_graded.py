@@ -190,6 +190,14 @@ def test_keys_past_the_packed_bounds_raise_at_construction(cls, key):
             build()
 
 
+@pytest.mark.parametrize("cls", [FTSeries, WordPoly])
+def test_a_coefficient_given_as_a_string_is_refused(cls):
+    """The constructor tests the coefficient itself, so a string is neither
+    parsed nor let through to a TypeError."""
+    with pytest.raises(ValueError, match=r"coefficient of \(\(1,\), \(0,\), 0, 0, 0\) must be a number"):
+        cls(1, {((1,), (0,), 0, 0, 0): "0.3"})
+
+
 NON_FINITE = [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 0.0)]
 
 

@@ -9,6 +9,7 @@ integer coefficients, ``D_t``/``tau`` powers and Fourier modes.
 """
 
 import collections
+import inspect
 import math
 
 import pytest
@@ -354,11 +355,14 @@ def test_sweeps_conjugate_and_commute_through_the_module_namespaces(monkeypatch)
     count(words, "normal_order_product")
     built = collections.Counter()
 
-    def row(table, exps, original=graded._Row):
-        built[table] += 1
-        return original(table, exps)
+    def row(fill, original=graded._Table):
+        # a row's fill reads its contraction table; index tables read none
+        table = inspect.getclosurevars(fill).nonlocals.get("table")
+        if table is not None:
+            built[table] += 1
+        return original(fill)
 
-    monkeypatch.setattr(graded, "_Row", row)
+    monkeypatch.setattr(graded, "_Table", row)
     for cache in (graded._contractions, graded._row):
         cache.cache_clear()
     for case in NF_CASES:

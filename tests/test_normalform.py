@@ -137,6 +137,13 @@ def test_non_finite_coefficients_raise(c):
             NormalForm.from_records(1, [{"r": [1], "s": 0, "k": 0, "c": c}])
 
 
+def test_a_coefficient_given_as_a_string_is_refused():
+    """The constructor tests the coefficient itself, so "0.3" is not parsed
+    into 0.3."""
+    with pytest.raises(ValueError, match=r"coefficient of \(\(1,\), 0, 0\) must be a number"):
+        NormalForm(1, {((1,), 0, 0): "0.3"})
+
+
 def test_as_series_maps_actions_to_monomials():
     """p^2 becomes z^2 zbar^2 / 4 and tau becomes the j-grading."""
     nf = NormalForm(1, {((2,), 0, 0): 1.0, ((0,), 1, 0): 2.0})

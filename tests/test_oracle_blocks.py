@@ -160,9 +160,9 @@ def spy_masses(monkeypatch):
     seen = []
     first = oracle._first_offender
 
-    def spy(vals, mass, keep, below):
+    def spy(vals, mass, keep):
         seen.append([(vals[i], mass(i)) for i in keep])
-        return first(vals, mass, keep, below)
+        return first(vals, mass, keep)
 
     monkeypatch.setattr(oracle, "_first_offender", spy)
     return seen
@@ -544,18 +544,14 @@ def test_grid_reads_the_state_order_and_positions_invert_it(dim, fourier_cut):
 
 @pytest.mark.parametrize("fourier_cut, couple", [(0, False), (2, False), (2, True)])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_block_index_is_increasing(dim, fourier_cut, couple):
-    """The working states keep their order in the doubled basis, so a
-    class's doubled half-bandwidth bounds its working block's."""
+def test_doubled_states_inside_the_working_cuts_are_the_working_states(dim, fourier_cut, couple):
+    """The doubled basis order restricted to the working cuts is the working
+    order, so a class's working states are its doubled states inside the
+    cuts, and its doubled half-bandwidth bounds its working block's."""
     w = BasisWindow(3, fourier_cut, 0.1)
-    assert (np.diff(oracle._block_index(w, w.doubled(couple), dim)) > 0).all()
-
-
-def test_block_index_rejects_a_window_that_does_not_fit():
-    w = BasisWindow(4, 1, 0.1)
-    assert np.array_equal(oracle._block_index(w, w, 2), np.arange(w.dimension(2)))
-    with pytest.raises(ValueError, match="inside"):
-        oracle._block_index(w.doubled(True), w, 2)
+    inside = [(mu, nu) for mu, nu in w.doubled(couple).states(dim)
+              if sum(mu) <= w.hermite_cut and abs(nu) <= w.fourier_cut]
+    assert inside == w.states(dim)
 
 
 @pytest.mark.parametrize("make, w, window", [

@@ -138,6 +138,13 @@ def test_forward_rejects_bare_hbar_constant():
         forward_trace_expansion(nf, [GaussianBump(1, 0.7).jet(8)], 3)
 
 
+def test_forward_rejects_a_tau_coefficient_other_than_one():
+    entries = base_entries()
+    entries[((0,), 1, 0)] = 0.9
+    with pytest.raises(ValueError, match="tau coefficient"):
+        forward_trace_expansion(NormalForm(1, entries), [GaussianBump(1, 0.7).jet(8)], 3)
+
+
 def base_entries(dim=1):
     return {((0,), 0, 0): 0.7, ((1,), 0, 0): SQRT2M1, ((0,), 1, 0): 1.0}
 
@@ -221,12 +228,12 @@ def test_inversion_detects_corrupted_data():
     bad0 = dict(tr.entries)
     bad0[(1, 0)] = bad0[(1, 0)] + 1e-3
     with pytest.raises(InconsistentDataError, match="free part"):
-        invert_trace_expansion(TraceExpansion(rot, bad0, tr.jets, tr.order),
+        invert_trace_expansion(TraceExpansion(bad0, tr.jets),
                                rot, 3, k_max=0)
     bad2 = dict(tr.entries)
     bad2[(1, 2)] = bad2[(1, 2)] + 1e-2
     with pytest.raises(InconsistentDataError, match="residual"):
-        invert_trace_expansion(TraceExpansion(rot, bad2, tr.jets, tr.order),
+        invert_trace_expansion(TraceExpansion(bad2, tr.jets),
                                rot, 3, k_max=0)
 
 
@@ -236,8 +243,7 @@ def test_trace_expansion_csv_round_trip():
     nf = NormalForm(1, entries)
     jets = [GaussianBump(l, 0.7).jet(10) for l in range(1, 4)]
     tr = forward_trace_expansion(nf, jets, 3)
-    rot = nonresonance_margin((SQRT2M1,), 8)
-    back = TraceExpansion.from_csv(tr.to_csv(), rot, tr.jets, tr.order)
+    back = TraceExpansion.from_csv(tr.to_csv(), tr.jets)
     assert set(back.entries) == set(tr.entries)
     for key, val in tr.entries.items():
         assert abs(back.entries[key] - val) < 1e-15 * (1.0 + abs(val))
@@ -253,7 +259,7 @@ def test_period_index_is_stored_as_a_plain_int():
     nf = NormalForm(1, base_entries())
     tr = forward_trace_expansion(nf, [bump.jet(8)], 2)
     assert tr.to_csv().splitlines()[1].startswith("2,0,")
-    back = TraceExpansion.from_csv(tr.to_csv(), nonresonance_margin((SQRT2M1,), 8), tr.jets, tr.order)
+    back = TraceExpansion.from_csv(tr.to_csv(), tr.jets)
     assert back.entries == tr.entries
 
 
