@@ -33,6 +33,7 @@ from functools import lru_cache
 from .graded import _contraction_terms, _read_index, _sub_idx, key_grade
 from .normalform import NormalForm, _substituted
 from .series import FTSeries
+from .words import WordPoly, _one_mode_table
 
 
 # -- one-mode fluctuation polynomials w_k(p, hbar) ------------------------------
@@ -47,18 +48,13 @@ def weyl_fluctuation_poly(k: int):
     stops at second order; on a radial symbol f(p) it reads
     p # f = p f - (hbar^2/4)(p f'' + f'), so w_0 = 1 and
     w_{k+1} = p w_k - (hbar^2/4)(p w_k'' + w_k'), which sends each term
-    c p^r hbar^e to c p^{r+1} hbar^e - (r^2 c/4) p^{r-1} hbar^{e+2}.
-    ValueError unless k is an integer >= 0 (:func:`~orbitbnf.graded._read_index`).
+    c p^r hbar^e to c p^{r+1} hbar^e - (r^2 c/4) p^{r-1} hbar^{e+2}
+    (:func:`~orbitbnf.words._one_mode_table` with the step (-1, 2)); the
+    nonzero terms, sorted.  ValueError unless k is an integer >= 0
+    (:func:`~orbitbnf.graded._read_index`).
     """
-    terms = {(0, 0): Fraction(1)}
-    for _ in range(_read_index(k, "k")):
-        nxt = {}
-        for (r, e), c in terms.items():
-            nxt[(r + 1, e)] = nxt.get((r + 1, e), 0) + c
-            if r:
-                nxt[(r - 1, e + 2)] = nxt.get((r - 1, e + 2), 0) - Fraction(r * r, 4) * c
-        terms = nxt
-    return tuple(sorted((key, c) for key, c in terms.items() if c))
+    table = _one_mode_table(_read_index(k, "k"), lambda _l, r: Fraction(-r * r, 4), (-1, 2))
+    return tuple(sorted(term for term in table if term[1]))
 
 
 # -- functional calculus on normal forms -----------------------------------------
@@ -155,8 +151,6 @@ def weyl_symbol_of_word(w, hbar_order: int, max_weight=math.inf) -> FTSeries:
     grade is kept: terms above ``max_weight`` (an integer >= 0 or
     ``math.inf``) are skipped.
     """
-    from .words import WordPoly  # local import to keep the module DAG acyclic
-
     if not isinstance(w, WordPoly):
         raise TypeError("expected WordPoly")
     max_weight = _read_index(max_weight, "max_weight", infinite=True)

@@ -36,26 +36,18 @@ import numpy as np
 from . import __version__
 from .bridge import weyl_of_functional_calculus
 from .classical import birkhoff_classical, birkhoff_semiclassical, h0_series
-from .errors import (
-    CoverageError,
-    IllConditionedError,
-    InconsistentDataError,
-    OrbitBNFError,
-    ResonanceError,
-    UnsafeWindowError,
-)
+from .errors import OrbitBNFError
 from .graded import _read_index, _read_real, require_symmetric
 from .normalform import NormalForm
 from .oracle import BasisWindow, _couples_fourier, quasi_eigenvalues
 from .quantum import birkhoff_quantum, h0_word
-from .series import FTSeries, nonresonance_margin
+from .series import nonresonance_margin
 from .traces import (
     GaussianBump,
     TraceExpansion,
     forward_trace_expansion,
     invert_trace_expansion,
 )
-from .words import WordPoly
 
 DEFAULT_TOLERANCES = {
     "margin_threshold": 1e-9,
@@ -67,12 +59,11 @@ DEFAULT_TOLERANCES = {
 
 
 class _Run:
-    """Collects output files and timings for one subcommand invocation."""
+    """Collects the output files of one subcommand invocation."""
 
     def __init__(self, outdir):
         self.outdir = outdir
         self.outputs = {}
-        self.timings = {}
 
     def write(self, name, text):
         os.makedirs(self.outdir, exist_ok=True)
@@ -120,6 +111,11 @@ def _block(cfg, name, missing=None):
     return _json_object(block, f"config block {name!r}")
 
 
+def _setting(cfg, block, name, default):
+    """The integer setting ``cfg[block][name]`` (``default`` when absent)."""
+    return _read_index(_block(cfg, block).get(name, default), f"setting '{block}.{name}'")
+
+
 def _load_tolerances(path):
     tol = dict(DEFAULT_TOLERANCES)
     if path is None:
@@ -161,20 +157,15 @@ def _check_terms(records, dim, what):
             raise ValueError(f"{what} term {rec} is missing the coefficient 're'")
 
 
-def _series_hamiltonian(cfg, rot, cap):
-    terms = _block(cfg, "hamiltonian").get("series_terms", [])
-    _check_terms(terms, rot.dim, "series")
-    H = h0_series(rot, _read_real(cfg.get("E", 0.0), "setting 'E'"), cap)
-    H = H + FTSeries.from_records(rot.dim, terms, cap)
-    require_symmetric(H, "the series Hamiltonian")
+def _hamiltonian(cfg, rot, cap, h0, what):
+    """``h0(rot, E, cap)`` plus the records of ``hamiltonian.<what>_terms``,
+    checked symmetric (a real symbol, an adjoint-symmetric word)."""
+    terms = _block(cfg, "hamiltonian").get(f"{what}_terms", [])
+    _check_terms(terms, rot.dim, what)
+    H = h0(rot, _read_real(cfg.get("E", 0.0), "setting 'E'"), cap)
+    H = H + type(H).from_records(rot.dim, terms, cap)
+    require_symmetric(H, f"the {what} Hamiltonian")
     return H
-
-
-def _word_hamiltonian(cfg, rot, cap):
-    terms = _block(cfg, "hamiltonian").get("word_terms", [])
-    _check_terms(terms, rot.dim, "word")
-    H = h0_word(rot, _read_real(cfg.get("E", 0.0), "setting 'E'"), cap)
-    return H + WordPoly.from_records(rot.dim, terms, cap)
 
 
 def _normal_form_arg(cfg, base_dir):
@@ -196,7 +187,7 @@ def _jets(cfg):
     ls = list(block.get("ls", []))
     if not ls:
         raise ValueError("jets block needs a non-empty 'ls' list")
-    depth = _read_index(block.get("depth", 12), "setting 'jets.depth'")
+    depth = _setting(cfg, "jets", "depth", 12)
     if "widths" in block:
         widths = list(block["widths"])
         if len(widths) != len(ls):
@@ -212,9 +203,8 @@ def _jets(cfg):
 
 def _bnf_orders(cfg, tol):
     """(target weight, working weight, certified rotation data) of a config."""
-    orders = _block(cfg, "orders")
-    weight = _read_index(orders.get("weight", 6), "setting 'orders.weight'")
-    work = _read_index(orders.get("work_weight", weight), "setting 'orders.work_weight'")
+    weight = _setting(cfg, "orders", "weight", 6)
+    work = _setting(cfg, "orders", "work_weight", weight)
     return weight, work, _rot(cfg, weight, tol)
 
 
@@ -235,7 +225,7 @@ def _bnf_outputs(run, what, rot, nf, generators, remainder, **extra):
 
 def _cmd_bnf_classical(cfg, tol, run, base_dir):
     weight, work, rot = _bnf_orders(cfg, tol)
-    H = _series_hamiltonian(cfg, rot, work)
+    H = _hamiltonian(cfg, rot, work, h0_series, "series")
     nf, gens, remainder = birkhoff_classical(H, rot, weight, work, tol["margin_threshold"])
     what = f"classical normal form through weight {weight}"
     return _bnf_outputs(run, what, rot, nf, gens, remainder)
@@ -243,8 +233,8 @@ def _cmd_bnf_classical(cfg, tol, run, base_dir):
 
 def _cmd_bnf_semiclassical(cfg, tol, run, base_dir):
     weight, work, rot = _bnf_orders(cfg, tol)
-    korder = _read_index(_block(cfg, "orders").get("hbar", 2), "setting 'orders.hbar'")
-    H = _series_hamiltonian(cfg, rot, work)
+    korder = _setting(cfg, "orders", "hbar", 2)
+    H = _hamiltonian(cfg, rot, work, h0_series, "series")
     nf, gens, remainder = birkhoff_semiclassical(
         H, rot, weight, korder, work, tol["margin_threshold"]
     )
@@ -254,14 +244,14 @@ def _cmd_bnf_semiclassical(cfg, tol, run, base_dir):
 
 def _cmd_bnf_quantum(cfg, tol, run, base_dir):
     weight, work, rot = _bnf_orders(cfg, tol)
-    H = _word_hamiltonian(cfg, rot, work)
+    H = _hamiltonian(cfg, rot, work, h0_word, "word")
     h, gens, remainder = birkhoff_quantum(H, rot, weight, work, tol["margin_threshold"])
     what = f"quantum normal form through grade {weight}"
     return _bnf_outputs(run, what, rot, h, gens, remainder)
 
 
 def _cmd_weyl_of_h(cfg, tol, run, base_dir):
-    korder = _read_index(_block(cfg, "orders").get("hbar", 2), "setting 'orders.hbar'")
+    korder = _setting(cfg, "orders", "hbar", 2)
     h = _normal_form_arg(cfg, base_dir)
     out = weyl_of_functional_calculus(h, korder)
     run.write("weyl_symbol.csv", out.to_csv())
@@ -273,7 +263,7 @@ def _cmd_weyl_of_h(cfg, tol, run, base_dir):
 
 
 def _cmd_trace_forward(cfg, tol, run, base_dir):
-    M = _read_index(_block(cfg, "orders").get("M", 4), "setting 'orders.M'")
+    M = _setting(cfg, "orders", "M", 4)
     nf = _normal_form_arg(cfg, base_dir)
     jets, bumps = _jets(cfg)
     theta = _theta(cfg) if "theta" in cfg else nf.theta()
@@ -296,8 +286,8 @@ def _cmd_trace_forward(cfg, tol, run, base_dir):
 
 
 def _cmd_trace_invert(cfg, tol, run, base_dir):
-    M = _read_index(_block(cfg, "orders").get("M", 4), "setting 'orders.M'")
-    k_max = _read_index(_block(cfg, "trace").get("k_max", 0), "setting 'trace.k_max'")
+    M = _setting(cfg, "orders", "M", 4)
+    k_max = _setting(cfg, "trace", "k_max", 0)
     path = cfg.get("trace_csv")
     if path is None:
         raise ValueError("config needs 'trace_csv' (path to a d_l^m table)")
@@ -316,23 +306,8 @@ def _cmd_trace_invert(cfg, tol, run, base_dir):
         threshold=tol["term_threshold"],
     )
     run.write("recovered.csv", nf.to_csv())
-    run.write(
-        "invert_report.json",
-        json.dumps(
-            {
-                "condition_numbers": {
-                    str(m): v for m, v in report["condition_numbers"].items()
-                },
-                "residuals": {str(m): v for m, v in report["residuals"].items()},
-                "unknown_counts": {
-                    str(m): v for m, v in report["unknown_counts"].items()
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
+    table = {name: {str(m): v for m, v in d.items()} for name, d in report.items()}
+    run.write("invert_report.json", json.dumps(table, indent=2, sort_keys=True) + "\n")
     worst = max(report["condition_numbers"].values(), default=1.0)
     summary = (
         f"recovered {len(nf.to_records())} coefficients through order {M} "
@@ -349,9 +324,9 @@ def _cmd_oracle_spectrum(cfg, tol, run, base_dir):
         raise ValueError("set drift_tol with --tolerance-overrides, not in the 'oracle' block")
     w = BasisWindow(block["hermite_cut"], block["fourier_cut"], block["hbar"])
     lo, hi = (_read_real(v, "setting 'oracle.window'") for v in block["window"])
-    weight = _read_index(_block(cfg, "orders").get("weight", 6), "setting 'orders.weight'")
+    weight = _setting(cfg, "orders", "weight", 6)
     rot = _rot(cfg, weight, tol)
-    H = _word_hamiltonian(cfg, rot, float("inf"))
+    H = _hamiltonian(cfg, rot, float("inf"), h0_word, "word")
     evs = quasi_eigenvalues(H, w, (lo, hi), drift_tol=tol["drift_tol"])
     lines = ["index,eigenvalue"]
     lines += [f"{i},{v!r}" for i, v in enumerate(evs)]
@@ -384,25 +359,22 @@ def _cmd_verify(cfg, tol, run, base_dir):
 
 
 _COMMANDS = {
-    "bnf-classical": _cmd_bnf_classical,
-    "bnf-semiclassical": _cmd_bnf_semiclassical,
-    "bnf-quantum": _cmd_bnf_quantum,
-    "weyl-of-h": _cmd_weyl_of_h,
-    "trace-forward": _cmd_trace_forward,
-    "trace-invert": _cmd_trace_invert,
-    "oracle-spectrum": _cmd_oracle_spectrum,
-    "verify": _cmd_verify,
-}
-
-_HELP = {
-    "bnf-classical": "classical normal form of E + theta.p + tau + perturbation",
-    "bnf-semiclassical": "normal form with the hbar-graded bracket, explicit hbar powers",
-    "bnf-quantum": "operator normal form of the word Hamiltonian",
-    "weyl-of-h": "Weyl symbol of the functional calculus of a normal form",
-    "trace-forward": "trace coefficients d_l^m from a normal form and jets",
-    "trace-invert": "recover normal-form coefficients from a d_l^m table",
-    "oracle-spectrum": "safe quasi-eigenvalues of the word Hamiltonian in a window",
-    "verify": "run the acceptance checks (exit 1 on any failure)",
+    "bnf-classical": (
+        _cmd_bnf_classical, "classical normal form of E + theta.p + tau + perturbation"
+    ),
+    "bnf-semiclassical": (
+        _cmd_bnf_semiclassical, "normal form with the hbar-graded bracket, explicit hbar powers"
+    ),
+    "bnf-quantum": (_cmd_bnf_quantum, "operator normal form of the word Hamiltonian"),
+    "weyl-of-h": (_cmd_weyl_of_h, "Weyl symbol of the functional calculus of a normal form"),
+    "trace-forward": (
+        _cmd_trace_forward, "trace coefficients d_l^m from a normal form and jets"
+    ),
+    "trace-invert": (_cmd_trace_invert, "recover normal-form coefficients from a d_l^m table"),
+    "oracle-spectrum": (
+        _cmd_oracle_spectrum, "safe quasi-eigenvalues of the word Hamiltonian in a window"
+    ),
+    "verify": (_cmd_verify, "run the acceptance checks (exit 1 on any failure)"),
 }
 
 
@@ -435,11 +407,11 @@ def main(argv=None):
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[common], help=_HELP[name])
+    for name, (_handler, text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
 
     args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command][0]
     run = _Run(args.out)
     started = time.perf_counter()
     try:
@@ -450,19 +422,10 @@ def main(argv=None):
             cfg, cfg_text = _load_config(args.config)
             base_dir = os.path.dirname(os.path.abspath(args.config))
         summary, extra = handler(cfg, tol, run, base_dir)
-    except ResonanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (IllConditionedError, InconsistentDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (UnsafeWindowError, CoverageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except (OrbitBNFError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    run.timings[args.command] = time.perf_counter() - started
+        return getattr(exc, "exit_code", OrbitBNFError.exit_code)
+    seconds = time.perf_counter() - started
     run.write_manifest(
         {
             "command": args.command,
@@ -474,7 +437,7 @@ def main(argv=None):
             "numpy": np.__version__,
             "tolerances": tol,
             "outputs": run.outputs,
-            "timings_seconds": run.timings,
+            "timings_seconds": {args.command: seconds},
             "details": extra,
         }
     )

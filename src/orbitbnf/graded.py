@@ -481,16 +481,19 @@ def _read_real(value, what, sign=""):
     return number
 
 
-def _check_coeff(c, key):
-    """ValueError naming ``key`` unless ``cmath.isfinite`` reads ``c`` as
-    finite: the rule for every coefficient a constructor takes, so a string
-    is refused, not parsed."""
+def _check_coeff(c, key=None):
+    """ValueError naming the coefficient of ``key`` (the scalar when ``key``
+    is None) unless ``cmath.isfinite`` reads ``c`` as finite: the rule for
+    every coefficient a constructor takes and every scalar a polynomial is
+    multiplied by, so a string is refused, not parsed."""
     try:
-        finite = cmath.isfinite(c)
+        if cmath.isfinite(c):
+            return
+        rule = "finite"
     except TypeError:
-        raise ValueError(f"the coefficient of {key} must be a number, not {c!r}") from None
-    if not finite:
-        raise ValueError(f"the coefficient of {key} must be finite, not {c!r}")
+        rule = "a number"
+    what = "the scalar" if key is None else f"the coefficient of {key}"
+    raise ValueError(f"{what} must be {rule}, not {c!r}")
 
 
 def _check_dims(a, b):
@@ -681,9 +684,9 @@ class GradedPoly:
         return self._wrap(self.dim, {p: -c for p, c in self._packed.items()}, self._cap)
 
     def scaled(self, scalar):
-        """Polynomial multiplied by a scalar coefficient; ValueError unless it is finite."""
-        if not cmath.isfinite(scalar):
-            raise ValueError(f"the scalar must be finite, not {scalar!r}")
+        """Polynomial multiplied by a scalar coefficient, read by the
+        constructors' rule: ValueError unless it is a finite number."""
+        _check_coeff(scalar)
         return _from_packed(
             type(self), self.dim, {p: c * scalar for p, c in self._packed.items()}, self._cap
         )

@@ -371,8 +371,8 @@ class RotationData:
     """Rotation angles of the elliptic orbit plus a certified margin.
 
     ``margin`` is the smallest |theta . kappa + m| over nonzero integer
-    vectors with |kappa| <= resonance_order and |m| within the scan bound
-    of :func:`nonresonance_margin`.  The angles and the margin are stored as
+    vectors with |kappa| <= resonance_order and any integer m (see
+    :func:`nonresonance_margin`).  The angles and the margin are stored as
     finite floats (the margin >= 0) and the order as an int >= 0, read by
     the package's input rule (ValueError otherwise): a NaN order would let
     :meth:`require_order` pass every order.
@@ -402,11 +402,12 @@ class RotationData:
 
 
 def nonresonance_margin(theta, order: int, threshold: float = 1e-9) -> RotationData:
-    """Exhaustively scan small divisors and certify non-resonance.
+    """Scan the small divisors and certify non-resonance.
 
-    Scans all integer kappa with |kappa| = sum|kappa_i| <= order and all
-    integer m with |m| <= order*max(1, ceil(max|theta|)) + 1, and returns
-    RotationData carrying min |theta . kappa + m| over nonzero (kappa, m).
+    Scans all integer kappa with |kappa| = sum|kappa_i| <= order and returns
+    RotationData carrying min |theta . kappa + m| over nonzero (kappa, m) with
+    m an integer: for each kappa the nearest integer m = -round(theta . kappa)
+    gives the smallest divisor, and for kappa = 0 it is 1 (m = -1).
 
     Raises
     ------
@@ -420,21 +421,17 @@ def nonresonance_margin(theta, order: int, threshold: float = 1e-9) -> RotationD
     theta = tuple(_read_real(v, "theta") for v in theta)
     order = _read_index(order, "order", least=1)
     threshold = _read_real(threshold, "threshold", "> 0")
-    n = len(theta)
-    mbound = order * max(1, math.ceil(max(abs(v) for v in theta))) + 1
     best = INFINITE
     worst_pair = None
-    for kappa in _iproduct(range(-order, order + 1), repeat=n):
+    for kappa in _iproduct(range(-order, order + 1), repeat=len(theta)):
         if sum(abs(e) for e in kappa) > order:
             continue
         dot = sum(t * e for t, e in zip(theta, kappa))
-        for m in range(-mbound, mbound + 1):
-            if not any(kappa) and m == 0:
-                continue
-            val = abs(dot + m)
-            if val < best:
-                best = val
-                worst_pair = (kappa, m)
+        m = -round(dot) if any(kappa) else -1
+        val = abs(dot + m)
+        if val < best:
+            best = val
+            worst_pair = (kappa, m)
     if best < threshold:
         raise ResonanceError(
             f"theta={theta} is resonant to order {order}: "

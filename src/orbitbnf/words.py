@@ -296,20 +296,24 @@ def apply_to_basis(a: WordPoly, state: tuple, hbar: float) -> dict:
     return out
 
 
-def _one_mode_table(steps, lowering):
+def _one_mode_table(steps, lowering, shift=(0, 1)):
     """The one-mode terms ``((n, e), Fraction)`` after ``steps`` recurrence steps.
 
-    A term ``(n, e)`` stands for hbar^e times the n-th basis element.  Each
-    step sends ``c (n, e)`` to ``c (n + 1, e) + lowering(step, n) c (n, e + 1)``,
-    starting from ``1 (0, 0)``; the terms keep the order in which they are
-    first formed.
+    A term ``(n, e)`` stands for hbar^e times the n-th basis element.  With
+    ``shift = (dn, de)``, each step sends ``c (n, e)`` to
+    ``c (n + 1, e) + lowering(step, n) c (n + dn, e + de)``, the second term
+    formed only for a nonzero factor, starting from ``1 (0, 0)``; the terms
+    keep the order in which they are first formed.
     """
+    dn, de = shift
     terms = {(0, 0): Fraction(1)}
     for step in range(steps):
         nxt = {}
         for (n, e), c in terms.items():
             nxt[n + 1, e] = nxt.get((n + 1, e), 0) + c
-            nxt[n, e + 1] = nxt.get((n, e + 1), 0) + lowering(step, n) * c
+            factor = lowering(step, n)
+            if factor:
+                nxt[n + dn, e + de] = nxt.get((n + dn, e + de), 0) + factor * c
         terms = nxt
     return tuple(terms.items())
 

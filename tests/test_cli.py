@@ -3,10 +3,11 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
-from orbitbnf import cli
+from orbitbnf import cli, errors
 from orbitbnf.classical import birkhoff_classical, h0_series
 from orbitbnf.cli import main
 from orbitbnf.quantum import birkhoff_quantum, h0_word
@@ -347,6 +348,111 @@ def test_exit_code_3_on_degenerate_periodic_denominator(tmp_path, capsys):
     assert "periodic denominator" in capsys.readouterr().err
 
 
+def test_exit_code_4_on_a_trace_table_with_a_wrong_free_part(tmp_path, capsys):
+    """d_1^0 = 9 + i d: no normal form gives a real part at m = 0."""
+    inverse = forward_trace_table(tmp_path)
+    lines = (tmp_path / "out_fwd" / "trace.csv").read_text().splitlines()
+    bad = [re.sub(r"^1,0,[^,]*,", "1,0,9.0,", line) for line in lines]
+    assert bad != lines
+    (tmp_path / "bad.csv").write_text("\n".join(bad) + "\n")
+    cfg = write_config(tmp_path, "inv.json", {**inverse, "trace_csv": "bad.csv"})
+    assert main(["trace-invert", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "disagrees with the jet's free part" in capsys.readouterr().err
+
+
+def test_exit_code_4_on_too_few_period_indices(tmp_path, capsys):
+    """Step m = 1 of M = 3 has 3 unknowns; one period index cannot fix them."""
+    inverse = forward_trace_table(tmp_path)
+    cfg = write_config(tmp_path, "inv.json", {
+        **inverse, "jets": {**ROUND_TRIP_JETS, "ls": [1]},
+    })
+    assert main(["trace-invert", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "3 unknowns but only 1 period indices" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_a_jet_too_shallow_for_tau_squared(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "theta": [SQRT2M1],
+        "normal_form": {"dim": 1, "records": [
+            *ROUND_TRIP_RECORDS, {"r": [0], "s": 2, "k": 0, "c": 0.05},
+        ]},
+        "jets": {**ROUND_TRIP_JETS, "depth": 1}, "orders": {"M": 3},
+    })
+    assert main(["trace-forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "needs jet depth 2" in capsys.readouterr().err
+
+
+def test_exit_code_5_on_an_unsafe_oracle_window(tmp_path, capsys):
+    """A cubic word at hermite_cut 12: a level in the window keeps mass past half the cut."""
+    hbar = 0.1
+    terms = [{"mu": [mu], "nu": [nu], "re": c}
+             for mu, nu, c in ((3, 0, 0.05), (0, 3, 0.05), (2, 1, 0.15), (1, 2, 0.15))]
+    cfg = write_config(tmp_path, "cfg.json", {
+        "theta": [SQRT2M1], "E": 0.7, "hamiltonian": {"word_terms": terms},
+        "oracle": {"hermite_cut": 12, "fourier_cut": 0, "hbar": hbar,
+                   "window": [0.7, 0.7 + 12 * SQRT2M1 * hbar]},
+    })
+    assert main(["oracle-spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+    assert "keeps mass 8.76e-06" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "spectrum.csv").exists()
+
+
+EXIT_CODES = {
+    errors.OrbitBNFError: 2,
+    errors.ResonanceError: 3,
+    errors.NonNilpotentError: 2,
+    errors.IllConditionedError: 4,
+    errors.InconsistentDataError: 4,
+    errors.JetDepthError: 2,
+    errors.UnsafeWindowError: 5,
+    errors.CoverageError: 5,
+    ValueError: 2,
+    KeyError: 2,
+    TypeError: 2,
+    OSError: 2,
+}
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, cls):
+    exc = cls("raised by the oracle")
+
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "quasi_eigenvalues", raising)
+    out = tmp_path / "o"
+    assert main(["oracle-spectrum", "--config", _oracle_config(tmp_path), "--out", str(out)]) \
+        == EXIT_CODES[cls]
+    assert capsys.readouterr().err == f"error: {exc}\n"
+    assert not out.exists()
+
+
+def test_the_exit_codes_are_documented_alike(capsys):
+    """Module docstring, --help epilog and README name the same codes, the
+    README names, for each code, the package errors that carry it, and
+    EXIT_CODES lists every package error."""
+    docstring = cli.__doc__.split("Exit codes\n----------\n", 1)[1]
+    in_docstring = [int(code) for code in re.findall(r"^(\d)\s", docstring, re.M)]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    epilog = " ".join(capsys.readouterr().out.split("exit codes:", 1)[1].split())
+    in_epilog = [int(code) for code in re.findall(r"(?:^|, )(\d) ", epilog)]
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Command line", 1)[1].split("### ", 1)[0]
+    rows = dict(re.findall(r"^\| `(\d)` \|(.*)$", section, re.M))
+    assert in_docstring == in_epilog == [int(code) for code in rows] == list(range(6))
+    package = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.OrbitBNFError)]
+    assert set(package) == {cls for cls in EXIT_CODES if issubclass(cls, errors.OrbitBNFError)}
+    for code, row in rows.items():
+        named = {cls.__name__ for cls in package if cls.__name__ in re.findall(r"`(\w+)`", row)}
+        assert named == {cls.__name__ for cls in package if cls.exit_code == int(code)}
+    for code in range(2, 6):
+        assert any(cls.exit_code == code for cls in package)
+
+
 def test_trace_forward_checks_the_config_theta(tmp_path, capsys):
     """A config theta must match the normal form's linear part; it may be left out."""
     nf = {"dim": 1, "records": [
@@ -366,32 +472,37 @@ def test_trace_forward_checks_the_config_theta(tmp_path, capsys):
         assert len((out / "trace.csv").read_text().splitlines()) == 1 + 2 * 2
 
 
-def test_trace_forward_then_invert_round_trip(tmp_path):
-    records = [
-        {"r": [0], "s": 0, "k": 0, "c": 0.7},
-        {"r": [1], "s": 0, "k": 0, "c": SQRT2M1},
-        {"r": [0], "s": 1, "k": 0, "c": 1.0},
-        {"r": [2], "s": 0, "k": 0, "c": -0.21},
-        {"r": [1], "s": 1, "k": 0, "c": 0.13},
-    ]
-    jets = {"ls": [1, 2, 3, 4, 5, 6], "width": 0.7, "depth": 10}
+ROUND_TRIP_RECORDS = [
+    {"r": [0], "s": 0, "k": 0, "c": 0.7},
+    {"r": [1], "s": 0, "k": 0, "c": SQRT2M1},
+    {"r": [0], "s": 1, "k": 0, "c": 1.0},
+    {"r": [2], "s": 0, "k": 0, "c": -0.21},
+    {"r": [1], "s": 1, "k": 0, "c": 0.13},
+]
+ROUND_TRIP_JETS = {"ls": [1, 2, 3, 4, 5, 6], "width": 0.7, "depth": 10}
+
+
+def forward_trace_table(tmp_path):
+    """Run trace-forward on the round-trip normal form; the trace-invert
+    config that reads its table back."""
     cfg_fwd = write_config(tmp_path, "fwd.json", {
         "theta": [SQRT2M1], "resonance_order": 8,
-        "normal_form": {"dim": 1, "records": records},
-        "jets": jets, "orders": {"M": 3},
+        "normal_form": {"dim": 1, "records": ROUND_TRIP_RECORDS},
+        "jets": ROUND_TRIP_JETS, "orders": {"M": 3},
     })
-    out_fwd = tmp_path / "out_fwd"
     assert main(["trace-forward", "--config", cfg_fwd,
-                 "--out", str(out_fwd)]) == 0
-    trace_lines = (out_fwd / "trace.csv").read_text().splitlines()
+                 "--out", str(tmp_path / "out_fwd")]) == 0
+    return {"theta": [SQRT2M1], "resonance_order": 8, "trace_csv": "out_fwd/trace.csv",
+            "jets": ROUND_TRIP_JETS, "orders": {"M": 3}, "trace": {"k_max": 0}}
+
+
+def test_trace_forward_then_invert_round_trip(tmp_path):
+    inverse = forward_trace_table(tmp_path)
+    trace_lines = (tmp_path / "out_fwd" / "trace.csv").read_text().splitlines()
     assert trace_lines[0] == "l,m,re,im"
     assert len(trace_lines) == 1 + 6 * 3
 
-    cfg_inv = write_config(tmp_path, "inv.json", {
-        "theta": [SQRT2M1], "resonance_order": 8,
-        "trace_csv": "out_fwd/trace.csv",
-        "jets": jets, "orders": {"M": 3}, "trace": {"k_max": 0},
-    })
+    cfg_inv = write_config(tmp_path, "inv.json", inverse)
     out_inv = tmp_path / "out_inv"
     assert main(["trace-invert", "--config", cfg_inv,
                  "--out", str(out_inv)]) == 0
@@ -519,7 +630,17 @@ def test_oracle_spectrum_rejects_a_word_that_is_not_symmetric(tmp_path, capsys):
                    "window": [0.69, 0.7 + SQRT2M1 * hbar * 5.9]},
     })
     assert main(["oracle-spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "not symmetric" in capsys.readouterr().err
+    assert "the word Hamiltonian is not symmetric" in capsys.readouterr().err
+
+
+def test_bnf_quantum_rejects_a_word_that_is_not_symmetric(tmp_path, capsys):
+    """The word Hamiltonian is checked at the config boundary, as the series one is."""
+    cfg = write_config(tmp_path, "cfg.json", {
+        "theta": [SQRT2M1], "E": 1.0, "orders": {"weight": 4},
+        "hamiltonian": {"word_terms": [{"mu": [3], "nu": [0], "re": 1e-3}]},
+    })
+    assert main(["bnf-quantum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "the word Hamiltonian is not symmetric" in capsys.readouterr().err
 
 
 def test_verify_reports_the_failing_checks(tmp_path):

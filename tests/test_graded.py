@@ -198,6 +198,18 @@ def test_a_coefficient_given_as_a_string_is_refused(cls):
         cls(1, {((1,), (0,), 0, 0, 0): "0.3"})
 
 
+@pytest.mark.parametrize("cls", [FTSeries, WordPoly])
+def test_a_scalar_that_is_not_a_number_is_refused(cls):
+    """``scaled`` and both products read the scalar by the constructors' rule."""
+    p = cls(1, {NU1: 1.0})
+    for build in (lambda: p.scaled("0.3"), lambda: p * "0.3", lambda: "0.3" * p,
+                  lambda: p * None):
+        with pytest.raises(ValueError, match="the scalar must be a number, not"):
+            build()
+    with pytest.raises(ValueError, match="the scalar must be finite, not nan"):
+        p.scaled(math.nan)
+
+
 NON_FINITE = [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 0.0)]
 
 

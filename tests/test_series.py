@@ -1,5 +1,6 @@
 """Sparse Fourier-Taylor series: arithmetic, gradings, brackets, rotation data."""
 
+import itertools
 import math
 import random
 
@@ -210,6 +211,35 @@ def test_nonresonance_margin_certifies_golden_ratio_like_angle():
     # the worst small divisor to order 8 for sqrt(2)-1 is known to be
     # |2 theta - 1| = |2 sqrt(2) - 3| = 0.1715...
     assert rot.margin <= abs(2 * SQRT2M1 - 1) + 1e-15
+
+
+def _scanned_margin(theta, order):
+    """min |theta . kappa + m| over nonzero (kappa, m), |kappa| <= order, by
+    the straight scan over |m| <= order * max(1, ceil(max |theta|)) + 1."""
+    mbound = order * max(1, math.ceil(max(abs(v) for v in theta))) + 1
+    best = math.inf
+    for kappa in itertools.product(range(-order, order + 1), repeat=len(theta)):
+        if sum(abs(e) for e in kappa) > order:
+            continue
+        dot = sum(t * e for t, e in zip(theta, kappa))
+        for m in range(-mbound, mbound + 1):
+            if any(kappa) or m:
+                best = min(best, abs(dot + m))
+    return best
+
+
+def test_nonresonance_margin_matches_the_straight_scan():
+    """The nearest integer m per kappa gives the scan's margin bit for bit,
+    also at the exact ties of dyadic angles."""
+    rng = random.Random(45)
+    cases = [((0.25,), 3), ((0.25, 0.375), 2), ((-1.75, 0.375), 2)]
+    for case in range(150):
+        dim = 1 + case % 3
+        theta = tuple(rng.uniform(-2.5, 2.5) for _ in range(dim))
+        cases.append((theta, 1 + case % (8 if dim < 3 else 5)))
+    for theta, order in cases:
+        margin = nonresonance_margin(theta, order, threshold=1e-300).margin
+        assert margin == _scanned_margin(theta, order), (theta, order)
 
 
 def test_nonresonance_margin_rejects_rational_angle():

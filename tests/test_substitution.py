@@ -6,7 +6,7 @@
 reference functions below are the loops those maps were written as before:
 a float expansion of ``prod (p - (l + 1/2) hbar)`` per diagonal word, one
 word product per power of ``P = a^+ a + hbar/2``, and a ``Fraction`` loop
-over the ``w_k``.  The diagonal and functional-calculus maps must agree with
+over the ``w_k`` (whose own recurrence loop is kept as a reference too).  The diagonal and functional-calculus maps must agree with
 them byte for byte (``to_csv()``, and the stored order of the entries); the
 word map sums its terms in another order, so it agrees to 1e-14 of the
 table's scale, and exactly on dyadic coefficients.
@@ -55,6 +55,19 @@ def _ref_diagonal_to_normal_form(a, route=None):
         for (r, dk), v in poly.items():
             coeffs[r, j, k + dk] = coeffs.get((r, j, k + dk), 0.0) + c * v
     return NormalForm(a.dim, coeffs, route=route)
+
+
+def _ref_weyl_fluctuation_poly(k):
+    """w_{k+1} = p w_k - (hbar^2/4)(p w_k'' + w_k') as its own Fraction loop."""
+    terms = {(0, 0): Fraction(1)}
+    for _ in range(k):
+        nxt = {}
+        for (r, e), c in terms.items():
+            nxt[(r + 1, e)] = nxt.get((r + 1, e), 0) + c
+            if r:
+                nxt[(r - 1, e + 2)] = nxt.get((r - 1, e + 2), 0) - Fraction(r * r, 4) * c
+        terms = nxt
+    return tuple(sorted((key, c) for key, c in terms.items() if c))
 
 
 def _ref_weyl_of_functional_calculus(h, hbar_order):
@@ -123,6 +136,12 @@ def test_diagonal_map_matches_its_reference_byte_for_byte():
         ref = _ref_diagonal_to_normal_form(word, "quantum")
         assert got.to_csv() == ref.to_csv()
         assert list(got.items()) == list(ref.items())
+
+
+def test_fluctuation_polynomials_match_their_reference():
+    for k in range(20):
+        assert weyl_fluctuation_poly(k) == _ref_weyl_fluctuation_poly(k)
+    assert weyl_fluctuation_poly(2) == (((0, 2), Fraction(-1, 4)), ((2, 0), Fraction(1)))
 
 
 def test_functional_calculus_matches_its_reference_byte_for_byte():
