@@ -111,6 +111,13 @@ def _block(cfg, name, missing=None):
     return _json_object(block, f"config block {name!r}")
 
 
+def _need(block, name, key):
+    """``block[key]`` of the config block ``name``, or ValueError naming both."""
+    if key not in block:
+        raise ValueError(f"config block {name!r} needs {key!r}")
+    return block[key]
+
+
 def _setting(cfg, block, name, default):
     """The integer setting ``cfg[block][name]`` (``default`` when absent)."""
     return _read_index(_block(cfg, block).get(name, default), f"setting '{block}.{name}'")
@@ -175,8 +182,8 @@ def _normal_form_arg(cfg, base_dir):
         with open(path) as fh:
             return NormalForm.from_csv(fh.read())
     return NormalForm.from_records(
-        _read_index(block["dim"], "setting 'normal_form.dim'"),
-        block["records"],
+        _read_index(_need(block, "normal_form", "dim"), "setting 'normal_form.dim'"),
+        _need(block, "normal_form", "records"),
         route=block.get("route"),
     )
 
@@ -322,8 +329,8 @@ def _cmd_oracle_spectrum(cfg, tol, run, base_dir):
     )
     if "drift_tol" in block:
         raise ValueError("set drift_tol with --tolerance-overrides, not in the 'oracle' block")
-    w = BasisWindow(block["hermite_cut"], block["fourier_cut"], block["hbar"])
-    lo, hi = (_read_real(v, "setting 'oracle.window'") for v in block["window"])
+    w = BasisWindow(*(_need(block, "oracle", k) for k in ("hermite_cut", "fourier_cut", "hbar")))
+    lo, hi = (_read_real(v, "setting 'oracle.window'") for v in _need(block, "oracle", "window"))
     weight = _setting(cfg, "orders", "weight", 6)
     rot = _rot(cfg, weight, tol)
     H = _hamiltonian(cfg, rot, float("inf"), h0_word, "word")

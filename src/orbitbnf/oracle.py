@@ -1,22 +1,23 @@
-"""Dense-matrix ground truth on a truncated Hermite (x) Fourier basis.
+"""Matrix ground truth on a truncated Hermite (x) Fourier basis.
 
 Operators act on the model space spanned by states |mu, nu> with total
 Hermite quantum number |mu| = sum_i mu_i <= hermite_cut (the action simplex)
 and Fourier index |nu| <= fourier_cut; the ladder amplitudes carry the hbar
 normalization [a, a+] = hbar, so the harmonic part has eigenvalues
 (mu + 1/2) hbar exactly.  Everything here is independent of the series
-machinery: eigenvalues come from LAPACK solves, one per class
-of states that no matrix entry connects (the real symmetric drivers whenever
-every coefficient of the operator is real, the complex Hermitian ones
-otherwise), and traces from explicit weighted sums.  A class whose block at
-the doubled cut has n >= 1024 states and half-bandwidth b, 32 b <= n, is
-solved from its lower band at both cuts: its eigenvalues come from the banded
-driver (``scipy.linalg.eigvals_banded``, O(n^2 b) instead of O(n^3)) and
-its boundary masses from banded inverse iteration (LAPACK ``?gbtrf``/
-``?gbtrs``), with dense ``eigh`` as the fallback for vectors that iteration
-cannot certify.  Every other class is solved dense (numpy's
-``eigvalsh``/``eigh``).  scipy is imported only on the banded path, so
-small windows never pay its import.
+machinery: a matrix is assembled as the coordinate triplets of its nonzero
+entries, eigenvalues come from LAPACK solves, one per class of states that
+no matrix entry connects, on blocks built from those triplets (the real
+symmetric drivers whenever every coefficient of the operator is real, the
+complex Hermitian ones otherwise), and traces come from explicit weighted
+sums.  A class whose block at the doubled cut has n >= 1024 states and
+half-bandwidth b, 32 b <= n, is solved from its lower band at both cuts:
+its eigenvalues come from the banded driver (``scipy.linalg.eigvals_banded``,
+O(n^2 b) instead of O(n^3)) and its boundary masses from banded inverse
+iteration (LAPACK ``?gbtrf``/``?gbtrs``), with dense ``eigh`` as the
+fallback for vectors that iteration cannot certify.  Every other class is
+solved dense (numpy's ``eigvalsh``/``eigh``).  scipy is imported only on the
+banded path, so small windows never pay its import.
 The point is to have something slow and obviously correct to hold the
 symbolic results against.
 
@@ -53,7 +54,7 @@ MATRIX_BUDGET = 4096
 
 @dataclass(frozen=True)
 class BasisWindow:
-    """Truncation cuts and the hbar value for one dense-matrix computation.
+    """Truncation cuts and the hbar value for one matrix computation.
 
     The basis is the action simplex: the states ``(mu, nu)`` with total
     quantum number ``|mu| = sum_i mu_i <= hermite_cut`` and
@@ -110,16 +111,35 @@ def _index(w: BasisWindow, dim: int) -> dict:
     return {s: i for i, s in enumerate(w.states(dim))}
 
 
-def assemble_matrix(a, w: BasisWindow) -> np.ndarray:
-    """Dense matrix of a WordPoly or NormalForm on the window basis.
+@dataclass(frozen=True)
+class Triplets:
+    """A matrix as its nonzero entries: ``vals[k]`` at ``(rows[k], cols[k])``,
+    no position twice, in a ``shape`` matrix.  ``toarray()`` gives the dense
+    matrix."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple
+
+    def toarray(self) -> np.ndarray:
+        mat = np.zeros(self.shape, dtype=self.vals.dtype)
+        mat[self.rows, self.cols] = self.vals
+        return mat
+
+
+def assemble_matrix(a, w: BasisWindow) -> Triplets:
+    """The matrix of a WordPoly or NormalForm on the window basis, as the
+    ``Triplets`` of its nonzero entries (``.toarray()`` for the dense one).
 
     Columns are exact images of basis states, each amplitude placed at the
     row that ``_index`` gives its target; a target with no row lies outside
-    the window and is dropped (that is the truncation).  A NormalForm is
-    assembled as its ``normal_form_to_word``, the exact diagonal
-    h((mu + 1/2) hbar, nu hbar, hbar).  The result is Hermitian if the input
+    the window and is dropped (that is the truncation), and so is an
+    amplitude that is exactly zero.  A NormalForm is assembled as its
+    ``normal_form_to_word``, the exact diagonal
+    h((mu + 1/2) hbar, nu hbar, hbar).  The matrix is Hermitian if the input
     is adjoint-symmetric (truncation can hide an asymmetry, so
-    quasi_eigenvalues checks the word).  It is float64 when every
+    quasi_eigenvalues checks the word).  Its values are float64 when every
     coefficient is real, since each amplitude is then a real coefficient
     times real ladder factors, and complex otherwise.
 
@@ -138,11 +158,11 @@ def assemble_matrix(a, w: BasisWindow) -> np.ndarray:
         amps.extend(image.values())
         cols.extend([col] * len(image))
     rows = np.array(rows, dtype=np.int64)
-    inside = rows >= 0
-    vals = np.array(amps, dtype=complex)[inside]
-    mat = np.zeros((n, n), dtype=float if real else complex)
-    mat[rows[inside], np.array(cols, dtype=np.int64)[inside]] = vals.real if real else vals
-    return mat
+    vals = np.array(amps, dtype=complex)
+    if real:
+        vals = vals.real
+    keep = (rows >= 0) & (vals != 0)
+    return Triplets(rows[keep], np.array(cols, dtype=np.int64)[keep], vals[keep], (n, n))
 
 
 def _real_if_exact(arr: np.ndarray) -> np.ndarray:
@@ -153,8 +173,10 @@ def _real_if_exact(arr: np.ndarray) -> np.ndarray:
     return arr if arr.imag.any() else arr.real
 
 
-def _classes(mat: np.ndarray):
-    """Class label of each state, and the half-bandwidth of each class block.
+def _classes(rows: np.ndarray, cols: np.ndarray, n: int):
+    """Class label of each of n states, the half-bandwidth of each class
+    block and the rank of each state in its block, from the positions
+    ``(rows[k], cols[k])`` of a matrix's nonzero entries.
 
     A class holds states that nonzero entries connect.  Labels are 0, 1, ...
     in the order of each class's lowest state.  Union-find over the nonzero
@@ -164,12 +186,12 @@ def _classes(mat: np.ndarray):
     class is its lowest state.  Both triangles count, so a class holds every
     entry that a solver reading one triangle sees.
 
-    The half-bandwidth of class c is the largest |i - j| of a nonzero entry
-    (i, j) of its block ``mat[np.ix_(g, g)]``, g the class's states in
-    ascending order (``_groups``); it comes from the same scan of entries.
+    A class's block lists its states in ascending order (``_groups``), and a
+    state's rank is its position there.  The half-bandwidth of class c is
+    the largest |rank_i - rank_j| of an entry (i, j) of its block; it comes
+    from the same scan of entries.
     """
-    rows, cols = np.nonzero(mat != 0)  # faster than np.nonzero(mat) on float64
-    root = np.arange(mat.shape[0])
+    root = np.arange(n)
     while True:
         r, c = root[rows], root[cols]
         cross = r != c
@@ -189,7 +211,7 @@ def _classes(mat: np.ndarray):
     )
     band = np.zeros(len(sizes), dtype=np.int64)
     np.maximum.at(band, label[rows], np.abs(rank[rows] - rank[cols]))
-    return label, band
+    return label, band, rank
 
 
 def _groups(label: np.ndarray) -> list:
@@ -217,17 +239,30 @@ def _narrow(n: int, band: int) -> bool:
     return n >= _BANDED_MIN and _BANDED_RATIO * band <= n
 
 
-def _lower_band(mat: np.ndarray, states: np.ndarray, band: int) -> np.ndarray:
-    """Lower band storage of the block of ``mat`` on ``states`` (ascending):
-    row d holds the d-th subdiagonal, read diagonal by diagonal without
-    copying the block.  ``band`` must bound the block's half-bandwidth; one
-    past the block's size is cut to it."""
-    n = len(states)
-    band = min(band, n - 1)
-    lower = np.zeros((band + 1, n), dtype=mat.dtype)
-    for d in range(band + 1):
-        lower[d, : n - d] = mat[states[d:], states[: n - d]]
-    return lower
+def _class_entries(t: Triplets, label: np.ndarray, rank: np.ndarray):
+    """Per class, in label order, its entries ``(i, j, v)`` of ``t`` at their
+    ranks in the class block: one stable sort of the entries by class."""
+    of = label[t.rows]
+    order = np.argsort(of, kind="stable")
+    cuts = np.cumsum(np.bincount(of, minlength=label.max() + 1))[:-1]
+    i, j, v = rank[t.rows[order]], rank[t.cols[order]], t.vals[order]
+    return zip(np.split(i, cuts), np.split(j, cuts), np.split(v, cuts))
+
+
+def _block(i, j, v, n: int, band: int, narrow: bool) -> np.ndarray:
+    """The block of n states whose entries are ``v`` at ``(i, j)``: its lower
+    band storage when narrow (row d holds the d-th subdiagonal, from the
+    entries with i >= j; ``band`` must bound the half-bandwidth, and one
+    past the block's size is cut to it), else the dense block with both
+    triangles."""
+    if narrow:
+        low = i >= j
+        lower = np.zeros((min(band, n - 1) + 1, n), dtype=v.dtype)
+        lower[i[low] - j[low], j[low]] = v[low]
+        return lower
+    mat = np.zeros((n, n), dtype=v.dtype)
+    mat[i, j] = v
+    return mat
 
 
 def _dense_from_band(lower: np.ndarray) -> np.ndarray:
@@ -241,18 +276,14 @@ def _dense_from_band(lower: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _doubled_eigvals(big: np.ndarray, states: np.ndarray, band: int) -> np.ndarray:
-    """Ascending eigenvalues of the block of ``big`` on ``states`` (ascending),
-    whose half-bandwidth is ``band``.
-
-    A narrow block hands its lower band to the banded driver; any other
-    block is copied (unless it is the whole matrix) and solved dense.
-    """
-    if _narrow(len(states), band):
+def _doubled_eigvals(block: np.ndarray, narrow: bool) -> np.ndarray:
+    """Ascending eigenvalues of a doubled class block: a narrow one, given as
+    its lower band, from the banded driver, any other dense."""
+    if narrow:
         from scipy.linalg import eigvals_banded
 
-        return eigvals_banded(_lower_band(big, states, band), lower=True)
-    return np.linalg.eigvalsh(big if len(states) == len(big) else big[np.ix_(states, states)])
+        return eigvals_banded(block, lower=True)
+    return np.linalg.eigvalsh(block)
 
 
 # A window eigenvector with more boundary mass than _MASS_TOL is unsafe.  A
@@ -362,23 +393,24 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     per Fourier sector (300 and 1128 at N = 23), and two modes fit
     MATRIX_BUDGET up to N = 44.
 
-    The matrix is assembled once, at the doubled cuts, and split into
-    classes of states that no nonzero entry connects (the total-parity
-    classes of an even two-mode word, the Fourier sectors of a t-independent
-    one).  Each class is solved on its own: its doubled block (the matrix
-    itself when there is one class), then its working block: its doubled
-    states inside the working cuts, which hold the same amplitudes.  The
-    doubled solves come first, and the doubled matrix is freed before the
-    working solves.  The eigenvalues of all classes are merged in sorted
-    order before the count and drift checks.  Each class reports its own
-    lowest unsafe eigenvector, and a boundary-mass failure names the lowest
-    of these (the earlier class's on a tie).
+    The matrix is assembled once, at the doubled cuts, as the triplets of
+    its nonzero entries, and split into classes of states that no nonzero
+    entry connects (the total-parity classes of an even two-mode word, the
+    Fourier sectors of a t-independent one).  No dense matrix of the whole
+    window is formed: one stable sort of the entries by class gives each
+    class its entries, and each class is solved on its own: its doubled
+    block, then its working block: its doubled states inside the working
+    cuts, whose entries hold the same amplitudes.  The doubled solves come
+    first, each block dropped once solved.  The eigenvalues of all classes
+    are merged in sorted order before the count and drift checks.  Each
+    class reports its own lowest unsafe eigenvector, and a boundary-mass
+    failure names the lowest of these (the earlier class's on a tie).
 
     A class whose doubled block has n >= 1024 states and half-bandwidth b,
     32 b <= n (a one-mode cubic word, b = 3, at a Hermite cut of 512 or
     more), is narrow: ``scipy.linalg.eigvals_banded`` takes its doubled
-    block's lower band, and then its working block's, read from the doubled
-    matrix with the same b before that is freed.  The boundary mass of each
+    block's lower band, and then its working block's, each written straight
+    from the class's entries with the same b.  The boundary mass of each
     window eigenvector comes from two steps of inverse iteration at its
     eigenvalue (LAPACK ``?gbtrf``/``?gbtrs`` from a fixed start), in
     ascending order.  The class falls back to dense ``eigh`` on
@@ -388,8 +420,9 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     residual exceeds 1e-12 of the scale.  At n = 1233 (hbar = 2^-8, one BLAS
     thread) the banded working solve takes 0.11 s against 0.43 s for dense
     ``eigh``, and its eigenvalues agree with ``eigh``'s to 1e-14 of the
-    scale.  Every other class is solved by dense ``eigvalsh`` and ``eigh``,
-    so smaller windows never import scipy.
+    scale.  Every other class is solved by dense ``eigvalsh`` and ``eigh``
+    on its block, scattered from its entries with both triangles, so
+    smaller windows never import scipy.
 
     The operator must be adjoint-symmetric as a word (a NormalForm is
     checked as its ``normal_form_to_word``).  That is tested once, on the
@@ -411,26 +444,26 @@ def quasi_eigenvalues(a, w: BasisWindow, window, drift_tol: float = 1e-10):
     couple = _couples_fourier(a)
     wide = w.doubled(couple)
     big = assemble_matrix(a, wide)
-    label, band = _classes(big)
-    # The doubled solves first: each dense one copies its block, and the
-    # largest of those copies is the peak of the call; the working solves'
-    # temporaries come after ``big`` is freed and cannot add to it.
-    groups = _groups(label)
-    bvals = np.sort(np.concatenate([_doubled_eigvals(big, g, b) for g, b in zip(groups, band)]))
+    label, band, rank = _classes(big.rows, big.cols, big.shape[0])
     # The doubled basis order restricted to the working cuts is the working
     # order, so a class's working states are its doubled states inside them,
     # and its doubled half-bandwidth bounds its working block's.
     depth, sector = np.array([(sum(mu), abs(nu)) for mu, nu in wide.states(a.dim)]).T
     inside = (depth <= w.hermite_cut) & (sector <= w.fourier_cut)
     shallow = (depth > w.hermite_cut / 2) | (couple & (sector > w.fourier_cut / 2))
-    blocks = []
-    for g, b in zip(groups, band):
+    # The doubled solves first, each block built from the class's entries
+    # and dropped once solved; the working blocks wait for them.
+    bvals, blocks = [], []
+    for g, b, (i, j, v) in zip(_groups(label), band, _class_entries(big, label, rank)):
         narrow = _narrow(len(g), b)
-        g = g[inside[g]]
-        if len(g):
-            block = _lower_band(big, g, b) if narrow else big[np.ix_(g, g)]
-            blocks.append((block, narrow, shallow[g]))
-    del big
+        bvals.append(_doubled_eigvals(_block(i, j, v, len(g), b, narrow), narrow))
+        held = inside[g]
+        if held.any():
+            at = np.cumsum(held) - 1  # working rank, by doubled rank
+            kept = held[i] & held[j]
+            block = _block(at[i[kept]], at[j[kept]], v[kept], int(at[-1]) + 1, b, narrow)
+            blocks.append((block, narrow, shallow[g[held]]))
+    bvals = np.sort(np.concatenate(bvals))
 
     solved = [_working_window(block, narrow, lo, hi, out) for block, narrow, out in blocks]
     offenders = [offender for _vals, offender in solved if offender is not None]

@@ -412,9 +412,10 @@ def nonresonance_margin(theta, order: int, threshold: float = 1e-9) -> RotationD
     Raises
     ------
     ValueError
-        If an angle is not finite, ``order`` is not an integer >= 1 or
-        ``threshold`` is not finite and > 0 (a NaN threshold would certify
-        every angle).
+        If an angle is not finite, some ``theta . kappa`` is not (an angle
+        so large that the products overflow), ``order`` is not an integer
+        >= 1 or ``threshold`` is not finite and > 0 (a NaN threshold would
+        certify every angle).
     ResonanceError
         If the margin falls below ``threshold``.
     """
@@ -427,6 +428,8 @@ def nonresonance_margin(theta, order: int, threshold: float = 1e-9) -> RotationD
         if sum(abs(e) for e in kappa) > order:
             continue
         dot = sum(t * e for t, e in zip(theta, kappa))
+        if not math.isfinite(dot):
+            raise ValueError(f"theta={theta}: theta . kappa is not finite at kappa = {kappa}")
         m = -round(dot) if any(kappa) else -1
         val = abs(dot + m)
         if val < best:

@@ -2,10 +2,11 @@
 
 A grid trace of a model operator, coherent-state convention checks, a
 numeric Wick symbol, single matrix elements, the per-term loop that
-``apply_to_basis`` replaced, an entry-by-entry dict-lookup assembly and
-the spectrum on the cube basis that the action simplex replaced.  Each one
-rebuilds a quantity from the oracle's basis and dense matrices, so the
-tests can hold the library's results against it.
+``apply_to_basis`` replaced, an entry-by-entry dict-lookup assembly, band
+storage read from a dense matrix and the spectrum on the cube basis that
+the action simplex replaced.  Each one rebuilds a quantity from the
+oracle's basis and dense matrices, so the tests can hold the library's
+results against it.
 """
 
 import cmath
@@ -71,6 +72,20 @@ def assemble_matrix_reference(a: WordPoly, w: BasisWindow) -> np.ndarray:
             if row is not None:
                 mat[row, col] = amp.real if real else amp
     return mat
+
+
+def lower_band_reference(mat: np.ndarray, states: np.ndarray, band: int) -> np.ndarray:
+    """Lower band storage of the block of the dense ``mat`` on ``states``
+    (ascending), read diagonal by diagonal: row d holds the d-th
+    subdiagonal.  ``band`` must bound the block's half-bandwidth; one past
+    the block's size is cut to it.  The reference for the bands that the
+    oracle writes straight from its triplets."""
+    n = len(states)
+    band = min(band, n - 1)
+    lower = np.zeros((band + 1, n), dtype=mat.dtype)
+    for d in range(band + 1):
+        lower[d, : n - d] = mat[states[d:], states[: n - d]]
+    return lower
 
 
 def cube_eigvalsh(a: WordPoly, cut: int, hbar: float) -> np.ndarray:
@@ -195,7 +210,7 @@ def coherent_state_checks(w: BasisWindow, s: float, x: float, xi: float) -> dict
     # Propagator phases from the assembled harmonic-oscillator matrix.
     p_op = WordPoly.word(1, mu=(1,), nu=(1,)) + WordPoly.word(1, k=1, coeff=0.5)
     pw = BasisWindow(w.hermite_cut, 0, hbar)
-    pmat = assemble_matrix(p_op, pw)
+    pmat = assemble_matrix(p_op, pw).toarray()
     diag = np.diag(pmat).real
     off = float(np.max(np.abs(pmat - np.diag(np.diag(pmat)))))
     if off > 1e-14:

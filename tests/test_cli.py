@@ -312,6 +312,37 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
             assert f"setting {name!r} must be an integer, not {value!r}" in capsys.readouterr().err
 
 
+def test_exit_code_2_names_the_block_and_the_missing_key(tmp_path, capsys):
+    oracle = {"hermite_cut": 8, "fourier_cut": 0, "hbar": 0.1, "window": [0.6, 0.8]}
+    for key in oracle:
+        cfg = write_config(tmp_path, "cfg.json", {
+            "theta": [SQRT2M1], "E": 0.7,
+            "oracle": {k: v for k, v in oracle.items() if k != key},
+        })
+        assert main(["oracle-spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: config block 'oracle' needs {key!r}\n"
+    nf = {"dim": 1, "records": [{"r": [1], "s": 0, "k": 0, "c": SQRT2M1}]}
+    for key in nf:
+        cfg = write_config(tmp_path, "cfg.json", {
+            "theta": [SQRT2M1], "jets": {"ls": [1]},
+            "normal_form": {k: v for k, v in nf.items() if k != key},
+        })
+        for command in ("weyl-of-h", "trace-forward"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == f"error: config block 'normal_form' needs {key!r}\n"
+
+
+def test_exit_code_2_on_an_angle_whose_products_overflow(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "theta": [1e308], "E": 0.7,
+        "oracle": {"hermite_cut": 8, "fourier_cut": 0, "hbar": 0.1, "window": [0.6, 0.8]},
+    })
+    for command in ("oracle-spectrum", "bnf-classical"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta=(1e+308,): theta . kappa is not finite"), err
+
+
 def test_readme_example_config_runs_oracle_spectrum(tmp_path):
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:

@@ -1,13 +1,14 @@
 """Class-wise oracle solves, the banded driver and the assembly behind them.
 
-``quasi_eigenvalues`` splits the doubled matrix into classes of states that
-no nonzero entry connects and solves each class on its own, a large narrow
-doubled block with LAPACK's banded driver; ``apply_to_basis`` builds each
-matrix column in one pass per term, and ``assemble_matrix`` places it by
-a dict of positions on the action simplex |mu| <= hermite_cut.  All are
-held against the straight computations they replace: dense solves, the
-per-term loop, the dict-lookup assembly and the cube basis kept in
-``oracle_helpers``.
+``quasi_eigenvalues`` splits the triplets of the doubled matrix into
+classes of states that no nonzero entry connects and solves each class on
+its own, from a block built from its entries, a large narrow doubled block
+with LAPACK's banded driver; ``apply_to_basis`` builds each matrix column
+in one pass per term, and ``assemble_matrix`` places it by a dict of
+positions on the action simplex |mu| <= hermite_cut.  All are held against
+the straight computations they replace: dense solves, the per-term loop,
+the dict-lookup assembly, bands read from the dense matrix and the cube
+basis kept in ``oracle_helpers``.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,12 @@ from orbitbnf.oracle import BasisWindow, assemble_matrix, quasi_eigenvalues
 from orbitbnf.quantum import h0_word
 from orbitbnf.series import nonresonance_margin
 from orbitbnf.words import WordPoly, apply_to_basis, normal_order_product
-from oracle_helpers import apply_to_basis_reference, assemble_matrix_reference, cube_eigvalsh
+from oracle_helpers import (
+    apply_to_basis_reference,
+    assemble_matrix_reference,
+    cube_eigvalsh,
+    lower_band_reference,
+)
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -60,8 +67,13 @@ def complex_cubic():
     return one_mode_cubic() + squeeze
 
 
+def triplet_classes(t):
+    """``_classes`` of the triplets t: labels, half-bandwidths and ranks."""
+    return oracle._classes(t.rows, t.cols, t.shape[0])
+
+
 def classes_of(a, w):
-    return oracle._groups(oracle._classes(assemble_matrix(a, w))[0])
+    return oracle._groups(triplet_classes(assemble_matrix(a, w))[0])
 
 
 def test_two_mode_quartic_splits_into_its_total_parity_classes():
@@ -90,9 +102,11 @@ def test_t_independent_word_splits_into_its_fourier_sectors():
 def test_classes_of_a_diagonal_matrix_are_single_states():
     mat = np.diag([3.0, 0.0, -1.0, 2.0])
     mat[0, 3] = 0.5  # an entry in the upper triangle alone joins the two states
-    label, band = oracle._classes(mat)
+    rows, cols = np.nonzero(mat)
+    label, band, rank = oracle._classes(rows, cols, len(mat))
     assert [list(c) for c in oracle._groups(label)] == [[0, 3], [1], [2]]
     assert list(band) == [1, 0, 0]  # states 0 and 3 are neighbours in their block
+    assert list(rank) == [0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("make, w", [
@@ -101,12 +115,14 @@ def test_classes_of_a_diagonal_matrix_are_single_states():
     (complex_cubic, BasisWindow(12, 0, 0.1)),
 ], ids=["two-mode-parity", "fourier-sectors", "complex"])
 def test_class_bands_are_the_half_bandwidths_of_the_class_blocks(make, w):
-    mat = assemble_matrix(make(), w)
-    label, band = oracle._classes(mat)
+    t = assemble_matrix(make(), w)
+    mat = t.toarray()
+    label, band, rank = triplet_classes(t)
     expected = []
     for g in oracle._groups(label):
         r, c = np.nonzero(mat[np.ix_(g, g)])
         expected.append(int(np.max(np.abs(r - c))))
+        assert np.array_equal(rank[g], np.arange(len(g)))
     assert list(band) == expected
 
 
@@ -147,7 +163,7 @@ def test_class_solves_match_the_dense_solve(monkeypatch, make, w, window, blocks
     sizes = spy_solves(monkeypatch)
     evs = quasi_eigenvalues(a, w, window)
     assert sizes == blocks
-    dense = np.linalg.eigvalsh(assemble_matrix(a, w))
+    dense = np.linalg.eigvalsh(assemble_matrix(a, w).toarray())
     inside = dense[(dense >= window[0]) & (dense <= window[1])]
     assert len(evs) == len(inside) > 0
     scale = float(np.max(np.abs(dense)))
@@ -194,12 +210,12 @@ def test_large_narrow_doubled_blocks_take_the_banded_driver(monkeypatch, make, f
     w = BasisWindow(520, fourier_cut, hbar)
     window = (0.7 + 0.2 * SQRT2M1 * hbar, 0.7 + 50.5 * SQRT2M1 * hbar)
     big = assemble_matrix(a, w.doubled(False))
-    label, band = oracle._classes(big)
-    dense = [np.linalg.eigvalsh(big[np.ix_(g, g)]) for g in oracle._groups(label)]
+    label, band, _rank = triplet_classes(big)
+    dense = [np.linalg.eigvalsh(big.toarray()[np.ix_(g, g)]) for g in oracle._groups(label)]
     assert list(band) == [3] * len(dense)
     small = assemble_matrix(a, w)
     out = np.array([mu[0] > w.hermite_cut / 2 for mu, _nu in w.states(1)])
-    working = dense_window(small, oracle._groups(oracle._classes(small)[0]), out, window)
+    working = dense_window(small.toarray(), oracle._groups(triplet_classes(small)[0]), out, window)
     calls = spy_solves(monkeypatch)
     masses = spy_masses(monkeypatch)
     kinds = {}
@@ -228,7 +244,7 @@ def test_large_narrow_doubled_blocks_take_the_banded_driver(monkeypatch, make, f
     assert len(evs) == held >= 50 * sectors
     # one factorization per window eigenvalue (and the spy's second pass),
     # by the real driver for a real block and the complex one otherwise
-    assert kinds == {"z" if np.iscomplexobj(small) else "d": 2 * held}
+    assert kinds == {"z" if np.iscomplexobj(small.vals) else "d": 2 * held}
 
 
 def test_two_mode_parity_classes_stay_dense(monkeypatch):
@@ -237,7 +253,7 @@ def test_two_mode_parity_classes_stay_dense(monkeypatch):
     too wide for it as well (32 * 92 > 576)."""
     a = two_mode_quartic()
     w = BasisWindow(23, 0, 0.1)
-    label, band = oracle._classes(assemble_matrix(a, w.doubled(False)))
+    label, band, _rank = triplet_classes(assemble_matrix(a, w.doubled(False)))
     assert [len(g) for g in oracle._groups(label)] == [576, 552]
     assert list(band) == [92, 90]
     calls = spy_solves(monkeypatch)
@@ -352,7 +368,7 @@ def offender_case(edge, sector):
     hbar = 0.1
     w = BasisWindow(16, 1, hbar)
     window = (0.7 + SQRT2M1 * hbar * edge, 0.7 + SQRT2M1 * hbar * 12.0)
-    vals, vecs = np.linalg.eigh(assemble_matrix(a, w))
+    vals, vecs = np.linalg.eigh(assemble_matrix(a, w).toarray())
     states = w.states(1)
     shallow = np.array([mu[0] > w.hermite_cut / 2 for mu, _nu in states])
     offending = {}  # sector -> lowest offending eigenvalue
@@ -408,10 +424,90 @@ def test_boundary_mass_just_above_the_threshold_is_unsafe(monkeypatch, banded):
     assert routes(calls) == ([("banded", 97), ("banded", 49)] if banded else [97, 49])
 
 
-def test_lower_band_cuts_a_band_wider_than_the_block():
+def test_band_from_entries_cuts_a_band_wider_than_the_block():
     mat = np.arange(16.0).reshape(4, 4)
-    lower = oracle._lower_band(mat, np.array([0, 2, 3]), 5)
-    assert np.array_equal(lower, [[0.0, 10.0, 15.0], [8.0, 14.0, 0.0], [12.0, 0.0, 0.0]])
+    states = np.array([0, 2, 3])
+    block = mat[np.ix_(states, states)]
+    i, j = np.nonzero(block)
+    lower = oracle._block(i, j, block[i, j], 3, 5, True)
+    expected = [[0.0, 10.0, 15.0], [8.0, 14.0, 0.0], [12.0, 0.0, 0.0]]
+    assert np.array_equal(lower, expected)
+    assert np.array_equal(lower_band_reference(mat, states, 5), expected)
+
+
+def spy_blocks(monkeypatch):
+    """The blocks that quasi_eigenvalues hands its solvers, in call order:
+    ``("doubled", block, narrow)`` and ``("working", block, narrow)``."""
+    seen = []
+    doubled, working = oracle._doubled_eigvals, oracle._working_window
+
+    def spy_doubled(block, narrow):
+        seen.append(("doubled", block.copy(), narrow))
+        return doubled(block, narrow)
+
+    def spy_working(block, narrow, lo, hi, out):
+        seen.append(("working", block.copy(), narrow))
+        return working(block, narrow, lo, hi, out)
+
+    monkeypatch.setattr(oracle, "_doubled_eigvals", spy_doubled)
+    monkeypatch.setattr(oracle, "_working_window", spy_working)
+    return seen
+
+
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+@pytest.mark.parametrize("make, w, window", [
+    (two_mode_quartic, BasisWindow(19, 0, 0.1), (1.02, 1.225)),
+    (one_mode_cubic, BasisWindow(40, 1, 0.05), (0.7 + 0.01 * SQRT2M1, 0.7 + 0.39 * SQRT2M1)),
+    (complex_cubic, BasisWindow(40, 0, 0.05), (0.7 + 0.01 * SQRT2M1, 0.7 + 0.39 * SQRT2M1)),
+], ids=["two-mode-parity", "fourier-sectors", "complex"])
+def test_blocks_from_the_triplets_are_slices_of_the_dense_matrix(
+    monkeypatch, make, w, window, banded
+):
+    """Each class's doubled block, built from its entries, is the slice of
+    the dense doubled matrix on the class's states (its lower band read
+    diagonal by diagonal when narrow); its working block is the slice on
+    the class's states inside the working cuts, with the same band.  Equal
+    values and dtype, and the doubled solves come first."""
+    a = make()
+    wide = w.doubled(False)
+    big = assemble_matrix(a, wide)
+    mat = big.toarray()
+    label, band, _rank = triplet_classes(big)
+    inside = np.array([sum(mu) <= w.hermite_cut for mu, _nu in wide.states(a.dim)])
+    expected = []
+    for cut in ("doubled", "working"):
+        for g, b in zip(oracle._groups(label), band):
+            g = g if cut == "doubled" else g[inside[g]]
+            expected.append((cut, lower_band_reference(mat, g, b) if banded else mat[np.ix_(g, g)]))
+    if banded:
+        force_banded(monkeypatch)
+    seen = spy_blocks(monkeypatch)
+    assert quasi_eigenvalues(a, w, window)
+    assert [(cut, narrow) for cut, _block, narrow in seen] == [(c, banded) for c, _r in expected]
+    for (cut, block, _narrow), (_cut, ref) in zip(seen, expected):
+        assert block.dtype == ref.dtype == mat.dtype
+        assert np.array_equal(block, ref), cut
+
+
+def test_a_narrow_solve_holds_no_dense_doubled_matrix():
+    """The one-mode cubic at hbar = 0.01: one class of n = 1041 doubled
+    states, half-bandwidth 3, solved banded at both cuts.  The call's peak
+    of traced memory (scipy already imported) stays below 2 n^2 bytes, a
+    quarter of the dense float64 doubled matrix."""
+    a = one_mode_cubic()
+    hbar = 0.01
+    w = BasisWindow(520, 0, hbar)
+    n = w.doubled(False).dimension(1)
+    assert n == 1041
+    window = (0.7 + 0.2 * SQRT2M1 * hbar, 0.7 + 50.5 * SQRT2M1 * hbar)
+    tracemalloc.start()
+    try:
+        evs = quasi_eigenvalues(a, w, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(evs) >= 50
+    assert peak < 2 * n * n
 
 
 def test_oracle_solve_imports_no_scipy():
@@ -523,8 +619,12 @@ def test_assembly_by_position_matches_the_dict_lookup(coeff):
         for fourier_cut in (0, 2):
             a, w = driven(dim, coeff), BasisWindow(3, fourier_cut, 0.25)
             new, ref = assemble_matrix(a, w), assemble_matrix_reference(a, w)
-            assert new.dtype == ref.dtype == (np.float64 if coeff.imag == 0 else np.complex128)
-            assert np.count_nonzero(ref) > 0 and np.array_equal(new, ref)
+            dtype = np.float64 if coeff.imag == 0 else np.complex128
+            assert new.vals.dtype == new.toarray().dtype == ref.dtype == dtype
+            assert new.shape == ref.shape == (w.dimension(dim),) * 2
+            assert np.count_nonzero(ref) > 0 and np.array_equal(new.toarray(), ref)
+            # no exact zero and no position twice: one entry per nonzero
+            assert np.count_nonzero(new.vals) == len(new.vals) == np.count_nonzero(ref)
             states = w.states(dim)
             outside = {t for s in states for t in apply_to_basis(a, s, w.hbar)} - set(states)
             assert any(sum(mu) > 3 for mu, _nu in outside)

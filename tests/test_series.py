@@ -247,6 +247,14 @@ def test_nonresonance_margin_rejects_rational_angle():
         nonresonance_margin((0.5,), 4)
 
 
+@pytest.mark.parametrize("theta", [(1e308,), (SQRT2M1, -1e308)])
+def test_nonresonance_margin_rejects_an_angle_whose_products_overflow(theta):
+    """theta . kappa reaches +-inf at |kappa_i| = 2: ValueError, not an
+    OverflowError from rounding an infinite dot product."""
+    with pytest.raises(ValueError, match=r"theta=.*theta \. kappa is not finite"):
+        nonresonance_margin(theta, 2)
+
+
 def test_rotation_data_order_guard():
     rot = nonresonance_margin((SQRT2M1,), 4)
     with pytest.raises(ValueError):
